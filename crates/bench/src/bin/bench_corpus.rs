@@ -1,7 +1,6 @@
 //! Corpus bench record: one binary sweeping **named scenarios** (scene
-//! family × trajectory) × kernel configuration (scalar, simd4 staged per
-//! row, simd4 staged per tile) × thread counts, plus the multi-session
-//! frame-server sweep and the chunked-streaming sweep (in-core vs the
+//! family × trajectory) × raster kernel (scalar, simd4) × thread counts,
+//! plus the multi-session frame-server sweep and the chunked-streaming sweep (in-core vs the
 //! encoded container at two chunk sizes, with the chunk cache disabled
 //! and at the default budget) — the single perf record of the repo, written to
 //! `BENCH_pr10.json` at the repo root (override with `MS_BENCH_OUT`).
@@ -17,11 +16,6 @@
 //! best profile also carries the `RasterWork` staging counters, which
 //! are deterministic per configuration — so the record shows the win in
 //! both wall time *and* counted work.
-//!
-//! Acceptance numbers for the per-tile staging work (dense/orbit,
-//! 1 thread): `simd4/pertile` must beat `simd4/perrow` Raster wall by
-//! ≥ 1.15×, and its scheduled row iterations must undercut the
-//! `rows × csr_len` bound by ≥ 2×.
 //!
 //! The `dense/*` scenarios render the room layout at a realistic splat
 //! population (`MS_POINTS` small splats at `MS_LOG_SCALE`), where tile
@@ -39,7 +33,7 @@
 use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
 use metasapiens::math::Vec3;
 use metasapiens::render::{
-    FrameProfile, RasterKernel, RasterStaging, RasterWork, RenderOptions, Renderer, StageKind,
+    FrameProfile, RasterKernel, RasterWork, RenderOptions, Renderer, StageKind,
 };
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::synth::{self, Scene};
@@ -60,12 +54,11 @@ const STAGES: [StageKind; 5] = [
     StageKind::Composite,
 ];
 
-/// Kernel configurations the corpus sweeps: the scalar reference and the
-/// SIMD kernel under both staging paths.
-const KERNEL_CONFIGS: [(&str, RasterKernel, RasterStaging); 3] = [
-    ("scalar", RasterKernel::Scalar, RasterStaging::PerRow),
-    ("simd4/perrow", RasterKernel::Simd4, RasterStaging::PerRow),
-    ("simd4/pertile", RasterKernel::Simd4, RasterStaging::PerTile),
+/// Raster kernels the corpus sweeps: the scalar reference and the SIMD
+/// kernel (fed by the per-tile staging prepass).
+const KERNEL_CONFIGS: [(&str, RasterKernel); 2] = [
+    ("scalar", RasterKernel::Scalar),
+    ("simd4", RasterKernel::Simd4),
 ];
 
 fn getf(key: &str, default: f32) -> f32 {
@@ -376,12 +369,11 @@ fn main() {
                 continue;
             }
         }
-        for &(config, kernel, staging) in &KERNEL_CONFIGS {
+        for &(config, kernel) in &KERNEL_CONFIGS {
             for &threads in &thread_counts {
                 let options = RenderOptions {
                     threads,
                     raster_kernel: kernel,
-                    raster_staging: staging,
                     ..RenderOptions::default()
                 };
                 cells.push(Cell {
@@ -431,34 +423,27 @@ fn main() {
         .collect();
     print_table(&headers, &table);
 
-    // Acceptance ratios (dense/orbit, 1 thread): per-tile staging vs the
-    // PR 6 per-row path, in wall time and in counted row iterations. The
-    // orbit pose is the overdraw trace — every pixel's compositing loop
-    // early-terminates deep inside a long CSR list, so staging cost (which
-    // the per-row path pays for the whole list, every row) dominates the
-    // Raster wall and the prepass + lazy schedule consumption pays off.
+    // Headline ratios (1 thread): the per-tile schedule's counted
+    // row-iteration saving on the dense/orbit overdraw trace, and the
+    // 4-lane kernel's win over scalar on the foveated scenario, which keeps
+    // PR 6's moderate trace shape (on the overdraw trace a lazy scalar walk
+    // is competitive — see ARCHITECTURE.md).
     let find = |scenario: &str, config: &str| {
         rows.iter()
             .find(|r| r.scenario == scenario && r.config == config && r.threads == 1)
     };
     let raster_us =
         |scenario: &str, config: &str| find(scenario, config).map_or(f64::NAN, |r| r.walls_us[3]);
-    let staging_speedup =
-        raster_us("dense/orbit", "simd4/perrow") / raster_us("dense/orbit", "simd4/pertile");
     let work_saving =
-        find("dense/orbit", "simd4/pertile").map_or(f64::NAN, |r| r.work.row_iteration_saving());
-    // The foveated scenario keeps PR 6's moderate trace shape, where the
-    // 4-lane kernel's win over scalar is the headline (on the overdraw
-    // trace a lazy scalar walk is competitive — see ARCHITECTURE.md).
+        find("dense/orbit", "simd4").map_or(f64::NAN, |r| r.work.row_iteration_saving());
     let simd_speedup =
-        raster_us("foveated/headon", "scalar") / raster_us("foveated/headon", "simd4/pertile");
+        raster_us("foveated/headon", "scalar") / raster_us("foveated/headon", "simd4");
     println!(
-        "\ndense/orbit 1-thread raster: perrow/pertile {staging_speedup:.2}x, \
-         row-iteration saving {work_saving:.2}x; \
-         foveated/headon scalar/pertile {simd_speedup:.2}x"
+        "\ndense/orbit 1-thread row-iteration saving {work_saving:.2}x; \
+         foveated/headon scalar/simd4 {simd_speedup:.2}x"
     );
 
-    // Server sweep: default options resolve to the simd4/pertile hot path.
+    // Server sweep: default options resolve to the simd4 hot path.
     let model_arc = Arc::new(model);
     let server_workloads = [
         (
@@ -672,7 +657,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"corpus\",\n  \"pr\": 10,\n  \"host_cores\": {host_cores},\n  \"config\": {{\"trace\": \"room\", \"dense_points\": {points}, \"dense_log_scale\": {log_scale}, \"foveated_scene_scale\": {scale}, \"width\": {width}, \"height\": {height}, \"frames\": {frames}, \"frames_per_session\": {server_frames}, \"in_flight\": 2}},\n  \"raster\": [\n{}\n  ],\n  \"acceptance_1t\": {{\"dense_orbit_perrow_over_pertile\": {staging_speedup:.3}, \"dense_orbit_row_iteration_saving\": {work_saving:.3}, \"foveated_headon_scalar_over_pertile\": {simd_speedup:.3}}},\n  \"server\": [\n{}\n  ],\n  \"chunked\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"corpus\",\n  \"pr\": 10,\n  \"host_cores\": {host_cores},\n  \"config\": {{\"trace\": \"room\", \"dense_points\": {points}, \"dense_log_scale\": {log_scale}, \"foveated_scene_scale\": {scale}, \"width\": {width}, \"height\": {height}, \"frames\": {frames}, \"frames_per_session\": {server_frames}, \"in_flight\": 2}},\n  \"raster\": [\n{}\n  ],\n  \"acceptance_1t\": {{\"dense_orbit_row_iteration_saving\": {work_saving:.3}, \"foveated_headon_scalar_over_simd4\": {simd_speedup:.3}}},\n  \"server\": [\n{}\n  ],\n  \"chunked\": [\n{}\n  ]\n}}\n",
         raster_json.join(",\n"),
         server_json.join(",\n"),
         chunked_json.join(",\n")

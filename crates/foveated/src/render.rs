@@ -143,9 +143,7 @@ impl FoveatedRenderer {
                 _ => None,
             };
             let render_model: &GaussianModel = coarse.as_ref().unwrap_or(level_model);
-            let out = self
-                .renderer
-                .render_masked(render_model, camera, |_| true, &mask);
+            let out = self.renderer.render_masked(render_model, camera, mask);
             level_images.push(out.image);
             per_level_stats.push(out.stats);
         }

@@ -15,6 +15,12 @@
 //! machine — so a frame's output is bit-identical no matter how its stages
 //! were interleaved with other frames'.
 //!
+//! It is the only pipeline driver: plain, masked
+//! ([`Renderer::render_masked`](crate::Renderer::render_masked)),
+//! pre-projected ([`Renderer::render_splats`](crate::Renderer::render_splats))
+//! and chunked frames all run this machine, so every entry point measures
+//! its stages and assembles its output the same way.
+//!
 //! [`FrameArena`] holds the large per-frame allocations (the
 //! projected-splat vector, the CSR offset/index buffers, and the raster
 //! workers' staging scratch pool). A finished frame returns its arena from
@@ -31,7 +37,7 @@ use crate::pipeline::{
     StageKind,
 };
 use crate::projection::{project_model_offset_into, ProjectedSplat};
-use crate::raster::{RasterScratch, RenderOutput, Renderer, UnitResult};
+use crate::raster::{check_camera, RasterScratch, RenderOutput, Renderer, UnitResult};
 use crate::stats::TileGridDims;
 use ms_scene::{CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
 use std::time::{Duration, Instant};
@@ -410,6 +416,10 @@ pub struct FrameInFlight {
     model_len: usize,
     profiler: Profiler,
     state: State,
+    /// Pixel mask of a masked frame (row-major, `width × height`, size
+    /// checked when the frame begins): Bin skips tiles without an active
+    /// pixel and Raster composites only active pixels.
+    mask: Option<Vec<bool>>,
     /// Raster staging scratch pool, taken out of the incoming arena so the
     /// Raster stage can borrow it mutably alongside the pipeline state;
     /// rejoins the arena in [`finish`](Self::finish).
@@ -438,15 +448,32 @@ impl std::fmt::Debug for FrameInFlight {
 
 impl FrameInFlight {
     /// Start a frame at the Project stage (in-core scenes) or at the
-    /// chunk-counting pass (chunked sources). Callers go through
-    /// [`Renderer::begin_frame`] / [`Renderer::begin_frame_source`], which
-    /// perform the camera checks first.
+    /// chunk-counting pass (chunked sources), optionally restricted to the
+    /// pixels of `mask` (in-core scenes only). The camera and the mask are
+    /// checked here, once, before any stage runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
+    /// addressing, or when `mask.len() != width * height`. The mask-size
+    /// comparison is done in `u64`: at extreme dimensions `width * height`
+    /// overflows `u32`.
     pub(crate) fn new(
         camera: Camera,
         scene: SceneRef<'_>,
         options: &RenderOptions,
         mut arena: FrameArena,
+        mask: Option<Vec<bool>>,
     ) -> Self {
+        check_camera(&camera);
+        if let Some(mask) = &mask {
+            assert_eq!(
+                mask.len() as u64,
+                camera.width as u64 * camera.height as u64,
+                "pixel mask size mismatch"
+            );
+            debug_assert!(!scene.is_chunked(), "masked frames are in-core only");
+        }
         let raster_scratch = std::mem::take(&mut arena.raster);
         let state = match scene {
             SceneRef::InCore(_) => State::Project { arena },
@@ -460,7 +487,36 @@ impl FrameInFlight {
             model_len: scene.total_points(),
             profiler: Profiler::default(),
             state,
+            mask,
             raster_scratch,
+            peaks: None,
+            cache_stats: CacheStats::default(),
+        }
+    }
+
+    /// Start a frame at the Bin stage over pre-projected `splats`, so its
+    /// profile carries no Project sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
+    /// addressing.
+    pub(crate) fn from_splats(
+        camera: Camera,
+        model_len: usize,
+        splats: Vec<ProjectedSplat>,
+    ) -> Self {
+        check_camera(&camera);
+        Self {
+            camera,
+            model_len,
+            profiler: Profiler::default(),
+            state: State::Bin {
+                splats,
+                recycle: (Vec::new(), Vec::new()),
+            },
+            mask: None,
+            raster_scratch: Vec::new(),
             peaks: None,
             cache_stats: CacheStats::default(),
         }
@@ -641,7 +697,7 @@ impl FrameInFlight {
                 let mut stage = BinStage {
                     splats: &splats,
                     grid,
-                    mask: None,
+                    mask: self.mask.as_deref(),
                     threads: options.resolved_threads(),
                     recycle,
                 };
@@ -666,7 +722,7 @@ impl FrameInFlight {
                     splats: &splats,
                     options,
                     camera: &self.camera,
-                    mask: None,
+                    mask: self.mask.as_deref(),
                     scratch: &mut self.raster_scratch,
                 };
                 let units = self.profiler.run(&mut stage, (&bins, &schedule));
@@ -947,5 +1003,80 @@ mod tests {
         assert_eq!(source.chunk_count(), 0);
         let out = renderer.render_source(&source, &camera);
         assert_eq!(out, reference);
+    }
+
+    /// Left-half pixel mask: the right tile columns have no active pixel,
+    /// so the masked Bin drops their intersections.
+    fn left_half(camera: &Camera) -> Vec<bool> {
+        (0..camera.width * camera.height)
+            .map(|i| i % camera.width < camera.width / 2)
+            .collect()
+    }
+
+    fn run_to_end(
+        renderer: &Renderer,
+        model: &GaussianModel,
+        mut frame: FrameInFlight,
+    ) -> (RenderOutput, FrameArena) {
+        while !frame.run_stage(renderer, model) {}
+        frame.finish(renderer)
+    }
+
+    #[test]
+    fn masked_frame_pumped_stage_by_stage_matches_render_masked() {
+        let (model, camera) = scene();
+        let renderer = Renderer::new(crate::RenderOptions::with_point_stats());
+        let mask = left_half(&camera);
+        let reference = renderer.render_masked(&model, &camera, mask.clone());
+        let mut frame = FrameInFlight::new(
+            camera,
+            SceneRef::InCore(&model),
+            renderer.options(),
+            FrameArena::default(),
+            Some(mask),
+        );
+        for kind in [
+            StageKind::Project,
+            StageKind::Bin,
+            StageKind::Merge,
+            StageKind::Raster,
+            StageKind::Composite,
+        ] {
+            assert_eq!(frame.next_stage(), Some(kind));
+            frame.run_stage(&renderer, &model);
+        }
+        let (output, _) = frame.finish(&renderer);
+        assert_eq!(output, reference);
+        let kinds_items = |o: &RenderOutput| -> Vec<(StageKind, u64)> {
+            let samples = &o.stats.profile.samples;
+            samples.iter().map(|s| (s.kind, s.items)).collect()
+        };
+        assert_eq!(kinds_items(&output), kinds_items(&reference));
+        // The mask really restricted the frame.
+        let full = renderer.render(&model, &camera);
+        assert!(output.stats.total_intersections < full.stats.total_intersections);
+    }
+
+    #[test]
+    fn arena_recycled_across_masked_and_unmasked_frames_is_bit_identical() {
+        let (model, camera) = scene();
+        let renderer = Renderer::new(crate::RenderOptions {
+            threads: 3,
+            ..crate::RenderOptions::with_point_stats()
+        });
+        let mask = left_half(&camera);
+        let cold_masked = renderer.render_masked(&model, &camera, mask.clone());
+        let cold_plain = renderer.render(&model, &camera);
+        let mut arena = FrameArena::default();
+        for masked in [true, false, true] {
+            let frame_mask = masked.then(|| mask.clone());
+            let scene = SceneRef::InCore(&model);
+            let frame = FrameInFlight::new(camera, scene, renderer.options(), arena, frame_mask);
+            let out;
+            (out, arena) = run_to_end(&renderer, &model, frame);
+            let cold = if masked { &cold_masked } else { &cold_plain };
+            assert_eq!(&out, cold, "masked={masked}");
+            assert_eq!(out.stats.profile.raster, cold.stats.profile.raster);
+        }
     }
 }

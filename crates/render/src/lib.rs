@@ -52,7 +52,7 @@ mod stats;
 pub use binning::{MergedTileSchedule, SuperTile, TileBins};
 pub use frame::{FrameArena, FrameInFlight, SceneRef};
 pub use image::Image;
-pub use options::{RasterKernel, RasterStaging, RenderOptions, SortMode};
+pub use options::{RasterKernel, RenderOptions, SortMode};
 pub use pipeline::{FrameProfile, Profiler, Stage, StageKind, StageSample};
 pub use projection::{
     project_model, project_model_filtered, project_model_filtered_into, project_model_offset_into,

@@ -30,7 +30,8 @@ pub enum SortMode {
 pub enum RasterKernel {
     /// Resolve from the `MS_RASTER_KERNEL` environment variable
     /// (`scalar`/`simd4`, case-insensitive), falling back to [`Simd4`]
-    /// when unset. This is the CI seam: the determinism suite runs once
+    /// when unset — read once, when the [`Renderer`](crate::Renderer) is
+    /// constructed. This is the CI seam: the determinism suite runs once
     /// per pinned kernel without recompiling.
     ///
     /// [`Simd4`]: RasterKernel::Simd4
@@ -41,38 +42,6 @@ pub enum RasterKernel {
     /// Four pixels of a tile row per iteration on [`ms_math::simd`] lanes;
     /// row remainders and masked-pixel gaps fall back to the scalar kernel.
     Simd4,
-}
-
-/// How the SIMD raster path stages a tile's depth-sorted CSR list for its
-/// row kernels.
-///
-/// Both modes are **bit-identical**: per-tile staging admits exactly the
-/// splats the per-row re-walk would have admitted for each row (same cull
-/// predicate, evaluated once against the splat's precomputed row interval
-/// instead of once per row), in the same depth order, with the same staged
-/// `f32` terms. Selection is purely a throughput knob — per-tile staging
-/// turns the per-tile cull cost from O(tile_rows × csr_len) into
-/// O(csr_len + Σ active-rows) — and the env override exists so CI can pin
-/// either path without recompiling. The scalar kernel stages nothing and
-/// ignores this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum RasterStaging {
-    /// Resolve from the `MS_RASTER_STAGING` environment variable
-    /// (`perrow`/`pertile`, case-insensitive), falling back to [`PerTile`]
-    /// when unset. This is the CI seam, mirroring
-    /// [`RasterKernel::Auto`]/`MS_RASTER_KERNEL`.
-    ///
-    /// [`PerTile`]: RasterStaging::PerTile
-    #[default]
-    Auto,
-    /// Re-walk the tile's full CSR list for every tile row, culling and
-    /// gathering per row (the PR 6 behavior; the reference staging path).
-    PerRow,
-    /// Stage the tile once: one CSR walk culls splats and precomputes
-    /// their row-invariant terms plus an inclusive row interval
-    /// `[y0, y1]`; each row then iterates only the depth-ordered splats
-    /// whose interval covers it.
-    PerTile,
 }
 
 /// Options controlling a render pass.
@@ -127,23 +96,11 @@ pub struct RenderOptions {
     /// Compositing kernel for the Raster stage. Scalar and SIMD produce
     /// bit-identical frames; [`RasterKernel::Auto`] (the default) picks the
     /// SIMD kernel unless the `MS_RASTER_KERNEL` environment variable pins
-    /// one. The per-pixel-sorted mode ([`SortMode::PerPixel`]) always runs
-    /// the scalar gather+sort kernel regardless of this setting.
+    /// one. `Auto` is resolved once, when a [`Renderer`](crate::Renderer)
+    /// is constructed, so a renderer's own options always name a concrete
+    /// kernel. The per-pixel-sorted mode ([`SortMode::PerPixel`]) always
+    /// runs the scalar gather+sort kernel regardless of this setting.
     pub raster_kernel: RasterKernel,
-    /// How the SIMD raster path stages tile lists for its row kernels.
-    /// Per-row and per-tile staging produce bit-identical frames;
-    /// [`RasterStaging::Auto`] (the default) picks per-tile staging unless
-    /// the `MS_RASTER_STAGING` environment variable pins a mode. Ignored
-    /// by the scalar kernel and by [`SortMode::PerPixel`], which stage
-    /// nothing.
-    ///
-    /// The two raster env overrides compose: `MS_RASTER_KERNEL`
-    /// (`scalar`/`simd4`) selects the compositing kernel for
-    /// [`RasterKernel::Auto`] options, and `MS_RASTER_STAGING`
-    /// (`perrow`/`pertile`) selects the staging path for
-    /// [`RasterStaging::Auto`] options — CI runs the determinism suite
-    /// over the full cross product.
-    pub raster_staging: RasterStaging,
     /// Level-of-detail stride for *peripheral* content: `0` or `1` renders
     /// every splat (LOD off, the default); `k >= 2` makes the foveated
     /// renderer draw its non-foveal eccentricity levels from a coarse
@@ -193,7 +150,6 @@ impl Default for RenderOptions {
             merge_threshold: 0.0,
             merge_max_extent: 4,
             raster_kernel: RasterKernel::Auto,
-            raster_staging: RasterStaging::Auto,
             lod: 0,
             cache_budget_bytes: None,
         }
@@ -227,56 +183,28 @@ impl RenderOptions {
         self.merge_threshold > 0.0
     }
 
-    /// The compositing kernel the Raster stage will actually run:
-    /// `raster_kernel` itself when pinned, otherwise the `MS_RASTER_KERNEL`
-    /// environment variable (`scalar` or `simd4`, case-insensitive), and
-    /// [`RasterKernel::Simd4`] when neither pins one.
+    /// The compositing kernel the Raster stage will actually run, given
+    /// `env`, the value of the `MS_RASTER_KERNEL` environment variable:
+    /// `raster_kernel` itself when pinned, otherwise `env` (`scalar` or
+    /// `simd4`, case-insensitive), and [`RasterKernel::Simd4`] when neither
+    /// pins one. Pure, so tests never touch the process environment; the
+    /// [`Renderer`](crate::Renderer) constructors read the variable once.
     ///
     /// # Panics
     ///
-    /// Panics when `MS_RASTER_KERNEL` is set to an unrecognized value —
-    /// the variable exists so CI can pin a kernel, and a typo silently
-    /// falling back to the default would unpin it.
-    pub fn resolved_kernel(&self) -> RasterKernel {
+    /// Panics when `env` is an unrecognized value — the variable exists so
+    /// CI can pin a kernel, and a typo silently falling back to the default
+    /// would unpin it.
+    pub(crate) fn resolved_kernel(&self, env: Option<&str>) -> RasterKernel {
         match self.raster_kernel {
-            RasterKernel::Scalar => RasterKernel::Scalar,
-            RasterKernel::Simd4 => RasterKernel::Simd4,
-            RasterKernel::Auto => match std::env::var("MS_RASTER_KERNEL") {
-                Err(_) => RasterKernel::Simd4,
-                Ok(v) => match v.to_ascii_lowercase().as_str() {
-                    "scalar" => RasterKernel::Scalar,
-                    "simd4" | "" => RasterKernel::Simd4,
-                    other => panic!("MS_RASTER_KERNEL={other:?}: expected \"scalar\" or \"simd4\""),
-                },
+            RasterKernel::Auto => match env.map(str::to_ascii_lowercase).as_deref() {
+                None | Some("simd4" | "") => RasterKernel::Simd4,
+                Some("scalar") => RasterKernel::Scalar,
+                Some(other) => {
+                    panic!("MS_RASTER_KERNEL={other:?}: expected \"scalar\" or \"simd4\"")
+                }
             },
-        }
-    }
-
-    /// The staging path the SIMD raster kernel will actually run:
-    /// `raster_staging` itself when pinned, otherwise the
-    /// `MS_RASTER_STAGING` environment variable (`perrow` or `pertile`,
-    /// case-insensitive), and [`RasterStaging::PerTile`] when neither pins
-    /// one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MS_RASTER_STAGING` is set to an unrecognized value —
-    /// like `MS_RASTER_KERNEL`, the variable exists so CI can pin a path,
-    /// and a typo silently falling back to the default would unpin it.
-    pub fn resolved_staging(&self) -> RasterStaging {
-        match self.raster_staging {
-            RasterStaging::PerRow => RasterStaging::PerRow,
-            RasterStaging::PerTile => RasterStaging::PerTile,
-            RasterStaging::Auto => match std::env::var("MS_RASTER_STAGING") {
-                Err(_) => RasterStaging::PerTile,
-                Ok(v) => match v.to_ascii_lowercase().as_str() {
-                    "perrow" => RasterStaging::PerRow,
-                    "pertile" | "" => RasterStaging::PerTile,
-                    other => {
-                        panic!("MS_RASTER_STAGING={other:?}: expected \"perrow\" or \"pertile\"")
-                    }
-                },
-            },
+            pinned => pinned,
         }
     }
 
@@ -291,29 +219,27 @@ impl RenderOptions {
         }
     }
 
-    /// The chunk-cache byte budget the renderer will actually use:
+    /// The chunk-cache byte budget the renderer will actually use, given
+    /// `env`, the value of the `MS_CHUNK_CACHE` environment variable:
     /// `cache_budget_bytes` itself when pinned (`Some(0)` disables the
-    /// cache), otherwise the `MS_CHUNK_CACHE` environment variable (a byte
-    /// count; `0` disables), and [`ms_scene::DEFAULT_CHUNK_CACHE_BYTES`]
-    /// when neither pins one. Mirrors the `MS_RASTER_KERNEL` /
-    /// `MS_CHUNK_SPLATS` seams: CI pins the cache axis through the
-    /// environment without plumbing a parameter everywhere.
+    /// cache), otherwise `env` (a byte count; `0` disables), and
+    /// [`ms_scene::DEFAULT_CHUNK_CACHE_BYTES`] when neither pins one.
+    /// Mirrors the `MS_RASTER_KERNEL` / `MS_CHUNK_SPLATS` seams: CI pins the
+    /// cache axis through the environment without plumbing a parameter
+    /// everywhere.
     ///
     /// # Panics
     ///
-    /// Panics when `MS_CHUNK_CACHE` is set but not an integer — the
-    /// variable exists so CI can pin a budget, and a typo silently falling
-    /// back to the default would unpin it.
-    pub fn resolved_cache_budget(&self) -> usize {
-        if let Some(bytes) = self.cache_budget_bytes {
-            return bytes;
-        }
-        match std::env::var("MS_CHUNK_CACHE") {
-            Err(_) => ms_scene::DEFAULT_CHUNK_CACHE_BYTES,
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) => n,
-                Err(_) => panic!("MS_CHUNK_CACHE={v:?}: expected a byte count (0 disables)"),
-            },
+    /// Panics when `env` is not an integer — the variable exists so CI can
+    /// pin a budget, and a typo silently falling back to the default would
+    /// unpin it.
+    pub(crate) fn resolved_cache_budget(&self, env: Option<&str>) -> usize {
+        match (self.cache_budget_bytes, env) {
+            (Some(bytes), _) => bytes,
+            (None, None) => ms_scene::DEFAULT_CHUNK_CACHE_BYTES,
+            (None, Some(v)) => v.parse().unwrap_or_else(|_| {
+                panic!("MS_CHUNK_CACHE={v:?}: expected a byte count (0 disables)")
+            }),
         }
     }
 
@@ -367,15 +293,12 @@ impl RenderOptions {
                  tiles into any work unit, leaving the raster schedule empty"
                 .into());
         }
-        // The raster scheduling knobs (`raster_kernel`, `raster_staging`)
-        // are closed enums, and `cache_budget_bytes` has a closed domain
-        // (every byte count from 0 = disabled to usize::MAX = unbounded is
-        // meaningful, and none of them changes pixels) — so there is
-        // nothing to range-check for any of them here. Their env overrides
-        // (`MS_RASTER_KERNEL`, `MS_RASTER_STAGING`, `MS_CHUNK_CACHE`) are
-        // instead checked at resolution time, which panics on a typo: the
-        // environment can change between validation and the render, so a
-        // check here could not keep CI's pinning honest.
+        // `raster_kernel` is a closed enum, and `cache_budget_bytes` has a
+        // closed domain (every byte count from 0 = disabled to usize::MAX =
+        // unbounded is meaningful, and none of them changes pixels) — so
+        // there is nothing to range-check for either here. Their env
+        // overrides (`MS_RASTER_KERNEL`, `MS_CHUNK_CACHE`) are checked when
+        // the `Renderer` constructor resolves them, which panics on a typo.
         Ok(())
     }
 }
@@ -486,82 +409,61 @@ mod tests {
 
     #[test]
     fn kernel_resolution() {
-        // Pinned kernels resolve to themselves regardless of environment.
-        let o = RenderOptions {
-            raster_kernel: RasterKernel::Scalar,
-            ..RenderOptions::default()
-        };
-        assert_eq!(o.resolved_kernel(), RasterKernel::Scalar);
-        let o = RenderOptions {
-            raster_kernel: RasterKernel::Simd4,
-            ..RenderOptions::default()
-        };
-        assert_eq!(o.resolved_kernel(), RasterKernel::Simd4);
-        // Auto follows MS_RASTER_KERNEL when set (both values are
-        // bit-identical kernels, so a concurrent render observing the
-        // transient environment is unaffected), Simd4 otherwise.
+        // Pinned kernels resolve to themselves whatever the variable says.
+        for pinned in [RasterKernel::Scalar, RasterKernel::Simd4] {
+            let o = RenderOptions {
+                raster_kernel: pinned,
+                ..RenderOptions::default()
+            };
+            for env in [None, Some("scalar"), Some("simd4"), Some("typo")] {
+                assert_eq!(o.resolved_kernel(env), pinned);
+            }
+        }
+        // Auto follows MS_RASTER_KERNEL (case-insensitive) when set, Simd4
+        // when unset or empty.
         let auto = RenderOptions::default();
         assert_eq!(auto.raster_kernel, RasterKernel::Auto);
-        std::env::set_var("MS_RASTER_KERNEL", "scalar");
-        assert_eq!(auto.resolved_kernel(), RasterKernel::Scalar);
-        std::env::set_var("MS_RASTER_KERNEL", "SIMD4");
-        assert_eq!(auto.resolved_kernel(), RasterKernel::Simd4);
-        std::env::remove_var("MS_RASTER_KERNEL");
-        assert_eq!(auto.resolved_kernel(), RasterKernel::Simd4);
+        assert_eq!(auto.resolved_kernel(Some("scalar")), RasterKernel::Scalar);
+        assert_eq!(auto.resolved_kernel(Some("SIMD4")), RasterKernel::Simd4);
+        assert_eq!(auto.resolved_kernel(Some("")), RasterKernel::Simd4);
+        assert_eq!(auto.resolved_kernel(None), RasterKernel::Simd4);
     }
 
     #[test]
-    fn staging_resolution() {
-        // Pinned staging modes resolve to themselves regardless of
-        // environment, and every mode passes validation (the knob is a
-        // closed enum — validate has nothing to reject).
-        for staging in [RasterStaging::PerRow, RasterStaging::PerTile] {
-            let o = RenderOptions {
-                raster_staging: staging,
-                ..RenderOptions::default()
-            };
-            assert_eq!(o.resolved_staging(), staging);
-            o.validate().unwrap();
-        }
-        // Auto follows MS_RASTER_STAGING when set (both modes are
-        // bit-identical, so a concurrent render observing the transient
-        // environment is unaffected), PerTile otherwise.
-        let auto = RenderOptions::default();
-        assert_eq!(auto.raster_staging, RasterStaging::Auto);
-        std::env::set_var("MS_RASTER_STAGING", "perrow");
-        assert_eq!(auto.resolved_staging(), RasterStaging::PerRow);
-        std::env::set_var("MS_RASTER_STAGING", "PerTile");
-        assert_eq!(auto.resolved_staging(), RasterStaging::PerTile);
-        std::env::remove_var("MS_RASTER_STAGING");
-        assert_eq!(auto.resolved_staging(), RasterStaging::PerTile);
+    #[should_panic(expected = "MS_RASTER_KERNEL=\"avx\": expected \"scalar\" or \"simd4\"")]
+    fn kernel_env_typo_panics() {
+        RenderOptions::default().resolved_kernel(Some("AVX"));
     }
 
     #[test]
     fn cache_budget_resolution() {
-        // Pinned budgets resolve to themselves regardless of environment,
+        // Pinned budgets resolve to themselves whatever the variable says,
         // including the explicit 0 = disabled.
         for pinned in [0usize, 4096, usize::MAX] {
             let o = RenderOptions {
                 cache_budget_bytes: Some(pinned),
                 ..RenderOptions::default()
             };
-            assert_eq!(o.resolved_cache_budget(), pinned);
+            for env in [None, Some("0"), Some("typo")] {
+                assert_eq!(o.resolved_cache_budget(env), pinned);
+            }
             o.validate().unwrap();
         }
-        // Auto follows MS_CHUNK_CACHE when set (every budget renders
-        // bit-identically, so a concurrent render observing the transient
-        // environment is unaffected), the crate default otherwise.
+        // Unset follows MS_CHUNK_CACHE when set, the crate default otherwise.
         let auto = RenderOptions::default();
         assert_eq!(auto.cache_budget_bytes, None);
-        std::env::set_var("MS_CHUNK_CACHE", "1048576");
-        assert_eq!(auto.resolved_cache_budget(), 1 << 20);
-        std::env::set_var("MS_CHUNK_CACHE", "0");
-        assert_eq!(auto.resolved_cache_budget(), 0);
-        std::env::remove_var("MS_CHUNK_CACHE");
+        assert_eq!(auto.resolved_cache_budget(Some("1048576")), 1 << 20);
+        assert_eq!(auto.resolved_cache_budget(Some("0")), 0);
         assert_eq!(
-            auto.resolved_cache_budget(),
+            auto.resolved_cache_budget(None),
             ms_scene::DEFAULT_CHUNK_CACHE_BYTES
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "MS_CHUNK_CACHE=\"1MB\": expected a byte count (0 disables)")]
+    fn cache_env_typo_panics() {
+        RenderOptions::default().resolved_cache_budget(Some("1MB"));
     }
 
     #[test]

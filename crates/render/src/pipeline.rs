@@ -66,22 +66,18 @@
 //! winner buffer are bit-identical to the unmerged render's for every
 //! thread count too. Merging changes scheduling, never pixels.
 //!
-//! The Raster stage has two more interchangeable axes: the compositing
-//! *kernel* and the splat *staging* strategy.
-//! [`RenderOptions::raster_kernel`](crate::RenderOptions) selects between
-//! the scalar reference and the 4-lane SIMD kernel (`Auto`, the default,
-//! honors the `MS_RASTER_KERNEL` env var and otherwise picks SIMD); the
-//! seam sits inside a work unit, per group of four row pixels — full
-//! unmasked groups run the batched kernel, remainders and masked groups
-//! fall back to the scalar one.
-//! [`RenderOptions::raster_staging`](crate::RenderOptions) selects how the
-//! SIMD kernel's per-row splat sequences are staged: re-walking the tile's
-//! CSR list every row (`PerRow`, the PR 6 reference) or one per-tile
-//! prepass plus a row-interval schedule (`PerTile`, the default; `Auto`
-//! honors `MS_RASTER_STAGING`). Kernels and staging paths are
-//! bit-identical by construction (see `raster.rs` and the "Raster hot
-//! path" section of `ARCHITECTURE.md`), so kernel and staging choice, like
-//! thread count and merging, change wall time, never pixels.
+//! The Raster stage has one more interchangeable axis: the compositing
+//! *kernel*. [`RenderOptions::raster_kernel`](crate::RenderOptions)
+//! selects between the scalar reference and the 4-lane SIMD kernel, fed
+//! by a per-tile staging prepass and row-interval schedule (`Auto`, the
+//! default, is resolved once when the [`Renderer`](crate::Renderer) is
+//! built: the `MS_RASTER_KERNEL` env var, otherwise SIMD). The seam sits
+//! inside a work unit, per group of four row pixels — full unmasked groups
+//! run the batched kernel, remainders and masked groups fall back to the
+//! scalar one. The kernels are bit-identical by construction (see
+//! `raster.rs` and the "Raster hot path" section of `ARCHITECTURE.md`), so
+//! kernel choice, like thread count and merging, changes wall time, never
+//! pixels.
 //!
 //! Each stage is a [`Stage`] implementation executed by a [`Profiler`],
 //! which records one [`StageSample`] per stage — wall time plus a
@@ -212,10 +208,9 @@ pub struct FrameProfile {
 /// meaningful for determinism tests.
 ///
 /// The [`RasterWork`] counters are also excluded: they describe how a
-/// kernel/staging configuration did the work, not what it produced, and
-/// they legitimately differ across configurations that must compare equal
-/// (scalar stages nothing; per-row and per-tile staging count iterations
-/// differently). Their own determinism — same counters for the same
+/// kernel did the work, not what it produced, and they legitimately differ
+/// across configurations that must compare equal (the scalar kernel stages
+/// nothing). Their own determinism — same counters for the same
 /// configuration across thread counts and schedules — is asserted
 /// explicitly in `tests/determinism.rs` instead.
 impl PartialEq for FrameProfile {

@@ -1,11 +1,12 @@
 //! Rasterization kernels and the top-level [`Renderer`].
 //!
-//! The renderer itself is thin: every entry point assembles the staged
-//! frame pipeline from [`crate::pipeline`] (Project → Bin → Merge →
-//! Raster → Composite) and runs it under a [`Profiler`], so per-stage wall
-//! time and work counters land in [`RenderStats::profile`]. This module
-//! keeps the per-work-unit and per-pixel compositing kernels the Raster
-//! stage executes.
+//! The renderer itself is thin: every entry point begins a
+//! [`FrameInFlight`] — the one driver of the staged pipeline from
+//! [`crate::pipeline`] (Project → Bin → Merge → Raster → Composite) — and
+//! pumps it to completion, so per-stage wall time and work counters land in
+//! [`RenderStats::profile`] the same way for every kind of frame. This
+//! module keeps the per-work-unit and per-pixel compositing kernels the
+//! Raster stage executes.
 //!
 //! # Scalar and SIMD kernels
 //!
@@ -30,46 +31,33 @@
 //! `min` quirk to diverge on). The one shortcut the SIMD kernel takes, the
 //! far-tail `exp` skip, is gated by a conservative threshold with enough
 //! margin that it provably only skips contributions the scalar kernel
-//! would have rejected (`alpha < alpha_min`) anyway — see
-//! [`splat_cull_data`], which also derives a conservative bounding box of
-//! the admission region so whole far-tail splats skip a 4-pixel group
-//! without any lane arithmetic. [`rasterize_unit`] drives full 4-pixel groups
-//! through the SIMD kernel and row remainders or masked-pixel gaps through
-//! the scalar one, so any pixel mix still composes to the scalar frame.
+//! would have rejected (`alpha < alpha_min`) anyway — see [`splat_cull`],
+//! which also derives a conservative bounding box of the admission region
+//! so whole far-tail splats skip a 4-pixel group without any lane
+//! arithmetic. [`rasterize_unit`] drives full 4-pixel groups through the
+//! SIMD kernel and row remainders or masked-pixel gaps through the scalar
+//! one, so any pixel mix still composes to the scalar frame.
 //!
 //! # Tile staging
 //!
-//! How the SIMD path feeds [`composite_row4`] is itself a knob
-//! ([`RenderOptions::raster_staging`](crate::options::RasterStaging)):
-//!
-//! * **Per-row** ([`stage_row`]) — the PR 6 reference: every tile row
-//!   re-walks the tile's depth-sorted CSR list, culls against the
-//!   admission boxes and gathers survivors. O(tile_rows × csr_len) cull
-//!   work per tile.
-//! * **Per-tile** ([`stage_tile`]) — one CSR walk culls each splat once,
-//!   stages its row-invariant terms into SoA buffers, and derives its
-//!   inclusive row interval from the admission box with the *same* float
-//!   predicate the per-row path evaluates (exact binary search, so the
-//!   admitted set per row is identical by construction, not merely by
-//!   slack). A counting sort over the intervals then schedules the staged
-//!   splats by row — depth order preserved within each row — and each row
-//!   gathers only its own interval-active splats
-//!   ([`TileStage::gather_row`]). O(csr_len + Σ active-rows) per tile.
-//!
-//! Both paths push identical [`RowSplat`] sequences, so the compositing
-//! kernels cannot observe which one ran. The per-tile SoA buffers live in
-//! [`RasterScratch`], recycled across tiles, work units and (through
-//! [`FrameArena`](crate::FrameArena)) frames; the
-//! [`RasterWork`](crate::RasterWork) counters in the frame profile record
-//! how much row-iteration work the interval scheduler avoided.
+//! The SIMD kernel is fed per tile ([`TileStage::stage_tile`]): one CSR
+//! walk culls each splat once, stages its row-invariant terms into SoA
+//! buffers, and derives its inclusive row interval from the admission box
+//! by exact binary search on the per-row cull predicate. A counting sort
+//! over the intervals then schedules the staged splats by row — depth
+//! order preserved within each row — and each row reads only its own
+//! interval-active splats ([`TileStage::row_iter`]). O(csr_len + Σ
+//! active-rows) per tile. The SoA buffers live in [`RasterScratch`],
+//! recycled across tiles, work units and (through [`FrameArena`]) frames;
+//! the [`RasterWork`] counters in the frame profile record how much
+//! row-iteration work the interval scheduler avoided.
 
 use crate::binning::{SuperTile, TileBins};
-use crate::options::{RasterKernel, RasterStaging, RenderOptions, SortMode};
-use crate::pipeline::{
-    BinStage, CompositeStage, Composited, MergeStage, Profiler, ProjectStage, RasterStage,
-};
+use crate::frame::{FrameArena, FrameInFlight, SceneRef};
+use crate::options::{RasterKernel, RenderOptions, SortMode};
+use crate::pipeline::{Composited, Profiler};
 use crate::projection::ProjectedSplat;
-use crate::stats::{RasterWork, RenderStats, TileGridDims};
+use crate::stats::{RasterWork, RenderStats};
 use ms_math::simd::{F32x4, Mask4, U32x4};
 use ms_math::Vec2;
 use ms_scene::{Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
@@ -126,19 +114,20 @@ pub struct UnitResult {
 }
 
 impl Renderer {
-    /// Create a renderer.
+    /// Create a renderer. The environment overrides are read here, once:
+    /// `MS_CHUNK_CACHE` sizes the chunk cache when `cache_budget_bytes` is
+    /// unset, and `MS_RASTER_KERNEL` resolves [`RasterKernel::Auto`], so no
+    /// frame ever reads the environment.
     ///
     /// # Panics
     ///
-    /// Panics when `options` fail validation — configuration errors are
-    /// programmer errors here, not runtime conditions.
+    /// Panics when `options` fail validation or an environment override
+    /// holds an unrecognized value — configuration errors are programmer
+    /// errors here, not runtime conditions.
     pub fn new(options: RenderOptions) -> Self {
-        options.validate().expect("invalid render options");
-        let budget = options.resolved_cache_budget();
-        Self {
-            options,
-            chunk_cache: Arc::new(ChunkCache::new(budget)),
-        }
+        let env = std::env::var("MS_CHUNK_CACHE").ok();
+        let budget = options.resolved_cache_budget(env.as_deref());
+        Self::with_chunk_cache(options, Arc::new(ChunkCache::new(budget)))
     }
 
     /// Create a renderer that shares an existing [`ChunkCache`] instead of
@@ -148,16 +137,20 @@ impl Renderer {
     ///
     /// # Panics
     ///
-    /// Panics when `options` fail validation, exactly like [`Renderer::new`].
-    pub fn with_chunk_cache(options: RenderOptions, cache: Arc<ChunkCache>) -> Self {
+    /// Panics when `options` fail validation or `MS_RASTER_KERNEL` holds an
+    /// unrecognized value, exactly like [`Renderer::new`].
+    pub fn with_chunk_cache(mut options: RenderOptions, cache: Arc<ChunkCache>) -> Self {
         options.validate().expect("invalid render options");
+        let env = std::env::var("MS_RASTER_KERNEL").ok();
+        options.raster_kernel = options.resolved_kernel(env.as_deref());
         Self {
             options,
             chunk_cache: cache,
         }
     }
 
-    /// The active options.
+    /// The active options, with [`RasterKernel::Auto`] already resolved to
+    /// the kernel every frame of this renderer runs.
     pub fn options(&self) -> &RenderOptions {
         &self.options
     }
@@ -191,11 +184,9 @@ impl Renderer {
         &self,
         model: &GaussianModel,
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> (RenderOutput, crate::FrameArena) {
-        let mut frame = self.begin_frame(model, camera, arena);
-        while !frame.run_stage(self, model) {}
-        frame.finish(self)
+        arena: FrameArena,
+    ) -> (RenderOutput, FrameArena) {
+        self.run_in_core(self.begin_frame(model, camera, arena), model)
     }
 
     /// Start a resumable frame: the returned [`FrameInFlight`] owns the
@@ -206,51 +197,36 @@ impl Renderer {
     /// ([`FrameInFlight::finish`] returns it); `FrameArena::default()` is a
     /// valid cold start.
     ///
-    /// Options were validated at [`Renderer::new`]; this per-frame entry
-    /// point only debug-asserts that invariant instead of re-validating on
-    /// the hot path.
+    /// `scene` is a plain `&GaussianModel` or any [`SceneRef`]. In-core
+    /// scenes start at the Project stage; chunked sources start at the
+    /// streaming chunk-count pass, and each [`run_stage`] call advances one
+    /// *chunk* until the stream joins the common pipeline at Merge — so a
+    /// frame server interleaves chunked frames exactly like in-core ones,
+    /// at chunk granularity.
     ///
     /// # Panics
     ///
     /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
     /// addressing.
     ///
-    /// [`FrameInFlight`]: crate::FrameInFlight
-    /// [`FrameInFlight::finish`]: crate::FrameInFlight::finish
-    /// [`run_stage`]: crate::FrameInFlight::run_stage
-    pub fn begin_frame(
+    /// [`run_stage`]: FrameInFlight::run_stage
+    pub fn begin_frame<'a>(
         &self,
-        model: &GaussianModel,
+        scene: impl Into<SceneRef<'a>>,
         camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> crate::FrameInFlight {
-        self.begin_frame_source(crate::SceneRef::InCore(model), camera, arena)
+        arena: FrameArena,
+    ) -> FrameInFlight {
+        FrameInFlight::new(*camera, scene.into(), &self.options, arena, None)
     }
 
-    /// [`Renderer::begin_frame`] over a [`SceneRef`](crate::SceneRef):
-    /// in-core scenes start at the Project stage exactly as `begin_frame`
-    /// does; chunked sources start at the streaming chunk-count pass, and
-    /// each [`run_stage`](crate::FrameInFlight::run_stage) call advances
-    /// one *chunk* until the stream joins the common pipeline at Merge —
-    /// so a frame server interleaves chunked frames exactly like in-core
-    /// ones, at chunk granularity.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    pub fn begin_frame_source(
+    /// Pump an in-core frame to completion and collect its output.
+    fn run_in_core(
         &self,
-        scene: crate::SceneRef<'_>,
-        camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> crate::FrameInFlight {
-        check_camera(camera);
-        debug_assert!(
-            self.options.validate().is_ok(),
-            "Renderer options invalidated after construction"
-        );
-        crate::FrameInFlight::new(*camera, scene, &self.options, arena)
+        mut frame: FrameInFlight,
+        model: &GaussianModel,
+    ) -> (RenderOutput, FrameArena) {
+        while !frame.run_stage(self, model) {}
+        frame.finish(self)
     }
 
     /// Render a chunked [`SceneSource`](ms_scene::SceneSource) without ever
@@ -330,8 +306,8 @@ impl Renderer {
         camera: &Camera,
         arena: crate::FrameArena,
     ) -> (Result<RenderOutput, SourceError>, crate::FrameArena) {
-        let scene = crate::SceneRef::Chunked(source);
-        let mut frame = self.begin_frame_source(scene, camera, arena);
+        let scene = SceneRef::Chunked(source);
+        let mut frame = self.begin_frame(scene, camera, arena);
         while !frame.run_stage(self, scene) {}
         if frame.is_failed() {
             let (error, arena) = frame.into_failure();
@@ -341,80 +317,36 @@ impl Renderer {
         (Ok(output), arena)
     }
 
-    /// Render with a per-point admission predicate (the foveation Filtering
-    /// stage drops points whose quality bound excludes them). The predicate
-    /// is `Fn + Sync` because projection shards evaluate it concurrently
-    /// when `threads != 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image (zero width or height)
-    /// or exceeds `u32` pixel addressing — rejected here, at pipeline
-    /// entry, instead of surfacing as a divide-by-zero or a wrapped pixel
-    /// index deep in the pipeline.
-    pub fn render_filtered<F: Fn(usize) -> bool + Sync>(
-        &self,
-        model: &GaussianModel,
-        camera: &Camera,
-        admit: F,
-    ) -> RenderOutput {
-        check_camera(camera);
-        let mut profiler = Profiler::default();
-        let splats = profiler.run(
-            &mut ProjectStage {
-                model,
-                camera,
-                options: &self.options,
-                admit,
-                recycle: Vec::new(),
-            },
-            (),
-        );
-        self.run_pipeline(model.len(), &splats, camera, None, profiler)
-    }
-
     /// Render only the pixels where `mask` is true (row-major, one entry
-    /// per pixel); masked-out pixels keep the background color. Tiles with
-    /// no active pixel are skipped entirely — splats are not even duplicated
-    /// into them, mirroring the foveation Filtering stage (Fig. 7-E).
+    /// per pixel); masked-out pixels keep the background color. The frame
+    /// runs the same stage machine as [`Renderer::render`]: Bin skips tiles
+    /// with no active pixel entirely — splats are not even duplicated into
+    /// them, mirroring the foveation Filtering stage (Fig. 7-E) — and
+    /// Raster composites only active pixels.
     ///
     /// # Panics
     ///
     /// Panics when `mask.len() != width * height`, or when `camera` has a
-    /// zero-pixel image or exceeds `u32` pixel addressing. The mask-size
-    /// comparison is done in `u64`: at extreme dimensions `width * height`
-    /// overflows `u32`, which used to let a wrong-sized mask slip past the
-    /// check.
-    pub fn render_masked<F: Fn(usize) -> bool + Sync>(
+    /// zero-pixel image or exceeds `u32` pixel addressing.
+    pub fn render_masked(
         &self,
         model: &GaussianModel,
         camera: &Camera,
-        admit: F,
-        mask: &[bool],
+        mask: Vec<bool>,
     ) -> RenderOutput {
-        check_camera(camera);
-        assert_eq!(
-            mask.len() as u64,
-            camera.width as u64 * camera.height as u64,
-            "pixel mask size mismatch"
+        let frame = FrameInFlight::new(
+            *camera,
+            SceneRef::InCore(model),
+            &self.options,
+            FrameArena::default(),
+            Some(mask),
         );
-        let mut profiler = Profiler::default();
-        let splats = profiler.run(
-            &mut ProjectStage {
-                model,
-                camera,
-                options: &self.options,
-                admit,
-                recycle: Vec::new(),
-            },
-            (),
-        );
-        self.run_pipeline(model.len(), &splats, camera, Some(mask), profiler)
+        self.run_in_core(frame, model).0
     }
 
     /// Rasterize pre-projected splats. Exposed so callers that re-render the
-    /// same projection (e.g. the trainer's forward/backward passes) can skip
-    /// re-projection; the resulting profile carries no Project sample.
+    /// same projection can skip re-projection: the frame starts at the Bin
+    /// stage, so its profile carries no Project sample.
     ///
     /// # Panics
     ///
@@ -426,76 +358,15 @@ impl Renderer {
         splats: &[ProjectedSplat],
         camera: &Camera,
     ) -> RenderOutput {
-        check_camera(camera);
-        self.run_pipeline(model_len, splats, camera, None, Profiler::default())
-    }
-
-    /// Run Bin → Merge → Raster → Composite over projected splats and
-    /// assemble [`RenderStats`] from what the stages measured.
-    fn run_pipeline(
-        &self,
-        model_len: usize,
-        splats: &[ProjectedSplat],
-        camera: &Camera,
-        mask: Option<&[bool]>,
-        mut profiler: Profiler,
-    ) -> RenderOutput {
-        let grid = TileGridDims::for_image(camera.width, camera.height, self.options.tile_size);
-        let track = self.options.track_point_stats;
-
-        let bins = profiler.run(
-            &mut BinStage {
-                splats,
-                grid,
-                mask,
-                threads: self.options.resolved_threads(),
-                recycle: (Vec::new(), Vec::new()),
-            },
-            (),
-        );
-        let schedule = profiler.run(
-            &mut MergeStage {
-                options: &self.options,
-            },
-            &bins,
-        );
-        // One-shot render paths allocate their staging scratch locally; the
-        // resumable frame path recycles it through the `FrameArena` instead.
-        let mut raster_scratch = Vec::new();
-        let units = profiler.run(
-            &mut RasterStage {
-                splats,
-                options: &self.options,
-                camera,
-                mask,
-                scratch: &mut raster_scratch,
-            },
-            (&bins, &schedule),
-        );
-        let composited = profiler.run(
-            &mut CompositeStage {
-                camera,
-                options: &self.options,
-                track_winners: track,
-            },
-            units,
-        );
-        assemble_output(
-            &self.options,
-            model_len,
-            splats,
-            &bins,
-            &schedule,
-            composited,
-            profiler,
-        )
+        let frame = FrameInFlight::from_splats(*camera, model_len, splats.to_vec());
+        // From Bin on, no stage reads the scene, so an empty one stands in.
+        self.run_in_core(frame, &GaussianModel::new(0)).0
     }
 }
 
 /// Assemble the final [`RenderOutput`] from the pipeline's stage outputs —
-/// the shared tail of [`Renderer`]'s monolithic path and the resumable
-/// [`FrameInFlight`](crate::FrameInFlight) path, so both produce the exact
-/// same statistics by construction.
+/// the tail of every [`FrameInFlight`], so all entry points produce their
+/// statistics the same way.
 pub(crate) fn assemble_output(
     options: &RenderOptions,
     model_len: usize,
@@ -577,7 +448,7 @@ impl Default for Renderer {
 /// pixel addressing are rejected too — per-pixel indices (`y * width + x`)
 /// are computed in `u32` throughout the hot path, so admitting a larger
 /// image would wrap silently instead of failing loudly.
-fn check_camera(camera: &Camera) {
+pub(crate) fn check_camera(camera: &Camera) {
     assert!(
         camera.width > 0 && camera.height > 0,
         "degenerate camera: {}x{} image has no pixels",
@@ -593,19 +464,14 @@ fn check_camera(camera: &Camera) {
 }
 
 /// Recyclable per-worker scratch for one raster work unit: the per-tile
-/// staging buffers (`TileStage`), the per-row staged splat sequence, the
-/// per-row-staging admission culls and the per-pixel sort-mode gather
+/// staging buffers (`TileStage`) and the per-pixel sort-mode gather
 /// buffer. One instance serves one raster worker at a time; the Raster
 /// stage keeps a pool of `threads` instances, recycled across work units
-/// and — through [`FrameArena`](crate::FrameArena) — across frames, so the
-/// steady-state raster hot path allocates nothing.
+/// and — through [`FrameArena`] — across frames, so the steady-state
+/// raster hot path allocates nothing.
 #[derive(Debug, Default)]
 pub struct RasterScratch {
-    /// Per-(tile, splat) admission culls (per-row staging path).
-    culls: Vec<SplatCull>,
-    /// Staged splat sequence of the current tile row.
-    row: Vec<RowSplat>,
-    /// Per-tile SoA staging buffers (per-tile staging path).
+    /// Per-tile SoA staging buffers of the SIMD kernel.
     stage: TileStage,
     /// Per-pixel sort-mode contribution gather buffer.
     contribs: Vec<(f32, f32, ms_math::Vec3, u32)>,
@@ -615,8 +481,6 @@ impl RasterScratch {
     /// Drop contents, keep capacity — called when an arena is returned so
     /// recycled scratch never leaks splat data between frames or sessions.
     pub(crate) fn clear(&mut self) {
-        self.culls.clear();
-        self.row.clear();
         self.stage.clear();
         self.contribs.clear();
     }
@@ -662,15 +526,12 @@ pub(crate) fn rasterize_unit(
     };
     let mut blend_steps = 0u64;
     let mut work = RasterWork::default();
+    // The Renderer constructors resolve `Auto`, so the hot path reads the
+    // pinned kernel and never the environment.
+    debug_assert_ne!(options.raster_kernel, RasterKernel::Auto);
     let simd =
-        options.sort_mode == SortMode::PerTile && options.resolved_kernel() == RasterKernel::Simd4;
-    let per_tile_staging = simd && options.resolved_staging() == RasterStaging::PerTile;
-    let RasterScratch {
-        culls,
-        row,
-        stage,
-        contribs,
-    } = scratch;
+        options.sort_mode == SortMode::PerTile && options.raster_kernel == RasterKernel::Simd4;
+    let RasterScratch { stage, contribs } = scratch;
 
     for ty in unit.ty0..unit.ty1 {
         for tx in unit.tx0..unit.tx1 {
@@ -682,33 +543,19 @@ pub(crate) fn rasterize_unit(
             let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
             let ty_start = ty * ts;
             let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
-            // Row-invariant pixel-center columns of this tile, shared by
-            // both staging paths' column-overlap cull.
-            let row_x_lo = tx_start as f32 + 0.5;
-            let row_x_hi = (tx_end - 1) as f32 + 0.5;
             if simd {
-                let rows = (ty_end - ty_start) as u64;
-                if per_tile_staging {
-                    let culled = stage
-                        .stage_tile(options, splats, list, ty_start, ty_end, row_x_lo, row_x_hi);
-                    work.splats_staged += list.len() as u64 - culled;
-                    work.splats_culled += culled;
-                    // One row iteration per scheduled (row, splat) pair.
-                    work.row_iterations += stage.schedule_len() as u64;
-                } else {
-                    splat_cull_data(options, splats, list, culls);
-                    work.splats_staged += list.len() as u64;
-                    work.row_iterations += rows * list.len() as u64;
-                }
-                work.row_iteration_bound += rows * list.len() as u64;
+                // The tile's first/last pixel-center columns feed the
+                // column-overlap cull.
+                let (row_x_lo, row_x_hi) = (tx_start as f32 + 0.5, (tx_end - 1) as f32 + 0.5);
+                let culled =
+                    stage.stage_tile(options, splats, list, ty_start, ty_end, row_x_lo, row_x_hi);
+                work.splats_staged += list.len() as u64 - culled;
+                work.splats_culled += culled;
+                // One row iteration per scheduled (row, splat) pair.
+                work.row_iterations += stage.schedule_len() as u64;
+                work.row_iteration_bound += (ty_end - ty_start) as u64 * list.len() as u64;
             }
             for y in ty_start..ty_end {
-                // Per-tile staging needs no per-row work at all: the
-                // kernel below reads the staged SoA through the row's
-                // schedule slice directly.
-                if simd && !per_tile_staging {
-                    stage_row(splats, list, culls, y as f32 + 0.5, row_x_lo, row_x_hi, row);
-                }
                 let mut x = tx_start;
                 while x < tx_end {
                     // Full 4-pixel groups with no masked-out gap take the
@@ -728,20 +575,13 @@ pub(crate) fn rasterize_unit(
                             (x + 2) as f32 + 0.5,
                             (x + 3) as f32 + 0.5,
                         );
-                        let (colors, group_winners, steps) = if per_tile_staging {
-                            composite_row4(
-                                options,
-                                stage.row_iter(
-                                    y - ty_start,
-                                    y as f32 + 0.5,
-                                    px_x.lane(0),
-                                    px_x.lane(3),
-                                ),
-                                px_x,
-                            )
-                        } else {
-                            composite_row4(options, row.iter().copied(), px_x)
-                        };
+                        let row = stage.row_iter(
+                            y - ty_start,
+                            y as f32 + 0.5,
+                            px_x.lane(0),
+                            px_x.lane(3),
+                        );
+                        let (colors, group_winners, steps) = composite_row4(options, row, px_x);
                         let out_idx = ((y - y_start) * unit_w + (x - x_start)) as usize;
                         pixels[out_idx..out_idx + 4].copy_from_slice(&colors);
                         if track {
@@ -842,9 +682,8 @@ const CULL_BOX_RELATIVE_SLACK: f32 = 1.001;
 /// See [`CULL_BOX_RELATIVE_SLACK`].
 const CULL_BOX_ABSOLUTE_SLACK: f32 = 1.0;
 
-/// Per-splat admission-culling data for one tile list, precomputed once
-/// per raster unit by [`splat_cull_data`] and consumed by
-/// [`composite_row4`].
+/// Per-splat admission-culling data, computed by [`splat_cull`] in the
+/// per-tile staging prepass and consumed by [`composite_row4`].
 #[derive(Debug, Clone, Copy)]
 struct SplatCull {
     /// Lower bound on the Gaussian exponent below which admission
@@ -907,19 +746,6 @@ impl SplatCull {
 /// including NaNs — falls back to [`SplatCull::EXACT`]. An `r² ≤ 0` floor
 /// means admission is impossible everywhere (`opacity · e^margin ≤
 /// alpha_min`), encoded as an empty box.
-fn splat_cull_data(
-    o: &RenderOptions,
-    splats: &[ProjectedSplat],
-    list: &[u32],
-    out: &mut Vec<SplatCull>,
-) {
-    out.clear();
-    out.extend(list.iter().map(|&si| splat_cull(o, &splats[si as usize])));
-}
-
-/// One splat's admission cull — the per-splat body of [`splat_cull_data`],
-/// shared verbatim by the per-tile staging prepass so both staging paths
-/// cull against the exact same `f32` boxes and floors.
 fn splat_cull(o: &RenderOptions, s: &ProjectedSplat) -> SplatCull {
     let power_floor = (o.alpha_min / s.opacity).ln() - EXP_SKIP_MARGIN;
     let r2 = -2.0 * power_floor;
@@ -959,12 +785,11 @@ fn splat_cull(o: &RenderOptions, s: &ProjectedSplat) -> SplatCull {
     }
 }
 
-/// One depth-ordered splat of a tile row, staged by [`stage_row`]: the
-/// row-invariant conic terms are precomputed (with the scalar kernel's own
-/// association order, so they are the *same* `f32` values the scalar
-/// kernel would produce) and the fields the inner loop touches sit in one
-/// compact record, so the row's pixel groups stream a contiguous array
-/// instead of chasing the CSR list into the full splat table.
+/// One depth-ordered splat of a tile row, materialized by
+/// [`TileStage::row_iter`]: the row-invariant conic terms are precomputed
+/// (with the scalar kernel's own association order, so they are the *same*
+/// `f32` values the scalar kernel would produce) and the fields the inner
+/// loop touches sit in one compact record.
 #[derive(Debug, Clone, Copy)]
 struct RowSplat {
     /// Splat center column.
@@ -991,81 +816,38 @@ struct RowSplat {
     point_index: u32,
 }
 
-/// Stage one tile row for [`composite_row4`]: walk the tile's depth-sorted
-/// CSR list once, drop every splat whose admission box provably misses the
-/// row (wrong rows entirely, or columns outside `[row_x_lo, row_x_hi]` —
-/// both exactly as safe as the per-lane floor test, see
-/// [`splat_cull_data`]), and gather the survivors' row-invariant terms.
-/// Depth order is preserved, so the groups composite the same admitted
-/// sequence the scalar kernel would.
-#[allow(clippy::too_many_arguments)]
-fn stage_row(
-    splats: &[ProjectedSplat],
-    list: &[u32],
-    culls: &[SplatCull],
-    py: f32,
-    row_x_lo: f32,
-    row_x_hi: f32,
-    out: &mut Vec<RowSplat>,
-) {
-    out.clear();
-    for (&si, cull) in list.iter().zip(culls) {
-        // NaN bounds compare false on every test — never dropped.
-        if py < cull.y_lo || py > cull.y_hi || row_x_hi < cull.x_lo || row_x_lo > cull.x_hi {
-            continue;
-        }
-        let s = &splats[si as usize];
-        let dy = py - s.center.y;
-        out.push(RowSplat {
-            center_x: s.center.x,
-            a: s.conic.a,
-            b2: 2.0 * s.conic.b,
-            dy,
-            c_dy2: (s.conic.c * dy) * dy,
-            power_floor: cull.power_floor,
-            x_lo: cull.x_lo,
-            x_hi: cull.x_hi,
-            opacity: s.opacity,
-            color: s.color,
-            point_index: s.point_index,
-        });
-    }
-}
-
-/// Per-tile staging prepass + row-interval scheduler — the
-/// [`RasterStaging::PerTile`] replacement for calling [`stage_row`] once
-/// per row.
+/// Per-tile staging prepass + row-interval scheduler feeding
+/// [`composite_row4`].
 ///
 /// [`TileStage::stage_tile`] walks the tile's depth-sorted CSR list
-/// *once*: it computes the same admission cull as the per-row path
-/// ([`splat_cull`], verbatim), drops splats whose box misses the tile's
-/// columns or every tile row, and writes each survivor's splat-invariant
-/// terms into SoA buffers **in CSR depth order**, together with the
-/// inclusive row interval its admission box covers. A counting sort over
-/// those intervals then builds a per-row schedule
-/// (`row_splats[row_offsets[r]..row_offsets[r + 1]]` = the depth-ordered
-/// staged indices active on row `r`), so [`TileStage::gather_row`] touches
-/// only the splats whose interval covers the row — O(csr_len +
-/// Σ intervals) per tile instead of the per-row path's O(rows × csr_len)
-/// re-walk.
+/// *once*: it computes each splat's admission cull ([`splat_cull`]), drops
+/// splats whose box misses the tile's columns or every tile row, and
+/// writes each survivor's splat-invariant terms into SoA buffers **in CSR
+/// depth order**, together with the inclusive row interval its admission
+/// box covers. A counting sort over those intervals then builds a per-row
+/// schedule (`row_splats[row_offsets[r]..row_offsets[r + 1]]` = the
+/// depth-ordered staged indices active on row `r`), so
+/// [`TileStage::row_iter`] touches only the splats whose interval covers
+/// the row — O(csr_len + Σ intervals) per tile instead of the
+/// O(rows × csr_len) of re-walking the list for every row.
 ///
-/// # Bit-identity with the per-row path
+/// # Bit-identity with the scalar kernel
 ///
-/// [`stage_row`] keeps splat `s` on row `y` iff `!(py < y_lo || py > y_hi
-/// || row_x_hi < x_lo || row_x_lo > x_hi)` with `py = y as f32 + 0.5`.
-/// The column test is row-invariant, so it is evaluated once here with the
-/// same operands. The row tests are resolved into an interval by binary
-/// search **on those exact `f32` predicates**: `py` is monotone
-/// nondecreasing in `y`, so `py < y_lo` flips true→false at most once and
-/// `py > y_hi` flips false→true at most once across the tile's rows, and
-/// the partition points bound precisely the rows the per-row test would
-/// keep (NaN bounds compare false everywhere → full interval, exactly
-/// like [`stage_row`] never dropping on NaN). Scattering survivors in
+/// A splat may be left off row `y` only when `py < y_lo || py > y_hi ||
+/// row_x_hi < x_lo || row_x_lo > x_hi` with `py = y as f32 + 0.5`: every
+/// pixel of the row then lies outside the admission box, which is exactly
+/// as safe as the per-lane floor test (see [`splat_cull`]). The column
+/// test is row-invariant, so it is evaluated once per tile. The row tests
+/// are resolved into an interval by binary search **on those exact `f32`
+/// predicates**: `py` is monotone nondecreasing in `y`, so `py < y_lo`
+/// flips true→false at most once and `py > y_hi` flips false→true at most
+/// once across the tile's rows, and the partition points bound precisely
+/// the rows the per-row test would keep (NaN bounds compare false
+/// everywhere → full interval, never dropped). Scattering survivors in
 /// staging order keeps each row's schedule slice in CSR depth order, and
-/// [`TileStage::gather_row`] computes the dy-dependent terms with the same
-/// association (`py - center_y`, `(c · dy) · dy`) from verbatim-staged
-/// fields — so both paths push identical [`RowSplat`] sequences and the
-/// kernels composite identical bits.
+/// [`TileStage::row_iter`] computes the dy-dependent terms with the scalar
+/// kernel's association (`py - center_y`, `(c · dy) · dy`) from
+/// verbatim-staged fields — so the kernels composite identical bits.
 #[derive(Debug, Default)]
 pub(crate) struct TileStage {
     /// Splat center column, staged verbatim.
@@ -1074,7 +856,7 @@ pub(crate) struct TileStage {
     center_y: Vec<f32>,
     /// `conic.a`, staged verbatim.
     a: Vec<f32>,
-    /// `2.0 * conic.b` — same grouping as [`stage_row`], computed once.
+    /// `2.0 * conic.b` — the scalar kernel's grouping, computed once.
     b2: Vec<f32>,
     /// `conic.c`, staged verbatim (`c_dy2 = (c * dy) * dy` per row).
     c: Vec<f32>,
@@ -1142,8 +924,8 @@ impl TileStage {
         for &si in list {
             let s = &splats[si as usize];
             let cull = splat_cull(o, s);
-            // Same column test as `stage_row`, hoisted out of the row
-            // loop: NaN bounds compare false — never dropped.
+            // The row-invariant column test, hoisted out of the row loop:
+            // NaN bounds compare false — never dropped.
             if row_x_hi < cull.x_lo || row_x_lo > cull.x_hi {
                 culled += 1;
                 continue;
@@ -1209,10 +991,9 @@ impl TileStage {
     /// (`gx_hi < x_lo || gx_lo > x_hi`, NaN bounds never skip) hoisted in
     /// front of the load of the other staged fields: a skipped splat
     /// produces no lane arithmetic either way, so filtering here is
-    /// invisible to the kernel. The dy-dependent terms use the per-row
-    /// path's exact association order (`py - center_y`, `(c · dy) · dy`
-    /// on verbatim-staged fields), so the surviving sequence carries the
-    /// same values [`stage_row`] pushes.
+    /// invisible to the kernel. The dy-dependent terms use the scalar
+    /// kernel's exact association order (`py - center_y`, `(c · dy) · dy`
+    /// on verbatim-staged fields).
     fn row_iter(
         &self,
         r: u32,
@@ -1276,10 +1057,8 @@ impl TileStage {
 /// counterpart of [`composite_pixel`], bit-identical to running it on each
 /// pixel.
 ///
-/// `row` is the row's depth-ordered [`RowSplat`] sequence: the buffer
-/// [`stage_row`] filled (per-row staging) or [`TileStage::row_iter`]'s
-/// lazy view of the per-tile schedule — both yield identical values, so
-/// the kernel cannot tell the staging paths apart.
+/// `row` is the row's depth-ordered [`RowSplat`] sequence, a lazy view of
+/// the per-tile schedule ([`TileStage::row_iter`]).
 ///
 /// Lane `i` is the pixel centered at `(px_x.lane(i), py)` for the row
 /// `row` was staged for. Per splat, the conic is evaluated for all four
@@ -1337,7 +1116,7 @@ fn composite_row4(
         let power = F32x4::splat(-0.5) * m;
 
         // Lanes provably below the admission threshold skip the exp — the
-        // only transcendental in the loop (see `splat_cull_data` for
+        // only transcendental in the loop (see `splat_cull` for
         // why this cannot disagree with scalar admission). Everything
         // around this block is straight-line lane arithmetic.
         let need = active & !power.lt(F32x4::splat(s.power_floor));
@@ -1662,7 +1441,7 @@ mod tests {
     }
 
     #[test]
-    fn render_filtered_excludes_points() {
+    fn filtered_projection_renders_only_admitted_points() {
         let m = solid_model(&[
             (
                 Vec3::zero(),
@@ -1678,7 +1457,10 @@ mod tests {
             ),
         ]);
         let r = Renderer::default();
-        let only_red = r.render_filtered(&m, &cam(64, 64), |i| i == 0);
+        let camera = cam(64, 64);
+        let splats =
+            crate::projection::project_model_filtered(&m, &camera, r.options(), |i| i == 0);
+        let only_red = r.render_splats(m.len(), &splats, &camera);
         let c = only_red.image.pixel(32, 32);
         assert!(c.x > 0.5 && c.y < 0.1);
         assert_eq!(only_red.stats.points_projected, 1);
@@ -1705,7 +1487,7 @@ mod tests {
             height: 0,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render_masked(&m, &camera, |_| true, &[]);
+        let _ = Renderer::default().render_masked(&m, &camera, Vec::new());
     }
 
     #[test]
@@ -1722,14 +1504,14 @@ mod tests {
             height: 65536,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render_masked(&m, &camera, |_| true, &[]);
+        let _ = Renderer::default().render_masked(&m, &camera, Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "pixel mask size mismatch")]
     fn wrong_sized_mask_rejected() {
         let m = GaussianModel::new(0);
-        let _ = Renderer::default().render_masked(&m, &cam(64, 64), |_| true, &[true; 100]);
+        let _ = Renderer::default().render_masked(&m, &cam(64, 64), vec![true; 100]);
     }
 
     #[test]
@@ -1894,15 +1676,9 @@ mod tests {
         let scalar = Renderer::new(kernel_opts(RasterKernel::Scalar)).render_masked(
             &m,
             &camera,
-            |_| true,
-            &mask,
+            mask.clone(),
         );
-        let simd = Renderer::new(kernel_opts(RasterKernel::Simd4)).render_masked(
-            &m,
-            &camera,
-            |_| true,
-            &mask,
-        );
+        let simd = Renderer::new(kernel_opts(RasterKernel::Simd4)).render_masked(&m, &camera, mask);
         assert_eq!(simd.image, scalar.image);
         assert_eq!(simd.winners, scalar.winners);
         assert_eq!(simd.stats, scalar.stats);
@@ -1977,5 +1753,13 @@ mod tests {
             .iter()
             .all(|s| s.kind != StageKind::Project));
         assert_eq!(out.stats.profile.samples.len(), 4);
+    }
+
+    #[test]
+    fn auto_kernel_is_resolved_at_construction() {
+        let r = Renderer::new(RenderOptions::default());
+        assert_ne!(r.options().raster_kernel, RasterKernel::Auto);
+        let shared = Renderer::with_chunk_cache(RenderOptions::default(), r.chunk_cache().clone());
+        assert_eq!(shared.options().raster_kernel, r.options().raster_kernel);
     }
 }

@@ -78,23 +78,18 @@ impl TileGridDims {
 /// Raster-stage work counters for the staged compositing path, recorded in
 /// [`FrameProfile::raster`](crate::FrameProfile).
 ///
-/// The SIMD raster path stages each tile's depth-sorted CSR list before
-/// compositing; these counters expose how much of that work the
-/// per-tile staging prepass ([`RasterStaging::PerTile`]) actually avoids
-/// relative to the per-row re-walk ([`RasterStaging::PerRow`]), so the
-/// win is observable in recorded benchmarks, not just timed:
+/// The SIMD raster path stages each tile's depth-sorted CSR list once
+/// before compositing; these counters expose how much work the per-tile
+/// staging prepass and its row-interval schedule avoid, so the saving is
+/// observable in recorded benchmarks, not just timed:
 ///
-/// * With **per-tile staging**, `splats_staged`/`splats_culled` split each
-///   tile's CSR list by the admission-ellipse bbox cull, and
-///   `row_iterations` counts the (row, splat) pairs the row-interval
+/// * `splats_staged`/`splats_culled` split each tile's CSR list by the
+///   admission-ellipse bbox cull.
+/// * `row_iterations` counts the (row, splat) pairs the row-interval
 ///   scheduler actually iterated (Σ of staged splats' row-interval
 ///   lengths).
-/// * With **per-row staging**, every row re-walks the whole tile list:
-///   `splats_staged` counts the full list once per tile, `splats_culled`
-///   stays 0, and `row_iterations` equals the re-walk cost
-///   `tile_rows × csr_len`.
-/// * `row_iteration_bound` is `tile_rows × csr_len` in both modes — the
-///   cost the per-row path pays by construction — so
+/// * `row_iteration_bound` is `tile_rows × csr_len`, the cost of
+///   re-walking each tile's whole list for every row — so
 ///   `row_iteration_bound / row_iterations` is the scheduler's measured
 ///   saving factor.
 ///
@@ -102,16 +97,13 @@ impl TileGridDims {
 /// fixed configuration the counters are bit-deterministic across thread
 /// counts, merged/unmerged schedules and solo/served execution (staging is
 /// per *tile*, which none of those axes change), but they legitimately
-/// differ between kernels and staging modes — which is why
+/// differ between kernels — which is why
 /// [`FrameProfile`](crate::FrameProfile) equality excludes them, like wall
 /// times.
-///
-/// [`RasterStaging::PerTile`]: crate::RasterStaging::PerTile
-/// [`RasterStaging::PerRow`]: crate::RasterStaging::PerRow
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RasterWork {
     /// Splats admitted to row scheduling after the per-tile cull, summed
-    /// over tiles (per-row staging admits the whole list).
+    /// over tiles.
     pub splats_staged: u64,
     /// Splats dropped by the per-tile admission-ellipse cull (empty row
     /// interval or no column overlap with the tile), summed over tiles.
@@ -119,8 +111,8 @@ pub struct RasterWork {
     /// Per-splat row-loop iterations actually executed by the staging
     /// path across all tiles.
     pub row_iterations: u64,
-    /// The `tile_rows × csr_len` iteration count the per-row re-walk
-    /// would have executed for the same tiles.
+    /// The `tile_rows × csr_len` iteration count of re-walking each
+    /// tile's list for every row, summed over tiles.
     pub row_iteration_bound: u64,
 }
 
@@ -136,8 +128,8 @@ impl RasterWork {
     }
 
     /// `row_iteration_bound / row_iterations`: how many times fewer
-    /// per-splat row iterations the staging path executed than the
-    /// per-row re-walk would have. `NaN` when nothing was staged.
+    /// per-splat row iterations the staging path executed than re-walking
+    /// each list for every row would have. `NaN` when nothing was staged.
     pub fn row_iteration_saving(&self) -> f64 {
         self.row_iteration_bound as f64 / self.row_iterations as f64
     }

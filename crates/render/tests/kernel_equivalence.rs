@@ -5,7 +5,7 @@
 //! and high-opacity stacks that retire the four lanes of a group at
 //! different depths.
 //!
-//! The per-tile staging prepass (`RasterStaging::PerTile`) gets its own
+//! The per-tile staging prepass feeding the SIMD kernel gets its own
 //! properties targeting the row-interval scheduler's edge cases: pancake
 //! conics whose admission boxes clip to a single tile row, admission
 //! thresholds high enough to empty a splat's interval entirely, odd tile
@@ -14,7 +14,7 @@
 //! rows against its own CSR list).
 
 use ms_math::{Conic2, Quat, TileRect, Vec2, Vec3};
-use ms_render::{Image, RasterKernel, RasterStaging, RenderOptions, RenderOutput, Renderer};
+use ms_render::{Image, RasterKernel, RenderOptions, RenderOutput, Renderer};
 use ms_scene::{Camera, GaussianModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -233,14 +233,14 @@ proptest! {
             })
             .collect();
         let scalar = Renderer::new(options(RasterKernel::Scalar, 16, 1.0 / 255.0, 0.99, 1e-4))
-            .render_masked(&model, &cam, |_| true, &mask);
+            .render_masked(&model, &cam, mask.clone());
         let simd = Renderer::new(options(RasterKernel::Simd4, 16, 1.0 / 255.0, 0.99, 1e-4))
-            .render_masked(&model, &cam, |_| true, &mask);
+            .render_masked(&model, &cam, mask);
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
     #[test]
-    fn pertile_staging_matches_perrow_on_interval_edge_cases(
+    fn pertile_staging_matches_scalar_on_interval_edge_cases(
         seed in 0u64..1u64 << 48,
         n in 1usize..80,
         width in 13u32..70,
@@ -294,17 +294,10 @@ proptest! {
             })
             .collect();
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
-        let mk = |kernel, staging| {
-            Renderer::new(RenderOptions {
-                raster_staging: staging,
-                ..options(kernel, tile_size, alpha_min, 0.99, 1e-4)
-            })
-        };
-        let scalar = mk(RasterKernel::Scalar, RasterStaging::PerRow).render_splats(n, &splats, &cam);
-        let perrow = mk(RasterKernel::Simd4, RasterStaging::PerRow).render_splats(n, &splats, &cam);
-        let pertile = mk(RasterKernel::Simd4, RasterStaging::PerTile).render_splats(n, &splats, &cam);
-        assert_outputs_bit_identical(&perrow, &scalar)?;
-        assert_outputs_bit_identical(&pertile, &perrow)?;
+        let mk = |kernel| Renderer::new(options(kernel, tile_size, alpha_min, 0.99, 1e-4));
+        let scalar = mk(RasterKernel::Scalar).render_splats(n, &splats, &cam);
+        let pertile = mk(RasterKernel::Simd4).render_splats(n, &splats, &cam);
+        assert_outputs_bit_identical(&pertile, &scalar)?;
     }
 
     #[test]
@@ -354,7 +347,6 @@ proptest! {
         .render(&model, &cam);
         let pertile_merged = Renderer::new(RenderOptions {
             raster_kernel: RasterKernel::Simd4,
-            raster_staging: RasterStaging::PerTile,
             tile_size: 7,
             track_point_stats: true,
             threads: 1,

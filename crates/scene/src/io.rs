@@ -366,9 +366,9 @@ pub const DEFAULT_CHUNK_SPLATS: usize = 65_536;
 
 /// Resolve the chunk size: a non-zero `pinned` value wins, otherwise the
 /// `MS_CHUNK_SPLATS` environment variable, otherwise
-/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_RASTER_KERNEL` /
-/// `MS_RASTER_STAGING` seams in `ms_render`: tests and CI pin the chunk
-/// axis through the environment without plumbing a parameter everywhere.
+/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_RASTER_KERNEL` seam in
+/// `ms_render`: tests and CI pin the chunk axis through the environment
+/// without plumbing a parameter everywhere.
 ///
 /// # Panics
 ///

@@ -199,7 +199,7 @@ impl Session {
             let arena = self.arenas.pop().unwrap_or_default();
             let started = Instant::now();
             self.first_started.get_or_insert(started);
-            let frame = self.renderer.begin_frame_source(scene, &camera, arena);
+            let frame = self.renderer.begin_frame(scene, &camera, arena);
             self.in_flight.push_back(InFlightFrame {
                 index,
                 started,
@@ -344,15 +344,14 @@ impl FrameServer {
         Self::new_scene(SceneHandle::Chunked(source))
     }
 
-    /// Create a server for any [`SceneHandle`]. The shared chunk cache's
-    /// budget resolves like a default renderer's
-    /// ([`RenderOptions::cache_budget_bytes`] unset: the `MS_CHUNK_CACHE`
-    /// env var, else the built-in default); use
+    /// Create a server for any [`SceneHandle`]. The shared chunk cache is
+    /// a default renderer's ([`RenderOptions::cache_budget_bytes`] unset:
+    /// the `MS_CHUNK_CACHE` env var, else the built-in default); use
     /// [`new_scene_with_cache`](Self::new_scene_with_cache) to pick one
     /// explicitly.
     pub fn new_scene(scene: SceneHandle) -> Self {
-        let budget = RenderOptions::default().resolved_cache_budget();
-        Self::new_scene_with_cache(scene, Arc::new(ChunkCache::new(budget)))
+        let cache = Arc::clone(Renderer::default().chunk_cache());
+        Self::new_scene_with_cache(scene, cache)
     }
 
     /// Create a server whose sessions share `cache` — also lets several

@@ -11,24 +11,23 @@
 //! configuration must itself be bit-identical across all thread counts.
 //!
 //! Kernel selection (`RenderOptions::raster_kernel`) adds the third axis:
-//! the 4-lane SIMD compositing kernel must produce the same frame, bit for
-//! bit, as the scalar reference kernel — on plain, masked and filtered
-//! renders, at every worker count, merged or not.
+//! the 4-lane SIMD compositing kernel, fed by the per-tile staging prepass,
+//! must produce the same frame, bit for bit, as the scalar reference
+//! kernel — on plain, masked and filtered renders, at every worker count,
+//! merged or not — and its `RasterWork` staging counters must be
+//! deterministic for a fixed configuration (they are per-tile quantities,
+//! so neither the thread count nor the work-unit schedule may change
+//! them).
 //!
-//! Splat staging (`RenderOptions::raster_staging`) adds the fourth axis:
-//! the per-tile staging prepass + row-interval scheduler must push the
-//! SIMD kernel the exact splat sequences the per-row CSR re-walk would,
-//! so pixels, winners and blend steps are bit-identical between the two
-//! staging paths — across thread counts and merged/unmerged schedules —
-//! and the `RasterWork` counters themselves must be deterministic for a
-//! fixed configuration (they are per-tile quantities, so neither the
-//! thread count nor the work-unit schedule may change them).
+//! Filtered renders project with an admission predicate
+//! (`project_model_filtered`, evaluated concurrently by the projection
+//! shards) and rasterize the surviving splats with `render_splats`.
 
 use metasapiens::render::{
-    RasterKernel, RasterStaging, RenderOptions, RenderOutput, Renderer, StageKind,
+    project_model_filtered, RasterKernel, RenderOptions, RenderOutput, Renderer, StageKind,
 };
 use metasapiens::scene::dataset::TraceId;
-use metasapiens::scene::{Camera, SceneSource};
+use metasapiens::scene::{Camera, GaussianModel, SceneSource};
 
 /// Worker counts the suite compares against the serial reference.
 const THREAD_COUNTS: [usize; 4] = [2, 3, 8, 0];
@@ -53,6 +52,18 @@ fn opts(threads: usize) -> RenderOptions {
         track_point_stats: true,
         ..RenderOptions::default()
     }
+}
+
+/// A filtered render: project keeping only the points `admit` accepts,
+/// then rasterize the surviving splats.
+fn render_admitted(
+    renderer: &Renderer,
+    model: &GaussianModel,
+    cam: &Camera,
+    admit: impl Fn(usize) -> bool + Sync,
+) -> RenderOutput {
+    let splats = project_model_filtered(model, cam, renderer.options(), admit);
+    renderer.render_splats(model.len(), &splats, cam)
 }
 
 /// Assert `par` is the same frame as `serial`, bit for bit: pixels, winner
@@ -106,9 +117,9 @@ fn masked_parallel_render_is_bit_identical_to_serial() {
             x < cam.width / 2 || (x + y) % 7 == 0
         })
         .collect();
-    let serial = Renderer::new(opts(1)).render_masked(&s.model, &cam, |_| true, &mask);
+    let serial = Renderer::new(opts(1)).render_masked(&s.model, &cam, mask.clone());
     for threads in THREAD_COUNTS {
-        let par = Renderer::new(opts(threads)).render_masked(&s.model, &cam, |_| true, &mask);
+        let par = Renderer::new(opts(threads)).render_masked(&s.model, &cam, mask.clone());
         assert_bit_identical(&par, &serial, threads);
     }
 }
@@ -121,9 +132,9 @@ fn filtered_parallel_render_is_bit_identical_to_serial() {
     let s = scene();
     let cam = camera(&s);
     let admit = |i: usize| i % 3 != 1;
-    let serial = Renderer::new(opts(1)).render_filtered(&s.model, &cam, admit);
+    let serial = render_admitted(&Renderer::new(opts(1)), &s.model, &cam, admit);
     for threads in THREAD_COUNTS {
-        let par = Renderer::new(opts(threads)).render_filtered(&s.model, &cam, admit);
+        let par = render_admitted(&Renderer::new(opts(threads)), &s.model, &cam, admit);
         assert_bit_identical(&par, &serial, threads);
     }
 }
@@ -249,12 +260,11 @@ fn merged_masked_render_is_bit_identical_to_unmerged_across_threads() {
             x < cam.width / 2 || (x + y) % 7 == 0
         })
         .collect();
-    let unmerged = Renderer::new(opts(1)).render_masked(&s.model, &cam, |_| true, &mask);
-    let merged_serial = Renderer::new(merge_opts(1)).render_masked(&s.model, &cam, |_| true, &mask);
+    let unmerged = Renderer::new(opts(1)).render_masked(&s.model, &cam, mask.clone());
+    let merged_serial = Renderer::new(merge_opts(1)).render_masked(&s.model, &cam, mask.clone());
     assert_same_frame(&merged_serial, &unmerged, "masked, threads=1");
     for threads in THREAD_COUNTS {
-        let merged =
-            Renderer::new(merge_opts(threads)).render_masked(&s.model, &cam, |_| true, &mask);
+        let merged = Renderer::new(merge_opts(threads)).render_masked(&s.model, &cam, mask.clone());
         assert_bit_identical(&merged, &merged_serial, threads);
         assert_same_frame(&merged, &unmerged, "masked");
     }
@@ -265,11 +275,11 @@ fn merged_filtered_render_is_bit_identical_to_unmerged_across_threads() {
     let s = scene();
     let cam = foveal_camera();
     let admit = |i: usize| i % 3 != 1;
-    let unmerged = Renderer::new(opts(1)).render_filtered(&s.model, &cam, admit);
-    let merged_serial = Renderer::new(merge_opts(1)).render_filtered(&s.model, &cam, admit);
+    let unmerged = render_admitted(&Renderer::new(opts(1)), &s.model, &cam, admit);
+    let merged_serial = render_admitted(&Renderer::new(merge_opts(1)), &s.model, &cam, admit);
     assert_same_frame(&merged_serial, &unmerged, "filtered, threads=1");
     for threads in THREAD_COUNTS {
-        let merged = Renderer::new(merge_opts(threads)).render_filtered(&s.model, &cam, admit);
+        let merged = render_admitted(&Renderer::new(merge_opts(threads)), &s.model, &cam, admit);
         assert_bit_identical(&merged, &merged_serial, threads);
         assert_same_frame(&merged, &unmerged, "filtered");
     }
@@ -311,16 +321,19 @@ fn simd_kernel_masked_and_filtered_match_scalar() {
     let scalar_masked = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render_masked(
         &s.model,
         &cam,
-        |_| true,
-        &mask,
+        mask.clone(),
     );
-    let scalar_filtered =
-        Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render_filtered(&s.model, &cam, admit);
+    let scalar_filtered = render_admitted(
+        &Renderer::new(kernel_opts(1, RasterKernel::Scalar)),
+        &s.model,
+        &cam,
+        admit,
+    );
     for threads in [1, 3] {
         let o = kernel_opts(threads, RasterKernel::Simd4);
-        let masked = Renderer::new(o.clone()).render_masked(&s.model, &cam, |_| true, &mask);
+        let masked = Renderer::new(o.clone()).render_masked(&s.model, &cam, mask.clone());
         assert_bit_identical(&masked, &scalar_masked, threads);
-        let filtered = Renderer::new(o).render_filtered(&s.model, &cam, admit);
+        let filtered = render_admitted(&Renderer::new(o), &s.model, &cam, admit);
         assert_bit_identical(&filtered, &scalar_filtered, threads);
     }
 }
@@ -354,70 +367,6 @@ fn merged_simd_kernel_matches_unmerged_scalar_across_threads() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Splat staging: the fourth determinism axis
-// ---------------------------------------------------------------------------
-
-fn staging_opts(threads: usize, staging: RasterStaging) -> RenderOptions {
-    RenderOptions {
-        raster_kernel: RasterKernel::Simd4,
-        raster_staging: staging,
-        ..opts(threads)
-    }
-}
-
-#[test]
-fn pertile_staging_is_bit_identical_to_perrow_across_threads() {
-    let s = scene();
-    let cam = camera(&s);
-    let perrow = Renderer::new(staging_opts(1, RasterStaging::PerRow)).render(&s.model, &cam);
-    for threads in [1, 2, 3, 8, 0] {
-        let pertile =
-            Renderer::new(staging_opts(threads, RasterStaging::PerTile)).render(&s.model, &cam);
-        assert_bit_identical(&pertile, &perrow, threads);
-    }
-}
-
-#[test]
-fn pertile_staging_masked_and_merged_match_perrow() {
-    let s = scene();
-    let cam = foveal_camera();
-    let mask: Vec<bool> = (0..(cam.width * cam.height) as usize)
-        .map(|i| {
-            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
-            x < cam.width / 2 || (x + y) % 7 == 0
-        })
-        .collect();
-    let perrow_masked = Renderer::new(staging_opts(1, RasterStaging::PerRow)).render_masked(
-        &s.model,
-        &cam,
-        |_| true,
-        &mask,
-    );
-    let perrow_merged = Renderer::new(RenderOptions {
-        raster_staging: RasterStaging::PerRow,
-        raster_kernel: RasterKernel::Simd4,
-        ..merge_opts(1)
-    })
-    .render(&s.model, &cam);
-    for threads in [1, 3] {
-        let masked = Renderer::new(staging_opts(threads, RasterStaging::PerTile)).render_masked(
-            &s.model,
-            &cam,
-            |_| true,
-            &mask,
-        );
-        assert_bit_identical(&masked, &perrow_masked, threads);
-        let merged = Renderer::new(RenderOptions {
-            raster_staging: RasterStaging::PerTile,
-            raster_kernel: RasterKernel::Simd4,
-            ..merge_opts(threads)
-        })
-        .render(&s.model, &cam);
-        assert_bit_identical(&merged, &perrow_merged, threads);
-    }
-}
-
 #[test]
 fn raster_work_counters_are_deterministic_and_meaningful() {
     let s = scene();
@@ -425,7 +374,7 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
 
     // Per-tile staging: counters are per-tile quantities, so they must not
     // depend on the thread count or the work-unit schedule.
-    let reference = Renderer::new(staging_opts(1, RasterStaging::PerTile)).render(&s.model, &cam);
+    let reference = Renderer::new(kernel_opts(1, RasterKernel::Simd4)).render(&s.model, &cam);
     let work = reference.stats.profile.raster;
     assert!(work.splats_staged > 0, "dense trace must stage splats");
     assert!(
@@ -436,15 +385,13 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
         work.row_iteration_bound
     );
     for threads in THREAD_COUNTS {
-        let par =
-            Renderer::new(staging_opts(threads, RasterStaging::PerTile)).render(&s.model, &cam);
+        let par = Renderer::new(kernel_opts(threads, RasterKernel::Simd4)).render(&s.model, &cam);
         assert_eq!(
             par.stats.profile.raster, work,
             "per-tile RasterWork differs at threads={threads}"
         );
     }
     let merged = Renderer::new(RenderOptions {
-        raster_staging: RasterStaging::PerTile,
         raster_kernel: RasterKernel::Simd4,
         ..merge_opts(3)
     })
@@ -453,14 +400,6 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
         merged.stats.profile.raster, work,
         "per-tile RasterWork differs under tile merging"
     );
-
-    // Per-row staging: every tile row re-walks the full CSR list, so the
-    // iteration count *is* the bound and nothing is culled up front.
-    let perrow = Renderer::new(staging_opts(1, RasterStaging::PerRow)).render(&s.model, &cam);
-    let perrow_work = perrow.stats.profile.raster;
-    assert_eq!(perrow_work.row_iterations, perrow_work.row_iteration_bound);
-    assert_eq!(perrow_work.splats_culled, 0);
-    assert_eq!(perrow_work.row_iteration_bound, work.row_iteration_bound);
 
     // Scalar kernel: no staging runs at all — counters stay zero.
     let scalar = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render(&s.model, &cam);
@@ -471,12 +410,12 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-core chunking: the fifth determinism axis
+// Out-of-core chunking: the fourth determinism axis
 // ---------------------------------------------------------------------------
 //
 // With LOD off, a chunked render must be bit-identical — pixels, winners,
 // work counters — to the in-core render of the concatenated chunks, for
-// every chunk size, across the other four axes. Chunk sizes here are
+// every chunk size, across the other three axes. Chunk sizes here are
 // deliberately ragged (odd primes, not tile-aligned), so chunk boundaries
 // split tile lists mid-stream.
 
@@ -509,29 +448,27 @@ fn chunked_render_is_bit_identical_to_in_core_across_threads() {
 
 #[test]
 fn chunked_render_matches_in_core_across_merging_kernels_and_staging() {
-    // The chunk axis crossed with the other three: merged/unmerged ×
-    // scalar/simd4 × perrow/pertile, chunked vs in-core per configuration.
+    // The chunk axis crossed with merging and the kernel (scalar, which
+    // stages nothing, and simd4 with per-tile staging), chunked vs in-core
+    // per configuration.
     let s = scene();
     let cam = foveal_camera();
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
     for merge in [false, true] {
         for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-            for staging in [RasterStaging::PerRow, RasterStaging::PerTile] {
-                let o = RenderOptions {
-                    raster_kernel: kernel,
-                    raster_staging: staging,
-                    ..if merge { merge_opts(3) } else { opts(3) }
-                };
-                let renderer = Renderer::new(o);
-                let in_core = renderer.render(&s.model, &cam);
-                let chunked = renderer.render_source(&source, &cam);
-                assert_bit_identical(&chunked, &in_core, 3);
-                assert_eq!(
-                    chunked.stats.profile, in_core.stats.profile,
-                    "profile differs (merge={merge}, {kernel:?}, {staging:?})"
-                );
-            }
+            let o = RenderOptions {
+                raster_kernel: kernel,
+                ..if merge { merge_opts(3) } else { opts(3) }
+            };
+            let renderer = Renderer::new(o);
+            let in_core = renderer.render(&s.model, &cam);
+            let chunked = renderer.render_source(&source, &cam);
+            assert_bit_identical(&chunked, &in_core, 3);
+            assert_eq!(
+                chunked.stats.profile, in_core.stats.profile,
+                "profile differs (merge={merge}, {kernel:?})"
+            );
         }
     }
 }
@@ -593,7 +530,7 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk cache: the sixth determinism axis
+// Chunk cache: the fifth determinism axis
 // ---------------------------------------------------------------------------
 //
 // The cross-frame chunk cache must change *where* chunk bytes come from,
@@ -643,32 +580,30 @@ fn cached_chunked_render_is_bit_identical_across_budgets() {
 
 #[test]
 fn cached_chunked_render_matches_across_kernels_and_staging() {
-    // The cache axis crossed with kernel and staging selection, warm and
-    // cold: per configuration, in-core, cold-cache chunked and warm-cache
-    // chunked must all be the same frame.
+    // The cache axis crossed with the kernel (scalar, which stages
+    // nothing, and simd4 with per-tile staging), warm and cold: per
+    // configuration, in-core, cold-cache chunked and warm-cache chunked
+    // must all be the same frame.
     let s = scene();
     let cam = foveal_camera();
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
     for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-        for staging in [RasterStaging::PerRow, RasterStaging::PerTile] {
-            let o = RenderOptions {
-                raster_kernel: kernel,
-                raster_staging: staging,
-                cache_budget_bytes: Some(usize::MAX),
-                ..opts(3)
-            };
-            let renderer = Renderer::new(o);
-            let in_core = renderer.render(&s.model, &cam);
-            let cold = renderer.render_source(&source, &cam);
-            let warm = renderer.render_source(&source, &cam);
-            assert_bit_identical(&cold, &in_core, 3);
-            assert_bit_identical(&warm, &in_core, 3);
-            assert_eq!(
-                warm.stats.profile, in_core.stats.profile,
-                "profile differs ({kernel:?}, {staging:?})"
-            );
-        }
+        let o = RenderOptions {
+            raster_kernel: kernel,
+            cache_budget_bytes: Some(usize::MAX),
+            ..opts(3)
+        };
+        let renderer = Renderer::new(o);
+        let in_core = renderer.render(&s.model, &cam);
+        let cold = renderer.render_source(&source, &cam);
+        let warm = renderer.render_source(&source, &cam);
+        assert_bit_identical(&cold, &in_core, 3);
+        assert_bit_identical(&warm, &in_core, 3);
+        assert_eq!(
+            warm.stats.profile, in_core.stats.profile,
+            "profile differs ({kernel:?})"
+        );
     }
 }
 

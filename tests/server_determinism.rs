@@ -2,9 +2,9 @@
 //! stream must be **bit-identical** — pixels, winner buffers, stats and
 //! `FrameProfile` work counters — to a solo `Renderer` walking the same
 //! trajectory, no matter how many other sessions are in flight, how many
-//! pool workers exist, whether tile merging is on, which raster kernel
-//! runs, and which splat-staging path feeds it. Pipelining changes *when*
-//! a frame's stages execute, never their inputs.
+//! pool workers exist, whether tile merging is on, and which raster
+//! kernel runs. Pipelining changes *when* a frame's stages execute, never
+//! their inputs.
 //!
 //! Also property-tests the trajectory sampler the server admits frames
 //! from: endpoint clamping, loop closure, per-index/batch agreement and
@@ -177,19 +177,13 @@ fn server_merged_simd_matches_solo() {
 }
 
 #[test]
-fn server_pertile_staging_matches_solo_perrow() {
-    // The staging axis crossed with the served axis: sessions running the
-    // per-tile staging prepass must reproduce, bit for bit, solo renders
-    // staged per row — so no served/solo pair can drift no matter which
-    // staging path either side resolved.
-    use metasapiens::render::RasterStaging;
-    let mk_opts = |threads: usize, staging: RasterStaging| RenderOptions {
-        raster_staging: staging,
-        ..options(threads, true, RasterKernel::Simd4)
-    };
+fn server_pertile_staging_matches_solo_scalar() {
+    // Staging crossed with the served axis: sessions running the simd4
+    // kernel's per-tile staging prepass must reproduce, bit for bit, solo
+    // renders by the scalar kernel, which stages nothing.
     let model = model();
     let proto = prototype();
-    let solo = Renderer::new(mk_opts(1, RasterStaging::PerRow));
+    let solo = Renderer::new(options(1, true, RasterKernel::Scalar));
     let refs: Vec<Vec<RenderOutput>> = (0..4)
         .map(|slot| {
             trajectory(slot)
@@ -208,7 +202,7 @@ fn server_pertile_staging_matches_solo_perrow() {
                         trajectory: trajectory(i),
                         prototype: proto,
                         frame_count: FRAMES,
-                        options: mk_opts(threads, RasterStaging::PerTile),
+                        options: options(threads, true, RasterKernel::Simd4),
                         in_flight: 1 + i % 3,
                         ring_capacity: FRAMES,
                     })
@@ -222,7 +216,7 @@ fn server_pertile_staging_matches_solo_perrow() {
             for (k, frame) in frames.iter().enumerate() {
                 assert_eq!(
                     frame.output, refs[i][k],
-                    "session {i} frame {k} differs from solo per-row render \
+                    "session {i} frame {k} differs from solo scalar render \
                      (threads={threads})"
                 );
             }
