@@ -33,7 +33,7 @@
 use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
 use metasapiens::math::Vec3;
 use metasapiens::render::{
-    FrameProfile, RasterKernel, RasterWork, RenderOptions, Renderer, StageKind,
+    FrameProfile, RasterKernel, RasterWork, RenderOptions, Renderer, SceneRef, StageKind,
 };
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::synth::{self, Scene};
@@ -561,7 +561,7 @@ fn main() {
             cache_mode: "n/a",
             chunk_splats: 0,
             threads,
-            render: Box::new(move || r.render(&m, &c).stats.profile),
+            render: Box::new(move || r.render(&*m, &c).stats.profile),
             best: None,
         });
         for (cs, source) in &chunk_sources {
@@ -578,7 +578,7 @@ fn main() {
                     cache_mode,
                     chunk_splats: *cs,
                     threads,
-                    render: Box::new(move || r.render_source(&*s, &c).stats.profile),
+                    render: Box::new(move || r.render(SceneRef::Chunked(&*s), &c).stats.profile),
                     best: None,
                 });
             }

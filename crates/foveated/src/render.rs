@@ -4,7 +4,7 @@
 use crate::model::FoveatedModel;
 use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
 use ms_math::{rad_to_deg, Vec2};
-use ms_render::{Image, RenderOptions, RenderStats, Renderer};
+use ms_render::{Image, RenderOptions, RenderStats, Renderer, View};
 use ms_scene::{Camera, GaussianModel};
 
 /// Result of a foveated render.
@@ -143,7 +143,9 @@ impl FoveatedRenderer {
                 _ => None,
             };
             let render_model: &GaussianModel = coarse.as_ref().unwrap_or(level_model);
-            let out = self.renderer.render_masked(render_model, camera, mask);
+            let out = self
+                .renderer
+                .render(render_model, View::masked(*camera, mask));
             level_images.push(out.image);
             per_level_stats.push(out.stats);
         }

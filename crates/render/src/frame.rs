@@ -8,18 +8,17 @@
 //! frame overlapping Raster/Composite of another's — which requires the
 //! pipeline to be suspendable between stages. [`Renderer::begin_frame`]
 //! returns a [`FrameInFlight`]: a self-contained state machine that owns
-//! the frame's camera and intermediate buffers and advances exactly one
-//! stage per [`run_stage`](FrameInFlight::run_stage) call. The stage
-//! sequence, stage inputs, and profiling are byte-for-byte the ones the
-//! monolithic path runs — `render` itself is implemented on top of this
-//! machine — so a frame's output is bit-identical no matter how its stages
-//! were interleaved with other frames'.
+//! the frame's view and intermediate buffers and advances exactly one
+//! stage per [`run_stage`](FrameInFlight::run_stage) call. `render` itself
+//! runs this machine to completion, so a frame's output is bit-identical no
+//! matter how its stages were interleaved with other frames'.
 //!
-//! It is the only pipeline driver: plain, masked
-//! ([`Renderer::render_masked`](crate::Renderer::render_masked)),
-//! pre-projected ([`Renderer::render_splats`](crate::Renderer::render_splats))
-//! and chunked frames all run this machine, so every entry point measures
-//! its stages and assembles its output the same way.
+//! It is the only pipeline driver. What a frame renders is a [`SceneRef`]
+//! (an in-core model, a chunked source, or pre-projected splats) seen
+//! through a [`View`] (a camera plus an optional pixel mask); the three
+//! entry points — [`Renderer::begin_frame`], [`Renderer::render`] and
+//! [`Renderer::try_render`] — all run this machine over that pair, so every
+//! frame measures its stages and assembles its output the same way.
 //!
 //! [`FrameArena`] holds the large per-frame allocations (the
 //! projected-splat vector, the CSR offset/index buffers, and the raster
@@ -32,19 +31,17 @@
 
 use crate::binning::{ChunkedBinBuilder, MergedTileSchedule, TileBins};
 use crate::options::RenderOptions;
-use crate::pipeline::{
-    BinStage, CompositeStage, Composited, MergeStage, Profiler, ProjectStage, RasterStage,
-    StageKind,
-};
+use crate::pipeline::{self, Composited, StageKind, StageSample};
 use crate::projection::{project_model_offset_into, ProjectedSplat};
 use crate::raster::{check_camera, RasterScratch, RenderOutput, Renderer, UnitResult};
 use crate::stats::TileGridDims;
 use ms_scene::{CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
 use std::time::{Duration, Instant};
 
-/// The scene a frame reads its splats from: either a fully resident
-/// [`GaussianModel`] (the classic path) or an out-of-core
-/// [`SceneSource`](ms_scene::SceneSource) streamed chunk by chunk.
+/// The scene a frame reads its splats from: a fully resident
+/// [`GaussianModel`] (the classic path), an out-of-core
+/// [`SceneSource`](ms_scene::SceneSource) streamed chunk by chunk, or splats
+/// some caller already projected.
 ///
 /// A `SceneRef` is a borrow, cheap to copy; the frame machinery never
 /// clones the underlying data. `&GaussianModel` converts implicitly
@@ -59,6 +56,18 @@ pub enum SceneRef<'a> {
     /// A chunked source with a bounded resident budget; only one chunk of
     /// it is materialized at a time while the frame streams Project + Bin.
     Chunked(&'a (dyn SceneSource + Sync)),
+    /// Screen-space splats projected ahead of time (for example by
+    /// [`project_model_filtered`](crate::project_model_filtered)) from a
+    /// `points`-point model. The frame starts at Bin over a copy of
+    /// `splats`, so its profile carries no Project sample. Every splat's
+    /// `point_index` must be below `points`; this is checked when the frame
+    /// begins.
+    Projected {
+        /// The splats, in the order Bin should see them.
+        splats: &'a [ProjectedSplat],
+        /// Point count of the model they were projected from.
+        points: usize,
+    },
 }
 
 impl<'a> From<&'a GaussianModel> for SceneRef<'a> {
@@ -74,6 +83,7 @@ impl SceneRef<'_> {
         match self {
             SceneRef::InCore(model) => model.len(),
             SceneRef::Chunked(source) => source.total_points(),
+            SceneRef::Projected { points, .. } => *points,
         }
     }
 
@@ -95,6 +105,47 @@ impl std::fmt::Debug for SceneRef<'_> {
                 .field("points", &source.total_points())
                 .field("chunks", &source.chunk_count())
                 .finish(),
+            SceneRef::Projected { splats, points } => f
+                .debug_struct("SceneRef::Projected")
+                .field("points", points)
+                .field("splats", &splats.len())
+                .finish(),
+        }
+    }
+}
+
+/// What a frame looks at: the camera, plus an optional pixel mask
+/// (row-major, one entry per pixel) restricting the frame to the pixels
+/// where it is `true`. Masked-out pixels keep the background color; Bin
+/// skips tiles with no active pixel entirely — splats are not even
+/// duplicated into them, mirroring the foveation Filtering stage
+/// (Fig. 7-E) — and Raster composites only active pixels.
+///
+/// `&Camera` converts implicitly (`From`), so unmasked call sites pass the
+/// camera alone.
+#[derive(Debug, Clone)]
+pub struct View {
+    /// The view camera.
+    pub camera: Camera,
+    /// Optional pixel mask, `camera.width * camera.height` entries.
+    pub mask: Option<Vec<bool>>,
+}
+
+impl View {
+    /// A view restricted to the pixels where `mask` is true.
+    pub fn masked(camera: Camera, mask: Vec<bool>) -> Self {
+        View {
+            camera,
+            mask: Some(mask),
+        }
+    }
+}
+
+impl From<&Camera> for View {
+    fn from(camera: &Camera) -> Self {
+        View {
+            camera: *camera,
+            mask: None,
         }
     }
 }
@@ -111,12 +162,6 @@ pub struct FrameArena {
     pub(crate) offsets: Vec<u32>,
     pub(crate) indices: Vec<u32>,
     pub(crate) raster: Vec<RasterScratch>,
-}
-
-/// Admission predicate of the unfiltered pipeline, as a named `fn` so
-/// [`FrameInFlight`] has a concrete (non-closure) `ProjectStage` type.
-fn admit_all(_point: usize) -> bool {
-    true
 }
 
 /// Unwrap the chunked source a streaming frame step was begun with,
@@ -244,7 +289,7 @@ impl ChunkStream {
                 s.spawn(move |_| {
                     *prefetched = Some(cache.load_into(source, next_index, 0, next_chunk));
                 });
-                project_model_offset_into(chunk, camera, options, base, &admit_all, scratch);
+                project_model_offset_into(chunk, camera, options, base, &|_| true, scratch);
             });
         } else {
             project_model_offset_into(
@@ -252,7 +297,7 @@ impl ChunkStream {
                 camera,
                 options,
                 base,
-                &admit_all,
+                &|_| true,
                 &mut self.scratch,
             );
         }
@@ -404,22 +449,21 @@ enum State {
 /// Created by [`Renderer::begin_frame`]; driven by repeated
 /// [`run_stage`](FrameInFlight::run_stage) calls (each executes exactly one
 /// stage) and consumed by [`finish`](FrameInFlight::finish) once done. The
-/// frame owns its camera and every intermediate buffer, so independent
+/// frame owns its [`View`] and every intermediate buffer, so independent
 /// frames — of one session or many — can be advanced in any interleaving,
 /// including concurrently from worker-pool tasks (`FrameInFlight` is
 /// `Send`): the output is bit-identical to
-/// [`Renderer::render`](crate::Renderer::render) on the same model and
-/// camera by construction, because `render` runs this exact machine to
+/// [`Renderer::render`](crate::Renderer::render) on the same scene and
+/// view by construction, because `render` runs this exact machine to
 /// completion.
 pub struct FrameInFlight {
-    camera: Camera,
+    /// Camera and optional pixel mask (mask size checked when the frame
+    /// begins).
+    view: View,
     model_len: usize,
-    profiler: Profiler,
+    /// One sample per executed stage, in execution order.
+    samples: Vec<StageSample>,
     state: State,
-    /// Pixel mask of a masked frame (row-major, `width × height`, size
-    /// checked when the frame begins): Bin skips tiles without an active
-    /// pixel and Raster composites only active pixels.
-    mask: Option<Vec<bool>>,
     /// Raster staging scratch pool, taken out of the incoming arena so the
     /// Raster stage can borrow it mutably alongside the pipeline state;
     /// rejoins the arena in [`finish`](Self::finish).
@@ -438,7 +482,7 @@ impl std::fmt::Debug for FrameInFlight {
         f.debug_struct("FrameInFlight")
             .field(
                 "camera",
-                &format_args!("{}x{}", self.camera.width, self.camera.height),
+                &format_args!("{}x{}", self.view.camera.width, self.view.camera.height),
             )
             .field("model_len", &self.model_len)
             .field("next_stage", &self.next_stage())
@@ -447,32 +491,38 @@ impl std::fmt::Debug for FrameInFlight {
 }
 
 impl FrameInFlight {
-    /// Start a frame at the Project stage (in-core scenes) or at the
-    /// chunk-counting pass (chunked sources), optionally restricted to the
-    /// pixels of `mask` (in-core scenes only). The camera and the mask are
-    /// checked here, once, before any stage runs.
+    /// Start a frame over `scene` seen through `view`: at the Project stage
+    /// (in-core scenes), at the chunk-counting pass (chunked sources) or at
+    /// Bin (pre-projected splats, copied into the arena's splat vector).
+    /// The view and the scene are checked here, once, before any stage
+    /// runs.
     ///
     /// # Panics
     ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, or when `mask.len() != width * height`. The mask-size
-    /// comparison is done in `u64`: at extreme dimensions `width * height`
-    /// overflows `u32`.
+    /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
+    /// addressing, when `mask.len() != width * height`, when a mask is
+    /// given for a chunked scene (the streamed Bin cannot honour it), or
+    /// when a pre-projected splat's `point_index` is not below the scene's
+    /// `points`. The mask-size comparison is done in `u64`: at extreme
+    /// dimensions `width * height` overflows `u32`.
     pub(crate) fn new(
-        camera: Camera,
         scene: SceneRef<'_>,
+        view: View,
         options: &RenderOptions,
         mut arena: FrameArena,
-        mask: Option<Vec<bool>>,
     ) -> Self {
-        check_camera(&camera);
-        if let Some(mask) = &mask {
+        let camera = &view.camera;
+        check_camera(camera);
+        if let Some(mask) = &view.mask {
             assert_eq!(
                 mask.len() as u64,
                 camera.width as u64 * camera.height as u64,
                 "pixel mask size mismatch"
             );
-            debug_assert!(!scene.is_chunked(), "masked frames are in-core only");
+            assert!(
+                !scene.is_chunked(),
+                "a pixel mask cannot restrict a chunked scene: the streamed Bin bins every tile"
+            );
         }
         let raster_scratch = std::mem::take(&mut arena.raster);
         let state = match scene {
@@ -481,42 +531,28 @@ impl FrameInFlight {
                 let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
                 State::ChunkCount(ChunkStream::new(options, grid, arena))
             }
+            SceneRef::Projected { splats, points } => {
+                if let Some(s) = splats.iter().find(|s| s.point_index as usize >= points) {
+                    panic!(
+                        "projected splat point_index {} out of range for a {points}-point scene",
+                        s.point_index
+                    );
+                }
+                let mut copy = arena.splats;
+                copy.clear();
+                copy.extend_from_slice(splats);
+                State::Bin {
+                    splats: copy,
+                    recycle: (arena.offsets, arena.indices),
+                }
+            }
         };
         Self {
-            camera,
+            view,
             model_len: scene.total_points(),
-            profiler: Profiler::default(),
+            samples: Vec::new(),
             state,
-            mask,
             raster_scratch,
-            peaks: None,
-            cache_stats: CacheStats::default(),
-        }
-    }
-
-    /// Start a frame at the Bin stage over pre-projected `splats`, so its
-    /// profile carries no Project sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    pub(crate) fn from_splats(
-        camera: Camera,
-        model_len: usize,
-        splats: Vec<ProjectedSplat>,
-    ) -> Self {
-        check_camera(&camera);
-        Self {
-            camera,
-            model_len,
-            profiler: Profiler::default(),
-            state: State::Bin {
-                splats,
-                recycle: (Vec::new(), Vec::new()),
-            },
-            mask: None,
-            raster_scratch: Vec::new(),
             peaks: None,
             cache_stats: CacheStats::default(),
         }
@@ -524,7 +560,7 @@ impl FrameInFlight {
 
     /// The camera this frame renders.
     pub fn camera(&self) -> &Camera {
-        &self.camera
+        &self.view.camera
     }
 
     /// Whether every stage has run ([`finish`](Self::finish) is ready).
@@ -585,6 +621,8 @@ impl FrameInFlight {
     pub fn run_stage<'a>(&mut self, renderer: &Renderer, scene: impl Into<SceneRef<'a>>) -> bool {
         let scene = scene.into();
         let options = renderer.options();
+        let camera = &self.view.camera;
+        let mask = self.view.mask.as_deref();
         self.state = match std::mem::replace(&mut self.state, State::Poisoned) {
             State::Project { arena } => {
                 let SceneRef::InCore(model) = scene else {
@@ -595,14 +633,12 @@ impl FrameInFlight {
                     self.model_len,
                     "model changed size since begin_frame"
                 );
-                let mut stage = ProjectStage {
-                    model,
-                    camera: &self.camera,
-                    options,
-                    admit: admit_all,
-                    recycle: arena.splats,
-                };
-                let splats = self.profiler.run(&mut stage, ());
+                let splats = timed(
+                    &mut self.samples,
+                    StageKind::Project,
+                    || pipeline::project(model, camera, options, arena.splats),
+                    |splats| splats.len() as u64,
+                );
                 State::Bin {
                     splats,
                     recycle: (arena.offsets, arena.indices),
@@ -613,7 +649,7 @@ impl FrameInFlight {
                 let mut failed = None;
                 if stream.next < source.chunk_count() {
                     if let Err(e) =
-                        stream.step_count(renderer.chunk_cache(), source, &self.camera, options)
+                        stream.step_count(renderer.chunk_cache(), source, camera, options)
                     {
                         failed = Some(e);
                     }
@@ -647,7 +683,7 @@ impl FrameInFlight {
                 let mut failed = None;
                 if stream.next < source.chunk_count() {
                     if let Err(e) =
-                        stream.step_scatter(renderer.chunk_cache(), source, &self.camera, options)
+                        stream.step_scatter(renderer.chunk_cache(), source, camera, options)
                     {
                         failed = Some(e);
                     }
@@ -674,10 +710,16 @@ impl FrameInFlight {
                     // One aggregate sample per stage, so chunked profiles
                     // carry the same sample sequence (and equal kind/items
                     // pairs) as in-core ones.
-                    self.profiler
-                        .record(StageKind::Project, project_wall, splats.len() as u64);
-                    self.profiler
-                        .record(StageKind::Bin, bin_wall, total_intersections);
+                    self.samples.push(StageSample {
+                        kind: StageKind::Project,
+                        wall: project_wall,
+                        items: splats.len() as u64,
+                    });
+                    self.samples.push(StageSample {
+                        kind: StageKind::Bin,
+                        wall: bin_wall,
+                        items: total_intersections,
+                    });
                     self.peaks = Some((chunk_bytes_peak, projected_bytes_peak));
                     self.cache_stats = cache;
                     State::Merge { splats, bins }
@@ -689,24 +731,23 @@ impl FrameInFlight {
                 }
             }
             State::Bin { splats, recycle } => {
-                let grid = TileGridDims::for_image(
-                    self.camera.width,
-                    self.camera.height,
-                    options.tile_size,
+                let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
+                let threads = options.resolved_threads();
+                let bins = timed(
+                    &mut self.samples,
+                    StageKind::Bin,
+                    || pipeline::bin(&splats, grid, mask, threads, recycle),
+                    TileBins::total_intersections,
                 );
-                let mut stage = BinStage {
-                    splats: &splats,
-                    grid,
-                    mask: self.mask.as_deref(),
-                    threads: options.resolved_threads(),
-                    recycle,
-                };
-                let bins = self.profiler.run(&mut stage, ());
                 State::Merge { splats, bins }
             }
             State::Merge { splats, bins } => {
-                let mut stage = MergeStage { options };
-                let schedule = self.profiler.run(&mut stage, &bins);
+                let schedule = timed(
+                    &mut self.samples,
+                    StageKind::Merge,
+                    || pipeline::merge(&bins, options),
+                    |schedule| schedule.units().len() as u64,
+                );
                 State::Raster {
                     splats,
                     bins,
@@ -718,14 +759,13 @@ impl FrameInFlight {
                 bins,
                 schedule,
             } => {
-                let mut stage = RasterStage {
-                    splats: &splats,
-                    options,
-                    camera: &self.camera,
-                    mask: self.mask.as_deref(),
-                    scratch: &mut self.raster_scratch,
-                };
-                let units = self.profiler.run(&mut stage, (&bins, &schedule));
+                let scratch = &mut self.raster_scratch;
+                let units = timed(
+                    &mut self.samples,
+                    StageKind::Raster,
+                    || pipeline::raster(&splats, &bins, &schedule, options, camera, mask, scratch),
+                    |units| units.iter().map(|u| u.blend_steps).sum(),
+                );
                 State::Composite {
                     splats,
                     bins,
@@ -739,12 +779,12 @@ impl FrameInFlight {
                 schedule,
                 units,
             } => {
-                let mut stage = CompositeStage {
-                    camera: &self.camera,
-                    options,
-                    track_winners: options.track_point_stats,
-                };
-                let composited = self.profiler.run(&mut stage, units);
+                let composited = timed(
+                    &mut self.samples,
+                    StageKind::Composite,
+                    || pipeline::composite(units, camera, options),
+                    |c| (c.image.width() * c.image.height()) as u64,
+                );
                 State::Done {
                     splats,
                     bins,
@@ -762,8 +802,8 @@ impl FrameInFlight {
         self.is_done() || self.is_failed()
     }
 
-    /// Consume the finished frame: assemble its [`RenderOutput`] (the same
-    /// statistics path the monolithic renderer uses) and return the cleared
+    /// Consume the finished frame: assemble its [`RenderOutput`] (the one
+    /// statistics path every frame uses) and return the cleared
     /// [`FrameArena`] for the next frame.
     ///
     /// # Panics
@@ -787,7 +827,7 @@ impl FrameInFlight {
             &bins,
             &schedule,
             composited,
-            self.profiler,
+            self.samples,
         );
         // The chunked streaming passes measured their own residency peaks
         // (bounded by the chunk size); the in-core defaults from
@@ -836,6 +876,25 @@ impl FrameInFlight {
         arena.raster = raster;
         (error, arena)
     }
+}
+
+/// Run one stage body, timing it, and push its [`StageSample`] with the
+/// work counter `items` reads off the stage's output.
+fn timed<T>(
+    samples: &mut Vec<StageSample>,
+    kind: StageKind,
+    stage: impl FnOnce() -> T,
+    items: impl FnOnce(&T) -> u64,
+) -> T {
+    let start = Instant::now();
+    let out = stage();
+    let wall = start.elapsed();
+    samples.push(StageSample {
+        kind,
+        wall,
+        items: items(&out),
+    });
+    out
 }
 
 #[cfg(test)]
@@ -900,9 +959,9 @@ mod tests {
     fn arena_reuse_is_bit_identical() {
         let (model, camera) = scene();
         let renderer = Renderer::new(crate::RenderOptions::with_tile_merging());
-        let (first, arena) = renderer.render_with_arena(&model, &camera, FrameArena::default());
-        let (second, _) = renderer.render_with_arena(&model, &camera, arena);
-        assert_eq!(first, second);
+        let (first, arena) = renderer.try_render(&model, &camera, FrameArena::default());
+        let (second, _) = renderer.try_render(&model, &camera, arena);
+        assert_eq!(first.unwrap(), second.unwrap());
     }
 
     #[test]
@@ -943,7 +1002,8 @@ mod tests {
         for chunk_splats in [1, 7, 39, 40, 1000] {
             let source = ms_scene::InCoreSource::new(model.clone(), chunk_splats);
             let out;
-            (out, arena) = renderer.render_source_with_arena(&source, &camera, arena);
+            (out, arena) = renderer.try_render(SceneRef::Chunked(&source), &camera, arena);
+            let out = out.unwrap();
             assert_eq!(out, reference, "chunk size {chunk_splats}");
             // Profile equality compares (kind, items) pairs — the chunked
             // aggregate samples must mirror the in-core stage sequence.
@@ -968,7 +1028,7 @@ mod tests {
         );
         let chunk_splats = 7;
         let source = ms_scene::InCoreSource::new(model.clone(), chunk_splats);
-        let out = renderer.render_source(&source, &camera);
+        let out = renderer.render(SceneRef::Chunked(&source), &camera);
         let chunked = &out.stats.profile;
         assert!(chunked.chunk_bytes_peak > 0);
         // One chunk's worth of points bounds both peaks, model size does not.
@@ -1001,7 +1061,7 @@ mod tests {
         // degenerate cleanly instead of indexing a first chunk.
         let source = ms_scene::InCoreSource::new(model, 4096);
         assert_eq!(source.chunk_count(), 0);
-        let out = renderer.render_source(&source, &camera);
+        let out = renderer.render(SceneRef::Chunked(&source), &camera);
         assert_eq!(out, reference);
     }
 
@@ -1023,18 +1083,12 @@ mod tests {
     }
 
     #[test]
-    fn masked_frame_pumped_stage_by_stage_matches_render_masked() {
+    fn masked_frame_pumped_stage_by_stage_matches_masked_render() {
         let (model, camera) = scene();
         let renderer = Renderer::new(crate::RenderOptions::with_point_stats());
-        let mask = left_half(&camera);
-        let reference = renderer.render_masked(&model, &camera, mask.clone());
-        let mut frame = FrameInFlight::new(
-            camera,
-            SceneRef::InCore(&model),
-            renderer.options(),
-            FrameArena::default(),
-            Some(mask),
-        );
+        let view = View::masked(camera, left_half(&camera));
+        let reference = renderer.render(&model, view.clone());
+        let mut frame = renderer.begin_frame(&model, view, FrameArena::default());
         for kind in [
             StageKind::Project,
             StageKind::Bin,
@@ -1065,18 +1119,47 @@ mod tests {
             ..crate::RenderOptions::with_point_stats()
         });
         let mask = left_half(&camera);
-        let cold_masked = renderer.render_masked(&model, &camera, mask.clone());
+        let cold_masked = renderer.render(&model, View::masked(camera, mask.clone()));
         let cold_plain = renderer.render(&model, &camera);
         let mut arena = FrameArena::default();
         for masked in [true, false, true] {
-            let frame_mask = masked.then(|| mask.clone());
-            let scene = SceneRef::InCore(&model);
-            let frame = FrameInFlight::new(camera, scene, renderer.options(), arena, frame_mask);
+            let view = View {
+                camera,
+                mask: masked.then(|| mask.clone()),
+            };
+            let frame = renderer.begin_frame(&model, view, arena);
             let out;
             (out, arena) = run_to_end(&renderer, &model, frame);
             let cold = if masked { &cold_masked } else { &cold_plain };
             assert_eq!(&out, cold, "masked={masked}");
             assert_eq!(out.stats.profile.raster, cold.stats.profile.raster);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a pixel mask cannot restrict a chunked scene")]
+    fn masked_chunked_frame_rejected_at_begin() {
+        let (model, camera) = scene();
+        let source = ms_scene::InCoreSource::new(model, 7);
+        let view = View::masked(camera, left_half(&camera));
+        let _ = Renderer::default().begin_frame(
+            SceneRef::Chunked(&source),
+            view,
+            FrameArena::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat point_index 40 out of range for a 40-point scene")]
+    fn projected_point_index_checked_at_begin() {
+        let (model, camera) = scene();
+        let renderer = Renderer::default();
+        let mut splats = crate::project_model(&model, &camera, renderer.options());
+        splats[0].point_index = model.len() as u32;
+        let scene = SceneRef::Projected {
+            splats: &splats,
+            points: model.len(),
+        };
+        let _ = renderer.begin_frame(scene, &camera, FrameArena::default());
     }
 }

@@ -79,8 +79,9 @@
 //! kernel choice, like thread count and merging, changes wall time, never
 //! pixels.
 //!
-//! Each stage is a [`Stage`] implementation executed by a [`Profiler`],
-//! which records one [`StageSample`] per stage — wall time plus a
+//! Each stage is a plain function in this module, called once per frame by
+//! [`FrameInFlight::run_stage`](crate::FrameInFlight::run_stage), which
+//! times it and records one [`StageSample`] — wall time plus a
 //! stage-specific work counter — into the [`FrameProfile`] returned inside
 //! [`RenderStats`](crate::RenderStats). The counters are the paper's
 //! workload quantities, measured where they are produced:
@@ -118,7 +119,7 @@ use crate::raster::{rasterize_unit, RasterScratch, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
 use ms_scene::{CacheStats, Camera, GaussianModel};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The five pipeline stages, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -163,9 +164,9 @@ pub struct StageSample {
 /// Per-frame execution profile: one [`StageSample`] per executed stage, in
 /// execution order.
 ///
-/// Frames rendered from pre-projected splats
-/// ([`Renderer::render_splats`](crate::Renderer::render_splats)) carry no
-/// `Project` sample — the profile records what actually ran.
+/// Frames over pre-projected splats
+/// ([`SceneRef::Projected`](crate::SceneRef::Projected)) carry no `Project`
+/// sample — the profile records what actually ran.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FrameProfile {
     /// Samples in execution order.
@@ -256,9 +257,10 @@ impl FrameProfile {
     /// existing sample of the same [`StageKind`]; kinds `self` has not seen
     /// yet are appended in `other`'s order. Absorbing therefore preserves
     /// `self`'s stage ordering (and execution order overall when both
-    /// profiles ran the standard Project → Bin → Raster → Composite graph),
-    /// but collapses repeated samples of one kind into a single aggregate —
-    /// `samples` is no longer one entry per execution after a merge.
+    /// profiles ran the standard Project → Bin → Merge → Raster → Composite
+    /// graph), but collapses repeated samples of one kind into a single
+    /// aggregate — `samples` is no longer one entry per execution after a
+    /// merge.
     pub fn absorb(&mut self, other: &FrameProfile) {
         for s in &other.samples {
             match self.samples.iter_mut().find(|m| m.kind == s.kind) {
@@ -276,343 +278,165 @@ impl FrameProfile {
     }
 }
 
-/// A named unit of frame work with a measurable output.
-///
-/// Stages are deliberately synchronous and single-shot: the pipeline's
-/// control flow lives in [`Profiler::run`], not in the stages, so adding a
-/// stage (or reordering around one) is a local change.
-pub trait Stage {
-    /// Input consumed by the stage.
-    type In;
-    /// Output produced by the stage.
-    type Out;
-
-    /// Which pipeline stage this is.
-    fn kind(&self) -> StageKind;
-
-    /// Execute the stage.
-    fn run(&mut self, input: Self::In) -> Self::Out;
-
-    /// The stage's work counter, measured on its output.
-    fn items(&self, out: &Self::Out) -> u64;
-}
-
-/// Runs stages and accumulates their [`StageSample`]s.
-#[derive(Debug, Default)]
-pub struct Profiler {
-    samples: Vec<StageSample>,
-}
-
-impl Profiler {
-    /// Time one stage and record its sample.
-    pub fn run<S: Stage>(&mut self, stage: &mut S, input: S::In) -> S::Out {
-        let start = Instant::now();
-        let out = stage.run(input);
-        self.samples.push(StageSample {
-            kind: stage.kind(),
-            wall: start.elapsed(),
-            items: stage.items(&out),
-        });
-        out
-    }
-
-    /// Record a pre-timed sample. The chunked scene path runs Project and
-    /// Bin incrementally (one chunk per pump) and cannot hand [`Profiler::run`]
-    /// a single closure per stage, so it accumulates wall time and work
-    /// counters itself and deposits one aggregate sample per stage here —
-    /// keeping the sample sequence (and thus profile equality) identical to
-    /// the in-core pipeline's.
-    pub(crate) fn record(&mut self, kind: StageKind, wall: Duration, items: u64) {
-        self.samples.push(StageSample { kind, wall, items });
-    }
-
-    /// Finish the frame, yielding its profile. The [`RasterWork`] counters
-    /// start zeroed — the pipeline driver fills them in from the Composite
-    /// stage's per-unit sums; the memory-peak counters likewise start zeroed
-    /// and are filled in when the output is assembled.
-    pub fn finish(self) -> FrameProfile {
-        FrameProfile {
-            samples: self.samples,
-            raster: RasterWork::default(),
-            chunk_bytes_peak: 0,
-            projected_bytes_peak: 0,
-            cache: CacheStats::default(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Concrete stages
+// Stage bodies. `FrameInFlight::run_stage` calls each once per frame, timing
+// it and recording its work counter as the frame's `StageSample`.
 // ---------------------------------------------------------------------------
 
-/// Projection stage: model → screen-space splats (with admission predicate).
+/// Project: model → screen-space splats, into the recycled `out` vector.
 ///
 /// Points are sharded over contiguous ranges onto the worker pool when
 /// `options.threads != 1`; shard outputs concatenate in range order, so
-/// splat order stays model order for every thread count. The predicate is
-/// `Fn + Sync` because shards evaluate it concurrently.
-pub struct ProjectStage<'a, F: Fn(usize) -> bool + Sync> {
-    /// Model to project.
-    pub model: &'a GaussianModel,
-    /// View camera.
-    pub camera: &'a Camera,
-    /// Render options.
-    pub options: &'a RenderOptions,
-    /// Per-point admission predicate (foveation Filtering).
-    pub admit: F,
-    /// Recycled splat storage (from a [`FrameArena`](crate::FrameArena));
-    /// cleared before use, so only its capacity matters. Empty is fine.
-    pub recycle: Vec<ProjectedSplat>,
+/// splat order stays model order for every thread count.
+pub(crate) fn project(
+    model: &GaussianModel,
+    camera: &Camera,
+    options: &RenderOptions,
+    mut out: Vec<ProjectedSplat>,
+) -> Vec<ProjectedSplat> {
+    project_model_filtered_into(model, camera, options, &|_| true, &mut out);
+    out
 }
 
-impl<F: Fn(usize) -> bool + Sync> Stage for ProjectStage<'_, F> {
-    type In = ();
-    type Out = Vec<ProjectedSplat>;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Project
-    }
-
-    fn run(&mut self, _input: ()) -> Self::Out {
-        let mut out = std::mem::take(&mut self.recycle);
-        project_model_filtered_into(self.model, self.camera, self.options, &self.admit, &mut out);
-        out
-    }
-
-    fn items(&self, out: &Self::Out) -> u64 {
-        out.len() as u64
-    }
-}
-
-/// Binning stage: splats → depth-sorted CSR tile bins, optionally restricted
-/// to tiles with at least one active mask pixel.
+/// Bin: splats → depth-sorted CSR tile bins, optionally restricted to tiles
+/// with at least one active `mask` pixel. `recycle` is CSR `(offsets,
+/// indices)` storage from a [`FrameArena`](crate::FrameArena); it is
+/// rebuilt from scratch, so only its capacity matters.
 ///
 /// The CSR counting pass and the per-tile depth sorts run on `threads`
 /// workers (per-worker count arrays merge before the prefix sum; sort
 /// segments are disjoint), so the bins are bit-identical for every thread
 /// count.
-pub struct BinStage<'a> {
-    /// Splats to bin.
-    pub splats: &'a [ProjectedSplat],
-    /// Tile grid.
-    pub grid: TileGridDims,
-    /// Optional per-pixel mask (row-major, `width × height`).
-    pub mask: Option<&'a [bool]>,
-    /// Worker count for the sharded CSR build (resolved, `>= 1`).
-    pub threads: usize,
-    /// Recycled CSR `(offsets, indices)` storage (from
-    /// [`TileBins::into_buffers`] via a [`FrameArena`](crate::FrameArena));
-    /// rebuilt from scratch, so only its capacity matters. Empty is fine.
-    pub recycle: (Vec<u32>, Vec<u32>),
-}
-
-impl Stage for BinStage<'_> {
-    type In = ();
-    type Out = TileBins;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Bin
-    }
-
-    fn run(&mut self, _input: ()) -> Self::Out {
-        let (offsets, indices) = std::mem::take(&mut self.recycle);
-        match self.mask {
-            None => TileBins::build_with_threads_into(
-                self.splats,
-                self.grid,
-                self.threads,
-                offsets,
-                indices,
-            ),
-            Some(mask) => {
-                let g = self.grid;
-                TileBins::build_filtered_with_threads_into(
-                    self.splats,
-                    g,
-                    |tx, ty| {
-                        let x_end = ((tx + 1) * g.tile_size).min(g.width);
-                        let y_end = ((ty + 1) * g.tile_size).min(g.height);
-                        for y in (ty * g.tile_size)..y_end {
-                            for x in (tx * g.tile_size)..x_end {
-                                if mask[(y * g.width + x) as usize] {
-                                    return true;
-                                }
-                            }
-                        }
-                        false
-                    },
-                    self.threads,
-                    offsets,
-                    indices,
-                )
+pub(crate) fn bin(
+    splats: &[ProjectedSplat],
+    grid: TileGridDims,
+    mask: Option<&[bool]>,
+    threads: usize,
+    (offsets, indices): (Vec<u32>, Vec<u32>),
+) -> TileBins {
+    let Some(mask) = mask else {
+        return TileBins::build_with_threads_into(splats, grid, threads, offsets, indices);
+    };
+    let g = grid;
+    TileBins::build_filtered_with_threads_into(
+        splats,
+        g,
+        |tx, ty| {
+            let x_end = ((tx + 1) * g.tile_size).min(g.width);
+            let y_end = ((ty + 1) * g.tile_size).min(g.height);
+            for y in (ty * g.tile_size)..y_end {
+                for x in (tx * g.tile_size)..x_end {
+                    if mask[(y * g.width + x) as usize] {
+                        return true;
+                    }
+                }
             }
-        }
-    }
-
-    fn items(&self, out: &Self::Out) -> u64 {
-        out.total_intersections()
-    }
+            false
+        },
+        threads,
+        offsets,
+        indices,
+    )
 }
 
-/// Merge stage: CSR tile bins → the raster work-unit schedule.
+/// Merge: CSR tile bins → the raster work-unit schedule.
 ///
 /// With merging disabled (the default) this emits the identity band
-/// schedule — one unit per tile row — so the pipeline's scheduling
-/// granularity matches the pre-merge behavior exactly. With merging
-/// enabled, adjacent low-occupancy tiles coalesce into rectangular
-/// super-tiles (see [`MergedTileSchedule::merge_low_occupancy`]). The plan
-/// is a single serial O(tiles) scan over the CSR offsets, so it is
-/// deterministic for every thread count by construction.
-pub struct MergeStage<'a> {
-    /// Render options (merge knobs).
-    pub options: &'a RenderOptions,
-}
-
-impl<'a> Stage for MergeStage<'a> {
-    type In = &'a TileBins;
-    type Out = MergedTileSchedule;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Merge
-    }
-
-    fn run(&mut self, bins: &'a TileBins) -> Self::Out {
-        if self.options.merge_enabled() {
-            MergedTileSchedule::merge_low_occupancy(
-                bins,
-                self.options.merge_threshold,
-                self.options.merge_max_extent,
-            )
-        } else {
-            MergedTileSchedule::bands(bins.grid())
-        }
-    }
-
-    fn items(&self, out: &Self::Out) -> u64 {
-        out.units().len() as u64
+/// schedule — one unit per tile row. With merging enabled, adjacent
+/// low-occupancy tiles coalesce into rectangular super-tiles (see
+/// [`MergedTileSchedule::merge_low_occupancy`]). The plan is a single serial
+/// O(tiles) scan over the CSR offsets, so it is deterministic for every
+/// thread count by construction.
+pub(crate) fn merge(bins: &TileBins, options: &RenderOptions) -> MergedTileSchedule {
+    if options.merge_enabled() {
+        MergedTileSchedule::merge_low_occupancy(
+            bins,
+            options.merge_threshold,
+            options.merge_max_extent,
+        )
+    } else {
+        MergedTileSchedule::bands(bins.grid())
     }
 }
 
-/// Rasterization stage: tile bins + merge schedule → per-work-unit pixel
-/// rectangles.
+/// Raster: tile bins + merge schedule → per-work-unit pixel rectangles.
 ///
-/// Work units (super-tiles, or whole bands when merging is off) are
-/// independent, so they rasterize on `threads` workers pulling unit indices
-/// from a shared counter. Unit results land in per-unit slots, making the
-/// output — and therefore the composited image — bit-identical for every
-/// thread count; `threads == 1` runs inline without spawning. Every pixel
-/// composites against its own tile's CSR list regardless of which unit the
-/// tile was scheduled in, so the schedule shape cannot change a pixel.
-pub struct RasterStage<'a> {
-    /// Projected splats (bins index into these).
-    pub splats: &'a [ProjectedSplat],
-    /// Render options.
-    pub options: &'a RenderOptions,
-    /// View camera.
-    pub camera: &'a Camera,
-    /// Optional per-pixel mask.
-    pub mask: Option<&'a [bool]>,
-    /// Per-worker staging scratch pool, recycled through a
-    /// [`FrameArena`](crate::FrameArena). Grown to one
-    /// [`RasterScratch`] per worker on demand; contents are overwritten
-    /// per tile, so which worker gets which scratch cannot change a
-    /// pixel. Empty is fine.
-    pub scratch: &'a mut Vec<RasterScratch>,
-}
-
-impl<'a> Stage for RasterStage<'a> {
-    type In = (&'a TileBins, &'a MergedTileSchedule);
-    type Out = Vec<UnitResult>;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Raster
-    }
-
-    fn run(&mut self, (bins, schedule): Self::In) -> Self::Out {
-        let units = schedule.units();
-        let threads = self.options.resolved_threads().min(units.len().max(1));
-        if threads <= 1 || units.len() <= 1 {
-            if self.scratch.is_empty() {
-                self.scratch.push(RasterScratch::default());
-            }
-            let scratch = &mut self.scratch[0];
-            let mut out = Vec::with_capacity(units.len());
-            for unit in units {
-                out.push(rasterize_unit(
-                    self.options,
-                    self.splats,
-                    bins,
-                    self.camera,
-                    unit,
-                    self.mask,
-                    scratch,
-                ));
-            }
-            return out;
+/// Work units are independent, so they rasterize on `threads` workers
+/// pulling unit indices from a shared counter. Unit results land in
+/// per-unit slots, making the output — and therefore the composited image —
+/// bit-identical for every thread count; one worker runs inline without
+/// spawning. Every pixel composites against its own tile's CSR list
+/// regardless of which unit the tile was scheduled in, so the schedule
+/// shape cannot change a pixel.
+///
+/// `scratch` is the per-worker staging pool recycled through a
+/// [`FrameArena`](crate::FrameArena), grown to one [`RasterScratch`] per
+/// worker on demand. Contents are overwritten per tile, so which worker
+/// gets which scratch cannot change a pixel either.
+pub(crate) fn raster(
+    splats: &[ProjectedSplat],
+    bins: &TileBins,
+    schedule: &MergedTileSchedule,
+    options: &RenderOptions,
+    camera: &Camera,
+    mask: Option<&[bool]>,
+    scratch: &mut Vec<RasterScratch>,
+) -> Vec<UnitResult> {
+    let units = schedule.units();
+    let threads = options.resolved_threads().min(units.len().max(1));
+    if threads <= 1 || units.len() <= 1 {
+        if scratch.is_empty() {
+            scratch.push(RasterScratch::default());
         }
-
-        // Workers pop unit indices from a shared counter; each unit result
-        // lands in its own slot, so assembly order — and the composited
-        // image — is independent of scheduling. Each worker owns one
-        // scratch from the recycled pool for its whole run.
-        if self.scratch.len() < threads {
-            self.scratch.resize_with(threads, RasterScratch::default);
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<UnitResult>>> = (0..units.len())
-            .map(|_| std::sync::Mutex::new(None))
+        let scratch = &mut scratch[0];
+        return units
+            .iter()
+            .map(|unit| rasterize_unit(options, splats, bins, camera, unit, mask, scratch))
             .collect();
-        let splats = self.splats;
-        let options = self.options;
-        let camera = self.camera;
-        let mask = self.mask;
-        rayon::scope(|s| {
-            for scratch in self.scratch.iter_mut().take(threads) {
-                let next = &next;
-                let slots = &slots;
-                s.spawn(move |_| loop {
-                    let u = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if u >= units.len() {
-                        break;
-                    }
-                    let unit =
-                        rasterize_unit(options, splats, bins, camera, &units[u], mask, scratch);
-                    *slots[u].lock().expect("unit slot poisoned") = Some(unit);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(u, cell)| {
-                cell.into_inner()
-                    .expect("unit slot poisoned")
-                    .unwrap_or_else(|| panic!("work unit {u} missing"))
-            })
-            .collect()
     }
 
-    fn items(&self, out: &Self::Out) -> u64 {
-        out.iter().map(|b| b.blend_steps).sum()
+    // Workers pop unit indices from a shared counter; each unit result
+    // lands in its own slot, so assembly order — and the composited image —
+    // is independent of scheduling. Each worker owns one scratch from the
+    // recycled pool for its whole run.
+    if scratch.len() < threads {
+        scratch.resize_with(threads, RasterScratch::default);
     }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let slots: Vec<std::sync::Mutex<Option<UnitResult>>> = (0..units.len())
+        .map(|_| std::sync::Mutex::new(None))
+        .collect();
+    rayon::scope(|s| {
+        for scratch in scratch.iter_mut().take(threads) {
+            let next = &next;
+            let slots = &slots;
+            s.spawn(move |_| loop {
+                let u = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                if u >= units.len() {
+                    break;
+                }
+                let unit = rasterize_unit(options, splats, bins, camera, &units[u], mask, scratch);
+                *slots[u].lock().expect("unit slot poisoned") = Some(unit);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(u, cell)| {
+            cell.into_inner()
+                .expect("unit slot poisoned")
+                .unwrap_or_else(|| panic!("work unit {u} missing"))
+        })
+        .collect()
 }
 
-/// Composite stage: ordered work units → final image (+ per-pixel winners).
-pub struct CompositeStage<'a> {
-    /// View camera (output dimensions).
-    pub camera: &'a Camera,
-    /// Background color for pixels no work unit covers.
-    pub options: &'a RenderOptions,
-    /// Whether winner tracking is on.
-    pub track_winners: bool,
-}
-
-/// Output of the composite stage.
-pub struct Composited {
+/// Output of the Composite stage.
+pub(crate) struct Composited {
     /// The assembled image.
     pub image: Image,
     /// Winning point index per pixel (`u32::MAX` = none); empty unless
-    /// winner tracking is on.
+    /// winner tracking (`track_point_stats`) is on.
     pub winners: Vec<u32>,
     /// Total compositing steps across work units.
     pub blend_steps: u64,
@@ -621,50 +445,44 @@ pub struct Composited {
     pub raster: RasterWork,
 }
 
-impl Stage for CompositeStage<'_> {
-    type In = Vec<UnitResult>;
-    type Out = Composited;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Composite
-    }
-
-    fn run(&mut self, units: Vec<UnitResult>) -> Self::Out {
-        let cam = self.camera;
-        let mut image = Image::filled(cam.width, cam.height, self.options.background);
-        let mut winners: Vec<u32> = if self.track_winners {
-            vec![u32::MAX; (cam.width * cam.height) as usize]
-        } else {
-            Vec::new()
-        };
-        let mut blend_steps = 0u64;
-        let mut raster = RasterWork::default();
-        for unit in units {
-            blend_steps += unit.blend_steps;
-            raster.accumulate(&unit.work);
-            let rows = unit.pixels.len() as u32 / unit.width.max(1);
-            for dy in 0..rows {
-                let y = unit.y_start + dy;
-                for dx in 0..unit.width {
-                    let x = unit.x_start + dx;
-                    let idx = (dy * unit.width + dx) as usize;
-                    image.set_pixel(x, y, unit.pixels[idx]);
-                    if self.track_winners {
-                        winners[(y * cam.width + x) as usize] = unit.winners[idx];
-                    }
+/// Composite: ordered work units → final image (+ per-pixel winners when
+/// `options.track_point_stats` is on). Pixels no unit covers keep
+/// `options.background`.
+pub(crate) fn composite(
+    units: Vec<UnitResult>,
+    camera: &Camera,
+    options: &RenderOptions,
+) -> Composited {
+    let track_winners = options.track_point_stats;
+    let mut image = Image::filled(camera.width, camera.height, options.background);
+    let mut winners: Vec<u32> = if track_winners {
+        vec![u32::MAX; (camera.width * camera.height) as usize]
+    } else {
+        Vec::new()
+    };
+    let mut blend_steps = 0u64;
+    let mut raster = RasterWork::default();
+    for unit in units {
+        blend_steps += unit.blend_steps;
+        raster.accumulate(&unit.work);
+        let rows = unit.pixels.len() as u32 / unit.width.max(1);
+        for dy in 0..rows {
+            let y = unit.y_start + dy;
+            for dx in 0..unit.width {
+                let x = unit.x_start + dx;
+                let idx = (dy * unit.width + dx) as usize;
+                image.set_pixel(x, y, unit.pixels[idx]);
+                if track_winners {
+                    winners[(y * camera.width + x) as usize] = unit.winners[idx];
                 }
             }
         }
-        Composited {
-            image,
-            winners,
-            blend_steps,
-            raster,
-        }
     }
-
-    fn items(&self, out: &Self::Out) -> u64 {
-        (out.image.width() * out.image.height()) as u64
+    Composited {
+        image,
+        winners,
+        blend_steps,
+        raster,
     }
 }
 

@@ -1,12 +1,14 @@
 //! Rasterization kernels and the top-level [`Renderer`].
 //!
-//! The renderer itself is thin: every entry point begins a
-//! [`FrameInFlight`] — the one driver of the staged pipeline from
-//! [`crate::pipeline`] (Project → Bin → Merge → Raster → Composite) — and
-//! pumps it to completion, so per-stage wall time and work counters land in
-//! [`RenderStats::profile`] the same way for every kind of frame. This
-//! module keeps the per-work-unit and per-pixel compositing kernels the
-//! Raster stage executes.
+//! The renderer itself is thin. Its three entry points —
+//! [`Renderer::begin_frame`], [`Renderer::render`] and
+//! [`Renderer::try_render`] — take a [`SceneRef`] and a [`View`], begin a
+//! [`FrameInFlight`] (the one driver of the staged pipeline from
+//! [`crate::pipeline`]: Project → Bin → Merge → Raster → Composite) and, for
+//! the last two, pump it to completion, so per-stage wall time and work
+//! counters land in [`RenderStats::profile`] the same way for every kind of
+//! frame. This module keeps the per-work-unit and per-pixel compositing
+//! kernels the Raster stage executes.
 //!
 //! # Scalar and SIMD kernels
 //!
@@ -53,14 +55,14 @@
 //! row-iteration work the interval scheduler avoided.
 
 use crate::binning::{SuperTile, TileBins};
-use crate::frame::{FrameArena, FrameInFlight, SceneRef};
+use crate::frame::{FrameArena, FrameInFlight, SceneRef, View};
 use crate::options::{RasterKernel, RenderOptions, SortMode};
-use crate::pipeline::{Composited, Profiler};
+use crate::pipeline::{Composited, FrameProfile, StageSample};
 use crate::projection::ProjectedSplat;
 use crate::stats::{RasterWork, RenderStats};
 use ms_math::simd::{F32x4, Mask4, U32x4};
 use ms_math::Vec2;
-use ms_scene::{Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
+use ms_scene::{Camera, ChunkCache, SourceError};
 use std::sync::Arc;
 
 /// Result of a render pass.
@@ -81,9 +83,10 @@ pub struct RenderOutput {
 ///
 /// Cloning is cheap and shares the renderer's [`ChunkCache`]: clones (and
 /// renderers built with [`Renderer::with_chunk_cache`]) hit each other's
-/// decoded chunks when streaming the same [`SceneSource`]. The cache only
-/// changes where chunk bytes come from, never what a frame computes, so
-/// sharing is invisible to the determinism contract.
+/// decoded chunks when streaming the same
+/// [`SceneSource`](ms_scene::SceneSource). The cache only changes where
+/// chunk bytes come from, never what a frame computes, so sharing is
+/// invisible to the determinism contract.
 #[derive(Debug, Clone)]
 pub struct Renderer {
     options: RenderOptions,
@@ -95,7 +98,7 @@ pub struct Renderer {
 /// stage merges. A band is the degenerate full-row rectangle, so the
 /// unmerged pipeline produces exactly the PR 3/4 band results.
 #[derive(Debug)]
-pub struct UnitResult {
+pub(crate) struct UnitResult {
     /// First pixel column of the unit.
     pub x_start: u32,
     /// First pixel row of the unit.
@@ -161,34 +164,6 @@ impl Renderer {
         &self.chunk_cache
     }
 
-    /// Render `model` from `camera`.
-    pub fn render(&self, model: &GaussianModel, camera: &Camera) -> RenderOutput {
-        self.render_with_arena(model, camera, crate::FrameArena::default())
-            .0
-    }
-
-    /// [`Renderer::render`] through the resumable per-stage machinery
-    /// ([`Renderer::begin_frame`] + [`FrameInFlight::run_stage`]), reusing
-    /// `arena`'s scratch buffers instead of allocating per frame; returns
-    /// the output plus the recycled arena for the next frame. This *is*
-    /// `render` — `render` routes through it with a fresh arena — so the
-    /// output is bit-identical regardless of where the arena came from.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    ///
-    /// [`FrameInFlight::run_stage`]: crate::FrameInFlight::run_stage
-    pub fn render_with_arena(
-        &self,
-        model: &GaussianModel,
-        camera: &Camera,
-        arena: FrameArena,
-    ) -> (RenderOutput, FrameArena) {
-        self.run_in_core(self.begin_frame(model, camera, arena), model)
-    }
-
     /// Start a resumable frame: the returned [`FrameInFlight`] owns the
     /// frame's intermediate buffers and advances one pipeline stage per
     /// [`run_stage`] call, so a scheduler (the `ms_serve` frame server) can
@@ -197,117 +172,84 @@ impl Renderer {
     /// ([`FrameInFlight::finish`] returns it); `FrameArena::default()` is a
     /// valid cold start.
     ///
-    /// `scene` is a plain `&GaussianModel` or any [`SceneRef`]. In-core
-    /// scenes start at the Project stage; chunked sources start at the
-    /// streaming chunk-count pass, and each [`run_stage`] call advances one
-    /// *chunk* until the stream joins the common pipeline at Merge — so a
-    /// frame server interleaves chunked frames exactly like in-core ones,
-    /// at chunk granularity.
+    /// `scene` is a plain `&GaussianModel` or any [`SceneRef`]; `view` is a
+    /// plain `&Camera` or a [`View`] carrying a pixel mask. In-core scenes
+    /// start at the Project stage; pre-projected splats start at Bin;
+    /// chunked sources start at the streaming chunk-count pass, and each
+    /// [`run_stage`] call advances one *chunk* until the stream joins the
+    /// common pipeline at Merge — so a frame server interleaves chunked
+    /// frames exactly like in-core ones, at chunk granularity.
     ///
     /// # Panics
     ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
+    /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
+    /// addressing, when the mask does not have one entry per pixel or is
+    /// given for a chunked scene, or when a pre-projected splat's
+    /// `point_index` is out of range (see [`SceneRef::Projected`]).
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame<'a>(
         &self,
         scene: impl Into<SceneRef<'a>>,
-        camera: &Camera,
+        view: impl Into<View>,
         arena: FrameArena,
     ) -> FrameInFlight {
-        FrameInFlight::new(*camera, scene.into(), &self.options, arena, None)
+        FrameInFlight::new(scene.into(), view.into(), &self.options, arena)
     }
 
-    /// Pump an in-core frame to completion and collect its output.
-    fn run_in_core(
-        &self,
-        mut frame: FrameInFlight,
-        model: &GaussianModel,
-    ) -> (RenderOutput, FrameArena) {
-        while !frame.run_stage(self, model) {}
-        frame.finish(self)
-    }
-
-    /// Render a chunked [`SceneSource`](ms_scene::SceneSource) without ever
-    /// materializing the whole model: Project and the CSR count pass stream
-    /// chunk by chunk, then a second streamed pass re-projects and scatters
-    /// — peak chunk and projected-splat scratch residency are bounded by
-    /// the chunk size (and recorded in the frame profile's
-    /// `chunk_bytes_peak` / `projected_bytes_peak`). With LOD off the
-    /// output is bit-identical — pixels, winners, work counters — to
-    /// [`Renderer::render`] on the concatenated model, for every chunk
-    /// size.
+    /// Render `scene` through `view` in one call: [`Renderer::try_render`]
+    /// with a fresh arena.
+    ///
+    /// Chunked sources never materialize the whole model: Project and the
+    /// CSR count pass stream chunk by chunk, then a second streamed pass
+    /// re-projects and scatters, so peak chunk and projected-splat scratch
+    /// residency are bounded by the chunk size (and recorded in the frame
+    /// profile's `chunk_bytes_peak` / `projected_bytes_peak`). With LOD off
+    /// the output is bit-identical — pixels, winners, work counters — to
+    /// the in-core render of the concatenated model, for every chunk size.
     ///
     /// # Panics
     ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, or when the source fails to deliver a chunk.
-    pub fn render_source(
+    /// Panics like [`Renderer::begin_frame`], and when a chunked source
+    /// fails to deliver a chunk.
+    pub fn render<'a>(
         &self,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
+        scene: impl Into<SceneRef<'a>>,
+        view: impl Into<View>,
     ) -> RenderOutput {
-        self.render_source_with_arena(source, camera, crate::FrameArena::default())
-            .0
-    }
-
-    /// [`Renderer::render_source`] reusing `arena`'s scratch buffers, the
-    /// chunked analogue of [`Renderer::render_with_arena`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, or when the source fails to deliver a chunk.
-    pub fn render_source_with_arena(
-        &self,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> (RenderOutput, crate::FrameArena) {
-        let (result, arena) = self.try_render_source_with_arena(source, camera, arena);
-        match result {
-            Ok(output) => (output, arena),
+        match self.try_render(scene, view, FrameArena::default()).0 {
+            Ok(output) => output,
             Err(e) => panic!("loading scene chunk failed: {e}"),
         }
     }
 
-    /// [`Renderer::render_source`] with chunk-load failures surfaced as an
-    /// `Err` instead of a panic. A failed load abandons the frame cleanly —
-    /// no partial image is produced and nothing poisons the renderer; the
-    /// next render is unaffected.
+    /// Render `scene` through `view`, reusing `arena`'s scratch buffers
+    /// instead of allocating per frame, with chunk-load failures surfaced
+    /// as an `Err` instead of a panic. The frame runs the resumable
+    /// machinery ([`Renderer::begin_frame`] + [`FrameInFlight::run_stage`])
+    /// to completion, so the output is bit-identical to any interleaving of
+    /// the same frame's stages and regardless of where the arena came from.
+    ///
+    /// The arena comes back usable in *both* outcomes: a failed load
+    /// abandons the frame cleanly — no partial image, nothing poisoned —
+    /// and recycles its buffers into the returned arena exactly like a
+    /// finished frame, so callers keep their allocation steady state across
+    /// faults. In-core and pre-projected scenes cannot fail.
     ///
     /// # Panics
     ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing (configuration errors stay panics; only *source* failures
-    /// are runtime conditions).
-    pub fn try_render_source(
-        &self,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
-    ) -> Result<RenderOutput, SourceError> {
-        self.try_render_source_with_arena(source, camera, crate::FrameArena::default())
-            .0
-    }
-
-    /// [`Renderer::try_render_source`] reusing `arena`'s scratch buffers.
-    /// The arena comes back usable in *both* outcomes: a failed frame
-    /// recycles its buffers into the returned arena exactly like a finished
-    /// one, so callers keep their allocation steady state across faults.
+    /// Panics like [`Renderer::begin_frame`] (configuration errors stay
+    /// panics; only *source* failures are runtime conditions).
     ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    pub fn try_render_source_with_arena(
+    /// [`FrameInFlight::run_stage`]: crate::FrameInFlight::run_stage
+    pub fn try_render<'a>(
         &self,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
-        arena: crate::FrameArena,
-    ) -> (Result<RenderOutput, SourceError>, crate::FrameArena) {
-        let scene = SceneRef::Chunked(source);
-        let mut frame = self.begin_frame(scene, camera, arena);
+        scene: impl Into<SceneRef<'a>>,
+        view: impl Into<View>,
+        arena: FrameArena,
+    ) -> (Result<RenderOutput, SourceError>, FrameArena) {
+        let scene = scene.into();
+        let mut frame = self.begin_frame(scene, view, arena);
         while !frame.run_stage(self, scene) {}
         if frame.is_failed() {
             let (error, arena) = frame.into_failure();
@@ -315,52 +257,6 @@ impl Renderer {
         }
         let (output, arena) = frame.finish(self);
         (Ok(output), arena)
-    }
-
-    /// Render only the pixels where `mask` is true (row-major, one entry
-    /// per pixel); masked-out pixels keep the background color. The frame
-    /// runs the same stage machine as [`Renderer::render`]: Bin skips tiles
-    /// with no active pixel entirely — splats are not even duplicated into
-    /// them, mirroring the foveation Filtering stage (Fig. 7-E) — and
-    /// Raster composites only active pixels.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `mask.len() != width * height`, or when `camera` has a
-    /// zero-pixel image or exceeds `u32` pixel addressing.
-    pub fn render_masked(
-        &self,
-        model: &GaussianModel,
-        camera: &Camera,
-        mask: Vec<bool>,
-    ) -> RenderOutput {
-        let frame = FrameInFlight::new(
-            *camera,
-            SceneRef::InCore(model),
-            &self.options,
-            FrameArena::default(),
-            Some(mask),
-        );
-        self.run_in_core(frame, model).0
-    }
-
-    /// Rasterize pre-projected splats. Exposed so callers that re-render the
-    /// same projection can skip re-projection: the frame starts at the Bin
-    /// stage, so its profile carries no Project sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `camera` has a zero-pixel image or exceeds `u32` pixel
-    /// addressing.
-    pub fn render_splats(
-        &self,
-        model_len: usize,
-        splats: &[ProjectedSplat],
-        camera: &Camera,
-    ) -> RenderOutput {
-        let frame = FrameInFlight::from_splats(*camera, model_len, splats.to_vec());
-        // From Bin on, no stage reads the scene, so an empty one stands in.
-        self.run_in_core(frame, &GaussianModel::new(0)).0
     }
 }
 
@@ -374,7 +270,7 @@ pub(crate) fn assemble_output(
     bins: &TileBins,
     schedule: &crate::binning::MergedTileSchedule,
     composited: Composited,
-    profiler: Profiler,
+    samples: Vec<StageSample>,
 ) -> RenderOutput {
     let Composited {
         image,
@@ -382,12 +278,15 @@ pub(crate) fn assemble_output(
         blend_steps,
         raster,
     } = composited;
-    let mut profile = profiler.finish();
-    profile.raster = raster;
     // In-core residency peaks: no chunk buffer, and the projection scratch
     // *is* the whole visible-splat vector. The chunked frame path overrides
     // both with the per-chunk peaks it measured while streaming.
-    profile.projected_bytes_peak = std::mem::size_of_val(splats) as u64;
+    let profile = FrameProfile {
+        samples,
+        raster,
+        projected_bytes_peak: std::mem::size_of_val(splats) as u64,
+        ..FrameProfile::default()
+    };
     let tile_intersections = bins.intersection_counts();
     let total_intersections = bins.total_intersections();
     // The per-tile → work-unit map is recorded only when occupancy
@@ -470,7 +369,7 @@ pub(crate) fn check_camera(camera: &Camera) {
 /// and — through [`FrameArena`] — across frames, so the steady-state
 /// raster hot path allocates nothing.
 #[derive(Debug, Default)]
-pub struct RasterScratch {
+pub(crate) struct RasterScratch {
     /// Per-tile SoA staging buffers of the SIMD kernel.
     stage: TileStage,
     /// Per-pixel sort-mode contribution gather buffer.
@@ -1221,6 +1120,7 @@ mod tests {
     use super::*;
     use crate::pipeline::StageKind;
     use ms_math::{Quat, Vec3};
+    use ms_scene::GaussianModel;
 
     fn cam(w: u32, h: u32) -> Camera {
         Camera::look_at(w, h, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero())
@@ -1460,7 +1360,11 @@ mod tests {
         let camera = cam(64, 64);
         let splats =
             crate::projection::project_model_filtered(&m, &camera, r.options(), |i| i == 0);
-        let only_red = r.render_splats(m.len(), &splats, &camera);
+        let scene = SceneRef::Projected {
+            splats: &splats,
+            points: m.len(),
+        };
+        let only_red = r.render(scene, &camera);
         let c = only_red.image.pixel(32, 32);
         assert!(c.x > 0.5 && c.y < 0.1);
         assert_eq!(only_red.stats.points_projected, 1);
@@ -1469,7 +1373,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "degenerate camera")]
     fn zero_width_camera_rejected_at_entry() {
-        // Regression: a zero-width camera used to reach CompositeStage's
+        // Regression: a zero-width camera used to reach the Composite stage's
         // `pixels / width` as a divide-by-zero.
         let m = GaussianModel::new(0);
         let camera = Camera {
@@ -1487,7 +1391,7 @@ mod tests {
             height: 0,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render_masked(&m, &camera, Vec::new());
+        let _ = Renderer::default().render(&m, View::masked(camera, Vec::new()));
     }
 
     #[test]
@@ -1504,14 +1408,14 @@ mod tests {
             height: 65536,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render_masked(&m, &camera, Vec::new());
+        let _ = Renderer::default().render(&m, View::masked(camera, Vec::new()));
     }
 
     #[test]
     #[should_panic(expected = "pixel mask size mismatch")]
     fn wrong_sized_mask_rejected() {
         let m = GaussianModel::new(0);
-        let _ = Renderer::default().render_masked(&m, &cam(64, 64), vec![true; 100]);
+        let _ = Renderer::default().render(&m, View::masked(cam(64, 64), vec![true; 100]));
     }
 
     #[test]
@@ -1673,12 +1577,10 @@ mod tests {
         let m = divergent_model();
         let camera = cam(64, 48);
         let mask: Vec<bool> = (0..(64 * 48)).map(|i| i % 5 != 2 && i % 11 != 0).collect();
-        let scalar = Renderer::new(kernel_opts(RasterKernel::Scalar)).render_masked(
-            &m,
-            &camera,
-            mask.clone(),
-        );
-        let simd = Renderer::new(kernel_opts(RasterKernel::Simd4)).render_masked(&m, &camera, mask);
+        let scalar = Renderer::new(kernel_opts(RasterKernel::Scalar))
+            .render(&m, View::masked(camera, mask.clone()));
+        let simd =
+            Renderer::new(kernel_opts(RasterKernel::Simd4)).render(&m, View::masked(camera, mask));
         assert_eq!(simd.image, scalar.image);
         assert_eq!(simd.winners, scalar.winners);
         assert_eq!(simd.stats, scalar.stats);
@@ -1741,18 +1643,41 @@ mod tests {
 
     #[test]
     fn pre_projected_renders_skip_the_project_stage() {
-        let m = solid_model(&[(Vec3::zero(), Vec3::splat(0.4), 0.9, Vec3::one())]);
-        let camera = cam(64, 64);
-        let opts = RenderOptions::default();
-        let splats = crate::projection::project_model(&m, &camera, &opts);
-        let out = Renderer::new(opts).render_splats(m.len(), &splats, &camera);
-        assert!(out
-            .stats
-            .profile
-            .samples
-            .iter()
-            .all(|s| s.kind != StageKind::Project));
-        assert_eq!(out.stats.profile.samples.len(), 4);
+        let m = divergent_model();
+        let camera = cam(64, 48);
+        let renderer = Renderer::new(RenderOptions::with_point_stats());
+        let splats = crate::projection::project_model(&m, &camera, renderer.options());
+        let projected = SceneRef::Projected {
+            splats: &splats,
+            points: m.len(),
+        };
+        let non_project = |o: &RenderOutput| -> Vec<(StageKind, u64)> {
+            let samples = o.stats.profile.samples.iter();
+            let samples = samples.filter(|s| s.kind != StageKind::Project);
+            samples.map(|s| (s.kind, s.items)).collect()
+        };
+        let mask: Vec<bool> = (0..64 * 48).map(|i| i % 64 < 40).collect();
+        for view in [View::from(&camera), View::masked(camera, mask)] {
+            let in_core = renderer.render(&m, view.clone());
+            let out = renderer.render(projected, view);
+            assert!(out
+                .stats
+                .profile
+                .samples
+                .iter()
+                .all(|s| s.kind != StageKind::Project));
+            assert_eq!(out.stats.profile.samples.len(), 4);
+            // Starting at Bin changes what the profile records, never what
+            // the frame computes.
+            assert_eq!(out.image, in_core.image);
+            assert_eq!(out.winners, in_core.winners);
+            assert!(!out.winners.is_empty());
+            assert_eq!(non_project(&out), non_project(&in_core));
+            assert_eq!(out.stats.profile.raster, in_core.stats.profile.raster);
+            let mut stats = out.stats.clone();
+            stats.profile = in_core.stats.profile.clone();
+            assert_eq!(stats, in_core.stats);
+        }
     }
 
     #[test]

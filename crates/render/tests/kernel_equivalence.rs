@@ -14,7 +14,7 @@
 //! rows against its own CSR list).
 
 use ms_math::{Conic2, Quat, TileRect, Vec2, Vec3};
-use ms_render::{Image, RasterKernel, RenderOptions, RenderOutput, Renderer};
+use ms_render::{Image, RasterKernel, RenderOptions, RenderOutput, Renderer, SceneRef, View};
 use ms_scene::{Camera, GaussianModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -134,10 +134,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let splats = random_splats(&mut rng, n, width, height, tile_size);
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
+        let scene = SceneRef::Projected { splats: &splats, points: n };
         let scalar = Renderer::new(options(RasterKernel::Scalar, tile_size, alpha_min, alpha_max, t_min))
-            .render_splats(n, &splats, &cam);
+            .render(scene, &cam);
         let simd = Renderer::new(options(RasterKernel::Simd4, tile_size, alpha_min, alpha_max, t_min))
-            .render_splats(n, &splats, &cam);
+            .render(scene, &cam);
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
@@ -183,10 +184,11 @@ proptest! {
             })
             .collect();
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
+        let scene = SceneRef::Projected { splats: &splats, points: n };
         let scalar = Renderer::new(options(RasterKernel::Scalar, tile_size, 1.0 / 255.0, 0.99, 0.05))
-            .render_splats(n, &splats, &cam);
+            .render(scene, &cam);
         let simd = Renderer::new(options(RasterKernel::Simd4, tile_size, 1.0 / 255.0, 0.99, 0.05))
-            .render_splats(n, &splats, &cam);
+            .render(scene, &cam);
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
@@ -233,9 +235,9 @@ proptest! {
             })
             .collect();
         let scalar = Renderer::new(options(RasterKernel::Scalar, 16, 1.0 / 255.0, 0.99, 1e-4))
-            .render_masked(&model, &cam, mask.clone());
+            .render(&model, View::masked(cam, mask.clone()));
         let simd = Renderer::new(options(RasterKernel::Simd4, 16, 1.0 / 255.0, 0.99, 1e-4))
-            .render_masked(&model, &cam, mask);
+            .render(&model, View::masked(cam, mask));
         assert_outputs_bit_identical(&simd, &scalar)?;
     }
 
@@ -295,8 +297,9 @@ proptest! {
             .collect();
         let cam = Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 4.0), Vec3::zero());
         let mk = |kernel| Renderer::new(options(kernel, tile_size, alpha_min, 0.99, 1e-4));
-        let scalar = mk(RasterKernel::Scalar).render_splats(n, &splats, &cam);
-        let pertile = mk(RasterKernel::Simd4).render_splats(n, &splats, &cam);
+        let scene = SceneRef::Projected { splats: &splats, points: n };
+        let scalar = mk(RasterKernel::Scalar).render(scene, &cam);
+        let pertile = mk(RasterKernel::Simd4).render(scene, &cam);
         assert_outputs_bit_identical(&pertile, &scalar)?;
     }
 

@@ -21,10 +21,12 @@
 //!
 //! Filtered renders project with an admission predicate
 //! (`project_model_filtered`, evaluated concurrently by the projection
-//! shards) and rasterize the surviving splats with `render_splats`.
+//! shards) and rasterize the surviving splats as a `SceneRef::Projected`
+//! scene.
 
 use metasapiens::render::{
-    project_model_filtered, RasterKernel, RenderOptions, RenderOutput, Renderer, StageKind,
+    project_model_filtered, RasterKernel, RenderOptions, RenderOutput, Renderer, SceneRef,
+    StageKind, View,
 };
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::{Camera, GaussianModel, SceneSource};
@@ -63,7 +65,11 @@ fn render_admitted(
     admit: impl Fn(usize) -> bool + Sync,
 ) -> RenderOutput {
     let splats = project_model_filtered(model, cam, renderer.options(), admit);
-    renderer.render_splats(model.len(), &splats, cam)
+    let scene = SceneRef::Projected {
+        splats: &splats,
+        points: model.len(),
+    };
+    renderer.render(scene, cam)
 }
 
 /// Assert `par` is the same frame as `serial`, bit for bit: pixels, winner
@@ -117,9 +123,9 @@ fn masked_parallel_render_is_bit_identical_to_serial() {
             x < cam.width / 2 || (x + y) % 7 == 0
         })
         .collect();
-    let serial = Renderer::new(opts(1)).render_masked(&s.model, &cam, mask.clone());
+    let serial = Renderer::new(opts(1)).render(&s.model, View::masked(cam, mask.clone()));
     for threads in THREAD_COUNTS {
-        let par = Renderer::new(opts(threads)).render_masked(&s.model, &cam, mask.clone());
+        let par = Renderer::new(opts(threads)).render(&s.model, View::masked(cam, mask.clone()));
         assert_bit_identical(&par, &serial, threads);
     }
 }
@@ -260,11 +266,13 @@ fn merged_masked_render_is_bit_identical_to_unmerged_across_threads() {
             x < cam.width / 2 || (x + y) % 7 == 0
         })
         .collect();
-    let unmerged = Renderer::new(opts(1)).render_masked(&s.model, &cam, mask.clone());
-    let merged_serial = Renderer::new(merge_opts(1)).render_masked(&s.model, &cam, mask.clone());
+    let unmerged = Renderer::new(opts(1)).render(&s.model, View::masked(cam, mask.clone()));
+    let merged_serial =
+        Renderer::new(merge_opts(1)).render(&s.model, View::masked(cam, mask.clone()));
     assert_same_frame(&merged_serial, &unmerged, "masked, threads=1");
     for threads in THREAD_COUNTS {
-        let merged = Renderer::new(merge_opts(threads)).render_masked(&s.model, &cam, mask.clone());
+        let merged =
+            Renderer::new(merge_opts(threads)).render(&s.model, View::masked(cam, mask.clone()));
         assert_bit_identical(&merged, &merged_serial, threads);
         assert_same_frame(&merged, &unmerged, "masked");
     }
@@ -318,11 +326,8 @@ fn simd_kernel_masked_and_filtered_match_scalar() {
         })
         .collect();
     let admit = |i: usize| i % 3 != 1;
-    let scalar_masked = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render_masked(
-        &s.model,
-        &cam,
-        mask.clone(),
-    );
+    let scalar_masked = Renderer::new(kernel_opts(1, RasterKernel::Scalar))
+        .render(&s.model, View::masked(cam, mask.clone()));
     let scalar_filtered = render_admitted(
         &Renderer::new(kernel_opts(1, RasterKernel::Scalar)),
         &s.model,
@@ -331,7 +336,7 @@ fn simd_kernel_masked_and_filtered_match_scalar() {
     );
     for threads in [1, 3] {
         let o = kernel_opts(threads, RasterKernel::Simd4);
-        let masked = Renderer::new(o.clone()).render_masked(&s.model, &cam, mask.clone());
+        let masked = Renderer::new(o.clone()).render(&s.model, View::masked(cam, mask.clone()));
         assert_bit_identical(&masked, &scalar_masked, threads);
         let filtered = render_admitted(&Renderer::new(o), &s.model, &cam, admit);
         assert_bit_identical(&filtered, &scalar_filtered, threads);
@@ -435,7 +440,7 @@ fn chunked_render_is_bit_identical_to_in_core_across_threads() {
         let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
         assert!(source.chunk_count() >= 2, "chunk sweep must actually chunk");
         for threads in [1, 2, 3, 8, 0] {
-            let chunked = Renderer::new(opts(threads)).render_source(&source, &cam);
+            let chunked = Renderer::new(opts(threads)).render(SceneRef::Chunked(&source), &cam);
             assert_bit_identical(&chunked, &serial, threads);
             assert_eq!(
                 chunked.stats.profile, serial.stats.profile,
@@ -463,7 +468,7 @@ fn chunked_render_matches_in_core_across_merging_kernels_and_staging() {
             };
             let renderer = Renderer::new(o);
             let in_core = renderer.render(&s.model, &cam);
-            let chunked = renderer.render_source(&source, &cam);
+            let chunked = renderer.render(SceneRef::Chunked(&source), &cam);
             assert_bit_identical(&chunked, &in_core, 3);
             assert_eq!(
                 chunked.stats.profile, in_core.stats.profile,
@@ -487,7 +492,7 @@ fn chunked_file_source_round_trips_bit_identically() {
         .expect("container decodes");
     assert!(source.chunk_count() >= 2);
     for threads in [1, 3] {
-        let chunked = Renderer::new(opts(threads)).render_source(&source, &cam);
+        let chunked = Renderer::new(opts(threads)).render(SceneRef::Chunked(&source), &cam);
         assert_bit_identical(&chunked, &serial, threads);
     }
 }
@@ -510,7 +515,7 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
     let mut last_peak = u64::MAX;
     for chunk_splats in [s.model.len() / 2 + 1, 347] {
         let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
-        let chunked = Renderer::new(opts(3)).render_source(&source, &cam);
+        let chunked = Renderer::new(opts(3)).render(SceneRef::Chunked(&source), &cam);
         let p = &chunked.stats.profile;
         assert!(p.projected_bytes_peak <= chunk_splats as u64 * splat_bytes);
         assert!(p.projected_bytes_peak < in_core.stats.profile.projected_bytes_peak);
@@ -520,7 +525,7 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
         last_peak = p.projected_bytes_peak;
         // Deterministic per configuration: an identical run reproduces the
         // exact peaks.
-        let again = Renderer::new(opts(3)).render_source(&source, &cam);
+        let again = Renderer::new(opts(3)).render(SceneRef::Chunked(&source), &cam);
         assert_eq!(
             again.stats.profile.projected_bytes_peak,
             p.projected_bytes_peak
@@ -561,8 +566,8 @@ fn cached_chunked_render_is_bit_identical_across_budgets() {
                 let renderer = Renderer::new(o);
                 // Two frames from one renderer: the first populates the
                 // cache (budget permitting), the second replays it.
-                let first = renderer.render_source(&source, &cam);
-                let second = renderer.render_source(&source, &cam);
+                let first = renderer.render(SceneRef::Chunked(&source), &cam);
+                let second = renderer.render(SceneRef::Chunked(&source), &cam);
                 for out in [&first, &second] {
                     assert_bit_identical(out, &serial, threads);
                     // Profile equality (kind, items pairs) must hold too:
@@ -596,8 +601,8 @@ fn cached_chunked_render_matches_across_kernels_and_staging() {
         };
         let renderer = Renderer::new(o);
         let in_core = renderer.render(&s.model, &cam);
-        let cold = renderer.render_source(&source, &cam);
-        let warm = renderer.render_source(&source, &cam);
+        let cold = renderer.render(SceneRef::Chunked(&source), &cam);
+        let warm = renderer.render(SceneRef::Chunked(&source), &cam);
         assert_bit_identical(&cold, &in_core, 3);
         assert_bit_identical(&warm, &in_core, 3);
         assert_eq!(
@@ -622,13 +627,13 @@ fn cached_chunked_frames_reuse_decodes_across_frames() {
         cache_budget_bytes: Some(usize::MAX),
         ..opts(3)
     });
-    let first = renderer.render_source(&source, &cam);
+    let first = renderer.render(SceneRef::Chunked(&source), &cam);
     let c1 = first.stats.profile.cache;
     assert_eq!(c1.misses, n, "count pass decodes every chunk once");
     assert_eq!(c1.hits, n, "scatter pass hits every chunk");
     assert_eq!(c1.evictions, 0);
     assert!((c1.hit_rate() - 0.5).abs() < 1e-9);
-    let second = renderer.render_source(&source, &cam);
+    let second = renderer.render(SceneRef::Chunked(&source), &cam);
     let c2 = second.stats.profile.cache;
     assert_eq!(c2.misses, 0, "a warm renderer never re-decodes");
     assert_eq!(c2.hits, 2 * n);
@@ -639,7 +644,7 @@ fn cached_chunked_frames_reuse_decodes_across_frames() {
         cache_budget_bytes: Some(0),
         ..opts(3)
     });
-    let uncached = renderer.render_source(&source, &cam);
+    let uncached = renderer.render(SceneRef::Chunked(&source), &cam);
     let c0 = uncached.stats.profile.cache;
     assert_eq!(c0.hits, 0);
     assert_eq!(c0.misses, 2 * n);

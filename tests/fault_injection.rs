@@ -12,7 +12,7 @@
 //! other fifteen keep producing bit-identical frames.
 
 use metasapiens::math::Vec3;
-use metasapiens::render::{RenderOptions, RenderOutput, Renderer};
+use metasapiens::render::{FrameArena, RenderOptions, RenderOutput, Renderer, SceneRef};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::trajectory::{orbit, Trajectory};
 use metasapiens::scene::{
@@ -69,7 +69,8 @@ fn scripted_error_surfaces_as_source_error() {
         let faulty = FailingSource::new(source(&model), fail_at, FailureMode::Error);
         let renderer = Renderer::new(opts());
         let err = renderer
-            .try_render_source(&faulty, &cam)
+            .try_render(SceneRef::Chunked(&faulty), &cam, FrameArena::default())
+            .0
             .expect_err("scripted chunk fault must fail the frame");
         assert!(
             matches!(err, SourceError::Decode(DecodeError::Truncated)),
@@ -88,7 +89,8 @@ fn short_read_is_caught_by_the_length_check() {
     let faulty = FailingSource::new(source(&model), 1, FailureMode::ShortRead);
     let renderer = Renderer::new(opts());
     let err = renderer
-        .try_render_source(&faulty, &cam)
+        .try_render(SceneRef::Chunked(&faulty), &cam, FrameArena::default())
+        .0
         .expect_err("short read must fail the frame");
     match err {
         SourceError::Decode(DecodeError::Invalid(msg)) => {
@@ -112,13 +114,10 @@ fn failed_frame_does_not_poison_the_arena() {
     for fail_at in [0, 2] {
         let faulty = FailingSource::new(source(&model), fail_at, FailureMode::Error);
         let renderer = Renderer::new(opts());
-        let (result, arena) = renderer.try_render_source_with_arena(
-            &faulty,
-            &cam,
-            metasapiens::render::FrameArena::default(),
-        );
+        let (result, arena) =
+            renderer.try_render(SceneRef::Chunked(&faulty), &cam, FrameArena::default());
         assert!(result.is_err(), "fail_at={fail_at} must fail");
-        let (result, _arena) = renderer.try_render_source_with_arena(&healthy, &cam, arena);
+        let (result, _arena) = renderer.try_render(SceneRef::Chunked(&healthy), &cam, arena);
         let output = result.expect("healthy source renders after a fault");
         assert_eq!(
             output, expect,
@@ -127,15 +126,15 @@ fn failed_frame_does_not_poison_the_arena() {
     }
 }
 
-/// The panicking wrapper stays a wrapper: the legacy `render_source` entry
-/// point panics with a diagnosable message instead of returning garbage.
+/// The panicking wrapper stays a wrapper: `render` over a faulty chunked
+/// source panics with a diagnosable message instead of returning garbage.
 #[test]
 #[should_panic(expected = "loading scene chunk failed")]
-fn render_source_panics_on_fault() {
+fn render_panics_on_source_fault() {
     let model = model();
     let cam = camera();
     let faulty = FailingSource::new(source(&model), 1, FailureMode::Error);
-    Renderer::new(opts()).render_source(&faulty, &cam);
+    Renderer::new(opts()).render(SceneRef::Chunked(&faulty), &cam);
 }
 
 /// A transient fault heals once its fuse burns: the first render fails,
@@ -148,11 +147,15 @@ fn transient_fault_heals_after_the_fuse_burns() {
     let faulty = FailingSource::transient(source(&model), 1, FailureMode::Error, 1);
     let renderer = Renderer::new(opts());
     assert!(
-        renderer.try_render_source(&faulty, &cam).is_err(),
+        renderer
+            .try_render(SceneRef::Chunked(&faulty), &cam, FrameArena::default())
+            .0
+            .is_err(),
         "first render burns the fuse"
     );
     let output = renderer
-        .try_render_source(&faulty, &cam)
+        .try_render(SceneRef::Chunked(&faulty), &cam, FrameArena::default())
+        .0
         .expect("healed source renders");
     let expect = Renderer::new(opts()).render(&model, &cam);
     assert_eq!(output, expect, "post-fault render differs from in-core");

@@ -83,7 +83,7 @@ fn solo_frames(slot: usize, merged: bool, kernel: RasterKernel) -> Vec<RenderOut
     trajectory(slot)
         .cameras(&proto, FRAMES)
         .iter()
-        .map(|cam| renderer.render(&model, cam))
+        .map(|cam| renderer.render(&*model, cam))
         .collect()
 }
 
@@ -189,7 +189,7 @@ fn server_pertile_staging_matches_solo_scalar() {
             trajectory(slot)
                 .cameras(&proto, FRAMES)
                 .iter()
-                .map(|cam| solo.render(&model, cam))
+                .map(|cam| solo.render(&*model, cam))
                 .collect()
         })
         .collect();
