@@ -101,10 +101,11 @@ fn main() {
         ("strict subsetting", &shared),
         ("multi-versioned (paper)", &tuned),
     ] {
+        let l4 = model.level_model(3);
         let mse_l4: f32 = cams
             .iter()
             .zip(refs)
-            .map(|(c, r)| renderer.render(model.level_model(3), c).image.mse(r))
+            .map(|(c, r)| renderer.render(&l4, c).image.mse(r))
             .sum::<f32>()
             / cams.len() as f32;
         rows.push(vec![

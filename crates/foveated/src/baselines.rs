@@ -10,10 +10,10 @@
 //!   overhead of evaluating every model and nearly 2× storage.
 
 use crate::model::{FoveatedModel, LevelParams};
-use crate::render::{FovRenderOutput, FoveatedRenderer, ProjectionSharing};
+use crate::render::{FovRenderOutput, FoveatedRenderer};
 use ms_hvs::QualityRegions;
 use ms_math::Vec2;
-use ms_render::Image;
+use ms_render::{FrameProfile, Image, SceneRef};
 use ms_scene::{Camera, GaussianModel};
 use ms_train::ce::{compute_ce, CeOptions};
 use ms_train::finetune::{FineTuneConfig, FineTuner};
@@ -145,13 +145,15 @@ pub fn render_mmfr(
     camera: &Camera,
     gaze: Option<Vec2>,
 ) -> FovRenderOutput {
-    let level_models: Vec<&GaussianModel> = model.models.iter().collect();
+    let scenes: Vec<SceneRef<'_>> = model.models.iter().map(SceneRef::from).collect();
+    let points_submitted = model.models.iter().map(GaussianModel::len).sum();
     renderer.render_levels(
-        &level_models,
+        &scenes,
         &model.regions,
         camera,
         gaze,
-        ProjectionSharing::PerLevel,
+        FrameProfile::default(),
+        points_submitted,
     )
 }
 

@@ -334,12 +334,12 @@ mod tests {
             ..FrBuildConfig::default()
         };
         let fr = build_foveated(&l1, &cams, &refs, &config);
+        // Membership is `quality_bound >= l`, so level l+1 nests inside
+        // level l; pruning must also make it strictly smaller.
+        let counts = fr.level_point_counts();
+        assert_eq!(counts[0], fr.base().len());
         for l in 0..fr.level_count() - 1 {
-            let upper: std::collections::HashSet<u32> =
-                fr.level_index_map(l).iter().copied().collect();
-            for &i in fr.level_index_map(l + 1) {
-                assert!(upper.contains(&i));
-            }
+            assert!(counts[l + 1] < counts[l], "level {} not pruned", l + 1);
         }
     }
 
@@ -372,11 +372,11 @@ mod tests {
         // better than the un-tuned subset (multi-versioning at work).
         let renderer = Renderer::default();
         let mse_plain = renderer
-            .render(plain.level_model(3), &cams[0])
+            .render(&plain.level_model(3), &cams[0])
             .image
             .mse(&refs[0]);
         let mse_tuned = renderer
-            .render(tuned.level_model(3), &cams[0])
+            .render(&tuned.level_model(3), &cams[0])
             .image
             .mse(&refs[0]);
         assert!(

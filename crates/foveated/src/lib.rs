@@ -14,8 +14,9 @@
 //!   from its predecessor by Computational Efficiency and its
 //!   multi-versioned parameters are fine-tuned (no scale decay: scales are
 //!   shared across levels).
-//! * [`FoveatedRenderer`] — the augmented pipeline of Fig. 7-E: per-level
-//!   point filtering, region-masked rasterization and boundary blending.
+//! * [`FoveatedRenderer`] — the augmented pipeline of Fig. 7-E: one shared
+//!   projection of the base model, per-level filtering of its splats,
+//!   region-masked rasterization and boundary blending.
 //! * [`baselines`] — the two FR baselines of §7.4: SMFR (strict subsetting
 //!   by random sampling, no multi-versioning) and MMFR (fully independent
 //!   per-level models, no subsetting).

@@ -39,13 +39,6 @@ pub struct FoveatedModel {
     level_params: Vec<LevelParams>,
     /// Eccentricity regions the levels map to.
     regions: QualityRegions,
-    /// Materialized per-level models (cached; `level_models[ℓ]` contains
-    /// only the points admitted to level ℓ with that level's parameters).
-    #[serde(skip)]
-    level_models: Vec<GaussianModel>,
-    /// For each level, mapping from level-model point index → base index.
-    #[serde(skip)]
-    level_index_maps: Vec<Vec<u32>>,
 }
 
 impl FoveatedModel {
@@ -63,16 +56,13 @@ impl FoveatedModel {
         level_params: Vec<LevelParams>,
         regions: QualityRegions,
     ) -> Self {
-        let mut out = Self {
+        let out = Self {
             base,
             quality_bound,
             level_params,
             regions,
-            level_models: Vec::new(),
-            level_index_maps: Vec::new(),
         };
         out.validate().expect("invalid foveated model");
-        out.materialize();
         out
     }
 
@@ -106,30 +96,6 @@ impl FoveatedModel {
         self.base.validate()
     }
 
-    fn materialize(&mut self) {
-        let levels = self.level_count();
-        self.level_models.clear();
-        self.level_index_maps.clear();
-        for l in 0..levels {
-            let indices: Vec<usize> = (0..self.base.len())
-                .filter(|&i| self.quality_bound[i] as usize >= l)
-                .collect();
-            let mut m = self.base.subset(&indices);
-            if l >= 1 {
-                let params = &self.level_params[l - 1];
-                let stride = m.sh_stride();
-                for (new_i, &old_i) in indices.iter().enumerate() {
-                    m.opacities[new_i] = params.opacity[old_i];
-                    m.sh_coeffs[new_i * stride..new_i * stride + 3]
-                        .copy_from_slice(&params.dc[old_i]);
-                }
-            }
-            self.level_index_maps
-                .push(indices.iter().map(|&i| i as u32).collect());
-            self.level_models.push(m);
-        }
-    }
-
     /// Number of quality levels (paper uses 4).
     pub fn level_count(&self) -> usize {
         self.regions.level_count()
@@ -150,23 +116,47 @@ impl FoveatedModel {
         &self.quality_bound
     }
 
-    /// The materialized model of level `l` (0 = highest quality).
+    /// Multi-versioned parameters of level `l >= 1`.
+    pub(crate) fn level_params(&self, l: usize) -> &LevelParams {
+        &self.level_params[l - 1]
+    }
+
+    /// Build the standalone model of level `l` (0 = highest quality): the
+    /// points its quality bound admits, in base order, with that level's
+    /// opacity and DC. The foveated renderer never builds it — it derives
+    /// each level from one shared projection of the base model — but the
+    /// result is the reference that derivation must equal.
     ///
     /// # Panics
     ///
     /// Panics when `l >= level_count`.
-    pub fn level_model(&self, l: usize) -> &GaussianModel {
-        &self.level_models[l]
-    }
-
-    /// Mapping from level-`l` point indices to base indices.
-    pub fn level_index_map(&self, l: usize) -> &[u32] {
-        &self.level_index_maps[l]
+    pub fn level_model(&self, l: usize) -> GaussianModel {
+        assert!(l < self.level_count(), "level {l} out of range");
+        let indices: Vec<usize> = (0..self.base.len())
+            .filter(|&i| self.quality_bound[i] as usize >= l)
+            .collect();
+        let mut m = self.base.subset(&indices);
+        if l >= 1 {
+            let params = self.level_params(l);
+            let stride = m.sh_stride();
+            for (new_i, &old_i) in indices.iter().enumerate() {
+                m.opacities[new_i] = params.opacity[old_i];
+                m.sh_coeffs[new_i * stride..new_i * stride + 3].copy_from_slice(&params.dc[old_i]);
+            }
+        }
+        m
     }
 
     /// Point count per level (non-increasing by the subset invariant).
     pub fn level_point_counts(&self) -> Vec<usize> {
-        self.level_models.iter().map(|m| m.len()).collect()
+        (0..self.level_count())
+            .map(|l| {
+                self.quality_bound
+                    .iter()
+                    .filter(|&&b| b as usize >= l)
+                    .count()
+            })
+            .collect()
     }
 
     /// Total storage in bytes: the base model plus the multi-versioned
@@ -236,16 +226,9 @@ mod tests {
         let fm = sample();
         let counts = fm.level_point_counts();
         assert_eq!(counts, vec![8, 6, 4, 2]);
-        // Subset invariant: level l+1 indices ⊆ level l indices.
-        for l in 0..3 {
-            let a: std::collections::HashSet<u32> = fm.level_index_map(l).iter().copied().collect();
-            for &i in fm.level_index_map(l + 1) {
-                assert!(
-                    a.contains(&i),
-                    "level {} point {i} missing from level {l}",
-                    l + 1
-                );
-            }
+        // Each level's model holds exactly the points its bound admits.
+        for (l, &count) in counts.iter().enumerate() {
+            assert_eq!(fm.level_model(l).len(), count);
         }
     }
 

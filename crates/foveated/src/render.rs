@@ -4,21 +4,23 @@
 use crate::model::FoveatedModel;
 use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
 use ms_math::{rad_to_deg, Vec2};
-use ms_render::{Image, RenderOptions, RenderStats, Renderer, View};
-use ms_scene::{Camera, GaussianModel};
+use ms_render::{
+    project_model, FrameArena, FrameProfile, Image, ProjectedSplat, RenderOptions, RenderStats,
+    Renderer, SceneRef, StageKind, StageSample, View,
+};
+use ms_scene::Camera;
+use std::time::Instant;
 
 /// Result of a foveated render.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FovRenderOutput {
     /// The blended foveated image.
     pub image: Image,
-    /// Merged workload statistics across levels (per-tile intersections are
-    /// summed element-wise; projection is counted once for subsetting
-    /// models, per-level for multi-model baselines). In the merged profile,
-    /// Project *work counters* follow the same sharing model (so
-    /// `profile.items(Project) == points_projected` always holds), while
-    /// Project *wall times* sum every level's measured projection cost —
-    /// don't compute items/wall throughput from the merged Project samples.
+    /// Merged workload statistics across levels: per-tile intersections
+    /// and every stage's samples sum over levels. Project holds only the
+    /// projections that ran — one shared pass over the base point set for
+    /// subsetting models, one per level for multi-model baselines — so
+    /// `profile.items(Project) == points_projected`.
     pub stats: RenderStats,
     /// Raw per-level statistics.
     pub per_level_stats: Vec<RenderStats>,
@@ -27,16 +29,6 @@ pub struct FovRenderOutput {
     pub tile_level: Vec<u8>,
     /// Number of pixels rendered twice for boundary blending.
     pub blended_pixels: usize,
-}
-
-/// How per-level projection cost is accounted in the merged stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProjectionSharing {
-    /// Subsetting (ours/SMFR): projection + filtering run once over the
-    /// base point set (paper §4.2).
-    Shared,
-    /// Multi-model (MMFR): every level projects its own model.
-    PerLevel,
 }
 
 /// Renders [`FoveatedModel`]s (and, internally, multi-model baselines).
@@ -70,38 +62,133 @@ impl FoveatedRenderer {
 
     /// Render a foveated model. `gaze` is in pixels (`None` = image
     /// center, the fixation the paper's objective metrics assume).
+    ///
+    /// Projection and Filtering execute once over the base point set
+    /// (§4.2): one projection of the base model, from which each level's
+    /// splats are filtered. Both are timed as the frame's single Project
+    /// sample; each level then starts its masked frame at Bin.
     pub fn render(
         &self,
         model: &FoveatedModel,
         camera: &Camera,
         gaze: Option<Vec2>,
     ) -> FovRenderOutput {
-        let level_models: Vec<&GaussianModel> = (0..model.level_count())
-            .map(|l| model.level_model(l))
+        let start = Instant::now();
+        let (shared, levels) = self.project_levels(model, camera);
+        let profile = FrameProfile {
+            samples: vec![StageSample {
+                kind: StageKind::Project,
+                wall: start.elapsed(),
+                items: shared.len() as u64,
+            }],
+            projected_bytes_peak: std::mem::size_of_val(shared.as_slice()) as u64,
+            ..FrameProfile::default()
+        };
+        let points = model.base().len();
+        let scenes: Vec<SceneRef<'_>> = levels
+            .iter()
+            .map(|splats| SceneRef::Projected { splats, points })
             .collect();
-        self.render_levels(
-            &level_models,
-            model.regions(),
-            camera,
-            gaze,
-            ProjectionSharing::Shared,
-        )
+        self.render_levels(&scenes, model.regions(), camera, gaze, profile, points)
     }
 
-    /// Render an arbitrary stack of per-level models (used by the SMFR/MMFR
-    /// baselines and exposed through `baselines`).
+    /// Project the base model once and derive every level's splats from
+    /// that shared projection, which is returned alongside them.
+    fn project_levels(
+        &self,
+        model: &FoveatedModel,
+        camera: &Camera,
+    ) -> (Vec<ProjectedSplat>, Vec<Vec<ProjectedSplat>>) {
+        // No opacity cull yet: a level's opacity can lift a point the base
+        // opacity would cull.
+        let uncut = RenderOptions {
+            alpha_min: 0.0,
+            ..self.options().clone()
+        };
+        let shared = project_model(model.base(), camera, &uncut);
+        let levels = (0..model.level_count())
+            .map(|l| self.derive_level(model, &shared, l, camera))
+            .collect();
+        (shared, levels)
+    }
+
+    /// Level `l`'s splats, filtered out of the shared projection in base
+    /// order: each splat whose point the level admits (`quality_bound >=
+    /// l`), at the level's opacity — culled below `alpha_min` — and the
+    /// colour its DC gives. Geometry is shared, so every other field is
+    /// copied. The result equals projecting [`FoveatedModel::level_model`],
+    /// except that `point_index` stays the base index.
+    ///
+    /// With `RenderOptions::lod >= 2`, the peripheral levels (every level
+    /// but the foveal `l == 0`) keep only every `lod`-th point by base
+    /// index, opacity scaled by the stride and clamped to 1 — the subset
+    /// `ms_scene::coarse_subset(base, lod, 0)` selects, which
+    /// `SceneSource::load_coarse_chunk_into` serves per chunk — so
+    /// far-eccentricity tiles pay for a fraction of the splats. The
+    /// selection is deterministic per stride; the LOD frame is
+    /// intentionally not bit-identical to the full one.
+    fn derive_level(
+        &self,
+        model: &FoveatedModel,
+        shared: &[ProjectedSplat],
+        l: usize,
+        camera: &Camera,
+    ) -> Vec<ProjectedSplat> {
+        let options = self.options();
+        let base = model.base();
+        let bounds = model.quality_bounds();
+        let stride = match options.lod_stride() {
+            Some(k) if l >= 1 => k,
+            _ => 1,
+        };
+        let params = (l >= 1).then(|| model.level_params(l));
+        let degree = options.sh_degree.min(base.sh_degree);
+        let mut coeffs = Vec::with_capacity(base.sh_stride());
+        let mut out = Vec::new();
+        for s in shared {
+            let p = s.point_index as usize;
+            if (bounds[p] as usize) < l || p % stride != 0 {
+                continue;
+            }
+            let mut splat = *s;
+            if let Some(params) = params {
+                splat.opacity = params.opacity[p];
+            }
+            if stride > 1 {
+                splat.opacity = (splat.opacity * stride as f32).min(1.0);
+            }
+            if splat.opacity < options.alpha_min {
+                continue;
+            }
+            if let Some(params) = params {
+                coeffs.clear();
+                coeffs.extend_from_slice(base.sh(p));
+                coeffs[..3].copy_from_slice(&params.dc[p]);
+                let view_dir = base.positions[p] - camera.eye;
+                splat.color = ms_math::sh::eval_color(degree, view_dir, &coeffs);
+            }
+            out.push(splat);
+        }
+        out
+    }
+
+    /// Render one masked frame per quality level, `scenes[l]` being what
+    /// level `l` draws, and blend them. `profile` seeds the merged profile
+    /// (the shared Project sample of a subsetting model) and
+    /// `points_submitted` is the merged point count.
     pub(crate) fn render_levels(
         &self,
-        level_models: &[&GaussianModel],
+        scenes: &[SceneRef<'_>],
         regions: &QualityRegions,
         camera: &Camera,
         gaze: Option<Vec2>,
-        sharing: ProjectionSharing,
+        mut profile: FrameProfile,
+        points_submitted: usize,
     ) -> FovRenderOutput {
         assert_eq!(
-            level_models.len(),
+            scenes.len(),
             regions.level_count(),
-            "one model per quality region required"
+            "one scene per quality region required"
         );
         let display = DisplayGeometry::new(camera.width, camera.height, rad_to_deg(camera.fovx()));
         let gaze = gaze.unwrap_or_else(|| display.center());
@@ -119,33 +206,23 @@ impl FoveatedRenderer {
         }
 
         // Per-level pixel masks: a level renders its own region plus the
-        // blend band of the previous region that leads into it.
-        //
-        // With `RenderOptions::lod >= 2`, the *peripheral* levels (every
-        // level but the foveal l == 0) render a coarse subset — every
-        // `lod`-th splat by global index with opacity rescaled, the exact
-        // subset `ms_scene::SceneSource::load_coarse_chunk_into` serves per
-        // chunk — so far-eccentricity tiles pay for a fraction of the
-        // splats. The selection is deterministic per stride; the LOD frame
-        // is intentionally not bit-identical to the full one.
-        let lod = self.renderer.options().lod_stride();
+        // blend band of the previous region that leads into it. One arena
+        // carries the frame buffers from level to level.
+        let mut arena = FrameArena::default();
         let mut level_images: Vec<Image> = Vec::with_capacity(levels);
         let mut per_level_stats: Vec<RenderStats> = Vec::with_capacity(levels);
-        for (l, level_model) in level_models.iter().enumerate().take(levels) {
+        for (l, &scene) in scenes.iter().enumerate() {
             let mask: Vec<bool> = (0..n_pixels)
                 .map(|i| {
                     let pl = pixel_level[i] as usize;
                     pl == l || (l >= 1 && pl == l - 1 && pixel_blend[i] > 0.0)
                 })
                 .collect();
-            let coarse = match lod {
-                Some(stride) if l >= 1 => Some(ms_scene::coarse_subset(level_model, stride, 0)),
-                _ => None,
-            };
-            let render_model: &GaussianModel = coarse.as_ref().unwrap_or(level_model);
-            let out = self
-                .renderer
-                .render(render_model, View::masked(*camera, mask));
+            let (out, recycled) =
+                self.renderer
+                    .try_render(scene, View::masked(*camera, mask), arena);
+            arena = recycled;
+            let out = out.expect("in-core and pre-projected frames load no chunks");
             level_images.push(out.image);
             per_level_stats.push(out.stats);
         }
@@ -178,56 +255,15 @@ impl FoveatedRenderer {
         let grid = per_level_stats[0].grid;
         let mut tile_intersections = vec![0u32; per_level_stats[0].tile_intersections.len()];
         let mut blend_steps = 0u64;
-        let mut profile = ms_render::FrameProfile::default();
-        for (l, s) in per_level_stats.iter().enumerate() {
+        for s in &per_level_stats {
             for (acc, &v) in tile_intersections.iter_mut().zip(&s.tile_intersections) {
                 *acc += v;
             }
             blend_steps += s.blend_steps;
-            if sharing == ProjectionSharing::Shared && l > 0 {
-                // Subsetting projects once over the base set; levels beyond
-                // the first re-project only because the reference renderer
-                // has no shared projection cache. Zero their Project *work
-                // counters* so the merged Project counter equals
-                // `points_projected` (the modeled shared-projection work,
-                // the invariant `AccelWorkload::from_stats` relies on) —
-                // but keep their wall times, which were genuinely spent.
-                let adjusted = ms_render::FrameProfile {
-                    samples: s
-                        .profile
-                        .samples
-                        .iter()
-                        .map(|smp| {
-                            if smp.kind == ms_render::StageKind::Project {
-                                ms_render::StageSample { items: 0, ..*smp }
-                            } else {
-                                *smp
-                            }
-                        })
-                        .collect(),
-                    raster: s.profile.raster,
-                    chunk_bytes_peak: s.profile.chunk_bytes_peak,
-                    projected_bytes_peak: s.profile.projected_bytes_peak,
-                    cache: s.profile.cache,
-                };
-                profile.absorb(&adjusted);
-            } else {
-                profile.absorb(&s.profile);
-            }
+            profile.absorb(&s.profile);
         }
         let total_intersections = tile_intersections.iter().map(|&v| v as u64).sum();
-        let (points_projected, points_submitted) = match sharing {
-            // Subsetting: projection and filtering execute once, over the
-            // base set (= level 0's model).
-            ProjectionSharing::Shared => (
-                per_level_stats[0].points_projected,
-                per_level_stats[0].points_submitted,
-            ),
-            ProjectionSharing::PerLevel => (
-                per_level_stats.iter().map(|s| s.points_projected).sum(),
-                per_level_stats.iter().map(|s| s.points_submitted).sum(),
-            ),
-        };
+        let points_projected = profile.items(StageKind::Project) as usize;
 
         // Dominant level per tile (majority of pixels).
         let ts = grid.tile_size;
@@ -281,6 +317,7 @@ impl FoveatedRenderer {
 mod tests {
     use super::*;
     use crate::build::{build_foveated, FrBuildConfig};
+    use crate::model::LevelParams;
     use ms_scene::dataset::TraceId;
 
     /// Render options with 8-px tiles: at test resolutions the default
@@ -351,7 +388,7 @@ mod tests {
     fn foveal_region_matches_l1_render() {
         let (fr, cameras, _) = setup();
         let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        let dense = Renderer::new(fr_opts()).render(fr.level_model(0), &cameras[0]);
+        let dense = Renderer::new(fr_opts()).render(&fr.level_model(0), &cameras[0]);
         // Center pixel is deep inside R1 (no blending): exact L1 color.
         let c = out.image.pixel(64, 48);
         let d = dense.image.pixel(64, 48);
@@ -420,7 +457,7 @@ mod tests {
         };
         let coarse = FoveatedRenderer::new(lod_opts.clone()).render(&fr, &cameras[0], None);
         // Deterministic per stride: the same LOD frame twice.
-        let again = FoveatedRenderer::new(lod_opts).render(&fr, &cameras[0], None);
+        let again = FoveatedRenderer::new(lod_opts.clone()).render(&fr, &cameras[0], None);
         assert_eq!(coarse, again);
         // Decimating the peripheral levels must cut binned work.
         assert!(
@@ -431,6 +468,16 @@ mod tests {
         );
         // The foveal level never decimates: deep-foveal pixels are exact.
         assert_eq!(coarse.image.pixel(64, 48), full.image.pixel(64, 48));
+        // Peripheral levels keep every 4th point by *base* index.
+        let (_, levels) = FoveatedRenderer::new(lod_opts).project_levels(&fr, &cameras[0]);
+        assert!(levels[0].iter().any(|s| s.point_index % 4 != 0));
+        for (l, splats) in levels.iter().enumerate().skip(1) {
+            assert!(!splats.is_empty(), "level {l} drew nothing");
+            assert!(
+                splats.iter().all(|s| s.point_index % 4 == 0),
+                "level {l} kept a point off the stride"
+            );
+        }
         // lod = 0 and 1 are both "off" — bit-identical to the full render.
         for off in [0usize, 1] {
             let opts = RenderOptions {
@@ -456,5 +503,78 @@ mod tests {
         );
         assert_eq!(p.items(StageKind::Bin), out.stats.total_intersections);
         assert_eq!(p.items(StageKind::Raster), out.stats.blend_steps);
+    }
+
+    /// `fr`'s geometry with every level's opacity and DC moved off the
+    /// base's, and one visible point whose base opacity is below
+    /// `alpha_min` while its level-1 opacity is above it.
+    fn overridden(fr: &FoveatedModel, camera: &Camera) -> (FoveatedModel, u32) {
+        let mut base = fr.base().clone();
+        let lifted = project_model(&base, camera, &fr_opts())[0].point_index;
+        let alpha_min = fr_opts().alpha_min;
+        base.opacities[lifted as usize] = alpha_min * 0.5;
+        let mut bounds = fr.quality_bounds().to_vec();
+        bounds[lifted as usize] = 1;
+        let mut params: Vec<LevelParams> = (1..fr.level_count())
+            .map(|l| {
+                let shift = 0.1 * l as f32;
+                LevelParams {
+                    opacity: (0..base.len())
+                        .map(|i| (base.opacities[i] * (1.0 - shift) + 0.02).min(1.0))
+                        .collect(),
+                    dc: (0..base.len())
+                        .map(|i| {
+                            let sh = base.sh(i);
+                            [sh[0] + shift, sh[1] - shift, sh[2] * (1.0 - shift)]
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        params[0].opacity[lifted as usize] = 0.8;
+        let regions = fr.regions().clone();
+        (FoveatedModel::new(base, bounds, params, regions), lifted)
+    }
+
+    #[test]
+    fn derived_splats_equal_each_projected_level() {
+        let (fr, cameras, _) = setup();
+        let camera = &cameras[0];
+        let (fm, lifted) = overridden(&fr, camera);
+        for threads in [1usize, 3] {
+            let opts = RenderOptions {
+                threads,
+                ..fr_opts()
+            };
+            let (_, levels) = FoveatedRenderer::new(opts.clone()).project_levels(&fm, camera);
+            for (l, derived) in levels.iter().enumerate() {
+                // Level-local index → base index.
+                let members: Vec<u32> = (0..fm.base().len() as u32)
+                    .filter(|&i| fm.quality_bounds()[i as usize] as usize >= l)
+                    .collect();
+                let expected: Vec<ProjectedSplat> =
+                    project_model(&fm.level_model(l), camera, &opts)
+                        .into_iter()
+                        .map(|s| ProjectedSplat {
+                            point_index: members[s.point_index as usize],
+                            ..s
+                        })
+                        .collect();
+                assert!(!expected.is_empty());
+                assert_eq!(*derived, expected, "level {l} at threads={threads}");
+                let has_lifted = derived.iter().any(|s| s.point_index == lifted);
+                assert_eq!(has_lifted, l == 1, "level {l}: lifted point");
+                // Base-index splats rasterize to the level model's pixels.
+                let renderer = Renderer::new(opts.clone());
+                let scene = SceneRef::Projected {
+                    splats: derived,
+                    points: fm.base().len(),
+                };
+                let from_shared = renderer.render(scene, camera);
+                let from_level = renderer.render(&fm.level_model(l), camera);
+                assert_eq!(from_shared.image, from_level.image, "level {l} pixels");
+                assert_eq!(from_shared.stats.blend_steps, from_level.stats.blend_steps);
+            }
+        }
     }
 }

@@ -161,9 +161,9 @@ impl TileBins {
     /// [`TileBins::build_filtered`] on `threads` workers (see
     /// [`TileBins::build_with_threads`] for the determinism argument).
     ///
-    /// The predicate bound is `Fn + Sync`, matching the projection
-    /// admission predicate (PR 4), so one predicate can drive filtered
-    /// builds across workers — and across chunks — without cloning tricks.
+    /// The predicate bound is `Fn + Sync`, so one predicate can drive
+    /// filtered builds across workers — and across chunks — without
+    /// cloning tricks.
     pub fn build_filtered_with_threads<F: Fn(u32, u32) -> bool + Sync>(
         splats: &[ProjectedSplat],
         grid: TileGridDims,

@@ -54,10 +54,11 @@ pub enum SceneRef<'a> {
     /// The whole model resident in one `Vec`-of-arrays.
     InCore(&'a GaussianModel),
     /// A chunked source with a bounded resident budget; only one chunk of
-    /// it is materialized at a time while the frame streams Project + Bin.
+    /// it is resident at a time while the frame streams Project + Bin.
     Chunked(&'a (dyn SceneSource + Sync)),
     /// Screen-space splats projected ahead of time (for example by
-    /// [`project_model_filtered`](crate::project_model_filtered)) from a
+    /// the foveated renderer, which derives every quality level from one
+    /// shared [`project_model`](crate::project_model) pass) from a
     /// `points`-point model. The frame starts at Bin over a copy of
     /// `splats`, so its profile carries no Project sample. Every splat's
     /// `point_index` must be below `points`; this is checked when the frame
@@ -289,17 +290,10 @@ impl ChunkStream {
                 s.spawn(move |_| {
                     *prefetched = Some(cache.load_into(source, next_index, 0, next_chunk));
                 });
-                project_model_offset_into(chunk, camera, options, base, &|_| true, scratch);
+                project_model_offset_into(chunk, camera, options, base, scratch);
             });
         } else {
-            project_model_offset_into(
-                &self.chunk,
-                camera,
-                options,
-                base,
-                &|_| true,
-                &mut self.scratch,
-            );
+            project_model_offset_into(&self.chunk, camera, options, base, &mut self.scratch);
         }
         Ok(())
     }

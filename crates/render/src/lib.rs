@@ -54,9 +54,6 @@ pub use frame::{FrameArena, FrameInFlight, SceneRef, View};
 pub use image::Image;
 pub use options::{RasterKernel, RenderOptions, SortMode};
 pub use pipeline::{FrameProfile, StageKind, StageSample};
-pub use projection::{
-    project_model, project_model_filtered, project_model_filtered_into, project_model_offset_into,
-    ProjectedSplat,
-};
+pub use projection::{project_model, project_model_offset_into, ProjectedSplat};
 pub use raster::{RenderOutput, Renderer};
 pub use stats::{RasterWork, RenderStats, TileGridDims};

@@ -114,7 +114,7 @@
 use crate::binning::{MergedTileSchedule, TileBins};
 use crate::image::Image;
 use crate::options::RenderOptions;
-use crate::projection::{project_model_filtered_into, ProjectedSplat};
+use crate::projection::{project_model_offset_into, ProjectedSplat};
 use crate::raster::{rasterize_unit, RasterScratch, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
 use ms_scene::{CacheStats, Camera, GaussianModel};
@@ -294,7 +294,7 @@ pub(crate) fn project(
     options: &RenderOptions,
     mut out: Vec<ProjectedSplat>,
 ) -> Vec<ProjectedSplat> {
-    project_model_filtered_into(model, camera, options, &|_| true, &mut out);
+    project_model_offset_into(model, camera, options, 0, &mut out);
     out
 }
 

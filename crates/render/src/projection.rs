@@ -83,12 +83,19 @@ pub fn project_covariance(
 /// Points behind the near plane, outside the (slightly padded) frustum, with
 /// degenerate screen footprints, or with opacity below `alpha_min` are
 /// culled. Splat order matches model order (stable point indices).
+///
+/// When `options.threads != 1` the point range is sharded into contiguous
+/// chunks projected on the worker pool; shard outputs concatenate in chunk
+/// order, so splat order stays model order and the result is bit-identical
+/// to the serial path for every thread count.
 pub fn project_model(
     model: &GaussianModel,
     camera: &Camera,
     options: &RenderOptions,
 ) -> Vec<ProjectedSplat> {
-    project_model_filtered(model, camera, options, |_| true)
+    let mut out = Vec::new();
+    project_model_offset_into(model, camera, options, 0, &mut out);
+    out
 }
 
 /// Per-frame quantities shared by every point's projection. Computed once
@@ -121,24 +128,19 @@ impl FrameContext {
 
 /// Project points `range` of `model`, appending surviving splats to `out`
 /// in point-index order. `base` is the model's offset within a larger scene
-/// (the chunked [`ms_scene::SceneSource`] path): stored point indices and
-/// the admission predicate both see `base + i`. The in-core path passes 0,
-/// making `base` arithmetically invisible there.
-#[allow(clippy::too_many_arguments)]
-fn project_range<F: Fn(usize) -> bool>(
+/// (the chunked [`ms_scene::SceneSource`] path): stored point indices are
+/// `base + i`. The in-core path passes 0, making `base` arithmetically
+/// invisible there.
+fn project_range(
     ctx: &FrameContext,
     model: &GaussianModel,
     camera: &Camera,
     options: &RenderOptions,
     base: u32,
     range: std::ops::Range<usize>,
-    admit: &F,
     out: &mut Vec<ProjectedSplat>,
 ) {
     for i in range {
-        if !admit(base as usize + i) {
-            continue;
-        }
         let opacity = model.opacities[i];
         if opacity < options.alpha_min {
             continue;
@@ -202,54 +204,19 @@ fn project_range<F: Fn(usize) -> bool>(
 /// concatenate in point order), only the wall time.
 const MIN_POINTS_PER_SHARD: usize = 512;
 
-/// [`project_model`] with a per-point admission predicate.
-///
-/// Foveated rendering uses the predicate to drop points whose quality bound
-/// excludes them from the active level set before any further work
-/// (the paper's Filtering stage, Fig. 7-E).
-///
-/// When `options.threads != 1` the point range is sharded into contiguous
-/// chunks projected on the worker pool; shard outputs concatenate in chunk
-/// order, so splat order stays model order and the result is bit-identical
-/// to the serial path for every thread count.
-pub fn project_model_filtered<F: Fn(usize) -> bool + Sync>(
-    model: &GaussianModel,
-    camera: &Camera,
-    options: &RenderOptions,
-    admit: F,
-) -> Vec<ProjectedSplat> {
-    let mut out = Vec::new();
-    project_model_filtered_into(model, camera, options, &admit, &mut out);
-    out
-}
-
-/// [`project_model_filtered`] appending into a caller-provided buffer
-/// (cleared first), so a recycled [`FrameArena`](crate::FrameArena) can
-/// reuse its splat storage across frames instead of allocating per frame.
-/// The projection arithmetic — and therefore the output — is identical to
-/// the allocating variant for every thread count.
-pub fn project_model_filtered_into<F: Fn(usize) -> bool + Sync>(
-    model: &GaussianModel,
-    camera: &Camera,
-    options: &RenderOptions,
-    admit: &F,
-    out: &mut Vec<ProjectedSplat>,
-) {
-    project_model_offset_into(model, camera, options, 0, admit, out);
-}
-
-/// [`project_model_filtered_into`] for a model that is a chunk of a larger
-/// scene starting at global point index `base`: stored `point_index` values
-/// are `base + i` and the admission predicate sees global indices. With
-/// `base == 0` this *is* `project_model_filtered_into` — same arithmetic,
-/// bit-identical output — which is what makes chunked projection (chunks
-/// concatenated in order) equal to in-core projection of the flat model.
-pub fn project_model_offset_into<F: Fn(usize) -> bool + Sync>(
+/// [`project_model`] appending into a caller-provided buffer (cleared
+/// first), for a model that is a chunk of a larger scene starting at global
+/// point index `base`: stored `point_index` values are `base + i`. A
+/// recycled [`FrameArena`](crate::FrameArena) reuses its splat storage this
+/// way instead of allocating per frame. With `base == 0` the output is
+/// [`project_model`]'s — same arithmetic, bit-identical — which is what
+/// makes chunked projection (chunks concatenated in order) equal to
+/// in-core projection of the flat model.
+pub fn project_model_offset_into(
     model: &GaussianModel,
     camera: &Camera,
     options: &RenderOptions,
     base: u32,
-    admit: &F,
     out: &mut Vec<ProjectedSplat>,
 ) {
     out.clear();
@@ -264,12 +231,12 @@ pub fn project_model_offset_into<F: Fn(usize) -> bool + Sync>(
     // concatenate, preserving model order exactly. `shards == 1` runs
     // inline without touching the pool (and straight into `out`).
     if shards <= 1 {
-        project_range(&ctx, model, camera, options, base, 0..n, admit, out);
+        project_range(&ctx, model, camera, options, base, 0..n, out);
         return;
     }
     let parts = crate::par::shard_map(n, shards, |range| {
         let mut part = Vec::with_capacity(range.len() / 2);
-        project_range(&ctx, model, camera, options, base, range, admit, &mut part);
+        project_range(&ctx, model, camera, options, base, range, &mut part);
         part
     });
     out.reserve(parts.iter().map(Vec::len).sum());
@@ -383,24 +350,6 @@ mod tests {
         assert!(splats[1].depth < splats[0].depth);
     }
 
-    #[test]
-    fn filter_predicate_drops_points() {
-        let mut m = GaussianModel::new(0);
-        for i in 0..4 {
-            m.push_solid(
-                Vec3::new(i as f32 * 0.1, 0.0, 0.0),
-                Vec3::splat(0.1),
-                Quat::identity(),
-                0.9,
-                Vec3::one(),
-            );
-        }
-        let splats = project_model_filtered(&m, &cam(), &RenderOptions::default(), |i| i % 2 == 0);
-        assert_eq!(splats.len(), 2);
-        assert_eq!(splats[0].point_index, 0);
-        assert_eq!(splats[1].point_index, 2);
-    }
-
     /// Deterministic synthetic cloud large enough to trigger sharding
     /// (well above `MIN_POINTS_PER_SHARD` per worker).
     fn big_model(n: usize) -> GaussianModel {
@@ -426,33 +375,17 @@ mod tests {
     fn sharded_projection_is_bit_identical_to_serial() {
         let m = big_model(3000);
         let camera = cam();
-        let serial = project_model_filtered(&m, &camera, &RenderOptions::default(), |_| true);
+        let serial = project_model(&m, &camera, &RenderOptions::default());
         assert!(!serial.is_empty());
         for threads in [2usize, 3, 8, 0] {
             let opts = RenderOptions {
                 threads,
                 ..RenderOptions::default()
             };
-            let par = project_model_filtered(&m, &camera, &opts, |_| true);
+            let par = project_model(&m, &camera, &opts);
             assert_eq!(par, serial, "splats differ at threads={threads}");
-        }
-    }
-
-    #[test]
-    fn sharded_projection_respects_filter() {
-        let m = big_model(2048);
-        let camera = cam();
-        let opts = RenderOptions {
-            threads: 4,
-            ..RenderOptions::default()
-        };
-        let par = project_model_filtered(&m, &camera, &opts, |i| i % 3 == 0);
-        let ser = project_model_filtered(&m, &camera, &RenderOptions::default(), |i| i % 3 == 0);
-        assert_eq!(par, ser);
-        assert!(par.iter().all(|s| s.point_index % 3 == 0));
-        // Model order preserved across shard boundaries.
-        for w in par.windows(2) {
-            assert!(w[0].point_index < w[1].point_index);
+            // Model order preserved across shard boundaries.
+            assert!(par.windows(2).all(|w| w[0].point_index < w[1].point_index));
         }
     }
 

@@ -200,7 +200,7 @@ impl Renderer {
     /// Render `scene` through `view` in one call: [`Renderer::try_render`]
     /// with a fresh arena.
     ///
-    /// Chunked sources never materialize the whole model: Project and the
+    /// Chunked sources never load the whole model: Project and the
     /// CSR count pass stream chunk by chunk, then a second streamed pass
     /// re-projects and scatters, so peak chunk and projected-splat scratch
     /// residency are bounded by the chunk size (and recorded in the frame
@@ -684,7 +684,7 @@ fn splat_cull(o: &RenderOptions, s: &ProjectedSplat) -> SplatCull {
     }
 }
 
-/// One depth-ordered splat of a tile row, materialized by
+/// One depth-ordered splat of a tile row, produced by
 /// [`TileStage::row_iter`]: the row-invariant conic terms are precomputed
 /// (with the scalar kernel's own association order, so they are the *same*
 /// `f32` values the scalar kernel would produce) and the fields the inner
@@ -883,7 +883,7 @@ impl TileStage {
 
     /// Depth-ordered [`RowSplat`] sequence for tile-relative row `r`
     /// (pixel-center row `py`), pre-culled against one 4-pixel group's
-    /// column span `[gx_lo, gx_hi]` and materialized lazily from the
+    /// column span `[gx_lo, gx_hi]` and built lazily from the
     /// staged SoA — no per-row buffer is written.
     ///
     /// The column test is [`composite_row4`]'s own whole-group cull
@@ -1358,8 +1358,8 @@ mod tests {
         ]);
         let r = Renderer::default();
         let camera = cam(64, 64);
-        let splats =
-            crate::projection::project_model_filtered(&m, &camera, r.options(), |i| i == 0);
+        let mut splats = crate::projection::project_model(&m, &camera, r.options());
+        splats.retain(|s| s.point_index == 0);
         let scene = SceneRef::Projected {
             splats: &splats,
             points: m.len(),

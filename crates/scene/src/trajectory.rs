@@ -46,7 +46,7 @@ pub fn catmull_rom(keys: &[Vec3], t: f32) -> Vec3 {
 
 /// One uniform Catmull–Rom segment between `p1` and `p2` at local parameter
 /// `u ∈ [0, 1]`, with `p0`/`p3` the neighboring control points. Factored out
-/// so [`Trajectory::sample`] can evaluate segments without materializing a
+/// so [`Trajectory::sample`] can evaluate segments without building a
 /// control-point vector; the operation order is exactly [`catmull_rom`]'s,
 /// keeping the two paths bit-identical.
 fn spline_segment(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3, u: f32) -> Vec3 {
@@ -96,7 +96,7 @@ impl Trajectory {
     ///
     /// Allocation-free: the frame server samples a trajectory once per
     /// admitted frame, so this must not clone the key list per call (the
-    /// original implementation materialized three temporary vectors). The
+    /// original implementation built three temporary vectors). The
     /// index math and `spline_segment` evaluation reproduce
     /// [`catmull_rom`] over the loop-closed key sequence exactly, so the
     /// rewrite is bit-identical to the old path.
@@ -118,7 +118,7 @@ impl Trajectory {
 
     /// Camera `i` of an `n`-pose densification — the single-frame form of
     /// [`Trajectory::cameras`], so a frame server can derive any frame's
-    /// camera on demand without materializing the whole pose list.
+    /// camera on demand without building the whole pose list.
     /// `cameras(prototype, n)[i] == camera_at(prototype, i, n)` exactly.
     ///
     /// # Panics

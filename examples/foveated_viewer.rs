@@ -67,7 +67,7 @@ fn main() {
     save_ppm(out_dir, "foveated.ppm", &fov.image.clamped());
 
     for l in 0..system.fov.level_count() {
-        let lvl = renderer.render(system.fov.level_model(l), &cam);
+        let lvl = renderer.render(&system.fov.level_model(l), &cam);
         save_ppm(
             out_dir,
             &format!("level_{}.ppm", l + 1),

@@ -19,14 +19,14 @@
 //! so neither the thread count nor the work-unit schedule may change
 //! them).
 //!
-//! Filtered renders project with an admission predicate
-//! (`project_model_filtered`, evaluated concurrently by the projection
-//! shards) and rasterize the surviving splats as a `SceneRef::Projected`
-//! scene.
+//! Filtered renders project the whole model, keep the splats whose point
+//! index an admission predicate accepts, and rasterize the survivors as a
+//! `SceneRef::Projected` scene — the shape of the foveated renderer's
+//! per-level frames, which join the suite in
+//! `foveated_render_is_bit_identical_across_threads_and_kernels`.
 
 use metasapiens::render::{
-    project_model_filtered, RasterKernel, RenderOptions, RenderOutput, Renderer, SceneRef,
-    StageKind, View,
+    project_model, RasterKernel, RenderOptions, RenderOutput, Renderer, SceneRef, StageKind, View,
 };
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::{Camera, GaussianModel, SceneSource};
@@ -56,15 +56,16 @@ fn opts(threads: usize) -> RenderOptions {
     }
 }
 
-/// A filtered render: project keeping only the points `admit` accepts,
-/// then rasterize the surviving splats.
+/// A filtered render: project, keep only the splats of points `admit`
+/// accepts, then rasterize the survivors.
 fn render_admitted(
     renderer: &Renderer,
     model: &GaussianModel,
     cam: &Camera,
-    admit: impl Fn(usize) -> bool + Sync,
+    admit: impl Fn(usize) -> bool,
 ) -> RenderOutput {
-    let splats = project_model_filtered(model, cam, renderer.options(), admit);
+    let mut splats = project_model(model, cam, renderer.options());
+    splats.retain(|s| admit(s.point_index as usize));
     let scene = SceneRef::Projected {
         splats: &splats,
         points: model.len(),
@@ -132,9 +133,8 @@ fn masked_parallel_render_is_bit_identical_to_serial() {
 
 #[test]
 fn filtered_parallel_render_is_bit_identical_to_serial() {
-    // The admission predicate is evaluated concurrently by projection
-    // shards; sharding must not change which points are admitted or their
-    // order.
+    // Projection shards concatenate in point order, so the filtered splat
+    // set and its order must not depend on the worker count.
     let s = scene();
     let cam = camera(&s);
     let admit = |i: usize| i % 3 != 1;
@@ -412,6 +412,51 @@ fn raster_work_counters_are_deterministic_and_meaningful() {
         scalar.stats.profile.raster,
         metasapiens::render::RasterWork::default()
     );
+}
+
+// ---------------------------------------------------------------------------
+// Foveated frames: one shared projection of the base model, then one masked
+// `SceneRef::Projected` frame per quality level, blended. Every level must
+// be as thread-invariant as a plain frame, under both raster kernels.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn foveated_render_is_bit_identical_across_threads_and_kernels() {
+    use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
+    use metasapiens::math::{deg_to_rad, Vec2};
+    let s = scene();
+    // A wide VR-like FOV, so the periphery has levels to relax.
+    let cam = Camera {
+        fovy: deg_to_rad(74.0),
+        ..camera(&s)
+    };
+    let reference = Renderer::default().render(&s.model, &cam).image;
+    let config = FrBuildConfig {
+        finetune: None,
+        ..FrBuildConfig::default()
+    };
+    let fm = build_foveated(&s.model, &[cam], &[reference], &config);
+    let gaze = Some(Vec2::new(40.0, 60.0));
+    let render = |threads, kernel| {
+        FoveatedRenderer::new(kernel_opts(threads, kernel)).render(&fm, &cam, gaze)
+    };
+    let scalar = render(1, RasterKernel::Scalar);
+    assert_eq!(scalar.per_level_stats.len(), 4);
+    for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
+        let serial = render(1, kernel);
+        assert_eq!(serial.image, scalar.image, "{kernel:?} pixels differ");
+        for threads in THREAD_COUNTS {
+            let par = render(threads, kernel);
+            let label = format!("{kernel:?} at threads={threads}");
+            assert_eq!(par.image, serial.image, "pixels differ, {label}");
+            assert_eq!(par.stats, serial.stats, "stats differ, {label}");
+            assert_eq!(
+                par.per_level_stats, serial.per_level_stats,
+                "per-level stats differ, {label}"
+            );
+            assert_eq!(par, serial, "output differs, {label}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
