@@ -39,13 +39,17 @@ fn bench_build(c: &mut Criterion) {
     });
     // Sharded pass-1 counting + parallel per-tile sorts on the worker pool;
     // output is bit-identical to the serial build.
+    let all = vec![true; s.grid.tile_count()];
     for threads in [2usize, 4] {
         group.bench_function(&format!("csr_threads_{threads}"), |b| {
-            b.iter(|| TileBins::build_with_threads(black_box(&s.splats), s.grid, threads));
+            b.iter(|| {
+                let recycle = (Vec::new(), Vec::new());
+                TileBins::build_into(black_box(&s.splats), s.grid, &all, threads, recycle)
+            });
         });
     }
     group.bench_function("naive_vec_of_vecs", |b| {
-        b.iter(|| TileBins::build_naive(black_box(&s.splats), s.grid, |_, _| true));
+        b.iter(|| TileBins::build_naive(black_box(&s.splats), s.grid, &all));
     });
     group.finish();
 }
@@ -53,7 +57,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_iterate(c: &mut Criterion) {
     let s = setup();
     let csr = TileBins::build(&s.splats, s.grid);
-    let naive = TileBins::build_naive(&s.splats, s.grid, |_, _| true);
+    let naive = TileBins::build_naive(&s.splats, s.grid, &vec![true; s.grid.tile_count()]);
     let mut group = c.benchmark_group("binning_iterate");
     // Touch every (tile, splat) pair the way the rasterizer does: per tile,
     // walk the depth-sorted list and fold the splat depths. Each layout uses

@@ -513,8 +513,8 @@ fn main() {
     // streamed from the *encoded* multi-chunk container
     // (`ChunkedFileSource::from_bytes`) at two chunk sizes, per thread
     // count — and per cache budget: `nocache` (budget 0, every chunk
-    // re-decodes twice per frame) vs `cache` (the default budget, the
-    // scatter pass and every later frame hit the renderer's chunk cache).
+    // re-decodes once per frame) vs `cache` (the default budget, every
+    // frame after the first hits the renderer's chunk cache).
     // The encoded container is the honest streaming scenario: each load
     // parses and validates chunk bytes — the cost the cache eliminates —
     // where an `InCoreSource` load is a memcpy the cache could only match.
@@ -523,8 +523,7 @@ fn main() {
     // sampling discipline as the raster sweep (round-robin, best total
     // wall). The resident-peak counters ride along from the best profile —
     // they are deterministic per configuration, so they show what the
-    // bounded budget buys while total_us shows what the streaming passes
-    // cost.
+    // bounded budget buys while total_us shows what streaming costs.
     let chunk_sizes = get_list("MS_CHUNK_SIZES", &[4096, 33_333]);
     let chunk_sources: Vec<(usize, Arc<ChunkedFileSource>)> = chunk_sizes
         .iter()

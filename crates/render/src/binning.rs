@@ -43,23 +43,19 @@ fn count_range(
     }
 }
 
-/// Pass-2 scatter shared by the in-core build and the chunked builder:
-/// write each splat's (global) index into its tiles' CSR segments.
+/// Pass-2 scatter: write each splat's index into its tiles' CSR segments.
 ///
 /// `parts` holds one absolute per-tile cursor array per shard — shard `w`
 /// walks the `w`-th contiguous range of `splats` (the same ranges its
-/// pass-1 counts came from) and writes `index_base + si` at its cursors.
+/// pass-1 counts came from) and writes each splat's index at its cursors.
 /// Cursor ranges per tile are disjoint and ordered by shard index, so each
-/// tile segment fills in splat order; `index_base` offsets the stored
-/// indices when `splats` is a chunk of a larger splat sequence (0 for the
-/// in-core build).
+/// tile segment fills in splat order.
 fn scatter_shards(
     splats: &[ProjectedSplat],
     tiles_x: u32,
     active: &[bool],
     shards: usize,
     mut parts: Vec<Vec<u32>>,
-    index_base: u32,
     indices: &mut [u32],
 ) {
     if shards <= 1 {
@@ -68,7 +64,7 @@ fn scatter_shards(
             for (tx, ty) in splat.tiles.iter() {
                 let idx = (ty * tiles_x + tx) as usize;
                 if active[idx] {
-                    indices[cursor[idx] as usize] = index_base + si as u32;
+                    indices[cursor[idx] as usize] = si as u32;
                     cursor[idx] += 1;
                 }
             }
@@ -94,8 +90,7 @@ fn scatter_shards(
                             // shard's slot range for tile `idx`,
                             // disjoint from every other shard's.
                             unsafe {
-                                *out.0.add(cursor[idx] as usize) =
-                                    index_base + (start + off) as u32;
+                                *out.0.add(cursor[idx] as usize) = (start + off) as u32;
                             }
                             cursor[idx] += 1;
                         }
@@ -123,95 +118,46 @@ pub struct TileBins {
 }
 
 impl TileBins {
-    /// Duplicate each splat into every tile its bounding rectangle overlaps
-    /// and sort each tile's list front-to-back by depth. Serial build; see
-    /// [`TileBins::build_with_threads`] for the pool-parallel variant.
+    /// Serial all-tiles build: [`TileBins::build_into`] with every tile
+    /// active, one thread and fresh storage.
     pub fn build(splats: &[ProjectedSplat], grid: TileGridDims) -> Self {
-        Self::build_with_threads(splats, grid, 1)
+        let active = vec![true; grid.tile_count()];
+        Self::build_into(splats, grid, &active, 1, (Vec::new(), Vec::new()))
     }
 
-    /// [`TileBins::build`] with counting pass 1, the pass-2 scatter and the
-    /// per-tile depth sort distributed over `threads` workers (`0` = all
-    /// pool workers, like [`RenderOptions::threads`](crate::RenderOptions)).
-    /// Bit-identical to the serial build for every thread count: per-worker
-    /// count arrays merge before the prefix sum, the scatter gives each
-    /// worker cursor bases into disjoint per-tile slot ranges ordered by
-    /// shard index (so the segments still fill in model order), and sort
-    /// segments are disjoint.
-    pub fn build_with_threads(
-        splats: &[ProjectedSplat],
-        grid: TileGridDims,
-        threads: usize,
-    ) -> Self {
-        Self::build_filtered_with_threads(splats, grid, |_, _| true, threads)
-    }
-
-    /// [`TileBins::build`] restricted to tiles where `tile_active(tx, ty)`
-    /// holds. Splat duplications into inactive tiles are skipped entirely —
-    /// this is the foveation Filtering stage: a quality level only pays for
-    /// the tiles inside its region (plus blend bands).
-    pub fn build_filtered<F: Fn(u32, u32) -> bool + Sync>(
-        splats: &[ProjectedSplat],
-        grid: TileGridDims,
-        tile_active: F,
-    ) -> Self {
-        Self::build_filtered_with_threads(splats, grid, tile_active, 1)
-    }
-
-    /// [`TileBins::build_filtered`] on `threads` workers (see
-    /// [`TileBins::build_with_threads`] for the determinism argument).
+    /// Duplicate each splat into every tile its bounding rectangle overlaps
+    /// and sort each tile's list front-to-back by depth.
     ///
-    /// The predicate bound is `Fn + Sync`, so one predicate can drive
-    /// filtered builds across workers — and across chunks — without
-    /// cloning tricks.
-    pub fn build_filtered_with_threads<F: Fn(u32, u32) -> bool + Sync>(
+    /// Only tiles with `active[tile]` set (row-major, one entry per tile)
+    /// receive splats; duplications into inactive tiles are skipped
+    /// entirely — this is the foveation Filtering stage: a quality level
+    /// only pays for the tiles inside its region (plus blend bands).
+    ///
+    /// Counting pass 1, the pass-2 scatter and the per-tile depth sort run
+    /// on `threads` workers (`0` = all pool workers, like
+    /// [`RenderOptions::threads`](crate::RenderOptions)). The result is
+    /// bit-identical for every thread count: per-worker count arrays merge
+    /// before the prefix sum, the scatter gives each worker cursor bases
+    /// into disjoint per-tile slot ranges ordered by shard index (so the
+    /// segments still fill in splat order), and sort segments are disjoint.
+    ///
+    /// The CSR is built into the recycled `(offsets, indices)` storage
+    /// (from [`TileBins::into_buffers`], via a
+    /// [`FrameArena`](crate::FrameArena)); contents are rebuilt from
+    /// scratch, so only the capacity is reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `active` does not have one entry per tile.
+    pub fn build_into(
         splats: &[ProjectedSplat],
         grid: TileGridDims,
-        tile_active: F,
+        active: &[bool],
         threads: usize,
-    ) -> Self {
-        Self::build_filtered_with_threads_into(
-            splats,
-            grid,
-            tile_active,
-            threads,
-            Vec::new(),
-            Vec::new(),
-        )
-    }
-
-    /// [`TileBins::build_with_threads`] reusing recycled CSR storage (see
-    /// [`TileBins::build_filtered_with_threads_into`]).
-    pub fn build_with_threads_into(
-        splats: &[ProjectedSplat],
-        grid: TileGridDims,
-        threads: usize,
-        offsets: Vec<u32>,
-        indices: Vec<u32>,
-    ) -> Self {
-        Self::build_filtered_with_threads_into(splats, grid, |_, _| true, threads, offsets, indices)
-    }
-
-    /// [`TileBins::build_filtered_with_threads`] building into recycled
-    /// `offsets`/`indices` storage (from [`TileBins::into_buffers`], via a
-    /// [`FrameArena`](crate::FrameArena)) instead of allocating fresh
-    /// vectors per frame. Contents are rebuilt from scratch — only the
-    /// capacity is reused — so the result is identical to the allocating
-    /// builds.
-    pub fn build_filtered_with_threads_into<F: Fn(u32, u32) -> bool + Sync>(
-        splats: &[ProjectedSplat],
-        grid: TileGridDims,
-        tile_active: F,
-        threads: usize,
-        mut offsets: Vec<u32>,
-        mut indices: Vec<u32>,
+        (mut offsets, mut indices): (Vec<u32>, Vec<u32>),
     ) -> Self {
         let tile_count = grid.tile_count();
-        let active: Vec<bool> = (0..grid.tiles_y)
-            .flat_map(|ty| (0..grid.tiles_x).map(move |tx| (tx, ty)))
-            .map(|(tx, ty)| tile_active(tx, ty))
-            .collect();
-
+        assert_eq!(active.len(), tile_count, "tile activity size mismatch");
         let threads = if threads == 0 {
             rayon::current_num_threads().max(1)
         } else {
@@ -224,7 +170,7 @@ impl TileBins {
         // are kept: pass 2 turns them into per-shard cursor bases.
         let mut parts = crate::par::shard_map(splats.len(), shards, |range| {
             let mut part = vec![0u32; tile_count];
-            count_range(splats, range, grid.tiles_x, &active, &mut part);
+            count_range(splats, range, grid.tiles_x, active, &mut part);
             part
         });
 
@@ -262,15 +208,7 @@ impl TileBins {
                 base[t] += count;
             }
         }
-        scatter_shards(
-            splats,
-            grid.tiles_x,
-            &active,
-            shards,
-            parts,
-            0,
-            &mut indices,
-        );
+        scatter_shards(splats, grid.tiles_x, active, shards, parts, &mut indices);
 
         // Depth-sort each tile segment front-to-back. `sort_by` is stable,
         // so equal depths keep submission order, matching the previous
@@ -358,15 +296,11 @@ impl TileBins {
     ///
     /// Kept as the baseline for the CSR equivalence property test and the
     /// `binning` benchmark; not used on the render path.
-    pub fn build_naive<F: FnMut(u32, u32) -> bool>(
+    pub fn build_naive(
         splats: &[ProjectedSplat],
         grid: TileGridDims,
-        mut tile_active: F,
+        active: &[bool],
     ) -> Vec<Vec<u32>> {
-        let active: Vec<bool> = (0..grid.tiles_y)
-            .flat_map(|ty| (0..grid.tiles_x).map(move |tx| (tx, ty)))
-            .map(|(tx, ty)| tile_active(tx, ty))
-            .collect();
         let mut bins: Vec<Vec<u32>> = vec![Vec::new(); grid.tile_count()];
         for (si, splat) in splats.iter().enumerate() {
             for (tx, ty) in splat.tiles.iter() {
@@ -445,221 +379,6 @@ impl TileBins {
     /// next frame's build; contents are rebuilt from scratch there.
     pub fn into_buffers(self) -> (Vec<u32>, Vec<u32>) {
         (self.offsets, self.indices)
-    }
-}
-
-/// Incremental two-pass CSR build over a *stream* of splat chunks — the
-/// binning half of the chunked [`ms_scene::SceneSource`] render path.
-///
-/// Usage mirrors the two passes of [`TileBins::build_with_threads`], spread
-/// across chunks:
-///
-/// 1. [`count_chunk`](ChunkedBinBuilder::count_chunk) once per chunk —
-///    accumulates per-tile intersection counts (integer sums, so chunking
-///    cannot change them);
-/// 2. [`seal`](ChunkedBinBuilder::seal) — exclusive prefix sum over the
-///    accumulated counts (identical to the in-core offsets) and
-///    initializes one persistent cursor per tile;
-/// 3. [`scatter_chunk`](ChunkedBinBuilder::scatter_chunk) once per chunk,
-///    in the same chunk order — re-counts the chunk per shard, offsets the
-///    shard cursors by the persistent cursors, scatters global splat
-///    indices (`splat_index_base` + chunk-local), then advances the
-///    persistent cursors past the chunk;
-/// 4. [`finish`](ChunkedBinBuilder::finish) — depth-sorts every tile
-///    segment.
-///
-/// Chunks partition the splat sequence contiguously and scatter in order,
-/// so each tile segment fills in global splat order — exactly the in-core
-/// fill — and the pre-sort index array is bit-identical to
-/// [`TileBins::build_with_threads`] over the concatenated splats for every
-/// chunk size, shard count and thread count.
-///
-/// The streamed frame machine (`crate::frame`) overlaps the *decode* of
-/// chunk `k + 1` with the projection of chunk `k` (double-buffering), but
-/// the builder itself still consumes chunks strictly in order — prefetch
-/// moves wall time only and cannot reorder a CSR write.
-#[derive(Debug)]
-pub(crate) struct ChunkedBinBuilder {
-    grid: TileGridDims,
-    threads: usize,
-    /// All-true tile mask (the chunked path has no Filtering stage), kept
-    /// as a vec so the counting/scatter helpers are shared with the
-    /// filtered in-core build.
-    active: Vec<bool>,
-    /// Per-tile intersection counts accumulated across chunks (pass 1),
-    /// then reused as scratch for converting shard counts to cursors.
-    counts: Vec<u32>,
-    offsets: Vec<u32>,
-    indices: Vec<u32>,
-    /// Persistent per-tile write cursors for the streamed pass 2.
-    cursors: Vec<u32>,
-    sealed: bool,
-}
-
-impl ChunkedBinBuilder {
-    /// A builder for `grid` running on `threads` workers (`0` = all pool
-    /// workers), reusing recycled CSR storage like
-    /// [`TileBins::build_filtered_with_threads_into`].
-    pub(crate) fn new(grid: TileGridDims, threads: usize, recycle: (Vec<u32>, Vec<u32>)) -> Self {
-        let threads = if threads == 0 {
-            rayon::current_num_threads().max(1)
-        } else {
-            threads
-        };
-        let tile_count = grid.tile_count();
-        Self {
-            grid,
-            threads,
-            active: vec![true; tile_count],
-            counts: vec![0u32; tile_count],
-            offsets: recycle.0,
-            indices: recycle.1,
-            cursors: Vec::new(),
-            sealed: false,
-        }
-    }
-
-    fn shards_for(&self, splat_count: usize) -> usize {
-        self.threads.min(splat_count / MIN_SPLATS_PER_SHARD).max(1)
-    }
-
-    /// Pass 1 for one chunk: accumulate its per-tile intersection counts.
-    pub(crate) fn count_chunk(&mut self, splats: &[ProjectedSplat]) {
-        debug_assert!(!self.sealed, "count_chunk after seal");
-        let shards = self.shards_for(splats.len());
-        if shards <= 1 {
-            count_range(
-                splats,
-                0..splats.len(),
-                self.grid.tiles_x,
-                &self.active,
-                &mut self.counts,
-            );
-            return;
-        }
-        let parts = crate::par::shard_map(splats.len(), shards, |range| {
-            let mut part = vec![0u32; self.grid.tile_count()];
-            count_range(splats, range, self.grid.tiles_x, &self.active, &mut part);
-            part
-        });
-        for part in parts {
-            for (acc, v) in self.counts.iter_mut().zip(part) {
-                *acc = acc
-                    .checked_add(v)
-                    .expect("tile-intersection count overflows u32 CSR offsets");
-            }
-        }
-    }
-
-    /// End of pass 1: prefix-sum the accumulated counts into CSR offsets,
-    /// size the index array, and set every tile's persistent cursor to its
-    /// segment start. Returns the total intersection count.
-    pub(crate) fn seal(&mut self) -> u64 {
-        debug_assert!(!self.sealed, "seal called twice");
-        let tile_count = self.grid.tile_count();
-        self.offsets.clear();
-        self.offsets.reserve(tile_count + 1);
-        let mut running = 0u32;
-        self.offsets.push(0);
-        for t in 0..tile_count {
-            running = running
-                .checked_add(self.counts[t])
-                .expect("tile-intersection count overflows u32 CSR offsets");
-            self.offsets.push(running);
-        }
-        self.indices.clear();
-        self.indices.resize(running as usize, 0);
-        self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets[..tile_count]);
-        self.sealed = true;
-        running as u64
-    }
-
-    /// Pass 2 for one chunk (chunks must arrive in the same order as
-    /// pass 1): scatter the chunk's splats into the CSR segments as global
-    /// indices `splat_index_base + local`, advancing the persistent
-    /// cursors.
-    pub(crate) fn scatter_chunk(&mut self, splats: &[ProjectedSplat], splat_index_base: u32) {
-        debug_assert!(self.sealed, "scatter_chunk before seal");
-        let tile_count = self.grid.tile_count();
-        let shards = self.shards_for(splats.len());
-        // Re-count the chunk per shard (cheaper than keeping every chunk's
-        // pass-1 shard counts resident — residency is the whole point).
-        let mut parts = if shards <= 1 {
-            let mut part = vec![0u32; tile_count];
-            count_range(
-                splats,
-                0..splats.len(),
-                self.grid.tiles_x,
-                &self.active,
-                &mut part,
-            );
-            vec![part]
-        } else {
-            crate::par::shard_map(splats.len(), shards, |range| {
-                let mut part = vec![0u32; tile_count];
-                count_range(splats, range, self.grid.tiles_x, &self.active, &mut part);
-                part
-            })
-        };
-        // Shard counts → absolute cursors: persistent cursor plus the
-        // chunk's earlier shards. `counts` doubles as the within-chunk
-        // accumulator here (pass 1 is over once sealed).
-        let chunk_total = &mut self.counts;
-        chunk_total.iter_mut().for_each(|c| *c = 0);
-        for part in parts.iter_mut() {
-            for (t, c) in part.iter_mut().enumerate() {
-                let count = *c;
-                *c = self.cursors[t] + chunk_total[t];
-                chunk_total[t] += count;
-            }
-        }
-        scatter_shards(
-            splats,
-            self.grid.tiles_x,
-            &self.active,
-            shards,
-            parts,
-            splat_index_base,
-            &mut self.indices,
-        );
-        for (cursor, total) in self.cursors.iter_mut().zip(chunk_total.iter()) {
-            *cursor += total;
-        }
-    }
-
-    /// Depth-sort every tile segment and produce the bins. `splats` is the
-    /// full concatenated visible-splat sequence the stored indices refer
-    /// into.
-    pub(crate) fn finish(mut self, splats: &[ProjectedSplat]) -> TileBins {
-        debug_assert!(self.sealed, "finish before seal");
-        debug_assert!(
-            self.cursors
-                .iter()
-                .enumerate()
-                .all(|(t, &c)| c == self.offsets[t + 1]),
-            "scatter did not fill every tile segment"
-        );
-        let tile_count = self.grid.tile_count();
-        let shards = self.shards_for(splats.len());
-        TileBins::sort_segments(splats, &self.offsets, &mut self.indices, tile_count, shards);
-        TileBins {
-            grid: self.grid,
-            offsets: self.offsets,
-            indices: self.indices,
-        }
-    }
-
-    /// Abandon the build and recover the recycled CSR buffers (cleared).
-    /// The streamed frame machine calls this when a chunk load fails
-    /// mid-stream, so a failed frame still hands a clean arena back instead
-    /// of dropping its capacity.
-    pub(crate) fn into_recycle(self) -> (Vec<u32>, Vec<u32>) {
-        let mut offsets = self.offsets;
-        let mut indices = self.indices;
-        offsets.clear();
-        indices.clear();
-        (offsets, indices)
     }
 }
 
@@ -989,6 +708,14 @@ mod tests {
         let _ = bins.tile(8, 0);
     }
 
+    /// Row-major tile-activity slice from a per-tile predicate.
+    fn activity(g: TileGridDims, active: impl Fn(u32, u32) -> bool) -> Vec<bool> {
+        (0..g.tiles_y)
+            .flat_map(|ty| (0..g.tiles_x).map(move |tx| (tx, ty)))
+            .map(|(tx, ty)| active(tx, ty))
+            .collect()
+    }
+
     /// Random splat sets for the CSR-vs-naive equivalence property.
     fn random_splats(rng: &mut StdRng, n: usize, g: TileGridDims) -> Vec<ProjectedSplat> {
         use ms_math::{Conic2, TileRect, Vec2};
@@ -1031,12 +758,12 @@ mod tests {
             let splats = random_splats(&mut rng, n, g);
             // Unfiltered and checkerboard-filtered builds must both match.
             for parity in [None, Some(0u32), Some(1u32)] {
-                let active = |tx: u32, ty: u32| match parity {
+                let active = activity(g, |tx, ty| match parity {
                     None => true,
                     Some(p) => (tx + ty) % 2 == p,
-                };
-                let csr = TileBins::build_filtered(&splats, g, active);
-                let naive = TileBins::build_naive(&splats, g, active);
+                });
+                let csr = TileBins::build_into(&splats, g, &active, 1, Default::default());
+                let naive = TileBins::build_naive(&splats, g, &active);
                 for ty in 0..g.tiles_y {
                     for tx in 0..g.tiles_x {
                         let i = (ty * g.tiles_x + tx) as usize;
@@ -1066,8 +793,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let splats = random_splats(&mut rng, 5000, g);
         let serial = TileBins::build(&splats, g);
+        let all = activity(g, |_, _| true);
         for threads in [2usize, 3, 8, 0] {
-            let par = TileBins::build_with_threads(&splats, g, threads);
+            let par = TileBins::build_into(&splats, g, &all, threads, Default::default());
             assert_eq!(par, serial, "CSR bins differ at threads={threads}");
         }
     }
@@ -1077,10 +805,12 @@ mod tests {
         let g = grid();
         let mut rng = StdRng::seed_from_u64(78);
         let splats = random_splats(&mut rng, 4000, g);
-        let active = |tx: u32, ty: u32| (tx + ty) % 2 == 0;
-        let serial = TileBins::build_filtered(&splats, g, active);
+        let active = activity(g, |tx, ty| (tx + ty) % 2 == 0);
+        let serial = TileBins::build_into(&splats, g, &active, 1, Default::default());
         for threads in [2usize, 3, 8, 0] {
-            let par = TileBins::build_filtered_with_threads(&splats, g, active, threads);
+            // Recycled storage holding a different frame's CSR must not leak.
+            let recycle = serial.clone().into_buffers();
+            let par = TileBins::build_into(&splats, g, &active, threads, recycle);
             assert_eq!(par, serial, "filtered bins differ at threads={threads}");
         }
     }
@@ -1271,48 +1001,12 @@ mod tests {
     }
 
     #[test]
-    fn chunked_builder_is_bit_identical_to_in_core() {
-        let g = grid();
-        let mut rng = StdRng::seed_from_u64(99);
-        let splats = random_splats(&mut rng, 4000, g);
-        let reference = TileBins::build(&splats, g);
-        for chunk in [1usize, 173, 512, 4096, 10_000] {
-            for threads in [1usize, 2, 3, 8, 0] {
-                let mut b = ChunkedBinBuilder::new(g, threads, (Vec::new(), Vec::new()));
-                for c in splats.chunks(chunk) {
-                    b.count_chunk(c);
-                }
-                let total = b.seal();
-                assert_eq!(total, reference.total_intersections());
-                let mut base = 0u32;
-                for c in splats.chunks(chunk) {
-                    b.scatter_chunk(c, base);
-                    base += c.len() as u32;
-                }
-                let bins = b.finish(&splats);
-                assert_eq!(
-                    bins, reference,
-                    "chunked bins differ at chunk={chunk} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_builder_handles_empty_stream() {
-        let g = grid();
-        let mut b = ChunkedBinBuilder::new(g, 2, (Vec::new(), Vec::new()));
-        assert_eq!(b.seal(), 0);
-        let bins = b.finish(&[]);
-        assert_eq!(bins, TileBins::build(&[], g));
-    }
-
-    #[test]
     fn filtered_build_skips_inactive_tiles() {
         let (m, cam) = scene();
         let splats = project_model(&m, &cam, &RenderOptions::default());
         let g = grid();
-        let bins = TileBins::build_filtered(&splats, g, |tx, _| tx < 4);
+        let active = activity(g, |tx, _| tx < 4);
+        let bins = TileBins::build_into(&splats, g, &active, 1, Default::default());
         for ty in 0..g.tiles_y {
             for tx in 4..g.tiles_x {
                 assert!(

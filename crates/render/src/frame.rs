@@ -29,7 +29,7 @@
 //! cleared before reuse, so arenas never leak data between frames (or
 //! sessions) and `FrameArena::default()` is always a valid cold start.
 
-use crate::binning::{ChunkedBinBuilder, MergedTileSchedule, TileBins};
+use crate::binning::{MergedTileSchedule, TileBins};
 use crate::options::RenderOptions;
 use crate::pipeline::{self, Composited, StageKind, StageSample};
 use crate::projection::{project_model_offset_into, ProjectedSplat};
@@ -53,8 +53,9 @@ use std::time::{Duration, Instant};
 pub enum SceneRef<'a> {
     /// The whole model resident in one `Vec`-of-arrays.
     InCore(&'a GaussianModel),
-    /// A chunked source with a bounded resident budget; only one chunk of
-    /// it is resident at a time while the frame streams Project + Bin.
+    /// A chunked source with a bounded resident budget; the frame streams
+    /// its Project one chunk at a time (current chunk plus one prefetch
+    /// resident), then bins the frame's splats like an in-core frame.
     Chunked(&'a (dyn SceneSource + Sync)),
     /// Screen-space splats projected ahead of time (for example by
     /// the foveated renderer, which derives every quality level from one
@@ -86,11 +87,6 @@ impl SceneRef<'_> {
             SceneRef::Chunked(source) => source.total_points(),
             SceneRef::Projected { points, .. } => *points,
         }
-    }
-
-    /// Whether this scene streams through the chunked Project/Bin path.
-    pub fn is_chunked(&self) -> bool {
-        matches!(self, SceneRef::Chunked(_))
     }
 }
 
@@ -179,16 +175,16 @@ fn expect_chunked<'a>(scene: SceneRef<'a>, model_len: usize) -> &'a (dyn SceneSo
     source
 }
 
-/// The streaming half of a chunked frame: the chunk-count and chunk-scatter
-/// passes share this state, which owns the bin builder, the double-buffered
-/// chunk-decode storage, and the per-frame cache/residency accounting.
+/// The streaming Project of a chunked frame: the double-buffered
+/// chunk-decode storage, the frame's growing visible-splat vector, and the
+/// per-frame cache/residency accounting.
 ///
 /// # Double buffering
 ///
-/// While the frame projects (and counts or scatters) chunk `k` out of
-/// `chunk`, the *next* chunk `k + 1` decodes on the worker pool into
-/// `next_chunk` — a one-deep prefetch, so at most two chunk buffers are
-/// ever resident (the `cache_budget + 2 × chunk_bytes` budget documented on
+/// While the frame projects chunk `k` out of `chunk`, the *next* chunk
+/// `k + 1` decodes on the worker pool into `next_chunk` — a one-deep
+/// prefetch, so at most two chunk buffers are ever resident (the
+/// `cache_budget + 2 × chunk_bytes` budget documented on
 /// [`RenderOptions::cache_budget_bytes`](crate::RenderOptions)). Chunks are
 /// still *consumed* strictly in index order — the prefetch only moves the
 /// decode earlier in time, never reorders it — and a prefetched load's
@@ -196,7 +192,6 @@ fn expect_chunked<'a>(scene: SceneRef<'a>, model_len: usize) -> &'a (dyn SceneSo
 /// so a failing source surfaces the same error at the same chunk index as
 /// the unprefetched path.
 struct ChunkStream {
-    builder: ChunkedBinBuilder,
     /// Chunk buffer currently being projected (the resident-budget unit).
     chunk: GaussianModel,
     /// Prefetch target: chunk `next + 1` decodes into this buffer while
@@ -208,15 +203,16 @@ struct ChunkStream {
     prefetched: Option<Result<ms_scene::CacheAccess, SourceError>>,
     /// Reused per-chunk projection buffer.
     scratch: Vec<ProjectedSplat>,
-    /// The final visible-splat vector (filled during pass 2); carried from
-    /// pass 1 so the arena's recycled capacity is not dropped.
+    /// The frame's visible-splat vector: every chunk's projection appended
+    /// in chunk order, so it equals the in-core projection of the
+    /// concatenated model.
     splats: Vec<ProjectedSplat>,
-    /// Next chunk index of the current pass.
+    /// Recycled CSR `(offsets, indices)` storage, handed to Bin.
+    recycle: (Vec<u32>, Vec<u32>),
+    /// Next chunk index to stream.
     next: usize,
     /// Accumulated wall time attributed to the Project sample.
     project_wall: Duration,
-    /// Accumulated wall time attributed to the Bin sample.
-    bin_wall: Duration,
     /// Running peaks for the frame-profile memory counters. The chunk peak
     /// counts the largest *single* buffer, matching the pre-prefetch
     /// meaning; the two-buffer residency is the documented budget, not a
@@ -228,41 +224,39 @@ struct ChunkStream {
 }
 
 impl ChunkStream {
-    fn new(options: &RenderOptions, grid: TileGridDims, arena: FrameArena) -> Self {
+    fn new(arena: FrameArena) -> Self {
         let mut splats = arena.splats;
         splats.clear();
         ChunkStream {
-            builder: ChunkedBinBuilder::new(
-                grid,
-                options.resolved_threads(),
-                (arena.offsets, arena.indices),
-            ),
             chunk: GaussianModel::new(0),
             next_chunk: GaussianModel::new(0),
             prefetched: None,
             scratch: Vec::new(),
             splats,
+            recycle: (arena.offsets, arena.indices),
             next: 0,
             project_wall: Duration::ZERO,
-            bin_wall: Duration::ZERO,
             chunk_bytes_peak: 0,
             projected_bytes_peak: 0,
             cache: CacheStats::default(),
         }
     }
 
-    /// Obtain chunk `self.next` (from the prefetch buffer or a fresh cache
-    /// load) and project it into `scratch` with its global point-index
-    /// base, so projected `point_index` values match the concatenated
-    /// in-core model's; then kick off the prefetch of the following chunk
-    /// on the worker pool, overlapping its decode with the projection.
-    fn load_and_project(
+    /// Stream chunk `self.next`: obtain it (from the prefetch buffer or a
+    /// fresh cache load), project it into `scratch` with its global
+    /// point-index base — so projected `point_index` values match the
+    /// concatenated in-core model's — and append the projection to the
+    /// visible-splat vector. The prefetch of the following chunk runs on
+    /// the worker pool meanwhile, overlapping its decode with the
+    /// projection.
+    fn step(
         &mut self,
         cache: &ChunkCache,
         source: &(dyn SceneSource + Sync),
         camera: &Camera,
         options: &RenderOptions,
     ) -> Result<(), SourceError> {
+        let start = Instant::now();
         let index = self.next;
         let access = match self.prefetched.take() {
             Some(result) => {
@@ -295,58 +289,14 @@ impl ChunkStream {
         } else {
             project_model_offset_into(&self.chunk, camera, options, base, &mut self.scratch);
         }
-        Ok(())
-    }
-
-    /// Advance the chunk-count pass by one chunk.
-    fn step_count(
-        &mut self,
-        cache: &ChunkCache,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
-        options: &RenderOptions,
-    ) -> Result<(), SourceError> {
-        let start = Instant::now();
-        self.load_and_project(cache, source, camera, options)?;
-        self.project_wall += start.elapsed();
-        let start = Instant::now();
-        self.builder.count_chunk(&self.scratch);
-        self.bin_wall += start.elapsed();
-        self.observe_peaks();
-        self.next += 1;
-        Ok(())
-    }
-
-    /// Advance the chunk-scatter pass by one chunk.
-    fn step_scatter(
-        &mut self,
-        cache: &ChunkCache,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
-        options: &RenderOptions,
-    ) -> Result<(), SourceError> {
-        let start = Instant::now();
-        self.load_and_project(cache, source, camera, options)?;
-        self.project_wall += start.elapsed();
-        let start = Instant::now();
-        // CSR indices address the *visible-splat* vector, so the chunk's
-        // scatter base is where its projection lands in that vector —
-        // chunks append in order, making every tile segment fill in global
-        // splat order (the in-core fill) for any chunk size.
-        self.builder
-            .scatter_chunk(&self.scratch, self.splats.len() as u32);
-        self.bin_wall += start.elapsed();
         self.splats.extend_from_slice(&self.scratch);
-        self.observe_peaks();
-        self.next += 1;
-        Ok(())
-    }
-
-    fn observe_peaks(&mut self) {
+        self.project_wall += start.elapsed();
         self.chunk_bytes_peak = self.chunk_bytes_peak.max(self.chunk.storage_bytes() as u64);
         self.projected_bytes_peak = self
             .projected_bytes_peak
             .max((self.scratch.len() * std::mem::size_of::<ProjectedSplat>()) as u64);
+        self.next = next_index;
+        Ok(())
     }
 
     /// Recover the arena-owned buffers from a failed frame (cleared, with
@@ -355,12 +305,11 @@ impl ChunkStream {
     /// [`FrameInFlight::into_failure`].
     fn into_arena(self) -> FrameArena {
         let ChunkStream {
-            builder,
             mut splats,
+            recycle: (offsets, indices),
             ..
         } = self;
         splats.clear();
-        let (offsets, indices) = builder.into_recycle();
         FrameArena {
             splats,
             offsets,
@@ -375,26 +324,15 @@ impl ChunkStream {
 enum State {
     /// Nothing ran yet; holds the recycled arena.
     Project { arena: FrameArena },
-    /// Streaming pass 1 over a chunked source (reported as the Project
-    /// stage): each [`run_stage`](FrameInFlight::run_stage) call obtains
-    /// one chunk (prefetch buffer, chunk cache, or source decode), projects
-    /// it into the recycled `scratch` buffer with its global point-index
-    /// base, and accumulates per-tile intersection counts into the builder
-    /// — then drops the chunk. At most two chunk buffers (current +
-    /// prefetch) are ever resident.
-    ChunkCount(ChunkStream),
-    /// Streaming pass 2 over the same chunks in the same order (reported
-    /// as the Bin stage): re-obtain one chunk per call — a cache hit when
-    /// the budget held onto pass 1's decode — scatter its CSR indices with
-    /// persistent per-tile cursors, and append its projection to the
-    /// visible-splat vector. After the last chunk the tile segments are
-    /// depth-sorted and the frame joins the in-core pipeline at Merge.
-    ChunkScatter {
-        stream: ChunkStream,
-        /// Total intersections from [`ChunkedBinBuilder::seal`] — the Bin
-        /// sample's work counter.
-        total_intersections: u64,
-    },
+    /// Streaming Project over a chunked source: each
+    /// [`run_stage`](FrameInFlight::run_stage) call obtains one chunk
+    /// (prefetch buffer, chunk cache, or source decode), projects it into
+    /// the recycled `scratch` buffer with its global point-index base and
+    /// appends the projection to the frame's splat vector — then drops the
+    /// chunk. At most two chunk buffers (current + prefetch) are ever
+    /// resident. After the last chunk the frame moves to [`State::Bin`] and
+    /// runs on exactly like an in-core frame.
+    Stream(Box<ChunkStream>),
     /// A chunk load failed. The frame is abandoned — no output exists —
     /// but its recycled buffers were recovered into `arena` so the fault
     /// does not cost the owner its allocation steady state
@@ -462,11 +400,11 @@ pub struct FrameInFlight {
     /// Raster stage can borrow it mutably alongside the pipeline state;
     /// rejoins the arena in [`finish`](Self::finish).
     raster_scratch: Vec<RasterScratch>,
-    /// `(chunk_bytes_peak, projected_bytes_peak)` measured by the chunked
-    /// streaming passes; `None` on the in-core path, whose peaks are
+    /// `(chunk_bytes_peak, projected_bytes_peak)` measured by the streamed
+    /// Project; `None` on the in-core path, whose peaks are
     /// derived from the final splat vector when the output is assembled.
     peaks: Option<(u64, u64)>,
-    /// Chunk-cache traffic measured by the streaming passes; zeros on the
+    /// Chunk-cache traffic measured by the streamed Project; zeros on the
     /// in-core path, which never touches the cache.
     cache_stats: CacheStats,
 }
@@ -486,7 +424,7 @@ impl std::fmt::Debug for FrameInFlight {
 
 impl FrameInFlight {
     /// Start a frame over `scene` seen through `view`: at the Project stage
-    /// (in-core scenes), at the chunk-counting pass (chunked sources) or at
+    /// (in-core scenes), at the streamed Project (chunked sources) or at
     /// Bin (pre-projected splats, copied into the arena's splat vector).
     /// The view and the scene are checked here, once, before any stage
     /// runs.
@@ -494,17 +432,11 @@ impl FrameInFlight {
     /// # Panics
     ///
     /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, when `mask.len() != width * height`, when a mask is
-    /// given for a chunked scene (the streamed Bin cannot honour it), or
-    /// when a pre-projected splat's `point_index` is not below the scene's
+    /// addressing, when `mask.len() != width * height`, or when a
+    /// pre-projected splat's `point_index` is not below the scene's
     /// `points`. The mask-size comparison is done in `u64`: at extreme
     /// dimensions `width * height` overflows `u32`.
-    pub(crate) fn new(
-        scene: SceneRef<'_>,
-        view: View,
-        options: &RenderOptions,
-        mut arena: FrameArena,
-    ) -> Self {
+    pub(crate) fn new(scene: SceneRef<'_>, view: View, mut arena: FrameArena) -> Self {
         let camera = &view.camera;
         check_camera(camera);
         if let Some(mask) = &view.mask {
@@ -513,18 +445,11 @@ impl FrameInFlight {
                 camera.width as u64 * camera.height as u64,
                 "pixel mask size mismatch"
             );
-            assert!(
-                !scene.is_chunked(),
-                "a pixel mask cannot restrict a chunked scene: the streamed Bin bins every tile"
-            );
         }
         let raster_scratch = std::mem::take(&mut arena.raster);
         let state = match scene {
             SceneRef::InCore(_) => State::Project { arena },
-            SceneRef::Chunked(_) => {
-                let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
-                State::ChunkCount(ChunkStream::new(options, grid, arena))
-            }
+            SceneRef::Chunked(_) => State::Stream(Box::new(ChunkStream::new(arena))),
             SceneRef::Projected { splats, points } => {
                 if let Some(s) = splats.iter().find(|s| s.point_index as usize >= points) {
                     panic!(
@@ -577,8 +502,8 @@ impl FrameInFlight {
     /// next stage to run.
     pub fn next_stage(&self) -> Option<StageKind> {
         match self.state {
-            State::Project { .. } | State::ChunkCount { .. } => Some(StageKind::Project),
-            State::Bin { .. } | State::ChunkScatter { .. } => Some(StageKind::Bin),
+            State::Project { .. } | State::Stream(_) => Some(StageKind::Project),
+            State::Bin { .. } => Some(StageKind::Bin),
             State::Merge { .. } => Some(StageKind::Merge),
             State::Raster { .. } => Some(StageKind::Raster),
             State::Composite { .. } => Some(StageKind::Composite),
@@ -598,10 +523,10 @@ impl FrameInFlight {
     /// frames) or a [`SceneRef`].
     ///
     /// In-core frames advance exactly one pipeline stage per call. Chunked
-    /// frames advance one *chunk* per call while in the streaming Project
-    /// and Bin passes (so a frame server interleaves chunk work across
-    /// sessions at the same granularity it interleaves stages), then one
-    /// stage per call from Merge on.
+    /// frames advance one *chunk* per call while streaming Project (so a
+    /// frame server interleaves chunk work across sessions at the same
+    /// granularity it interleaves stages), then one stage per call from Bin
+    /// on: `chunk_count + 4` calls in all.
     ///
     /// A chunk-load failure does **not** panic: the frame transitions to
     /// the failed state (recovering its recycled buffers) and further
@@ -638,90 +563,41 @@ impl FrameInFlight {
                     recycle: (arena.offsets, arena.indices),
                 }
             }
-            State::ChunkCount(mut stream) => {
+            State::Stream(mut stream) => {
                 let source = expect_chunked(scene, self.model_len);
-                let mut failed = None;
-                if stream.next < source.chunk_count() {
-                    if let Err(e) =
-                        stream.step_count(renderer.chunk_cache(), source, camera, options)
-                    {
-                        failed = Some(e);
-                    }
-                }
-                if let Some(error) = failed {
-                    State::Failed {
+                let count = source.chunk_count();
+                let step = if stream.next < count {
+                    stream.step(renderer.chunk_cache(), source, camera, options)
+                } else {
+                    Ok(())
+                };
+                match step {
+                    Err(error) => State::Failed {
                         error,
                         arena: stream.into_arena(),
+                    },
+                    Ok(()) if stream.next == count => {
+                        let ChunkStream {
+                            splats,
+                            recycle,
+                            project_wall,
+                            chunk_bytes_peak,
+                            projected_bytes_peak,
+                            cache,
+                            ..
+                        } = *stream;
+                        // One aggregate Project sample, so chunked profiles
+                        // carry the in-core sample sequence.
+                        self.samples.push(StageSample {
+                            kind: StageKind::Project,
+                            wall: project_wall,
+                            items: splats.len() as u64,
+                        });
+                        self.peaks = Some((chunk_bytes_peak, projected_bytes_peak));
+                        self.cache_stats = cache;
+                        State::Bin { splats, recycle }
                     }
-                } else if stream.next == source.chunk_count() {
-                    let start = Instant::now();
-                    let total_intersections = stream.builder.seal();
-                    stream.bin_wall += start.elapsed();
-                    // Pass 2 restarts the chunk walk; the last counted chunk
-                    // never prefetched a successor, so the buffer is free.
-                    debug_assert!(stream.prefetched.is_none());
-                    stream.next = 0;
-                    State::ChunkScatter {
-                        stream,
-                        total_intersections,
-                    }
-                } else {
-                    State::ChunkCount(stream)
-                }
-            }
-            State::ChunkScatter {
-                mut stream,
-                total_intersections,
-            } => {
-                let source = expect_chunked(scene, self.model_len);
-                let mut failed = None;
-                if stream.next < source.chunk_count() {
-                    if let Err(e) =
-                        stream.step_scatter(renderer.chunk_cache(), source, camera, options)
-                    {
-                        failed = Some(e);
-                    }
-                }
-                if let Some(error) = failed {
-                    State::Failed {
-                        error,
-                        arena: stream.into_arena(),
-                    }
-                } else if stream.next == source.chunk_count() {
-                    let ChunkStream {
-                        builder,
-                        splats,
-                        project_wall,
-                        mut bin_wall,
-                        chunk_bytes_peak,
-                        projected_bytes_peak,
-                        cache,
-                        ..
-                    } = stream;
-                    let start = Instant::now();
-                    let bins = builder.finish(&splats);
-                    bin_wall += start.elapsed();
-                    // One aggregate sample per stage, so chunked profiles
-                    // carry the same sample sequence (and equal kind/items
-                    // pairs) as in-core ones.
-                    self.samples.push(StageSample {
-                        kind: StageKind::Project,
-                        wall: project_wall,
-                        items: splats.len() as u64,
-                    });
-                    self.samples.push(StageSample {
-                        kind: StageKind::Bin,
-                        wall: bin_wall,
-                        items: total_intersections,
-                    });
-                    self.peaks = Some((chunk_bytes_peak, projected_bytes_peak));
-                    self.cache_stats = cache;
-                    State::Merge { splats, bins }
-                } else {
-                    State::ChunkScatter {
-                        stream,
-                        total_intersections,
-                    }
+                    Ok(()) => State::Stream(stream),
                 }
             }
             State::Bin { splats, recycle } => {
@@ -823,8 +699,8 @@ impl FrameInFlight {
             composited,
             self.samples,
         );
-        // The chunked streaming passes measured their own residency peaks
-        // (bounded by the chunk size); the in-core defaults from
+        // The streamed Project measured its own residency peaks (bounded by
+        // the chunk size); the in-core defaults from
         // `assemble_output` stand otherwise.
         if let Some((chunk_peak, projected_peak)) = self.peaks {
             output.stats.profile.chunk_bytes_peak = chunk_peak;
@@ -1051,7 +927,7 @@ mod tests {
         for px in 0..32u32 {
             assert_eq!(reference.image.pixel(px, 11), Vec3::new(0.1, 0.2, 0.3));
         }
-        // An empty model is a 0-chunk source; the streaming passes must
+        // An empty model is a 0-chunk source; the streamed Project must
         // degenerate cleanly instead of indexing a first chunk.
         let source = ms_scene::InCoreSource::new(model, 4096);
         assert_eq!(source.chunk_count(), 0);
@@ -1131,16 +1007,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a pixel mask cannot restrict a chunked scene")]
-    fn masked_chunked_frame_rejected_at_begin() {
+    fn chunked_frame_takes_one_call_per_chunk_then_four_stages() {
         let (model, camera) = scene();
-        let source = ms_scene::InCoreSource::new(model, 7);
-        let view = View::masked(camera, left_half(&camera));
-        let _ = Renderer::default().begin_frame(
-            SceneRef::Chunked(&source),
-            view,
-            FrameArena::default(),
-        );
+        let renderer = Renderer::default();
+        for chunk_splats in [1, 7, 40] {
+            let source = ms_scene::InCoreSource::new(model.clone(), chunk_splats);
+            let scene = SceneRef::Chunked(&source);
+            let mut frame = renderer.begin_frame(scene, &camera, FrameArena::default());
+            let mut calls = 0;
+            while !frame.run_stage(&renderer, scene) {
+                calls += 1;
+            }
+            calls += 1;
+            assert!(frame.is_done());
+            assert_eq!(calls, source.chunk_count() + 4, "chunk size {chunk_splats}");
+        }
     }
 
     #[test]

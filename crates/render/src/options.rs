@@ -118,8 +118,8 @@ pub struct RenderOptions {
     #[serde(default)]
     pub lod: usize,
     /// Byte budget for the renderer's shared decoded-chunk cache
-    /// ([`ms_scene::ChunkCache`]), which lets the streamed Bin's scatter
-    /// pass — and every later frame over the same source — reuse decodes
+    /// ([`ms_scene::ChunkCache`]), which lets every later frame over the
+    /// same source — and sibling sessions sharing the cache — reuse decodes
     /// instead of repeating them. `None` (the default) resolves through the
     /// `MS_CHUNK_CACHE` environment variable, falling back to
     /// [`ms_scene::DEFAULT_CHUNK_CACHE_BYTES`]; `Some(0)` disables caching

@@ -312,31 +312,24 @@ pub(crate) fn bin(
     grid: TileGridDims,
     mask: Option<&[bool]>,
     threads: usize,
-    (offsets, indices): (Vec<u32>, Vec<u32>),
+    recycle: (Vec<u32>, Vec<u32>),
 ) -> TileBins {
-    let Some(mask) = mask else {
-        return TileBins::build_with_threads_into(splats, grid, threads, offsets, indices);
+    let active = match mask {
+        None => vec![true; grid.tile_count()],
+        Some(mask) => (0..grid.tiles_y)
+            .flat_map(|ty| (0..grid.tiles_x).map(move |tx| (tx, ty)))
+            .map(|(tx, ty)| {
+                let x0 = (tx * grid.tile_size) as usize;
+                let x1 = ((tx + 1) * grid.tile_size).min(grid.width) as usize;
+                let y1 = ((ty + 1) * grid.tile_size).min(grid.height);
+                (ty * grid.tile_size..y1).any(|y| {
+                    let row = &mask[(y * grid.width) as usize..][..x1];
+                    row[x0..].contains(&true)
+                })
+            })
+            .collect(),
     };
-    let g = grid;
-    TileBins::build_filtered_with_threads_into(
-        splats,
-        g,
-        |tx, ty| {
-            let x_end = ((tx + 1) * g.tile_size).min(g.width);
-            let y_end = ((ty + 1) * g.tile_size).min(g.height);
-            for y in (ty * g.tile_size)..y_end {
-                for x in (tx * g.tile_size)..x_end {
-                    if mask[(y * g.width + x) as usize] {
-                        return true;
-                    }
-                }
-            }
-            false
-        },
-        threads,
-        offsets,
-        indices,
-    )
+    TileBins::build_into(splats, grid, &active, threads, recycle)
 }
 
 /// Merge: CSR tile bins → the raster work-unit schedule.

@@ -175,17 +175,18 @@ impl Renderer {
     /// `scene` is a plain `&GaussianModel` or any [`SceneRef`]; `view` is a
     /// plain `&Camera` or a [`View`] carrying a pixel mask. In-core scenes
     /// start at the Project stage; pre-projected splats start at Bin;
-    /// chunked sources start at the streaming chunk-count pass, and each
-    /// [`run_stage`] call advances one *chunk* until the stream joins the
-    /// common pipeline at Merge — so a frame server interleaves chunked
-    /// frames exactly like in-core ones, at chunk granularity.
+    /// chunked sources start at the streamed Project, where each
+    /// [`run_stage`] call projects one *chunk* into the frame's splat
+    /// vector until the frame joins the common pipeline at Bin — so a frame
+    /// server interleaves chunked frames exactly like in-core ones, at
+    /// chunk granularity. Masks restrict every kind of scene alike.
     ///
     /// # Panics
     ///
     /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, when the mask does not have one entry per pixel or is
-    /// given for a chunked scene, or when a pre-projected splat's
-    /// `point_index` is out of range (see [`SceneRef::Projected`]).
+    /// addressing, when the mask does not have one entry per pixel, or when
+    /// a pre-projected splat's `point_index` is out of range (see
+    /// [`SceneRef::Projected`]).
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame<'a>(
@@ -194,19 +195,21 @@ impl Renderer {
         view: impl Into<View>,
         arena: FrameArena,
     ) -> FrameInFlight {
-        FrameInFlight::new(scene.into(), view.into(), &self.options, arena)
+        FrameInFlight::new(scene.into(), view.into(), arena)
     }
 
     /// Render `scene` through `view` in one call: [`Renderer::try_render`]
     /// with a fresh arena.
     ///
-    /// Chunked sources never load the whole model: Project and the
-    /// CSR count pass stream chunk by chunk, then a second streamed pass
-    /// re-projects and scatters, so peak chunk and projected-splat scratch
-    /// residency are bounded by the chunk size (and recorded in the frame
-    /// profile's `chunk_bytes_peak` / `projected_bytes_peak`). With LOD off
-    /// the output is bit-identical — pixels, winners, work counters — to
-    /// the in-core render of the concatenated model, for every chunk size.
+    /// Chunked sources never load the whole model: Project streams chunk by
+    /// chunk, each chunk decoded and projected once and appended to the
+    /// frame's visible-splat vector (frame-sized, as on the in-core path),
+    /// so peak chunk and projected-splat scratch residency are bounded by
+    /// the chunk size (and recorded in the frame profile's
+    /// `chunk_bytes_peak` / `projected_bytes_peak`). Bin and everything
+    /// after it is the in-core code. With LOD off the output is
+    /// bit-identical — pixels, winners, work counters — to the in-core
+    /// render of the concatenated model, for every chunk size.
     ///
     /// # Panics
     ///

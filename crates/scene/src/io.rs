@@ -14,7 +14,6 @@
 //!   loaded independently, so a renderer never needs the whole model
 //!   resident — see [`SceneSource`].
 
-use crate::synth::{generate, SceneSpec};
 use crate::GaussianModel;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -231,8 +230,6 @@ pub enum SourceError {
     },
     /// The chunk's stored bytes failed to decode.
     Decode(DecodeError),
-    /// Procedural generation of the chunk failed.
-    Synth(String),
 }
 
 impl fmt::Display for SourceError {
@@ -242,7 +239,6 @@ impl fmt::Display for SourceError {
                 write!(f, "chunk {index} out of range (count {count})")
             }
             SourceError::Decode(e) => write!(f, "chunk decode failed: {e}"),
-            SourceError::Synth(msg) => write!(f, "chunk generation failed: {msg}"),
         }
     }
 }
@@ -663,89 +659,6 @@ impl SceneSource for ChunkedFileSource {
     }
 }
 
-/// A [`SceneSource`] that procedurally generates each chunk on demand from
-/// a base [`SceneSpec`] — arbitrarily large benchmark scenes with O(chunk)
-/// memory. Chunk `i` is generated from a derived spec (seed mixed with the
-/// chunk index), so chunks are independent and each load is deterministic;
-/// note that unlike the other sources the *scene itself* depends on the
-/// chunk size.
-#[derive(Debug, Clone)]
-pub struct SynthChunkedSource {
-    spec: SceneSpec,
-    chunk_splats: usize,
-    source_id: u64,
-}
-
-impl SynthChunkedSource {
-    /// Create a source generating `spec.total_points` points in chunks of
-    /// at most `chunk_splats`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the spec is invalid or `chunk_splats == 0`.
-    pub fn new(spec: SceneSpec, chunk_splats: usize) -> Result<Self, String> {
-        if chunk_splats == 0 {
-            return Err("chunk_splats must be > 0".into());
-        }
-        spec.validate()?;
-        Ok(Self {
-            spec,
-            chunk_splats,
-            source_id: next_source_id(),
-        })
-    }
-
-    /// The derived spec generating chunk `index`.
-    fn chunk_spec(&self, index: usize) -> SceneSpec {
-        SceneSpec {
-            seed: self
-                .spec
-                .seed
-                .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1)),
-            total_points: self.chunk_len(index),
-            ..self.spec.clone()
-        }
-    }
-}
-
-impl SceneSource for SynthChunkedSource {
-    fn chunk_count(&self) -> usize {
-        self.spec.total_points.div_ceil(self.chunk_splats)
-    }
-
-    fn chunk_len(&self, index: usize) -> usize {
-        let start = index * self.chunk_splats;
-        (self.spec.total_points - start.min(self.spec.total_points)).min(self.chunk_splats)
-    }
-
-    fn total_points(&self) -> usize {
-        self.spec.total_points
-    }
-
-    fn sh_degree(&self) -> usize {
-        self.spec.sh_degree
-    }
-
-    fn source_id(&self) -> u64 {
-        self.source_id
-    }
-
-    fn chunk_base(&self, index: usize) -> usize {
-        (index * self.chunk_splats).min(self.spec.total_points)
-    }
-
-    fn load_chunk_into(&self, index: usize, into: &mut GaussianModel) -> Result<(), SourceError> {
-        let count = self.chunk_count();
-        if index >= count {
-            return Err(SourceError::OutOfRange { index, count });
-        }
-        let scene = generate(&self.chunk_spec(index)).map_err(SourceError::Synth)?;
-        debug_assert_eq!(scene.model.len(), self.chunk_len(index));
-        *into = scene.model;
-        Ok(())
-    }
-}
-
 static NEXT_SOURCE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocate a process-unique [`SceneSource::source_id`]. Every concrete
@@ -849,9 +762,8 @@ struct CacheShard {
 /// A byte-budgeted, sharded LRU cache of **decoded** chunks, keyed by
 /// [`ChunkKey`]. Shared `Arc`-wide: every renderer holds one, and a frame
 /// server hands the same cache to all of its sessions, so sessions
-/// rendering the same scene hit each other's decodes — the second (scatter)
-/// pass of a streamed frame, and every frame after the first, skip the
-/// decode entirely.
+/// rendering the same scene hit each other's decodes — every frame after
+/// the first skips the decode entirely when the budget holds the scene.
 ///
 /// Caching never changes pixels: a hit replays the exact bytes the decode
 /// produced (decoding is deterministic in the chunk contents), so cached
@@ -1345,26 +1257,6 @@ mod tests {
             src.load_chunk_into(99, &mut buf),
             Err(SourceError::OutOfRange { index: 99, .. })
         ));
-    }
-
-    #[test]
-    fn synth_source_is_deterministic_and_sized() {
-        let spec = SceneSpec {
-            total_points: 700,
-            ..SceneSpec::default()
-        };
-        let src = SynthChunkedSource::new(spec.clone(), 256).unwrap();
-        assert_eq!(src.chunk_count(), 3);
-        assert_eq!(src.chunk_len(2), 700 - 512);
-        let a = concat(&src);
-        let b = concat(&src);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 700);
-        a.validate().unwrap();
-        // Chunks differ from each other (distinct derived seeds).
-        let c0 = src.load_chunk(0).unwrap();
-        let c1 = src.load_chunk(1).unwrap();
-        assert_ne!(c0.positions, c1.positions);
     }
 
     #[test]

@@ -43,5 +43,5 @@ pub use io::{
     coarse_subset, decode_model, decode_model_into, encode_model, encode_model_chunked,
     next_source_id, resolved_chunk_splats, CacheAccess, CacheStats, ChunkCache, ChunkKey,
     ChunkedFileSource, DecodeError, FailingSource, FailureMode, InCoreSource, SceneSource,
-    SourceError, SynthChunkedSource, DEFAULT_CHUNK_CACHE_BYTES, DEFAULT_CHUNK_SPLATS,
+    SourceError, DEFAULT_CHUNK_CACHE_BYTES, DEFAULT_CHUNK_SPLATS,
 };

@@ -9,14 +9,14 @@
 //! * **One shared scene.** [`FrameServer`] owns a [`SceneHandle`] — an
 //!   `Arc<GaussianModel>` or an `Arc<dyn SceneSource>` streamed chunk by
 //!   chunk; sessions never copy scene data. Chunked sessions advance one
-//!   chunk of Project/Bin per step (at most two chunk buffers resident per
-//!   session with the decode prefetch), and their frames are bit-identical
-//!   to in-core ones.
+//!   chunk of Project per step (at most two chunk buffers resident per
+//!   session with the decode prefetch), then run Bin onwards like in-core
+//!   frames, and their frames are bit-identical to in-core ones.
 //! * **One shared chunk cache.** Every session's renderer shares the
 //!   server's [`ChunkCache`], so sessions streaming the same scene hit
 //!   each other's decodes — with N sessions walking the same chunked
 //!   source, each chunk decodes roughly once for the whole server instead
-//!   of once per pass per session. Cache traffic is aggregated in
+//!   of once per session. Cache traffic is aggregated in
 //!   [`ServerReport::cache`]. Cache hits return the exact decoded bytes, so
 //!   sharing never affects determinism.
 //! * **Fault isolation.** A chunk-load failure ([`SourceError`]) kills only
@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 /// The scene a server shares across its sessions: either a fully resident
 /// model or a chunked out-of-core [`SceneSource`], both behind an `Arc` so
-/// sessions never copy scene data. Chunked sessions stream Project/Bin one
+/// sessions never copy scene data. Chunked sessions stream Project one
 /// chunk per scheduling step and are bit-identical to in-core ones over
 /// the concatenated chunks (`tests/server_determinism.rs` pins this).
 #[derive(Clone)]
@@ -336,10 +336,11 @@ impl FrameServer {
         Self::new_scene(SceneHandle::InCore(model))
     }
 
-    /// Create a server streaming a shared chunked source: sessions run the
-    /// chunked Project/Bin passes (one chunk per scheduling step, at most
-    /// two chunk buffers resident per session) and interleave exactly like
-    /// in-core ones, sharing one chunk cache across all sessions.
+    /// Create a server streaming a shared chunked source: sessions stream
+    /// Project one chunk per scheduling step (at most two chunk buffers
+    /// resident per session), then run Bin onwards like in-core frames and
+    /// interleave exactly like them, sharing one chunk cache across all
+    /// sessions.
     pub fn new_chunked(source: Arc<dyn SceneSource + Send + Sync>) -> Self {
         Self::new_scene(SceneHandle::Chunked(source))
     }

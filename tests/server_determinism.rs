@@ -411,12 +411,12 @@ fn cached_chunked_server_shares_decodes_across_sessions() {
 
     let report = server.report();
     let cache = report.cache;
-    // 16 sessions × 4 frames × 2 passes over every chunk = 128 lookups per
-    // chunk; only the first decode of each chunk (plus any concurrent
+    // 16 sessions × 4 frames, each streaming every chunk once = 64 lookups
+    // per chunk; only the first decode of each chunk (plus any concurrent
     // first-lookup races) can miss.
     assert_eq!(
         cache.lookups(),
-        sessions as u64 * FRAMES as u64 * 2 * chunks,
+        sessions as u64 * FRAMES as u64 * chunks,
         "every chunk access goes through the shared cache"
     );
     assert!(
