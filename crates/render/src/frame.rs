@@ -201,8 +201,6 @@ struct ChunkStream {
     /// access for chunk `next` now sitting in `next_chunk`, or the load
     /// error to surface when that chunk is consumed.
     prefetched: Option<Result<ms_scene::CacheAccess, SourceError>>,
-    /// Reused per-chunk projection buffer.
-    scratch: Vec<ProjectedSplat>,
     /// The frame's visible-splat vector: every chunk's projection appended
     /// in chunk order, so it equals the in-core projection of the
     /// concatenated model.
@@ -231,7 +229,6 @@ impl ChunkStream {
             chunk: GaussianModel::new(0),
             next_chunk: GaussianModel::new(0),
             prefetched: None,
-            scratch: Vec::new(),
             splats,
             recycle: (arena.offsets, arena.indices),
             next: 0,
@@ -243,12 +240,11 @@ impl ChunkStream {
     }
 
     /// Stream chunk `self.next`: obtain it (from the prefetch buffer or a
-    /// fresh cache load), project it into `scratch` with its global
-    /// point-index base — so projected `point_index` values match the
-    /// concatenated in-core model's — and append the projection to the
-    /// visible-splat vector. The prefetch of the following chunk runs on
-    /// the worker pool meanwhile, overlapping its decode with the
-    /// projection.
+    /// fresh cache load) and project it onto the end of the visible-splat
+    /// vector with its global point-index base — so projected
+    /// `point_index` values match the concatenated in-core model's. The
+    /// prefetch of the following chunk runs on the worker pool meanwhile,
+    /// overlapping its decode with the projection.
     fn step(
         &mut self,
         cache: &ChunkCache,
@@ -275,26 +271,27 @@ impl ChunkStream {
         let base =
             u32::try_from(source.chunk_base(index)).expect("scene exceeds u32 point indexing");
         let next_index = index + 1;
+        let before = self.splats.len();
         if next_index < source.chunk_count() {
             let chunk = &self.chunk;
             let next_chunk = &mut self.next_chunk;
             let prefetched = &mut self.prefetched;
-            let scratch = &mut self.scratch;
+            let splats = &mut self.splats;
             rayon::scope(|s| {
                 s.spawn(move |_| {
                     *prefetched = Some(cache.load_into(source, next_index, 0, next_chunk));
                 });
-                project_model_offset_into(chunk, camera, options, base, scratch);
+                project_model_offset_into(chunk, camera, options, base, splats);
             });
         } else {
-            project_model_offset_into(&self.chunk, camera, options, base, &mut self.scratch);
+            project_model_offset_into(&self.chunk, camera, options, base, &mut self.splats);
         }
-        self.splats.extend_from_slice(&self.scratch);
         self.project_wall += start.elapsed();
         self.chunk_bytes_peak = self.chunk_bytes_peak.max(self.chunk.storage_bytes() as u64);
+        let projected = self.splats.len() - before;
         self.projected_bytes_peak = self
             .projected_bytes_peak
-            .max((self.scratch.len() * std::mem::size_of::<ProjectedSplat>()) as u64);
+            .max((projected * std::mem::size_of::<ProjectedSplat>()) as u64);
         self.next = next_index;
         Ok(())
     }
@@ -326,12 +323,11 @@ enum State {
     Project { arena: FrameArena },
     /// Streaming Project over a chunked source: each
     /// [`run_stage`](FrameInFlight::run_stage) call obtains one chunk
-    /// (prefetch buffer, chunk cache, or source decode), projects it into
-    /// the recycled `scratch` buffer with its global point-index base and
-    /// appends the projection to the frame's splat vector — then drops the
-    /// chunk. At most two chunk buffers (current + prefetch) are ever
-    /// resident. After the last chunk the frame moves to [`State::Bin`] and
-    /// runs on exactly like an in-core frame.
+    /// (prefetch buffer, chunk cache, or source decode) and projects it
+    /// with its global point-index base onto the end of the frame's splat
+    /// vector — then drops the chunk. At most two chunk buffers (current +
+    /// prefetch) are ever resident. After the last chunk the frame moves to
+    /// [`State::Bin`] and runs on exactly like an in-core frame.
     Stream(Box<ChunkStream>),
     /// A chunk load failed. The frame is abandoned — no output exists —
     /// but its recycled buffers were recovered into `arena` so the fault
@@ -526,7 +522,8 @@ impl FrameInFlight {
     /// frames advance one *chunk* per call while streaming Project (so a
     /// frame server interleaves chunk work across sessions at the same
     /// granularity it interleaves stages), then one stage per call from Bin
-    /// on: `chunk_count + 4` calls in all.
+    /// on: `max(chunk_count, 1) + 4` calls in all (a 0-chunk source still
+    /// takes one streaming call to reach Bin).
     ///
     /// A chunk-load failure does **not** panic: the frame transitions to
     /// the failed state (recovering its recycled buffers) and further
@@ -1010,9 +1007,11 @@ mod tests {
     fn chunked_frame_takes_one_call_per_chunk_then_four_stages() {
         let (model, camera) = scene();
         let renderer = Renderer::default();
-        for chunk_splats in [1, 7, 40] {
-            let source = ms_scene::InCoreSource::new(model.clone(), chunk_splats);
-            let scene = SceneRef::Chunked(&source);
+        let sources =
+            [1, 7, 40].map(|chunk_splats| ms_scene::InCoreSource::new(model.clone(), chunk_splats));
+        let empty = ms_scene::InCoreSource::new(GaussianModel::new(0), 4096);
+        for source in sources.iter().chain([&empty]) {
+            let scene = SceneRef::Chunked(source);
             let mut frame = renderer.begin_frame(scene, &camera, FrameArena::default());
             let mut calls = 0;
             while !frame.run_stage(&renderer, scene) {
@@ -1020,7 +1019,9 @@ mod tests {
             }
             calls += 1;
             assert!(frame.is_done());
-            assert_eq!(calls, source.chunk_count() + 4, "chunk size {chunk_splats}");
+            // A 0-chunk source still takes one streaming call to reach Bin.
+            let expected = source.chunk_count().max(1) + 4;
+            assert_eq!(calls, expected, "{} chunks", source.chunk_count());
         }
     }
 

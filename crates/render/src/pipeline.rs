@@ -182,12 +182,12 @@ pub struct FrameProfile {
     /// profile equality like wall times.
     #[serde(default)]
     pub chunk_bytes_peak: u64,
-    /// Peak bytes of projected-splat scratch resident at once: the largest
-    /// per-chunk projection buffer on the chunked path (bounded by the
-    /// chunk size — the memory claim the chunked pipeline exists for), or
-    /// the whole visible splat vector on the in-core path. The final
-    /// visible splat set the rasterizer consumes is counted separately by
-    /// neither — it is the frame's working set, identical on both paths.
+    /// Peak bytes of splats projected in one step: the largest single
+    /// chunk's projection on the chunked path (bounded by the chunk size —
+    /// the memory claim the chunked pipeline exists for), or the whole
+    /// visible splat vector on the in-core path. The final visible splat
+    /// set the rasterizer consumes is counted separately by neither — it is
+    /// the frame's working set, identical on both paths.
     /// Deterministic per configuration; excluded from profile equality.
     #[serde(default)]
     pub projected_bytes_peak: u64,
@@ -294,6 +294,7 @@ pub(crate) fn project(
     options: &RenderOptions,
     mut out: Vec<ProjectedSplat>,
 ) -> Vec<ProjectedSplat> {
+    out.clear();
     project_model_offset_into(model, camera, options, 0, &mut out);
     out
 }

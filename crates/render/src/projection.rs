@@ -204,13 +204,14 @@ fn project_range(
 /// concatenate in point order), only the wall time.
 const MIN_POINTS_PER_SHARD: usize = 512;
 
-/// [`project_model`] appending into a caller-provided buffer (cleared
-/// first), for a model that is a chunk of a larger scene starting at global
-/// point index `base`: stored `point_index` values are `base + i`. A
-/// recycled [`FrameArena`](crate::FrameArena) reuses its splat storage this
-/// way instead of allocating per frame. With `base == 0` the output is
-/// [`project_model`]'s — same arithmetic, bit-identical — which is what
-/// makes chunked projection (chunks concatenated in order) equal to
+/// [`project_model`] appending to the end of a caller-provided buffer, for
+/// a model that is a chunk of a larger scene starting at global point index
+/// `base`: stored `point_index` values are `base + i`. A recycled
+/// [`FrameArena`](crate::FrameArena) reuses its splat storage this way
+/// instead of allocating per frame, and a chunked frame appends chunk after
+/// chunk onto its one visible-splat vector. With `base == 0` the appended
+/// splats are [`project_model`]'s — same arithmetic, bit-identical — which
+/// is what makes chunked projection (chunks concatenated in order) equal to
 /// in-core projection of the flat model.
 pub fn project_model_offset_into(
     model: &GaussianModel,
@@ -219,7 +220,6 @@ pub fn project_model_offset_into(
     base: u32,
     out: &mut Vec<ProjectedSplat>,
 ) {
-    out.clear();
     let ctx = FrameContext::new(model, camera, options);
     let n = model.len();
     let shards = options

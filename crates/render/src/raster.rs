@@ -204,7 +204,7 @@ impl Renderer {
     /// Chunked sources never load the whole model: Project streams chunk by
     /// chunk, each chunk decoded and projected once and appended to the
     /// frame's visible-splat vector (frame-sized, as on the in-core path),
-    /// so peak chunk and projected-splat scratch residency are bounded by
+    /// so the chunk buffers and each chunk's projection are bounded by
     /// the chunk size (and recorded in the frame profile's
     /// `chunk_bytes_peak` / `projected_bytes_peak`). Bin and everything
     /// after it is the in-core code. With LOD off the output is
