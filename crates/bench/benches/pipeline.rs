@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
-use metasapiens::render::{RasterKernel, RenderOptions, Renderer, StageKind};
+use metasapiens::render::{RenderOptions, Renderer, StageKind};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::Camera;
 use metasapiens::train::ce::{compute_ce, CeOptions};
@@ -102,45 +102,6 @@ fn bench_dense_vs_foveated_frame(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs 4-lane SIMD compositing kernel on the same dense and foveated
-/// frames, single-threaded so the Raster-stage difference is not hidden by
-/// scheduling. The committed record lives in `BENCH_pr6.json` (generated by
-/// the `bench_corpus` binary, which also sweeps thread counts).
-fn bench_raster_kernel(c: &mut Criterion) {
-    let s = setup();
-    let fr_model = build_foveated(
-        &s.scene.model,
-        &s.cameras,
-        &s.references,
-        &FrBuildConfig {
-            finetune: None,
-            ..FrBuildConfig::default()
-        },
-    );
-    let cam = &s.cameras[0];
-    let mut group = c.benchmark_group("raster_kernel");
-    for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-        let options = RenderOptions {
-            threads: 1,
-            raster_kernel: kernel,
-            ..RenderOptions::default()
-        };
-        let name = match kernel {
-            RasterKernel::Scalar => "scalar",
-            _ => "simd4",
-        };
-        let renderer = Renderer::new(options.clone());
-        group.bench_function(&format!("dense_{name}"), |b| {
-            b.iter(|| renderer.render(&s.scene.model, cam));
-        });
-        let fr = FoveatedRenderer::new(options);
-        group.bench_function(&format!("foveated_{name}"), |b| {
-            b.iter(|| fr.render(&fr_model, cam, None));
-        });
-    }
-    group.finish();
-}
-
 /// Whole-frame render at each worker count, plus a per-stage wall-time
 /// report so Project/Bin/Raster scaling is visible individually — the
 /// measure-then-rebalance loop the workload analysis calls for.
@@ -203,7 +164,6 @@ criterion_group! {
     name = pipeline;
     config = configured();
     targets = bench_ce, bench_prune_round, bench_finetune_iteration,
-              bench_dense_vs_foveated_frame, bench_raster_kernel,
-              bench_render_thread_scaling
+              bench_dense_vs_foveated_frame, bench_render_thread_scaling
 }
 criterion_main!(pipeline);

@@ -1,6 +1,5 @@
 //! Corpus bench record: one binary sweeping **named scenarios** (scene
-//! family × trajectory) × raster kernel (scalar, simd4) × thread counts,
-//! plus the multi-session frame-server sweep and the chunked-streaming sweep (in-core vs the
+//! family × trajectory) × thread counts, plus the multi-session frame-server sweep and the chunked-streaming sweep (in-core vs the
 //! encoded container at two chunk sizes, with the chunk cache disabled
 //! and at the default budget) — the single perf record of the repo, written to
 //! `BENCH_pr10.json` at the repo root (override with `MS_BENCH_OUT`).
@@ -12,16 +11,13 @@
 //! Sampling discipline (unchanged from PR 6): every raster cell renders
 //! one frame per repetition in round-robin order, keeping the best
 //! (lowest total wall) profile, so machine-load drift hits all
-//! configurations equally instead of biasing whichever ran last. The
-//! best profile also carries the `RasterWork` staging counters, which
-//! are deterministic per configuration — so the record shows the win in
-//! both wall time *and* counted work.
+//! configurations equally instead of biasing whichever ran last.
 //!
 //! The `dense/*` scenarios render the room layout at a realistic splat
 //! population (`MS_POINTS` small splats at `MS_LOG_SCALE`), where tile
-//! lists are long and row intervals short — the scheduling regime the
-//! per-tile prepass targets. `foveated/headon` keeps the moderate
-//! `MS_SCALE` point budget the foveated build step is sized for.
+//! lists are long and the transmittance early stop ends most pixels after
+//! a few splats. `foveated/headon` keeps the moderate `MS_SCALE` point
+//! budget the foveated build step is sized for.
 //!
 //! Env knobs: `MS_POINTS`, `MS_LOG_SCALE` (dense family),
 //! `MS_SCALE` (foveated family), `MS_W`, `MS_H`, `MS_FRAMES` (raster
@@ -32,9 +28,7 @@
 
 use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
 use metasapiens::math::Vec3;
-use metasapiens::render::{
-    FrameProfile, RasterKernel, RasterWork, RenderOptions, Renderer, SceneRef, StageKind,
-};
+use metasapiens::render::{FrameProfile, RenderOptions, Renderer, SceneRef, StageKind};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::synth::{self, Scene};
 use metasapiens::scene::trajectory::{orbit, Trajectory};
@@ -52,13 +46,6 @@ const STAGES: [StageKind; 5] = [
     StageKind::Merge,
     StageKind::Raster,
     StageKind::Composite,
-];
-
-/// Raster kernels the corpus sweeps: the scalar reference and the SIMD
-/// kernel (fed by the per-tile staging prepass).
-const KERNEL_CONFIGS: [(&str, RasterKernel); 2] = [
-    ("scalar", RasterKernel::Scalar),
-    ("simd4", RasterKernel::Simd4),
 ];
 
 fn getf(key: &str, default: f32) -> f32 {
@@ -83,7 +70,7 @@ fn get_list(key: &str, default: &[usize]) -> Vec<usize> {
 }
 
 /// One named scenario: a scene family viewed along a trajectory, closed
-/// over into a render thunk per (kernel config, thread count).
+/// over into a render thunk per thread count.
 struct Scenario {
     /// `family/trajectory`, e.g. `dense/headon`.
     name: &'static str,
@@ -94,7 +81,6 @@ struct Scenario {
 /// One benchmarked configuration and the best profile seen so far.
 struct Cell {
     scenario: &'static str,
-    config: &'static str,
     threads: usize,
     render: Box<dyn Fn() -> FrameProfile>,
     best: Option<FrameProfile>,
@@ -116,11 +102,9 @@ impl Cell {
 /// A finished raster cell, flattened for the table and the JSON record.
 struct Row {
     scenario: &'static str,
-    config: &'static str,
     threads: usize,
     walls_us: [f64; 5],
     total_us: f64,
-    work: RasterWork,
 }
 
 fn row(cell: &Cell) -> Row {
@@ -128,11 +112,9 @@ fn row(cell: &Cell) -> Row {
     let walls_us: [f64; 5] = std::array::from_fn(|i| best.wall(STAGES[i]).as_secs_f64() * 1e6);
     Row {
         scenario: cell.scenario,
-        config: cell.config,
         threads: cell.threads,
         walls_us,
         total_us: best.total_wall().as_secs_f64() * 1e6,
-        work: best.raster,
     }
 }
 
@@ -143,16 +125,11 @@ fn json_raster_row(r: &Row) -> String {
         .map(|(k, us)| format!("\"{}\": {:.1}", k.name(), us))
         .collect();
     format!(
-        "    {{\"scenario\": \"{}\", \"config\": \"{}\", \"threads\": {}, \"stage_walls_us\": {{{}}}, \"total_us\": {:.1}, \"work\": {{\"splats_staged\": {}, \"splats_culled\": {}, \"row_iterations\": {}, \"row_iteration_bound\": {}}}}}",
+        "    {{\"scenario\": \"{}\", \"threads\": {}, \"stage_walls_us\": {{{}}}, \"total_us\": {:.1}}}",
         r.scenario,
-        r.config,
         r.threads,
         stages.join(", "),
         r.total_us,
-        r.work.splats_staged,
-        r.work.splats_culled,
-        r.work.row_iterations,
-        r.work.row_iteration_bound,
     )
 }
 
@@ -273,9 +250,7 @@ fn main() {
     // The dense family: the room trace's layout at a realistic splat
     // population — tens of thousands of small splats (real checkpoints run
     // millions), so tile CSR lists are long and each splat covers a few rows
-    // of a 16-row tile. This is the regime the per-tile staging prepass
-    // targets; the earlier `bench_raster` "dense" scene was a few thousand
-    // tile-sized splats, which exercises the kernel but not the scheduler.
+    // of a 16-row tile.
     let scene: Scene = {
         let mut spec = TraceId::by_name("room").unwrap().spec_with_scale(1.0);
         spec.total_points = points;
@@ -300,8 +275,8 @@ fn main() {
         fovy: ms_math::deg_to_rad(74.0),
         ..fr_scene.train_cameras[0]
     };
-    // Pulled-back orbit pose: sparse periphery, the occupancy-merging and
-    // admission-cull sweet spot.
+    // Pulled-back orbit pose: sparse periphery, the occupancy-merging sweet
+    // spot.
     let orbit_cam = traj(0).camera_at(
         &Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 12.0), Vec3::zero()),
         1,
@@ -356,7 +331,7 @@ fn main() {
         },
     ];
 
-    println!("== bench corpus: scenarios x kernel configs x threads, + server sessions ==");
+    println!("== bench corpus: scenarios x threads, + server sessions ==");
     println!(
         "dense room: {points} pts @ log-scale {log_scale}; foveated room @ scale {scale}; \
          {width}x{height}, best of {frames} frames, {host_cores} host cores\n"
@@ -369,21 +344,17 @@ fn main() {
                 continue;
             }
         }
-        for &(config, kernel) in &KERNEL_CONFIGS {
-            for &threads in &thread_counts {
-                let options = RenderOptions {
-                    threads,
-                    raster_kernel: kernel,
-                    ..RenderOptions::default()
-                };
-                cells.push(Cell {
-                    scenario: sc.name,
-                    config,
-                    threads,
-                    render: (sc.make)(options),
-                    best: None,
-                });
-            }
+        for &threads in &thread_counts {
+            let options = RenderOptions {
+                threads,
+                ..RenderOptions::default()
+            };
+            cells.push(Cell {
+                scenario: sc.name,
+                threads,
+                render: (sc.make)(options),
+                best: None,
+            });
         }
     }
     for _ in 0..frames {
@@ -395,7 +366,6 @@ fn main() {
 
     let headers = [
         "scenario",
-        "config",
         "threads",
         "project",
         "bin",
@@ -403,47 +373,19 @@ fn main() {
         "raster",
         "composite",
         "total",
-        "row iters",
-        "bound",
     ];
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let mut out = vec![
-                r.scenario.to_string(),
-                r.config.to_string(),
-                r.threads.to_string(),
-            ];
+            let mut out = vec![r.scenario.to_string(), r.threads.to_string()];
             out.extend(r.walls_us.iter().map(|us| format!("{us:.1}")));
             out.push(format!("{:.1}", r.total_us));
-            out.push(r.work.row_iterations.to_string());
-            out.push(r.work.row_iteration_bound.to_string());
             out
         })
         .collect();
     print_table(&headers, &table);
 
-    // Headline ratios (1 thread): the per-tile schedule's counted
-    // row-iteration saving on the dense/orbit overdraw trace, and the
-    // 4-lane kernel's win over scalar on the foveated scenario, which keeps
-    // PR 6's moderate trace shape (on the overdraw trace a lazy scalar walk
-    // is competitive — see ARCHITECTURE.md).
-    let find = |scenario: &str, config: &str| {
-        rows.iter()
-            .find(|r| r.scenario == scenario && r.config == config && r.threads == 1)
-    };
-    let raster_us =
-        |scenario: &str, config: &str| find(scenario, config).map_or(f64::NAN, |r| r.walls_us[3]);
-    let work_saving =
-        find("dense/orbit", "simd4").map_or(f64::NAN, |r| r.work.row_iteration_saving());
-    let simd_speedup =
-        raster_us("foveated/headon", "scalar") / raster_us("foveated/headon", "simd4");
-    println!(
-        "\ndense/orbit 1-thread row-iteration saving {work_saving:.2}x; \
-         foveated/headon scalar/simd4 {simd_speedup:.2}x"
-    );
-
-    // Server sweep: default options resolve to the simd4 hot path.
+    // Server sweep: default options at all host cores.
     let model_arc = Arc::new(model);
     let server_workloads = [
         (
@@ -656,7 +598,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"corpus\",\n  \"pr\": 10,\n  \"host_cores\": {host_cores},\n  \"config\": {{\"trace\": \"room\", \"dense_points\": {points}, \"dense_log_scale\": {log_scale}, \"foveated_scene_scale\": {scale}, \"width\": {width}, \"height\": {height}, \"frames\": {frames}, \"frames_per_session\": {server_frames}, \"in_flight\": 2}},\n  \"raster\": [\n{}\n  ],\n  \"acceptance_1t\": {{\"dense_orbit_row_iteration_saving\": {work_saving:.3}, \"foveated_headon_scalar_over_simd4\": {simd_speedup:.3}}},\n  \"server\": [\n{}\n  ],\n  \"chunked\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"corpus\",\n  \"pr\": 10,\n  \"host_cores\": {host_cores},\n  \"config\": {{\"trace\": \"room\", \"dense_points\": {points}, \"dense_log_scale\": {log_scale}, \"foveated_scene_scale\": {scale}, \"width\": {width}, \"height\": {height}, \"frames\": {frames}, \"frames_per_session\": {server_frames}, \"in_flight\": 2}},\n  \"raster\": [\n{}\n  ],\n  \"server\": [\n{}\n  ],\n  \"chunked\": [\n{}\n  ]\n}}\n",
         raster_json.join(",\n"),
         server_json.join(",\n"),
         chunked_json.join(",\n")

@@ -11,8 +11,6 @@
 //!   view-dependent Gaussian color, matching the 3DGS convention.
 //! * [`Conic2`] / [`Cov2`] — the 2-D projected covariance machinery used by
 //!   EWA splatting (invert covariance, eigen extents, point-inside tests).
-//! * [`simd`] — portable 4-lane `f32`/`u32` vectors (`[T; 4]` wrappers with
-//!   per-lane scalar semantics) used by the batched rasterization kernels.
 //! * [`stats`] — summary statistics (mean/std/percentiles/boxplots) used by
 //!   the evaluation harness to reproduce the paper's boxplot figures.
 //!
@@ -34,7 +32,6 @@ mod conic;
 mod mat;
 mod quat;
 pub mod sh;
-pub mod simd;
 pub mod stats;
 mod vec;
 

@@ -22,8 +22,8 @@
 //!
 //! [`FrameArena`] holds the large per-frame allocations (the
 //! projected-splat vector, the CSR offset/index buffers, and the raster
-//! workers' staging scratch pool). A finished frame returns its arena from
-//! [`FrameInFlight::finish`]; handing it to the next
+//! workers' per-pixel-sort gather buffers). A finished frame returns its
+//! arena from [`FrameInFlight::finish`]; handing it to the next
 //! [`begin_frame`](crate::Renderer::begin_frame) turns the steady-state
 //! per-frame cost into buffer reuse instead of allocation. Buffers are
 //! cleared before reuse, so arenas never leak data between frames (or
@@ -33,7 +33,7 @@ use crate::binning::{MergedTileSchedule, TileBins};
 use crate::options::RenderOptions;
 use crate::pipeline::{self, Composited, StageKind, StageSample};
 use crate::projection::{project_model_offset_into, ProjectedSplat};
-use crate::raster::{check_camera, RasterScratch, RenderOutput, Renderer, UnitResult};
+use crate::raster::{check_camera, Contrib, RenderOutput, Renderer, UnitResult};
 use crate::stats::TileGridDims;
 use ms_scene::{CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
 use std::time::{Duration, Instant};
@@ -149,8 +149,8 @@ impl From<&Camera> for View {
 
 /// Recyclable scratch storage for one frame: the projected-splat vector,
 /// the CSR `(offsets, indices)` buffers, and the Raster stage's per-worker
-/// staging scratch pool. Returned by [`FrameInFlight::finish`] with
-/// contents cleared (capacity retained) and accepted by
+/// per-pixel-sort gather buffers. Returned by [`FrameInFlight::finish`]
+/// with contents cleared (capacity retained) and accepted by
 /// [`Renderer::begin_frame`]; `FrameArena::default()` is a valid cold
 /// start that simply allocates on first use.
 #[derive(Debug, Default)]
@@ -158,7 +158,7 @@ pub struct FrameArena {
     pub(crate) splats: Vec<ProjectedSplat>,
     pub(crate) offsets: Vec<u32>,
     pub(crate) indices: Vec<u32>,
-    pub(crate) raster: Vec<RasterScratch>,
+    pub(crate) raster: Vec<Vec<Contrib>>,
 }
 
 /// Unwrap the chunked source a streaming frame step was begun with,
@@ -298,7 +298,7 @@ impl ChunkStream {
 
     /// Recover the arena-owned buffers from a failed frame (cleared, with
     /// capacity retained) so the fault costs no steady-state allocations.
-    /// The raster scratch pool lives on `FrameInFlight` and rejoins in
+    /// The raster gather buffers live on `FrameInFlight` and rejoin in
     /// [`FrameInFlight::into_failure`].
     fn into_arena(self) -> FrameArena {
         let ChunkStream {
@@ -392,10 +392,10 @@ pub struct FrameInFlight {
     /// One sample per executed stage, in execution order.
     samples: Vec<StageSample>,
     state: State,
-    /// Raster staging scratch pool, taken out of the incoming arena so the
-    /// Raster stage can borrow it mutably alongside the pipeline state;
-    /// rejoins the arena in [`finish`](Self::finish).
-    raster_scratch: Vec<RasterScratch>,
+    /// Raster gather buffers, taken out of the incoming arena so the
+    /// Raster stage can borrow them mutably alongside the pipeline state;
+    /// they rejoin the arena in [`finish`](Self::finish).
+    raster_contribs: Vec<Vec<Contrib>>,
     /// `(chunk_bytes_peak, projected_bytes_peak)` measured by the streamed
     /// Project; `None` on the in-core path, whose peaks are
     /// derived from the final splat vector when the output is assembled.
@@ -442,7 +442,7 @@ impl FrameInFlight {
                 "pixel mask size mismatch"
             );
         }
-        let raster_scratch = std::mem::take(&mut arena.raster);
+        let raster_contribs = std::mem::take(&mut arena.raster);
         let state = match scene {
             SceneRef::InCore(_) => State::Project { arena },
             SceneRef::Chunked(_) => State::Stream(Box::new(ChunkStream::new(arena))),
@@ -467,7 +467,7 @@ impl FrameInFlight {
             model_len: scene.total_points(),
             samples: Vec::new(),
             state,
-            raster_scratch,
+            raster_contribs,
             peaks: None,
             cache_stats: CacheStats::default(),
         }
@@ -626,11 +626,11 @@ impl FrameInFlight {
                 bins,
                 schedule,
             } => {
-                let scratch = &mut self.raster_scratch;
+                let contribs = &mut self.raster_contribs;
                 let units = timed(
                     &mut self.samples,
                     StageKind::Raster,
-                    || pipeline::raster(&splats, &bins, &schedule, options, camera, mask, scratch),
+                    || pipeline::raster(&splats, &bins, &schedule, options, camera, mask, contribs),
                     |units| units.iter().map(|u| u.blend_steps).sum(),
                 );
                 State::Composite {
@@ -708,10 +708,8 @@ impl FrameInFlight {
         let (mut offsets, mut indices) = bins.into_buffers();
         offsets.clear();
         indices.clear();
-        let mut raster = self.raster_scratch;
-        for scratch in &mut raster {
-            scratch.clear();
-        }
+        let mut raster = self.raster_contribs;
+        raster.iter_mut().for_each(Vec::clear);
         (
             output,
             FrameArena {
@@ -725,7 +723,7 @@ impl FrameInFlight {
 
     /// Consume a failed frame, yielding the chunk-load error and the
     /// recovered [`FrameArena`] (cleared, capacity retained — including the
-    /// raster scratch pool). The arena is exactly as reusable as one from
+    /// raster gather buffers). The arena is exactly as reusable as one from
     /// [`finish`](Self::finish): the failure poisons nothing, so the next
     /// frame begun from it renders bit-identically to a cold start.
     ///
@@ -736,10 +734,8 @@ impl FrameInFlight {
         let State::Failed { error, mut arena } = self.state else {
             panic!("into_failure called on a frame that did not fail");
         };
-        let mut raster = self.raster_scratch;
-        for scratch in &mut raster {
-            scratch.clear();
-        }
+        let mut raster = self.raster_contribs;
+        raster.iter_mut().for_each(Vec::clear);
         arena.raster = raster;
         (error, arena)
     }

@@ -52,7 +52,7 @@ mod stats;
 pub use binning::{MergedTileSchedule, SuperTile, TileBins};
 pub use frame::{FrameArena, FrameInFlight, SceneRef, View};
 pub use image::Image;
-pub use options::{RasterKernel, RenderOptions, SortMode};
+pub use options::{RenderOptions, SortMode};
 pub use pipeline::{FrameProfile, StageKind, StageSample};
 pub use projection::{project_model, project_model_offset_into, ProjectedSplat};
 pub use raster::{RenderOutput, Renderer};

@@ -18,32 +18,6 @@ pub enum SortMode {
     PerPixel,
 }
 
-/// Which per-pixel compositing kernel the Raster stage runs.
-///
-/// Both kernels are **bit-identical** — the SIMD kernel batches four pixels
-/// of a tile row into lanes but executes the same `f32` op sequence per
-/// pixel as the scalar kernel (see the `ms_render::pipeline` module docs
-/// for the contract, and the kernel-equivalence property test for the
-/// enforcement). Selection is therefore purely a throughput knob; tests and
-/// CI pin one path explicitly to keep both covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum RasterKernel {
-    /// Resolve from the `MS_RASTER_KERNEL` environment variable
-    /// (`scalar`/`simd4`, case-insensitive), falling back to [`Simd4`]
-    /// when unset — read once, when the [`Renderer`](crate::Renderer) is
-    /// constructed. This is the CI seam: the determinism suite runs once
-    /// per pinned kernel without recompiling.
-    ///
-    /// [`Simd4`]: RasterKernel::Simd4
-    #[default]
-    Auto,
-    /// One pixel at a time — the reference kernel.
-    Scalar,
-    /// Four pixels of a tile row per iteration on [`ms_math::simd`] lanes;
-    /// row remainders and masked-pixel gaps fall back to the scalar kernel.
-    Simd4,
-}
-
 /// Options controlling a render pass.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RenderOptions {
@@ -93,14 +67,6 @@ pub struct RenderOptions {
     /// (a cap of `n` bounds a unit to `n × n` tiles). Must be `>= 1` even
     /// when merging is disabled.
     pub merge_max_extent: u32,
-    /// Compositing kernel for the Raster stage. Scalar and SIMD produce
-    /// bit-identical frames; [`RasterKernel::Auto`] (the default) picks the
-    /// SIMD kernel unless the `MS_RASTER_KERNEL` environment variable pins
-    /// one. `Auto` is resolved once, when a [`Renderer`](crate::Renderer)
-    /// is constructed, so a renderer's own options always name a concrete
-    /// kernel. The per-pixel-sorted mode ([`SortMode::PerPixel`]) always
-    /// runs the scalar gather+sort kernel regardless of this setting.
-    pub raster_kernel: RasterKernel,
     /// Level-of-detail stride for *peripheral* content: `0` or `1` renders
     /// every splat (LOD off, the default); `k >= 2` makes the foveated
     /// renderer draw its non-foveal eccentricity levels from a coarse
@@ -149,7 +115,6 @@ impl Default for RenderOptions {
             threads: 1,
             merge_threshold: 0.0,
             merge_max_extent: 4,
-            raster_kernel: RasterKernel::Auto,
             lod: 0,
             cache_budget_bytes: None,
         }
@@ -183,31 +148,6 @@ impl RenderOptions {
         self.merge_threshold > 0.0
     }
 
-    /// The compositing kernel the Raster stage will actually run, given
-    /// `env`, the value of the `MS_RASTER_KERNEL` environment variable:
-    /// `raster_kernel` itself when pinned, otherwise `env` (`scalar` or
-    /// `simd4`, case-insensitive), and [`RasterKernel::Simd4`] when neither
-    /// pins one. Pure, so tests never touch the process environment; the
-    /// [`Renderer`](crate::Renderer) constructors read the variable once.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `env` is an unrecognized value — the variable exists so
-    /// CI can pin a kernel, and a typo silently falling back to the default
-    /// would unpin it.
-    pub(crate) fn resolved_kernel(&self, env: Option<&str>) -> RasterKernel {
-        match self.raster_kernel {
-            RasterKernel::Auto => match env.map(str::to_ascii_lowercase).as_deref() {
-                None | Some("simd4" | "") => RasterKernel::Simd4,
-                Some("scalar") => RasterKernel::Scalar,
-                Some(other) => {
-                    panic!("MS_RASTER_KERNEL={other:?}: expected \"scalar\" or \"simd4\"")
-                }
-            },
-            pinned => pinned,
-        }
-    }
-
     /// The effective peripheral LOD stride: `Some(k)` when coarse-subset
     /// decimation is on (`lod >= 2`), `None` when off (`0` and `1` both
     /// keep every splat, so there is no meaningful stride to report).
@@ -224,9 +164,8 @@ impl RenderOptions {
     /// `cache_budget_bytes` itself when pinned (`Some(0)` disables the
     /// cache), otherwise `env` (a byte count; `0` disables), and
     /// [`ms_scene::DEFAULT_CHUNK_CACHE_BYTES`] when neither pins one.
-    /// Mirrors the `MS_RASTER_KERNEL` / `MS_CHUNK_SPLATS` seams: CI pins the
-    /// cache axis through the environment without plumbing a parameter
-    /// everywhere.
+    /// Mirrors the `MS_CHUNK_SPLATS` seam: CI pins the cache axis through
+    /// the environment without plumbing a parameter everywhere.
     ///
     /// # Panics
     ///
@@ -293,12 +232,11 @@ impl RenderOptions {
                  tiles into any work unit, leaving the raster schedule empty"
                 .into());
         }
-        // `raster_kernel` is a closed enum, and `cache_budget_bytes` has a
-        // closed domain (every byte count from 0 = disabled to usize::MAX =
-        // unbounded is meaningful, and none of them changes pixels) — so
-        // there is nothing to range-check for either here. Their env
-        // overrides (`MS_RASTER_KERNEL`, `MS_CHUNK_CACHE`) are checked when
-        // the `Renderer` constructor resolves them, which panics on a typo.
+        // `cache_budget_bytes` has a closed domain (every byte count from
+        // 0 = disabled to usize::MAX = unbounded is meaningful, and none of
+        // them changes pixels), so there is nothing to range-check here.
+        // Its env override (`MS_CHUNK_CACHE`) is checked when the
+        // `Renderer` constructor resolves it, which panics on a typo.
         Ok(())
     }
 }
@@ -405,34 +343,6 @@ mod tests {
         RenderOptions::with_tile_merging().validate().unwrap();
         assert!(RenderOptions::with_tile_merging().merge_enabled());
         assert!(!RenderOptions::default().merge_enabled());
-    }
-
-    #[test]
-    fn kernel_resolution() {
-        // Pinned kernels resolve to themselves whatever the variable says.
-        for pinned in [RasterKernel::Scalar, RasterKernel::Simd4] {
-            let o = RenderOptions {
-                raster_kernel: pinned,
-                ..RenderOptions::default()
-            };
-            for env in [None, Some("scalar"), Some("simd4"), Some("typo")] {
-                assert_eq!(o.resolved_kernel(env), pinned);
-            }
-        }
-        // Auto follows MS_RASTER_KERNEL (case-insensitive) when set, Simd4
-        // when unset or empty.
-        let auto = RenderOptions::default();
-        assert_eq!(auto.raster_kernel, RasterKernel::Auto);
-        assert_eq!(auto.resolved_kernel(Some("scalar")), RasterKernel::Scalar);
-        assert_eq!(auto.resolved_kernel(Some("SIMD4")), RasterKernel::Simd4);
-        assert_eq!(auto.resolved_kernel(Some("")), RasterKernel::Simd4);
-        assert_eq!(auto.resolved_kernel(None), RasterKernel::Simd4);
-    }
-
-    #[test]
-    #[should_panic(expected = "MS_RASTER_KERNEL=\"avx\": expected \"scalar\" or \"simd4\"")]
-    fn kernel_env_typo_panics() {
-        RenderOptions::default().resolved_kernel(Some("AVX"));
     }
 
     #[test]

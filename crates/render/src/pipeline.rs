@@ -66,18 +66,9 @@
 //! winner buffer are bit-identical to the unmerged render's for every
 //! thread count too. Merging changes scheduling, never pixels.
 //!
-//! The Raster stage has one more interchangeable axis: the compositing
-//! *kernel*. [`RenderOptions::raster_kernel`](crate::RenderOptions)
-//! selects between the scalar reference and the 4-lane SIMD kernel, fed
-//! by a per-tile staging prepass and row-interval schedule (`Auto`, the
-//! default, is resolved once when the [`Renderer`](crate::Renderer) is
-//! built: the `MS_RASTER_KERNEL` env var, otherwise SIMD). The seam sits
-//! inside a work unit, per group of four row pixels — full unmasked groups
-//! run the batched kernel, remainders and masked groups fall back to the
-//! scalar one. The kernels are bit-identical by construction (see
-//! `raster.rs` and the "Raster hot path" section of `ARCHITECTURE.md`), so
-//! kernel choice, like thread count and merging, changes wall time, never
-//! pixels.
+//! Inside a work unit, every masked-in pixel runs the one scalar
+//! compositing kernel (`raster.rs`): a front-to-back walk over its own
+//! tile's list that stops once transmittance falls below `t_min`.
 //!
 //! Each stage is a plain function in this module, called once per frame by
 //! [`FrameInFlight::run_stage`](crate::FrameInFlight::run_stage), which
@@ -115,7 +106,7 @@ use crate::binning::{MergedTileSchedule, TileBins};
 use crate::image::Image;
 use crate::options::RenderOptions;
 use crate::projection::{project_model_offset_into, ProjectedSplat};
-use crate::raster::{rasterize_unit, RasterScratch, UnitResult};
+use crate::raster::{rasterize_unit, Contrib, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
 use ms_scene::{CacheStats, Camera, GaussianModel};
 use serde::{Deserialize, Serialize};
@@ -171,9 +162,7 @@ pub struct StageSample {
 pub struct FrameProfile {
     /// Samples in execution order.
     pub samples: Vec<StageSample>,
-    /// Raster staging/scheduling work counters, summed over the frame's
-    /// work units (see [`RasterWork`] for the per-path semantics; all
-    /// zeros under the scalar kernel, which stages nothing).
+    /// Raster staging counters; always zero (see [`RasterWork`]).
     pub raster: RasterWork,
     /// Peak bytes of source-model data resident at once: the largest
     /// chunk's [`storage_bytes`](ms_scene::GaussianModel::storage_bytes) on
@@ -207,13 +196,6 @@ pub struct FrameProfile {
 /// work counters — and deliberately ignores wall times, which differ
 /// between otherwise identical runs. This keeps `RenderStats: PartialEq`
 /// meaningful for determinism tests.
-///
-/// The [`RasterWork`] counters are also excluded: they describe how a
-/// kernel did the work, not what it produced, and they legitimately differ
-/// across configurations that must compare equal (the scalar kernel stages
-/// nothing). Their own determinism — same counters for the same
-/// configuration across thread counts and schedules — is asserted
-/// explicitly in `tests/determinism.rs` instead.
 impl PartialEq for FrameProfile {
     fn eq(&self, other: &Self) -> bool {
         self.samples.len() == other.samples.len()
@@ -271,7 +253,6 @@ impl FrameProfile {
                 None => self.samples.push(*s),
             }
         }
-        self.raster.accumulate(&other.raster);
         self.chunk_bytes_peak = self.chunk_bytes_peak.max(other.chunk_bytes_peak);
         self.projected_bytes_peak = self.projected_bytes_peak.max(other.projected_bytes_peak);
         self.cache.accumulate(&other.cache);
@@ -363,10 +344,10 @@ pub(crate) fn merge(bins: &TileBins, options: &RenderOptions) -> MergedTileSched
 /// regardless of which unit the tile was scheduled in, so the schedule
 /// shape cannot change a pixel.
 ///
-/// `scratch` is the per-worker staging pool recycled through a
-/// [`FrameArena`](crate::FrameArena), grown to one [`RasterScratch`] per
-/// worker on demand. Contents are overwritten per tile, so which worker
-/// gets which scratch cannot change a pixel either.
+/// `contribs` is the per-worker pool of per-pixel-sort gather buffers,
+/// recycled through a [`FrameArena`](crate::FrameArena) and grown to one
+/// buffer per worker on demand. Contents are overwritten per pixel, so
+/// which worker gets which buffer cannot change a pixel either.
 pub(crate) fn raster(
     splats: &[ProjectedSplat],
     bins: &TileBins,
@@ -374,34 +355,34 @@ pub(crate) fn raster(
     options: &RenderOptions,
     camera: &Camera,
     mask: Option<&[bool]>,
-    scratch: &mut Vec<RasterScratch>,
+    contribs: &mut Vec<Vec<Contrib>>,
 ) -> Vec<UnitResult> {
     let units = schedule.units();
     let threads = options.resolved_threads().min(units.len().max(1));
     if threads <= 1 || units.len() <= 1 {
-        if scratch.is_empty() {
-            scratch.push(RasterScratch::default());
+        if contribs.is_empty() {
+            contribs.push(Vec::new());
         }
-        let scratch = &mut scratch[0];
+        let contribs = &mut contribs[0];
         return units
             .iter()
-            .map(|unit| rasterize_unit(options, splats, bins, camera, unit, mask, scratch))
+            .map(|unit| rasterize_unit(options, splats, bins, camera, unit, mask, contribs))
             .collect();
     }
 
     // Workers pop unit indices from a shared counter; each unit result
     // lands in its own slot, so assembly order — and the composited image —
-    // is independent of scheduling. Each worker owns one scratch from the
-    // recycled pool for its whole run.
-    if scratch.len() < threads {
-        scratch.resize_with(threads, RasterScratch::default);
+    // is independent of scheduling. Each worker owns one gather buffer from
+    // the recycled pool for its whole run.
+    if contribs.len() < threads {
+        contribs.resize_with(threads, Vec::new);
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<UnitResult>>> = (0..units.len())
         .map(|_| std::sync::Mutex::new(None))
         .collect();
     rayon::scope(|s| {
-        for scratch in scratch.iter_mut().take(threads) {
+        for contribs in contribs.iter_mut().take(threads) {
             let next = &next;
             let slots = &slots;
             s.spawn(move |_| loop {
@@ -409,7 +390,7 @@ pub(crate) fn raster(
                 if u >= units.len() {
                     break;
                 }
-                let unit = rasterize_unit(options, splats, bins, camera, &units[u], mask, scratch);
+                let unit = rasterize_unit(options, splats, bins, camera, &units[u], mask, contribs);
                 *slots[u].lock().expect("unit slot poisoned") = Some(unit);
             });
         }
@@ -434,9 +415,6 @@ pub(crate) struct Composited {
     pub winners: Vec<u32>,
     /// Total compositing steps across work units.
     pub blend_steps: u64,
-    /// Raster staging/scheduling work counters summed across work units
-    /// (destined for [`FrameProfile::raster`]).
-    pub raster: RasterWork,
 }
 
 /// Composite: ordered work units → final image (+ per-pixel winners when
@@ -455,10 +433,8 @@ pub(crate) fn composite(
         Vec::new()
     };
     let mut blend_steps = 0u64;
-    let mut raster = RasterWork::default();
     for unit in units {
         blend_steps += unit.blend_steps;
-        raster.accumulate(&unit.work);
         let rows = unit.pixels.len() as u32 / unit.width.max(1);
         for dy in 0..rows {
             let y = unit.y_start + dy;
@@ -476,7 +452,6 @@ pub(crate) fn composite(
         image,
         winners,
         blend_steps,
-        raster,
     }
 }
 

@@ -75,64 +75,24 @@ impl TileGridDims {
     }
 }
 
-/// Raster-stage work counters for the staged compositing path, recorded in
-/// [`FrameProfile::raster`](crate::FrameProfile).
+/// Raster staging counters, carried in
+/// [`FrameProfile::raster`](crate::FrameProfile) and **always zero**.
 ///
-/// The SIMD raster path stages each tile's depth-sorted CSR list once
-/// before compositing; these counters expose how much work the per-tile
-/// staging prepass and its row-interval schedule avoid, so the saving is
-/// observable in recorded benchmarks, not just timed:
-///
-/// * `splats_staged`/`splats_culled` split each tile's CSR list by the
-///   admission-ellipse bbox cull.
-/// * `row_iterations` counts the (row, splat) pairs the row-interval
-///   scheduler actually iterated (Σ of staged splats' row-interval
-///   lengths).
-/// * `row_iteration_bound` is `tile_rows × csr_len`, the cost of
-///   re-walking each tile's whole list for every row — so
-///   `row_iteration_bound / row_iterations` is the scheduler's measured
-///   saving factor.
-///
-/// The scalar kernel performs no staging and leaves every counter 0. For a
-/// fixed configuration the counters are bit-deterministic across thread
-/// counts, merged/unmerged schedules and solo/served execution (staging is
-/// per *tile*, which none of those axes change), but they legitimately
-/// differ between kernels — which is why
-/// [`FrameProfile`](crate::FrameProfile) equality excludes them, like wall
-/// times.
+/// The Raster stage composites each pixel straight from its tile's CSR
+/// list and stages nothing, so there is nothing left to count here. The
+/// record stays only because the `framebench` benchmark harness still reads
+/// these four fields for its `render.raster.{splats_staged, cull_frac,
+/// row_iter_ratio}` metrics; it goes once that harness stops reading them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RasterWork {
-    /// Splats admitted to row scheduling after the per-tile cull, summed
-    /// over tiles.
+    /// Splats staged per tile; always 0.
     pub splats_staged: u64,
-    /// Splats dropped by the per-tile admission-ellipse cull (empty row
-    /// interval or no column overlap with the tile), summed over tiles.
+    /// Splats culled per tile; always 0.
     pub splats_culled: u64,
-    /// Per-splat row-loop iterations actually executed by the staging
-    /// path across all tiles.
+    /// Row iterations executed; always 0.
     pub row_iterations: u64,
-    /// The `tile_rows × csr_len` iteration count of re-walking each
-    /// tile's list for every row, summed over tiles.
+    /// Row-iteration bound; always 0.
     pub row_iteration_bound: u64,
-}
-
-impl RasterWork {
-    /// Fold `other`'s counters into `self` (used by
-    /// [`FrameProfile::absorb`](crate::FrameProfile::absorb) and the
-    /// per-unit → per-frame aggregation).
-    pub fn accumulate(&mut self, other: &RasterWork) {
-        self.splats_staged += other.splats_staged;
-        self.splats_culled += other.splats_culled;
-        self.row_iterations += other.row_iterations;
-        self.row_iteration_bound += other.row_iteration_bound;
-    }
-
-    /// `row_iteration_bound / row_iterations`: how many times fewer
-    /// per-splat row iterations the staging path executed than re-walking
-    /// each list for every row would have. `NaN` when nothing was staged.
-    pub fn row_iteration_saving(&self) -> f64 {
-        self.row_iteration_bound as f64 / self.row_iterations as f64
-    }
 }
 
 /// Statistics gathered during one render pass.

@@ -362,7 +362,7 @@ pub const DEFAULT_CHUNK_SPLATS: usize = 65_536;
 
 /// Resolve the chunk size: a non-zero `pinned` value wins, otherwise the
 /// `MS_CHUNK_SPLATS` environment variable, otherwise
-/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_RASTER_KERNEL` seam in
+/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_CHUNK_CACHE` seam in
 /// `ms_render`: tests and CI pin the chunk axis through the environment
 /// without plumbing a parameter everywhere.
 ///

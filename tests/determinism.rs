@@ -10,23 +10,20 @@
 //! regroups raster scheduling, never per-pixel work — and the merged
 //! configuration must itself be bit-identical across all thread counts.
 //!
-//! Kernel selection (`RenderOptions::raster_kernel`) adds the third axis:
-//! the 4-lane SIMD compositing kernel, fed by the per-tile staging prepass,
-//! must produce the same frame, bit for bit, as the scalar reference
-//! kernel — on plain, masked and filtered renders, at every worker count,
-//! merged or not — and its `RasterWork` staging counters must be
-//! deterministic for a fixed configuration (they are per-tile quantities,
-//! so neither the thread count nor the work-unit schedule may change
-//! them).
-//!
 //! Filtered renders project the whole model, keep the splats whose point
 //! index an admission predicate accepts, and rasterize the survivors as a
 //! `SceneRef::Projected` scene — the shape of the foveated renderer's
 //! per-level frames, which join the suite in
-//! `foveated_render_is_bit_identical_across_threads_and_kernels`.
+//! `foveated_render_is_bit_identical_across_threads`.
+//!
+//! Chunked sources and the chunk cache add the remaining axes: a streamed
+//! frame must equal the in-core frame for every chunk size and cache
+//! budget. Random-scene coverage of the Raster stage (threads, merging and
+//! masks over random splat lists) lives in
+//! `crates/render/tests/raster_properties.rs`.
 
 use metasapiens::render::{
-    project_model, RasterKernel, RenderOptions, RenderOutput, Renderer, SceneRef, StageKind, View,
+    project_model, RenderOptions, RenderOutput, Renderer, SceneRef, StageKind, View,
 };
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::{Camera, GaussianModel, SceneSource};
@@ -293,129 +290,13 @@ fn merged_filtered_render_is_bit_identical_to_unmerged_across_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Raster kernels: the third determinism axis
-// ---------------------------------------------------------------------------
-
-fn kernel_opts(threads: usize, kernel: RasterKernel) -> RenderOptions {
-    RenderOptions {
-        raster_kernel: kernel,
-        ..opts(threads)
-    }
-}
-
-#[test]
-fn simd_kernel_is_bit_identical_to_scalar_across_threads() {
-    let s = scene();
-    let cam = camera(&s);
-    let scalar = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render(&s.model, &cam);
-    for threads in [1, 2, 3, 8, 0] {
-        let simd = Renderer::new(kernel_opts(threads, RasterKernel::Simd4)).render(&s.model, &cam);
-        assert_bit_identical(&simd, &scalar, threads);
-    }
-}
-
-#[test]
-fn simd_kernel_masked_and_filtered_match_scalar() {
-    let s = scene();
-    let cam = camera(&s);
-    let mask = structured_mask(&cam);
-    let admit = |i: usize| i % 3 != 1;
-    let scalar_masked = Renderer::new(kernel_opts(1, RasterKernel::Scalar))
-        .render(&s.model, View::masked(cam, mask.clone()));
-    let scalar_filtered = render_admitted(
-        &Renderer::new(kernel_opts(1, RasterKernel::Scalar)),
-        &s.model,
-        &cam,
-        admit,
-    );
-    for threads in [1, 3] {
-        let o = kernel_opts(threads, RasterKernel::Simd4);
-        let masked = Renderer::new(o.clone()).render(&s.model, View::masked(cam, mask.clone()));
-        assert_bit_identical(&masked, &scalar_masked, threads);
-        let filtered = render_admitted(&Renderer::new(o), &s.model, &cam, admit);
-        assert_bit_identical(&filtered, &scalar_filtered, threads);
-    }
-}
-
-#[test]
-fn merged_simd_kernel_matches_unmerged_scalar_across_threads() {
-    // Both axes at once: merged scheduling with the SIMD kernel must still
-    // reproduce the unmerged scalar reference frame.
-    let s = scene();
-    let cam = foveal_camera();
-    let scalar_unmerged =
-        Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render(&s.model, &cam);
-    let simd_merged_serial = Renderer::new(RenderOptions {
-        raster_kernel: RasterKernel::Simd4,
-        ..merge_opts(1)
-    })
-    .render(&s.model, &cam);
-    assert_same_frame(
-        &simd_merged_serial,
-        &scalar_unmerged,
-        "simd4 merged, threads=1",
-    );
-    for threads in THREAD_COUNTS {
-        let simd_merged = Renderer::new(RenderOptions {
-            raster_kernel: RasterKernel::Simd4,
-            ..merge_opts(threads)
-        })
-        .render(&s.model, &cam);
-        assert_bit_identical(&simd_merged, &simd_merged_serial, threads);
-        assert_same_frame(&simd_merged, &scalar_unmerged, "simd4 merged");
-    }
-}
-
-#[test]
-fn raster_work_counters_are_deterministic_and_meaningful() {
-    let s = scene();
-    let cam = camera(&s);
-
-    // Per-tile staging: counters are per-tile quantities, so they must not
-    // depend on the thread count or the work-unit schedule.
-    let reference = Renderer::new(kernel_opts(1, RasterKernel::Simd4)).render(&s.model, &cam);
-    let work = reference.stats.profile.raster;
-    assert!(work.splats_staged > 0, "dense trace must stage splats");
-    assert!(
-        work.row_iterations > 0 && work.row_iterations < work.row_iteration_bound,
-        "row-interval schedule must beat the rows × csr_len bound \
-         ({} vs {})",
-        work.row_iterations,
-        work.row_iteration_bound
-    );
-    for threads in THREAD_COUNTS {
-        let par = Renderer::new(kernel_opts(threads, RasterKernel::Simd4)).render(&s.model, &cam);
-        assert_eq!(
-            par.stats.profile.raster, work,
-            "per-tile RasterWork differs at threads={threads}"
-        );
-    }
-    let merged = Renderer::new(RenderOptions {
-        raster_kernel: RasterKernel::Simd4,
-        ..merge_opts(3)
-    })
-    .render(&s.model, &cam);
-    assert_eq!(
-        merged.stats.profile.raster, work,
-        "per-tile RasterWork differs under tile merging"
-    );
-
-    // Scalar kernel: no staging runs at all — counters stay zero.
-    let scalar = Renderer::new(kernel_opts(1, RasterKernel::Scalar)).render(&s.model, &cam);
-    assert_eq!(
-        scalar.stats.profile.raster,
-        metasapiens::render::RasterWork::default()
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Foveated frames: one shared projection of the base model, then one masked
 // `SceneRef::Projected` frame per quality level, blended. Every level must
-// be as thread-invariant as a plain frame, under both raster kernels.
+// be as thread-invariant as a plain frame.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn foveated_render_is_bit_identical_across_threads_and_kernels() {
+fn foveated_render_is_bit_identical_across_threads() {
     use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
     use metasapiens::math::{deg_to_rad, Vec2};
     let s = scene();
@@ -431,35 +312,31 @@ fn foveated_render_is_bit_identical_across_threads_and_kernels() {
     };
     let fm = build_foveated(&s.model, &[cam], &[reference], &config);
     let gaze = Some(Vec2::new(40.0, 60.0));
-    let render = |threads, kernel| {
-        FoveatedRenderer::new(kernel_opts(threads, kernel)).render(&fm, &cam, gaze)
-    };
-    let scalar = render(1, RasterKernel::Scalar);
-    assert_eq!(scalar.per_level_stats.len(), 4);
-    for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-        let serial = render(1, kernel);
-        assert_eq!(serial.image, scalar.image, "{kernel:?} pixels differ");
-        for threads in THREAD_COUNTS {
-            let par = render(threads, kernel);
-            let label = format!("{kernel:?} at threads={threads}");
-            assert_eq!(par.image, serial.image, "pixels differ, {label}");
-            assert_eq!(par.stats, serial.stats, "stats differ, {label}");
-            assert_eq!(
-                par.per_level_stats, serial.per_level_stats,
-                "per-level stats differ, {label}"
-            );
-            assert_eq!(par, serial, "output differs, {label}");
-        }
+    let render = |threads| FoveatedRenderer::new(opts(threads)).render(&fm, &cam, gaze);
+    let serial = render(1);
+    assert_eq!(serial.per_level_stats.len(), 4);
+    for threads in THREAD_COUNTS {
+        let par = render(threads);
+        assert_eq!(
+            par.image, serial.image,
+            "pixels differ at threads={threads}"
+        );
+        assert_eq!(par.stats, serial.stats, "stats differ at threads={threads}");
+        assert_eq!(
+            par.per_level_stats, serial.per_level_stats,
+            "per-level stats differ at threads={threads}"
+        );
+        assert_eq!(par, serial, "output differs at threads={threads}");
     }
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-core chunking: the fourth determinism axis
+// Out-of-core chunking: the third determinism axis
 // ---------------------------------------------------------------------------
 //
 // With LOD off, a chunked render must be bit-identical — pixels, winners,
 // work counters — to the in-core render of the concatenated chunks, for
-// every chunk size, across the other three axes. Chunk sizes here are
+// every chunk size, across the other axes. Chunk sizes here are
 // deliberately ragged (odd primes, not tile-aligned), so chunk boundaries
 // split tile lists mid-stream.
 
@@ -491,30 +368,18 @@ fn chunked_render_is_bit_identical_to_in_core_across_threads() {
 }
 
 #[test]
-fn chunked_render_matches_in_core_across_merging_kernels_and_staging() {
-    // The chunk axis crossed with merging and the kernel (scalar, which
-    // stages nothing, and simd4 with per-tile staging), chunked vs in-core
-    // per configuration.
+fn chunked_render_matches_in_core_under_merging() {
+    // The chunk axis crossed with tile merging: a merged chunked frame
+    // equals the merged in-core frame.
     let s = scene();
     let cam = foveal_camera();
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
-    for merge in [false, true] {
-        for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-            let o = RenderOptions {
-                raster_kernel: kernel,
-                ..if merge { merge_opts(3) } else { opts(3) }
-            };
-            let renderer = Renderer::new(o);
-            let in_core = renderer.render(&s.model, &cam);
-            let chunked = renderer.render(SceneRef::Chunked(&source), &cam);
-            assert_bit_identical(&chunked, &in_core, 3);
-            assert_eq!(
-                chunked.stats.profile, in_core.stats.profile,
-                "profile differs (merge={merge}, {kernel:?})"
-            );
-        }
-    }
+    let renderer = Renderer::new(merge_opts(3));
+    let in_core = renderer.render(&s.model, &cam);
+    let chunked = renderer.render(SceneRef::Chunked(&source), &cam);
+    assert_bit_identical(&chunked, &in_core, 3);
+    assert_eq!(chunked.stats.profile, in_core.stats.profile);
 }
 
 #[test]
@@ -593,7 +458,7 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk cache: the fifth determinism axis
+// Chunk cache: the fourth determinism axis
 // ---------------------------------------------------------------------------
 //
 // The cross-frame chunk cache must change *where* chunk bytes come from,
@@ -638,35 +503,6 @@ fn cached_chunked_render_is_bit_identical_across_budgets() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn cached_chunked_render_matches_across_kernels_and_staging() {
-    // The cache axis crossed with the kernel (scalar, which stages
-    // nothing, and simd4 with per-tile staging), warm and cold: per
-    // configuration, in-core, cold-cache chunked and warm-cache chunked
-    // must all be the same frame.
-    let s = scene();
-    let cam = foveal_camera();
-    let chunk_splats = chunk_sizes(s.model.len())[0];
-    let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
-    for kernel in [RasterKernel::Scalar, RasterKernel::Simd4] {
-        let o = RenderOptions {
-            raster_kernel: kernel,
-            cache_budget_bytes: Some(usize::MAX),
-            ..opts(3)
-        };
-        let renderer = Renderer::new(o);
-        let in_core = renderer.render(&s.model, &cam);
-        let cold = renderer.render(SceneRef::Chunked(&source), &cam);
-        let warm = renderer.render(SceneRef::Chunked(&source), &cam);
-        assert_bit_identical(&cold, &in_core, 3);
-        assert_bit_identical(&warm, &in_core, 3);
-        assert_eq!(
-            warm.stats.profile, in_core.stats.profile,
-            "profile differs ({kernel:?})"
-        );
     }
 }
 

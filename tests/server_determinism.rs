@@ -2,16 +2,15 @@
 //! stream must be **bit-identical** — pixels, winner buffers, stats and
 //! `FrameProfile` work counters — to a solo `Renderer` walking the same
 //! trajectory, no matter how many other sessions are in flight, how many
-//! pool workers exist, whether tile merging is on, and which raster
-//! kernel runs. Pipelining changes *when* a frame's stages execute, never
-//! their inputs.
+//! pool workers exist, and whether tile merging is on. Pipelining changes
+//! *when* a frame's stages execute, never their inputs.
 //!
 //! Also property-tests the trajectory sampler the server admits frames
 //! from: endpoint clamping, loop closure, per-index/batch agreement and
 //! monotonicity.
 
 use metasapiens::math::Vec3;
-use metasapiens::render::{RasterKernel, RenderOptions, RenderOutput, Renderer};
+use metasapiens::render::{RenderOptions, RenderOutput, Renderer};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::trajectory::{orbit, PoseKey, Trajectory};
 use metasapiens::scene::{Camera, GaussianModel};
@@ -61,7 +60,7 @@ fn trajectory(slot: usize) -> Trajectory {
     )
 }
 
-fn options(threads: usize, merged: bool, kernel: RasterKernel) -> RenderOptions {
+fn options(threads: usize, merged: bool) -> RenderOptions {
     let base = if merged {
         RenderOptions::with_tile_merging()
     } else {
@@ -70,16 +69,15 @@ fn options(threads: usize, merged: bool, kernel: RasterKernel) -> RenderOptions 
     RenderOptions {
         threads,
         track_point_stats: true,
-        raster_kernel: kernel,
         ..base
     }
 }
 
 /// Solo reference: a plain serial `Renderer` walking trajectory `slot`.
-fn solo_frames(slot: usize, merged: bool, kernel: RasterKernel) -> Vec<RenderOutput> {
+fn solo_frames(slot: usize, merged: bool) -> Vec<RenderOutput> {
     let model = model();
     let proto = prototype();
-    let renderer = Renderer::new(options(1, merged, kernel));
+    let renderer = Renderer::new(options(1, merged));
     trajectory(slot)
         .cameras(&proto, FRAMES)
         .iter()
@@ -91,9 +89,9 @@ fn solo_frames(slot: usize, merged: bool, kernel: RasterKernel) -> Vec<RenderOut
 /// frame equals the solo reference bit for bit. `RenderOutput: PartialEq`
 /// covers pixels, winners and the full stats block (profile equality
 /// ignores wall times only).
-fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool, kernel: RasterKernel) {
+fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool) {
     let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS.min(sessions))
-        .map(|slot| solo_frames(slot, merged, kernel))
+        .map(|slot| solo_frames(slot, merged))
         .collect();
 
     let mut server = FrameServer::new(model());
@@ -105,7 +103,7 @@ fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool, ker
                     trajectory: trajectory(i),
                     prototype: proto,
                     frame_count: FRAMES,
-                    options: options(threads, merged, kernel),
+                    options: options(threads, merged),
                     // Vary the pipelining window across sessions to
                     // exercise different interleavings.
                     in_flight: 1 + i % 3,
@@ -126,7 +124,7 @@ fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool, ker
             assert_eq!(
                 frame.output, expect[k],
                 "session {i} frame {k} differs from solo render \
-                 (sessions={sessions} threads={threads} merged={merged} kernel={kernel:?})"
+                 (sessions={sessions} threads={threads} merged={merged})"
             );
         }
     }
@@ -141,85 +139,19 @@ fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool, ker
 }
 
 #[test]
-fn server_unmerged_scalar_matches_solo() {
+fn server_unmerged_matches_solo() {
     for sessions in SESSION_COUNTS {
         for threads in THREAD_COUNTS {
-            assert_server_matches_solo(sessions, threads, false, RasterKernel::Scalar);
+            assert_server_matches_solo(sessions, threads, false);
         }
     }
 }
 
 #[test]
-fn server_unmerged_simd_matches_solo() {
+fn server_merged_matches_solo() {
     for sessions in SESSION_COUNTS {
         for threads in THREAD_COUNTS {
-            assert_server_matches_solo(sessions, threads, false, RasterKernel::Simd4);
-        }
-    }
-}
-
-#[test]
-fn server_merged_scalar_matches_solo() {
-    for sessions in SESSION_COUNTS {
-        for threads in THREAD_COUNTS {
-            assert_server_matches_solo(sessions, threads, true, RasterKernel::Scalar);
-        }
-    }
-}
-
-#[test]
-fn server_merged_simd_matches_solo() {
-    for sessions in SESSION_COUNTS {
-        for threads in THREAD_COUNTS {
-            assert_server_matches_solo(sessions, threads, true, RasterKernel::Simd4);
-        }
-    }
-}
-
-#[test]
-fn server_pertile_staging_matches_solo_scalar() {
-    // Staging crossed with the served axis: sessions running the simd4
-    // kernel's per-tile staging prepass must reproduce, bit for bit, solo
-    // renders by the scalar kernel, which stages nothing.
-    let model = model();
-    let proto = prototype();
-    let solo = Renderer::new(options(1, true, RasterKernel::Scalar));
-    let refs: Vec<Vec<RenderOutput>> = (0..4)
-        .map(|slot| {
-            trajectory(slot)
-                .cameras(&proto, FRAMES)
-                .iter()
-                .map(|cam| solo.render(&*model, cam))
-                .collect()
-        })
-        .collect();
-    for threads in [2, 8] {
-        let mut server = FrameServer::new(model.clone());
-        let ids: Vec<_> = (0..4)
-            .map(|i| {
-                server
-                    .add_session(SessionConfig {
-                        trajectory: trajectory(i),
-                        prototype: proto,
-                        frame_count: FRAMES,
-                        options: options(threads, true, RasterKernel::Simd4),
-                        in_flight: 1 + i % 3,
-                        ring_capacity: FRAMES,
-                    })
-                    .expect("valid session config")
-            })
-            .collect();
-        let results = server.run_to_completion();
-        assert_eq!(results.len(), ids.len());
-        for (i, (id, frames)) in results.iter().enumerate() {
-            assert_eq!(*id, ids[i]);
-            for (k, frame) in frames.iter().enumerate() {
-                assert_eq!(
-                    frame.output, refs[i][k],
-                    "session {i} frame {k} differs from solo scalar render \
-                     (threads={threads})"
-                );
-            }
+            assert_server_matches_solo(sessions, threads, true);
         }
     }
 }
@@ -228,16 +160,14 @@ fn server_pertile_staging_matches_solo_scalar() {
 fn sessions_added_and_removed_mid_run_stay_deterministic() {
     // A session that joins late or a neighbor that leaves mid-flight must
     // not perturb anyone else's frames.
-    let refs: Vec<Vec<RenderOutput>> = (0..3)
-        .map(|slot| solo_frames(slot, false, RasterKernel::Scalar))
-        .collect();
+    let refs: Vec<Vec<RenderOutput>> = (0..3).map(|slot| solo_frames(slot, false)).collect();
     let mut server = FrameServer::new(model());
     let proto = prototype();
     let mk = |slot: usize| SessionConfig {
         trajectory: trajectory(slot),
         prototype: proto,
         frame_count: FRAMES,
-        options: options(3, false, RasterKernel::Scalar),
+        options: options(3, false),
         in_flight: 2,
         ring_capacity: FRAMES,
     };
@@ -269,7 +199,7 @@ fn backpressure_bounds_undrained_frames() {
             trajectory: trajectory(0),
             prototype: prototype(),
             frame_count: 6,
-            options: options(2, false, RasterKernel::Scalar),
+            options: options(2, false),
             in_flight: 2,
             ring_capacity: 2,
         })
@@ -307,7 +237,7 @@ fn chunked_server_sessions_match_in_core_solo() {
     let model = model();
     let proto = prototype();
     let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS)
-        .map(|slot| solo_frames(slot, true, RasterKernel::Simd4))
+        .map(|slot| solo_frames(slot, true))
         .collect();
 
     for chunk_splats in [347, model.len() / 2 + 1] {
@@ -327,7 +257,7 @@ fn chunked_server_sessions_match_in_core_solo() {
                             trajectory: trajectory(i),
                             prototype: proto,
                             frame_count: FRAMES,
-                            options: options(threads, true, RasterKernel::Simd4),
+                            options: options(threads, true),
                             in_flight: 1 + i % 3,
                             ring_capacity: FRAMES,
                         })
@@ -371,7 +301,7 @@ fn cached_chunked_server_shares_decodes_across_sessions() {
     let model = model();
     let proto = prototype();
     let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS)
-        .map(|slot| solo_frames(slot, false, RasterKernel::Simd4))
+        .map(|slot| solo_frames(slot, false))
         .collect();
 
     let source: Arc<dyn SceneSource + Send + Sync> =
@@ -388,7 +318,7 @@ fn cached_chunked_server_shares_decodes_across_sessions() {
                     trajectory: trajectory(i),
                     prototype: proto,
                     frame_count: FRAMES,
-                    options: options(3, false, RasterKernel::Simd4),
+                    options: options(3, false),
                     in_flight: 1 + i % 3,
                     ring_capacity: FRAMES,
                 })
@@ -435,9 +365,7 @@ fn chunked_file_source_served_matches_in_core_solo() {
 
     let model = model();
     let proto = prototype();
-    let refs: Vec<Vec<RenderOutput>> = (0..4)
-        .map(|slot| solo_frames(slot, false, RasterKernel::Scalar))
-        .collect();
+    let refs: Vec<Vec<RenderOutput>> = (0..4).map(|slot| solo_frames(slot, false)).collect();
 
     let encoded = encode_model_chunked(&model, 347);
     let source = ChunkedFileSource::from_bytes(encoded.to_vec()).expect("valid container");
@@ -450,7 +378,7 @@ fn chunked_file_source_served_matches_in_core_solo() {
                     trajectory: trajectory(i),
                     prototype: proto,
                     frame_count: FRAMES,
-                    options: options(3, false, RasterKernel::Scalar),
+                    options: options(3, false),
                     in_flight: 1 + i % 3,
                     ring_capacity: FRAMES,
                 })
