@@ -54,8 +54,8 @@ impl AccelWorkload {
     /// (from `ms-fov`'s `FovRenderOutput::tile_level`); `model_bytes` is
     /// the streamed model size (`GaussianModel::storage_bytes`). When the
     /// stats carry a merge schedule (`RenderStats::tile_unit`, recorded
-    /// when `merge_threshold > 0`), it is copied through so the simulated
-    /// work units match the renderer's super-tiles.
+    /// when `RenderOptions::tile_merging` is on), it is copied through so
+    /// the simulated work units match the renderer's super-tiles.
     ///
     /// # Panics
     ///

@@ -33,7 +33,8 @@ use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::synth::{self, Scene};
 use metasapiens::scene::trajectory::{orbit, Trajectory};
 use metasapiens::scene::{
-    encode_model_chunked, Camera, ChunkedFileSource, GaussianModel, SceneSource,
+    encode_model_chunked, Camera, ChunkCache, ChunkedFileSource, GaussianModel, SceneSource,
+    DEFAULT_CHUNK_CACHE_BYTES,
 };
 use ms_bench::print_table;
 use ms_serve::{FrameServer, SessionConfig};
@@ -475,9 +476,8 @@ fn main() {
             (cs, Arc::new(source))
         })
         .collect();
-    // Budget `Some(0)` disables the cache outright; `None` resolves to the
-    // default budget (32 MiB unless `MS_CHUNK_CACHE` overrides it).
-    let cache_budgets: [(&str, Option<usize>); 2] = [("nocache", Some(0)), ("cache", None)];
+    // Budget 0 disables the cache outright.
+    let cache_budgets = [("nocache", 0), ("cache", DEFAULT_CHUNK_CACHE_BYTES)];
     struct ChunkedCell {
         mode: String,
         cache_mode: &'static str,
@@ -509,10 +509,11 @@ fn main() {
             for &(cache_mode, budget) in &cache_budgets {
                 let options = RenderOptions {
                     threads,
-                    cache_budget_bytes: budget,
                     ..RenderOptions::default()
                 };
-                let (s, c, r) = (Arc::clone(source), headon, Renderer::new(options));
+                let cache = Arc::new(ChunkCache::new(budget));
+                let r = Renderer::with_chunk_cache(options, cache);
+                let (s, c) = (Arc::clone(source), headon);
                 assert!(s.chunk_count() >= 1);
                 chunked_cells.push(ChunkedCell {
                     mode: format!("chunk{cs}/{cache_mode}"),

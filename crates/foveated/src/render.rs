@@ -118,15 +118,6 @@ impl FoveatedRenderer {
     /// colour its DC gives. Geometry is shared, so every other field is
     /// copied. The result equals projecting [`FoveatedModel::level_model`],
     /// except that `point_index` stays the base index.
-    ///
-    /// With `RenderOptions::lod >= 2`, the peripheral levels (every level
-    /// but the foveal `l == 0`) keep only every `lod`-th point by base
-    /// index, opacity scaled by the stride and clamped to 1 — the subset
-    /// `ms_scene::coarse_subset(base, lod, 0)` selects, which
-    /// `SceneSource::load_coarse_chunk_into` serves per chunk — so
-    /// far-eccentricity tiles pay for a fraction of the splats. The
-    /// selection is deterministic per stride; the LOD frame is
-    /// intentionally not bit-identical to the full one.
     fn derive_level(
         &self,
         model: &FoveatedModel,
@@ -137,25 +128,17 @@ impl FoveatedRenderer {
         let options = self.options();
         let base = model.base();
         let bounds = model.quality_bounds();
-        let stride = match options.lod_stride() {
-            Some(k) if l >= 1 => k,
-            _ => 1,
-        };
         let params = (l >= 1).then(|| model.level_params(l));
-        let degree = options.sh_degree.min(base.sh_degree);
         let mut coeffs = Vec::with_capacity(base.sh_stride());
         let mut out = Vec::new();
         for s in shared {
             let p = s.point_index as usize;
-            if (bounds[p] as usize) < l || p % stride != 0 {
+            if (bounds[p] as usize) < l {
                 continue;
             }
             let mut splat = *s;
             if let Some(params) = params {
                 splat.opacity = params.opacity[p];
-            }
-            if stride > 1 {
-                splat.opacity = (splat.opacity * stride as f32).min(1.0);
             }
             if splat.opacity < options.alpha_min {
                 continue;
@@ -165,7 +148,7 @@ impl FoveatedRenderer {
                 coeffs.extend_from_slice(base.sh(p));
                 coeffs[..3].copy_from_slice(&params.dc[p]);
                 let view_dir = base.positions[p] - camera.eye;
-                splat.color = ms_math::sh::eval_color(degree, view_dir, &coeffs);
+                splat.color = ms_math::sh::eval_color(base.sh_degree, view_dir, &coeffs);
             }
             out.push(splat);
         }
@@ -445,48 +428,6 @@ mod tests {
         // Per-level projected sums exceed the shared count (subsetting wins).
         let sum: usize = out.per_level_stats.iter().map(|s| s.points_projected).sum();
         assert!(sum >= out.stats.points_projected);
-    }
-
-    #[test]
-    fn peripheral_lod_cuts_work_and_keeps_fovea_exact() {
-        let (fr, cameras, _) = setup();
-        let full = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        let lod_opts = RenderOptions {
-            lod: 4,
-            ..fr_opts()
-        };
-        let coarse = FoveatedRenderer::new(lod_opts.clone()).render(&fr, &cameras[0], None);
-        // Deterministic per stride: the same LOD frame twice.
-        let again = FoveatedRenderer::new(lod_opts.clone()).render(&fr, &cameras[0], None);
-        assert_eq!(coarse, again);
-        // Decimating the peripheral levels must cut binned work.
-        assert!(
-            coarse.stats.total_intersections < full.stats.total_intersections,
-            "lod intersections {} should undercut full {}",
-            coarse.stats.total_intersections,
-            full.stats.total_intersections
-        );
-        // The foveal level never decimates: deep-foveal pixels are exact.
-        assert_eq!(coarse.image.pixel(64, 48), full.image.pixel(64, 48));
-        // Peripheral levels keep every 4th point by *base* index.
-        let (_, levels) = FoveatedRenderer::new(lod_opts).project_levels(&fr, &cameras[0]);
-        assert!(levels[0].iter().any(|s| s.point_index % 4 != 0));
-        for (l, splats) in levels.iter().enumerate().skip(1) {
-            assert!(!splats.is_empty(), "level {l} drew nothing");
-            assert!(
-                splats.iter().all(|s| s.point_index % 4 == 0),
-                "level {l} kept a point off the stride"
-            );
-        }
-        // lod = 0 and 1 are both "off" — bit-identical to the full render.
-        for off in [0usize, 1] {
-            let opts = RenderOptions {
-                lod: off,
-                ..fr_opts()
-            };
-            let out = FoveatedRenderer::new(opts).render(&fr, &cameras[0], None);
-            assert_eq!(out, full, "lod={off} must be the identity");
-        }
     }
 
     #[test]

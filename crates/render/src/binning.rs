@@ -134,12 +134,13 @@ impl TileBins {
     /// only pays for the tiles inside its region (plus blend bands).
     ///
     /// Counting pass 1, the pass-2 scatter and the per-tile depth sort run
-    /// on `threads` workers (`0` = all pool workers, like
-    /// [`RenderOptions::threads`](crate::RenderOptions)). The result is
-    /// bit-identical for every thread count: per-worker count arrays merge
-    /// before the prefix sum, the scatter gives each worker cursor bases
-    /// into disjoint per-tile slot ranges ordered by shard index (so the
-    /// segments still fill in splat order), and sort segments are disjoint.
+    /// on `threads` workers; `0` and `1` both run serially, so callers pass
+    /// [`RenderOptions::resolved_threads`](crate::RenderOptions::resolved_threads).
+    /// The result is bit-identical for every thread count: per-worker count
+    /// arrays merge before the prefix sum, the scatter gives each worker
+    /// cursor bases into disjoint per-tile slot ranges ordered by shard
+    /// index (so the segments still fill in splat order), and sort segments
+    /// are disjoint.
     ///
     /// The CSR is built into the recycled `(offsets, indices)` storage
     /// (from [`TileBins::into_buffers`], via a
@@ -158,11 +159,6 @@ impl TileBins {
     ) -> Self {
         let tile_count = grid.tile_count();
         assert_eq!(active.len(), tile_count, "tile activity size mismatch");
-        let threads = if threads == 0 {
-            rayon::current_num_threads().max(1)
-        } else {
-            threads
-        };
         let shards = threads.min(splats.len() / MIN_SPLATS_PER_SHARD).max(1);
 
         // Pass 1: count intersections per tile. Sharded over contiguous
@@ -419,6 +415,17 @@ impl SuperTile {
     }
 }
 
+/// Occupancy fraction below which a tile is mergeable when
+/// [`RenderOptions::tile_merging`](crate::RenderOptions) is on: tiles under
+/// half the mean occupancy merge (see
+/// [`MergedTileSchedule::merge_low_occupancy`]).
+pub const MERGE_THRESHOLD: f32 = 0.5;
+
+/// Side cap, in tiles, of a super-tile when
+/// [`RenderOptions::tile_merging`](crate::RenderOptions) is on: units span
+/// at most 4×4 tiles.
+pub const MERGE_MAX_EXTENT: u32 = 4;
+
 /// The Merge stage's output: an ordered partition of the tile grid into
 /// [`SuperTile`] work units — the list the band-parallel rasterizer pulls
 /// from instead of raw tiles or whole bands.
@@ -473,7 +480,7 @@ impl MergedTileSchedule {
     /// densest tile while the unit count strictly drops whenever anything
     /// merges — max/mean per work unit can only improve.
     pub fn merge_low_occupancy(bins: &TileBins, threshold: f32, max_extent: u32) -> Self {
-        assert!(max_extent >= 1, "merge_max_extent must be >= 1");
+        assert!(max_extent >= 1, "max_extent must be >= 1");
         let grid = bins.grid();
         let (tiles_x, tiles_y) = (grid.tiles_x, grid.tiles_y);
         let tile_count = grid.tile_count();
@@ -794,7 +801,7 @@ mod tests {
         let splats = random_splats(&mut rng, 5000, g);
         let serial = TileBins::build(&splats, g);
         let all = activity(g, |_, _| true);
-        for threads in [2usize, 3, 8, 0] {
+        for threads in [2usize, 3, 8, rayon::current_num_threads()] {
             let par = TileBins::build_into(&splats, g, &all, threads, Default::default());
             assert_eq!(par, serial, "CSR bins differ at threads={threads}");
         }
@@ -807,7 +814,7 @@ mod tests {
         let splats = random_splats(&mut rng, 4000, g);
         let active = activity(g, |tx, ty| (tx + ty) % 2 == 0);
         let serial = TileBins::build_into(&splats, g, &active, 1, Default::default());
-        for threads in [2usize, 3, 8, 0] {
+        for threads in [2usize, 3, 8, rayon::current_num_threads()] {
             // Recycled storage holding a different frame's CSR must not leak.
             let recycle = serial.clone().into_buffers();
             let par = TileBins::build_into(&splats, g, &active, threads, recycle);

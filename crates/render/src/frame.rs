@@ -45,8 +45,8 @@ use std::time::{Duration, Instant};
 ///
 /// A `SceneRef` is a borrow, cheap to copy; the frame machinery never
 /// clones the underlying data. `&GaussianModel` converts implicitly
-/// (`From`), so in-core call sites read exactly as before. With LOD off,
-/// the chunked path is bit-identical to the in-core path over the
+/// (`From`), so in-core call sites read exactly as before. The chunked
+/// path is bit-identical to the in-core path over the
 /// concatenated chunks — pixels, winners and every work counter — for
 /// every chunk size and thread count (see `tests/determinism.rs`).
 #[derive(Clone, Copy)]
@@ -183,9 +183,9 @@ fn expect_chunked<'a>(scene: SceneRef<'a>, model_len: usize) -> &'a (dyn SceneSo
 ///
 /// While the frame projects chunk `k` out of `chunk`, the *next* chunk
 /// `k + 1` decodes on the worker pool into `next_chunk` — a one-deep
-/// prefetch, so at most two chunk buffers are ever resident (the
-/// `cache_budget + 2 × chunk_bytes` budget documented on
-/// [`RenderOptions::cache_budget_bytes`](crate::RenderOptions)). Chunks are
+/// prefetch, so at most two chunk buffers are ever resident: the streamed
+/// path's footprint is bounded by the renderer's
+/// [`ChunkCache`](ms_scene::ChunkCache) budget plus `2 × chunk_bytes`. Chunks are
 /// still *consumed* strictly in index order — the prefetch only moves the
 /// decode earlier in time, never reorders it — and a prefetched load's
 /// error is held in `prefetched` until its chunk would have been consumed,

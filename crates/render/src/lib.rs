@@ -14,7 +14,7 @@
 //!    of Eqn. 1 with transmittance early-stop, scheduled over the
 //!    work-unit list of the §4.3 tile-merge pass ([`MergedTileSchedule`]) —
 //!    adjacent low-occupancy tiles coalesce into super-tiles when
-//!    [`RenderOptions::merge_threshold`] is set.
+//!    [`RenderOptions::tile_merging`] is on.
 //!
 //! The renderer doubles as the measurement instrument for the paper's
 //! analysis: [`RenderStats`] exposes per-tile intersection counts (the
@@ -49,7 +49,7 @@ mod projection;
 mod raster;
 mod stats;
 
-pub use binning::{MergedTileSchedule, SuperTile, TileBins};
+pub use binning::{MergedTileSchedule, SuperTile, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
 pub use frame::{FrameArena, FrameInFlight, SceneRef, View};
 pub use image::Image;
 pub use options::{RenderOptions, SortMode};

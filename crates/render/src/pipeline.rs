@@ -29,12 +29,12 @@
 //! ```
 //!
 //! The Merge stage partitions the tile grid into rectangular
-//! [`SuperTile`](crate::SuperTile) work units. With merging disabled
-//! (`merge_threshold == 0`, the default) it emits the identity band
-//! schedule — one unit per tile row, the PR 3/4 scheduling granularity.
-//! With merging enabled, adjacent low-occupancy tiles coalesce (bounded by
-//! `merge_max_extent` per side and by the mean tile occupancy per unit), so
-//! sparse peripheral tiles stop consuming scheduling slots of their own.
+//! [`SuperTile`](crate::SuperTile) work units. With
+//! [`RenderOptions::tile_merging`](crate::RenderOptions) off (the default)
+//! it emits the identity band schedule — one unit per tile row. With it on,
+//! adjacent low-occupancy tiles coalesce (bounded by [`MERGE_MAX_EXTENT`]
+//! tiles per side and by the mean tile occupancy per unit), so sparse
+//! peripheral tiles stop consuming scheduling slots of their own.
 //!
 //! # Parallelism and the determinism contract
 //!
@@ -102,7 +102,7 @@
 //! By construction, a frame's simulated workload and its measured software
 //! workload are the same numbers.
 
-use crate::binning::{MergedTileSchedule, TileBins};
+use crate::binning::{MergedTileSchedule, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
 use crate::image::Image;
 use crate::options::RenderOptions;
 use crate::projection::{project_model_offset_into, ProjectedSplat};
@@ -323,12 +323,8 @@ pub(crate) fn bin(
 /// O(tiles) scan over the CSR offsets, so it is deterministic for every
 /// thread count by construction.
 pub(crate) fn merge(bins: &TileBins, options: &RenderOptions) -> MergedTileSchedule {
-    if options.merge_enabled() {
-        MergedTileSchedule::merge_low_occupancy(
-            bins,
-            options.merge_threshold,
-            options.merge_max_extent,
-        )
+    if options.tile_merging {
+        MergedTileSchedule::merge_low_occupancy(bins, MERGE_THRESHOLD, MERGE_MAX_EXTENT)
     } else {
         MergedTileSchedule::bands(bins.grid())
     }

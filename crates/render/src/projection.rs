@@ -121,7 +121,7 @@ impl FrameContext {
             tan_half_fov: Vec2::new((camera.fovx() * 0.5).tan(), (camera.fovy * 0.5).tan()),
             tiles_x: camera.width.div_ceil(options.tile_size),
             tiles_y: camera.height.div_ceil(options.tile_size),
-            sh_degree: options.sh_degree.min(model.sh_degree),
+            sh_degree: model.sh_degree,
         }
     }
 }

@@ -81,25 +81,23 @@ pub(crate) struct UnitResult {
 }
 
 impl Renderer {
-    /// Create a renderer. The `MS_CHUNK_CACHE` environment override is read
-    /// here, once, to size the chunk cache when `cache_budget_bytes` is
-    /// unset, so no frame ever reads the environment.
+    /// Create a renderer with its own chunk cache of
+    /// [`DEFAULT_CHUNK_CACHE_BYTES`](ms_scene::DEFAULT_CHUNK_CACHE_BYTES);
+    /// use [`Renderer::with_chunk_cache`] to pick a budget.
     ///
     /// # Panics
     ///
-    /// Panics when `options` fail validation or an environment override
-    /// holds an unrecognized value — configuration errors are programmer
-    /// errors here, not runtime conditions.
+    /// Panics when `options` fail validation — configuration errors are
+    /// programmer errors here, not runtime conditions.
     pub fn new(options: RenderOptions) -> Self {
-        let env = std::env::var("MS_CHUNK_CACHE").ok();
-        let budget = options.resolved_cache_budget(env.as_deref());
-        Self::with_chunk_cache(options, Arc::new(ChunkCache::new(budget)))
+        let cache = ChunkCache::new(ms_scene::DEFAULT_CHUNK_CACHE_BYTES);
+        Self::with_chunk_cache(options, Arc::new(cache))
     }
 
     /// Create a renderer that shares an existing [`ChunkCache`] instead of
     /// allocating its own — the frame server uses this so every session
-    /// rendering the same scene hits one cache. The cache's budget wins
-    /// over whatever `options.cache_budget_bytes` would have resolved to.
+    /// rendering the same scene hits one cache, and callers use it to set
+    /// the cache budget (`0` disables caching).
     ///
     /// # Panics
     ///
@@ -166,7 +164,7 @@ impl Renderer {
     /// so the chunk buffers and each chunk's projection are bounded by
     /// the chunk size (and recorded in the frame profile's
     /// `chunk_bytes_peak` / `projected_bytes_peak`). Bin and everything
-    /// after it is the in-core code. With LOD off the output is
+    /// after it is the in-core code. The output is
     /// bit-identical — pixels, winners, work counters — to the in-core
     /// render of the concatenated model, for every chunk size.
     ///
@@ -254,7 +252,7 @@ pub(crate) fn assemble_output(
     // scheduling granularity, not a merge decision, and recording it
     // would make the accelerator simulator treat whole bands as TMU
     // output.
-    let tile_unit = if options.merge_enabled() {
+    let tile_unit = if options.tile_merging {
         schedule.tile_unit_map()
     } else {
         Vec::new()

@@ -129,7 +129,7 @@ pub struct RenderStats {
     /// Row-major map from tile index to the raster work-unit (super-tile)
     /// that scheduled it, in schedule order — the §4.3 merge plan as data.
     /// Populated only when occupancy-driven tile merging was enabled
-    /// (`RenderOptions::merge_threshold > 0`); empty otherwise, and empty
+    /// (`RenderOptions::tile_merging`); empty otherwise, and empty
     /// in merged foveated stats (each quality level has its own schedule;
     /// see the per-level stats instead).
     pub tile_unit: Vec<u32>,

@@ -282,10 +282,8 @@ proptest! {
         let model = random_model(&mut rng, points);
         let view = View::from(&camera(width, height, 10.0));
         let unmerged_opts = options(tile_size, 1.0 / 255.0, 0.99, 1e-4);
-        let preset = RenderOptions::with_tile_merging();
         let merged_opts = RenderOptions {
-            merge_threshold: preset.merge_threshold,
-            merge_max_extent: preset.merge_max_extent,
+            tile_merging: true,
             ..unmerged_opts.clone()
         };
         let unmerged = render_thread_invariant(&unmerged_opts, &model, view.clone())?;
@@ -311,7 +309,7 @@ proptest! {
         let scene = SceneRef::Projected { splats: &splats, points: n };
         let cam = camera(width, height, 4.0);
         let o = RenderOptions {
-            merge_threshold: if merged { 0.5 } else { 0.0 },
+            tile_merging: merged,
             ..options(tile_size, 1.0 / 255.0, 0.99, 1e-4)
         };
         let full = render_thread_invariant(&o, scene, View::from(&cam))?;

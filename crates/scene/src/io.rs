@@ -356,33 +356,6 @@ pub fn coarse_subset(model: &GaussianModel, stride: usize, global_base: usize) -
     out
 }
 
-/// Default chunk size (points per chunk) when neither the caller nor the
-/// `MS_CHUNK_SPLATS` environment variable pins one.
-pub const DEFAULT_CHUNK_SPLATS: usize = 65_536;
-
-/// Resolve the chunk size: a non-zero `pinned` value wins, otherwise the
-/// `MS_CHUNK_SPLATS` environment variable, otherwise
-/// [`DEFAULT_CHUNK_SPLATS`]. Mirrors the `MS_CHUNK_CACHE` seam in
-/// `ms_render`: tests and CI pin the chunk axis through the environment
-/// without plumbing a parameter everywhere.
-///
-/// # Panics
-///
-/// Panics when `MS_CHUNK_SPLATS` is set but not a positive integer — a
-/// typo silently falling back would unpin a determinism run.
-pub fn resolved_chunk_splats(pinned: usize) -> usize {
-    if pinned != 0 {
-        return pinned;
-    }
-    match std::env::var("MS_CHUNK_SPLATS") {
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!("MS_CHUNK_SPLATS={v:?}: expected a positive integer"),
-        },
-        Err(_) => DEFAULT_CHUNK_SPLATS,
-    }
-}
-
 /// The identity [`SceneSource`]: an in-memory [`GaussianModel`] sliced into
 /// fixed-size chunks. Exercises the chunked path without I/O and anchors
 /// the bit-identity tests (chunked-over-`InCoreSource` must equal rendering
@@ -735,10 +708,9 @@ pub struct CacheAccess {
     pub evictions: u64,
 }
 
-/// Default [`ChunkCache`] byte budget when neither the caller nor the
-/// `MS_CHUNK_CACHE` environment variable pins one (32 MiB — a few hundred
-/// default-size chunks of SH-degree-0 scenes, small against the render
-/// buffers of even one session).
+/// Default [`ChunkCache`] byte budget, used by `ms_render::Renderer::new`
+/// and `ms_serve::FrameServer::new_scene` (32 MiB, small against the
+/// render buffers of even one session).
 pub const DEFAULT_CHUNK_CACHE_BYTES: usize = 32 << 20;
 
 const CACHE_SHARDS: usize = 8;
@@ -1297,11 +1269,6 @@ mod tests {
         // Clamped at 1.
         let c = coarse_subset(&m, 5, 0);
         assert_eq!(c.opacities[0], 1.0);
-    }
-
-    #[test]
-    fn resolved_chunk_splats_pinned_wins() {
-        assert_eq!(resolved_chunk_splats(1234), 1234);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub use camera::Camera;
 pub use gaussian::{GaussianModel, GaussianPoint, BYTES_PER_POINT_FULL};
 pub use io::{
     coarse_subset, decode_model, decode_model_into, encode_model, encode_model_chunked,
-    next_source_id, resolved_chunk_splats, CacheAccess, CacheStats, ChunkCache, ChunkKey,
-    ChunkedFileSource, DecodeError, FailingSource, FailureMode, InCoreSource, SceneSource,
-    SourceError, DEFAULT_CHUNK_CACHE_BYTES, DEFAULT_CHUNK_SPLATS,
+    next_source_id, CacheAccess, CacheStats, ChunkCache, ChunkKey, ChunkedFileSource, DecodeError,
+    FailingSource, FailureMode, InCoreSource, SceneSource, SourceError, DEFAULT_CHUNK_CACHE_BYTES,
 };

@@ -55,7 +55,10 @@
 
 use ms_render::{FrameArena, FrameInFlight, RenderOptions, RenderOutput, Renderer, SceneRef};
 use ms_scene::trajectory::Trajectory;
-use ms_scene::{CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
+use ms_scene::{
+    CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError,
+    DEFAULT_CHUNK_CACHE_BYTES,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -345,13 +348,12 @@ impl FrameServer {
         Self::new_scene(SceneHandle::Chunked(source))
     }
 
-    /// Create a server for any [`SceneHandle`]. The shared chunk cache is
-    /// a default renderer's ([`RenderOptions::cache_budget_bytes`] unset:
-    /// the `MS_CHUNK_CACHE` env var, else the built-in default); use
-    /// [`new_scene_with_cache`](Self::new_scene_with_cache) to pick one
-    /// explicitly.
+    /// Create a server for any [`SceneHandle`], sharing one chunk cache of
+    /// [`DEFAULT_CHUNK_CACHE_BYTES`] across its sessions; use
+    /// [`new_scene_with_cache`](Self::new_scene_with_cache) to pick a
+    /// budget.
     pub fn new_scene(scene: SceneHandle) -> Self {
-        let cache = Arc::clone(Renderer::default().chunk_cache());
+        let cache = Arc::new(ChunkCache::new(DEFAULT_CHUNK_CACHE_BYTES));
         Self::new_scene_with_cache(scene, cache)
     }
 

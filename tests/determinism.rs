@@ -4,7 +4,7 @@
 //! counters — to the same frame rendered with any other worker count,
 //! including auto (`threads = 0`), on plain, masked and filtered renders.
 //!
-//! Occupancy-driven tile merging (`RenderOptions::merge_threshold`) adds a
+//! Occupancy-driven tile merging (`RenderOptions::tile_merging`) adds a
 //! second determinism axis: a *merged* render must be bit-identical in
 //! pixels and winners to the *unmerged* render of the same frame — merging
 //! regroups raster scheduling, never per-pixel work — and the merged
@@ -26,7 +26,8 @@ use metasapiens::render::{
     project_model, RenderOptions, RenderOutput, Renderer, SceneRef, StageKind, View,
 };
 use metasapiens::scene::dataset::TraceId;
-use metasapiens::scene::{Camera, GaussianModel, SceneSource};
+use metasapiens::scene::{Camera, ChunkCache, GaussianModel, SceneSource};
+use std::sync::Arc;
 
 /// Worker counts the suite compares against the serial reference.
 const THREAD_COUNTS: [usize; 4] = [2, 3, 8, 0];
@@ -468,6 +469,11 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
 // size and thread count. Renderers are reused across frames so later
 // frames exercise warm-cache replay, not just the intra-frame hits.
 
+/// A renderer with its own chunk cache of `budget` bytes.
+fn with_budget(options: RenderOptions, budget: usize) -> Renderer {
+    Renderer::with_chunk_cache(options, Arc::new(ChunkCache::new(budget)))
+}
+
 #[test]
 fn cached_chunked_render_is_bit_identical_across_budgets() {
     let s = scene();
@@ -482,11 +488,7 @@ fn cached_chunked_render_is_bit_identical_across_budgets() {
         };
         for budget in [0, one_chunk_bytes, usize::MAX] {
             for threads in [1, 2, 3, 8, 0] {
-                let o = RenderOptions {
-                    cache_budget_bytes: Some(budget),
-                    ..opts(threads)
-                };
-                let renderer = Renderer::new(o);
+                let renderer = with_budget(opts(threads), budget);
                 // Two frames from one renderer: the first populates the
                 // cache (budget permitting), the second replays it.
                 let first = renderer.render(SceneRef::Chunked(&source), &cam);
@@ -516,10 +518,7 @@ fn cached_chunked_frames_reuse_decodes_across_frames() {
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
     let n = source.chunk_count() as u64;
-    let renderer = Renderer::new(RenderOptions {
-        cache_budget_bytes: Some(usize::MAX),
-        ..opts(3)
-    });
+    let renderer = with_budget(opts(3), usize::MAX);
     let first = renderer.render(SceneRef::Chunked(&source), &cam);
     let c1 = first.stats.profile.cache;
     assert_eq!(c1.misses, n, "frame 1 decodes every chunk once");
@@ -532,10 +531,7 @@ fn cached_chunked_frames_reuse_decodes_across_frames() {
     assert_eq!(first.image, second.image);
 
     // Budget 0 is pass-through: every access is a miss, once per chunk.
-    let renderer = Renderer::new(RenderOptions {
-        cache_budget_bytes: Some(0),
-        ..opts(3)
-    });
+    let renderer = with_budget(opts(3), 0);
     let uncached = renderer.render(SceneRef::Chunked(&source), &cam);
     let c0 = uncached.stats.profile.cache;
     assert_eq!(c0.hits, 0);

@@ -16,10 +16,10 @@ use metasapiens::render::{FrameArena, RenderOptions, RenderOutput, Renderer, Sce
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::trajectory::{orbit, Trajectory};
 use metasapiens::scene::{
-    Camera, DecodeError, FailingSource, FailureMode, GaussianModel, InCoreSource, SceneSource,
-    SourceError,
+    Camera, ChunkCache, DecodeError, FailingSource, FailureMode, GaussianModel, InCoreSource,
+    SceneSource, SourceError,
 };
-use ms_serve::{FrameServer, SessionConfig};
+use ms_serve::{FrameServer, SceneHandle, SessionConfig};
 use std::sync::Arc;
 
 /// Chunk size that slices the 384-splat test scene into four chunks.
@@ -185,6 +185,35 @@ fn trajectory(slot: usize) -> Trajectory {
 /// faulty session never wedges the pump loop.
 #[test]
 fn chunked_server_session_fault_dies_alone() {
+    assert_session_fault_dies_alone(FrameServer::new_chunked);
+
+    // Again through a shared cache of two chunks, half the scene: healthy
+    // sessions keep evicting and re-decoding chunks around the fault.
+    let model = model();
+    let mut chunk = GaussianModel::new(model.sh_degree);
+    model.clone_range_into(0..CHUNK_SPLATS, &mut chunk);
+    let budget = 2 * chunk.storage_bytes();
+    assert!(
+        budget < model.storage_bytes(),
+        "the cache must not hold the scene"
+    );
+    let cache = Arc::new(ChunkCache::new(budget));
+    assert_session_fault_dies_alone(|faulty| {
+        FrameServer::new_scene_with_cache(SceneHandle::Chunked(faulty), Arc::clone(&cache))
+    });
+    let stats = cache.stats();
+    assert!(
+        stats.misses > model.len().div_ceil(CHUNK_SPLATS) as u64,
+        "a cache smaller than the scene must re-decode ({stats:?})"
+    );
+}
+
+/// Serve 16 sessions of a scene whose chunk 1 fails once from the server
+/// `serve` builds over it, and assert exactly one session dies while every
+/// delivered frame matches the solo in-core render.
+fn assert_session_fault_dies_alone(
+    serve: impl FnOnce(Arc<dyn SceneSource + Send + Sync>) -> FrameServer,
+) {
     let model = model();
     let proto = camera();
     let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS)
@@ -207,7 +236,7 @@ fn chunked_server_session_fault_dies_alone() {
         FailureMode::Error,
         1,
     ));
-    let mut server = FrameServer::new_chunked(faulty);
+    let mut server = serve(faulty);
     let sessions = 16;
     let ids: Vec<_> = (0..sessions)
         .map(|i| {

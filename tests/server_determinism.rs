@@ -13,8 +13,11 @@ use metasapiens::math::Vec3;
 use metasapiens::render::{RenderOptions, RenderOutput, Renderer};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::trajectory::{orbit, PoseKey, Trajectory};
-use metasapiens::scene::{Camera, GaussianModel};
-use ms_serve::{FrameServer, SessionConfig};
+use metasapiens::scene::{
+    encode_model_chunked, Camera, ChunkCache, ChunkedFileSource, GaussianModel, InCoreSource,
+    SceneSource,
+};
+use ms_serve::{FrameServer, SceneHandle, SessionConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -85,16 +88,23 @@ fn solo_frames(slot: usize, merged: bool) -> Vec<RenderOutput> {
         .collect()
 }
 
-/// Run `sessions` concurrent sessions at `threads` workers and assert every
-/// frame equals the solo reference bit for bit. `RenderOutput: PartialEq`
-/// covers pixels, winners and the full stats block (profile equality
-/// ignores wall times only).
-fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool) {
+/// Run `sessions` concurrent sessions at `threads` workers on `server` and
+/// assert every frame equals the solo in-core reference bit for bit.
+/// `RenderOutput: PartialEq` covers pixels, winners and the full stats
+/// block (profile equality ignores wall times and the resident-peak
+/// fields, so chunked-vs-in-core compares clean). `scene` names the
+/// server's scene in failure messages.
+fn assert_served_matches_solo(
+    mut server: FrameServer,
+    scene: &str,
+    sessions: usize,
+    threads: usize,
+    merged: bool,
+) {
     let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS.min(sessions))
         .map(|slot| solo_frames(slot, merged))
         .collect();
 
-    let mut server = FrameServer::new(model());
     let proto = prototype();
     let ids: Vec<_> = (0..sessions)
         .map(|i| {
@@ -123,7 +133,7 @@ fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool) {
             assert_eq!(frame.frame_index, k, "session {i} completion order");
             assert_eq!(
                 frame.output, expect[k],
-                "session {i} frame {k} differs from solo render \
+                "{scene} session {i} frame {k} differs from in-core solo \
                  (sessions={sessions} threads={threads} merged={merged})"
             );
         }
@@ -138,11 +148,40 @@ fn assert_server_matches_solo(sessions: usize, threads: usize, merged: bool) {
     }
 }
 
+/// Chunk size of the eviction tests: four chunks of the 384-splat scene,
+/// the last one ragged.
+const EVICTION_CHUNK_SPLATS: usize = 100;
+
+/// A cache of two `EVICTION_CHUNK_SPLATS`-point chunks' decoded bytes:
+/// smaller than the scene, so serving it must evict or re-decode.
+fn two_chunk_cache(model: &GaussianModel) -> Arc<ChunkCache> {
+    let mut chunk = GaussianModel::new(model.sh_degree);
+    model.clone_range_into(0..EVICTION_CHUNK_SPLATS, &mut chunk);
+    let budget = 2 * chunk.storage_bytes();
+    assert!(
+        budget < model.storage_bytes(),
+        "the cache must not hold the scene"
+    );
+    Arc::new(ChunkCache::new(budget))
+}
+
+/// Assert `cache` was too small for the scene it served: some chunk of
+/// `source` decoded more than once.
+fn assert_cache_reloaded(cache: &ChunkCache, source: &dyn SceneSource) {
+    let stats = cache.stats();
+    assert!(
+        stats.misses > source.chunk_count() as u64,
+        "a cache smaller than the scene must re-decode ({stats:?})"
+    );
+    assert!(stats.resident_bytes_peak <= cache.budget_bytes());
+}
+
 #[test]
 fn server_unmerged_matches_solo() {
     for sessions in SESSION_COUNTS {
         for threads in THREAD_COUNTS {
-            assert_server_matches_solo(sessions, threads, false);
+            let server = FrameServer::new(model());
+            assert_served_matches_solo(server, "in-core", sessions, threads, false);
         }
     }
 }
@@ -151,7 +190,8 @@ fn server_unmerged_matches_solo() {
 fn server_merged_matches_solo() {
     for sessions in SESSION_COUNTS {
         for threads in THREAD_COUNTS {
-            assert_server_matches_solo(sessions, threads, true);
+            let server = FrameServer::new(model());
+            assert_served_matches_solo(server, "in-core", sessions, threads, true);
         }
     }
 }
@@ -232,14 +272,7 @@ fn backpressure_bounds_undrained_frames() {
 /// mid-stream and for a half-scene size, under different worker counts.
 #[test]
 fn chunked_server_sessions_match_in_core_solo() {
-    use metasapiens::scene::{InCoreSource, SceneSource};
-
     let model = model();
-    let proto = prototype();
-    let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS)
-        .map(|slot| solo_frames(slot, true))
-        .collect();
-
     for chunk_splats in [347, model.len() / 2 + 1] {
         let source: Arc<dyn SceneSource + Send + Sync> =
             Arc::new(InCoreSource::new((*model).clone(), chunk_splats));
@@ -248,40 +281,24 @@ fn chunked_server_sessions_match_in_core_solo() {
             "chunk size {chunk_splats} must actually chunk the scene"
         );
         for threads in [2, 8] {
-            let mut server = FrameServer::new_chunked(source.clone());
-            let sessions = 16;
-            let ids: Vec<_> = (0..sessions)
-                .map(|i| {
-                    server
-                        .add_session(SessionConfig {
-                            trajectory: trajectory(i),
-                            prototype: proto,
-                            frame_count: FRAMES,
-                            options: options(threads, true),
-                            in_flight: 1 + i % 3,
-                            ring_capacity: FRAMES,
-                        })
-                        .expect("valid session config")
-                })
-                .collect();
-            let results = server.run_to_completion();
-            assert_eq!(results.len(), sessions);
-            for (i, (id, frames)) in results.iter().enumerate() {
-                assert_eq!(*id, ids[i]);
-                assert_eq!(frames.len(), FRAMES, "session {i} frame count");
-                let expect = &refs[i % DISTINCT_TRAJS];
-                for (k, frame) in frames.iter().enumerate() {
-                    // Pixels, winners and work counters must agree; the
-                    // resident-peak fields are excluded from profile
-                    // equality, so chunked-vs-in-core compares clean.
-                    assert_eq!(
-                        frame.output, expect[k],
-                        "chunked session {i} frame {k} differs from in-core solo \
-                         (chunk_splats={chunk_splats} threads={threads})"
-                    );
-                }
-            }
+            let server = FrameServer::new_chunked(source.clone());
+            let scene = format!("chunked ({chunk_splats}-splat chunks)");
+            assert_served_matches_solo(server, &scene, 16, threads, true);
         }
+    }
+
+    // Again through a shared cache of two chunks, smaller than the scene:
+    // sessions evict and re-decode each other's chunks.
+    let source: Arc<dyn SceneSource + Send + Sync> =
+        Arc::new(InCoreSource::new((*model).clone(), EVICTION_CHUNK_SPLATS));
+    for threads in [2, 8] {
+        let cache = two_chunk_cache(&model);
+        let server = FrameServer::new_scene_with_cache(
+            SceneHandle::Chunked(source.clone()),
+            Arc::clone(&cache),
+        );
+        assert_served_matches_solo(server, "two-chunk cache", 16, threads, true);
+        assert_cache_reloaded(&cache, &*source);
     }
 }
 
@@ -295,9 +312,6 @@ fn chunked_server_sessions_match_in_core_solo() {
 /// roughly once for the whole server).
 #[test]
 fn cached_chunked_server_shares_decodes_across_sessions() {
-    use metasapiens::scene::{ChunkCache, InCoreSource, SceneSource};
-    use ms_serve::SceneHandle;
-
     let model = model();
     let proto = prototype();
     let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS)
@@ -361,41 +375,22 @@ fn cached_chunked_server_shares_decodes_across_sessions() {
 /// in-core stream too: encode → [`ChunkedFileSource::from_bytes`] → serve.
 #[test]
 fn chunked_file_source_served_matches_in_core_solo() {
-    use metasapiens::scene::{encode_model_chunked, ChunkedFileSource, SceneSource};
-
     let model = model();
-    let proto = prototype();
-    let refs: Vec<Vec<RenderOutput>> = (0..4).map(|slot| solo_frames(slot, false)).collect();
-
-    let encoded = encode_model_chunked(&model, 347);
-    let source = ChunkedFileSource::from_bytes(encoded.to_vec()).expect("valid container");
+    let source = ChunkedFileSource::from_bytes(encode_model_chunked(&model, 347).to_vec())
+        .expect("valid container");
     assert!(source.chunk_count() >= 2);
-    let mut server = FrameServer::new_chunked(Arc::new(source));
-    let ids: Vec<_> = (0..4)
-        .map(|i| {
-            server
-                .add_session(SessionConfig {
-                    trajectory: trajectory(i),
-                    prototype: proto,
-                    frame_count: FRAMES,
-                    options: options(3, false),
-                    in_flight: 1 + i % 3,
-                    ring_capacity: FRAMES,
-                })
-                .expect("valid session config")
-        })
-        .collect();
-    let results = server.run_to_completion();
-    assert_eq!(results.len(), ids.len());
-    for (i, (id, frames)) in results.iter().enumerate() {
-        assert_eq!(*id, ids[i]);
-        for (k, frame) in frames.iter().enumerate() {
-            assert_eq!(
-                frame.output, refs[i][k],
-                "file-served session {i} frame {k} differs from in-core solo"
-            );
-        }
-    }
+    let server = FrameServer::new_chunked(Arc::new(source));
+    assert_served_matches_solo(server, "file-served", 4, 3, false);
+
+    // Again through a cache of two chunks, smaller than the scene.
+    let encoded = encode_model_chunked(&model, EVICTION_CHUNK_SPLATS);
+    let source = ChunkedFileSource::from_bytes(encoded.to_vec()).expect("valid container");
+    let source: Arc<dyn SceneSource + Send + Sync> = Arc::new(source);
+    let cache = two_chunk_cache(&model);
+    let server =
+        FrameServer::new_scene_with_cache(SceneHandle::Chunked(source.clone()), Arc::clone(&cache));
+    assert_served_matches_solo(server, "file-served two-chunk cache", 4, 3, false);
+    assert_cache_reloaded(&cache, &*source);
 }
 
 // ---------------------------------------------------------------------------
