@@ -117,7 +117,6 @@ mod tests {
                     level: 0,
                 })
                 .collect(),
-            tile_unit: Vec::new(),
             points_projected: 200_000,
             blend_steps: 5_000_000,
             blended_pixels: 20_000,

@@ -67,41 +67,10 @@ struct Slot {
 
 /// Apply the TMU: group tiles into pipeline slots.
 ///
-/// When the workload carries the renderer's §4.3 merge schedule
-/// (`AccelWorkload::tile_unit`) and the configuration has a TMU, slots are
-/// the renderer's super-tiles *by construction* — each tile's sort and
-/// raster cycles accumulate into the work unit that scheduled it, so the
-/// simulator and the software pipeline agree on work units the same way
-/// they already agree on intersection counts. Without a schedule, the TMU
-/// falls back to the β-threshold model: greedily merge consecutive tiles
-/// until the cumulative intersection count reaches β (paper §5.2).
+/// With a TMU, greedily merge consecutive non-empty tiles until the
+/// cumulative intersection count reaches β (paper §5.2); without one, each
+/// non-empty tile is its own slot.
 fn merge_tiles(workload: &AccelWorkload, config: &AccelConfig) -> Vec<Slot> {
-    if config.tile_merging && !workload.tile_unit.is_empty() {
-        assert_eq!(
-            workload.tile_unit.len(),
-            workload.tiles.len(),
-            "merge schedule length mismatch"
-        );
-        let units = workload.tile_unit.iter().map(|&u| u as usize + 1).max();
-        let mut slots = vec![
-            Slot {
-                intersections: 0,
-                raster: 0,
-            };
-            units.unwrap_or(0)
-        ];
-        for (t, &u) in workload.tiles.iter().zip(&workload.tile_unit) {
-            if t.intersections == 0 {
-                continue; // empty tiles are skipped by the frontend
-            }
-            slots[u as usize].intersections += t.intersections as u64;
-            slots[u as usize].raster +=
-                raster_cycles(t.intersections as u64, t.pixels as u64, config);
-        }
-        slots.retain(|s| s.intersections > 0);
-        return slots;
-    }
-
     let mut slots = Vec::new();
     let mut acc_isect = 0u64;
     let mut acc_raster = 0u64;
@@ -224,7 +193,6 @@ mod tests {
                     level: 0,
                 })
                 .collect(),
-            tile_unit: Vec::new(),
             points_projected: 1_000,
             blend_steps: 0,
             blended_pixels: 0,
@@ -339,37 +307,6 @@ mod tests {
         let a = sort_cycles(1_000, &c);
         let b = sort_cycles(2_000, &c);
         assert!((b as i64 - 2 * a as i64).abs() <= 1, "a={a} b={b}");
-    }
-
-    #[test]
-    fn renderer_schedule_drives_slots_by_construction() {
-        // Four tiles, renderer merged tiles 0–2 (sparse) into unit 0 and
-        // left tile 3 (dense) alone in unit 1 → exactly two slots, with the
-        // per-tile sort/raster work conserved.
-        let mut w = workload_from(vec![10, 5, 0, 900]);
-        w.tile_unit = vec![0, 0, 0, 1];
-        let tm = simulate(&w, &AccelConfig::metasapiens_tm());
-        assert_eq!(tm.units_processed, 2);
-        // Without a TMU the schedule is ignored: tiles stay singleton slots
-        // (the hardware has no merge unit to execute the plan).
-        let base = simulate(&w, &AccelConfig::metasapiens_base());
-        assert_eq!(base.units_processed, 3); // empty tile skipped
-    }
-
-    #[test]
-    fn schedule_units_with_only_empty_tiles_are_dropped() {
-        let mut w = workload_from(vec![0, 0, 7, 7]);
-        w.tile_unit = vec![0, 0, 1, 1];
-        let tm = simulate(&w, &AccelConfig::metasapiens_tm());
-        assert_eq!(tm.units_processed, 1, "all-empty unit must not cost a slot");
-    }
-
-    #[test]
-    #[should_panic(expected = "merge schedule length mismatch")]
-    fn malformed_schedule_panics() {
-        let mut w = workload_from(vec![1, 2, 3]);
-        w.tile_unit = vec![0, 0];
-        let _ = simulate(&w, &AccelConfig::metasapiens_tm());
     }
 
     #[test]

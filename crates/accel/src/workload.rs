@@ -20,13 +20,6 @@ pub struct TileWork {
 pub struct AccelWorkload {
     /// Tiles in raster order.
     pub tiles: Vec<TileWork>,
-    /// Renderer-computed §4.3 merge schedule: per-tile work-unit id,
-    /// parallel to `tiles`. Empty when the software pipeline rendered
-    /// without occupancy merging — the simulator then falls back to its
-    /// own β-threshold TMU model. When present, a TM-enabled configuration
-    /// groups its pipeline slots by these ids, so the simulated work units
-    /// are the *same* super-tiles the renderer scheduled, by construction.
-    pub tile_unit: Vec<u32>,
     /// Points surviving culling (projection work).
     pub points_projected: usize,
     /// Total compositing steps of the frame (distributed over tiles in
@@ -52,10 +45,9 @@ impl AccelWorkload {
     ///
     /// `tile_level` optionally assigns a foveation level per tile
     /// (from `ms-fov`'s `FovRenderOutput::tile_level`); `model_bytes` is
-    /// the streamed model size (`GaussianModel::storage_bytes`). When the
-    /// stats carry a merge schedule (`RenderStats::tile_unit`, recorded
-    /// when `RenderOptions::tile_merging` is on), it is copied through so
-    /// the simulated work units match the renderer's super-tiles.
+    /// the streamed model size (`GaussianModel::storage_bytes`). How tiles
+    /// group into pipeline slots is the simulator's own TMU model
+    /// (`AccelConfig::tile_merging`).
     ///
     /// # Panics
     ///
@@ -87,13 +79,8 @@ impl AccelWorkload {
                 }
             })
             .collect();
-        assert!(
-            stats.tile_unit.is_empty() || stats.tile_unit.len() == stats.tile_intersections.len(),
-            "merge schedule length mismatch"
-        );
         Self {
             tiles,
-            tile_unit: stats.tile_unit.clone(),
             points_projected: stats.points_projected,
             blend_steps: stats.blend_steps,
             blended_pixels,
@@ -112,31 +99,13 @@ impl AccelWorkload {
         let full = xf.floor() as usize;
         let frac = xf - full as f64;
         let mut tiles = Vec::with_capacity(((self.tiles.len() as f64) * xf) as usize + 1);
-        let mut tile_unit = Vec::with_capacity(if self.tile_unit.is_empty() {
-            0
-        } else {
-            tiles.capacity()
-        });
-        // Each replica's unit ids shift by the unit count so replicas stay
-        // distinct work units (a larger frame has more super-tiles, not
-        // bigger ones).
-        let unit_stride = self.tile_unit.iter().map(|&u| u + 1).max().unwrap_or(0);
-        let mut replicate = |n: usize, copy: usize| {
-            tiles.extend_from_slice(&self.tiles[..n]);
-            tile_unit.extend(
-                self.tile_unit[..if self.tile_unit.is_empty() { 0 } else { n }]
-                    .iter()
-                    .map(|&u| u + copy as u32 * unit_stride),
-            );
-        };
-        for copy in 0..full {
-            replicate(self.tiles.len(), copy);
+        for _ in 0..full {
+            tiles.extend_from_slice(&self.tiles);
         }
         let partial = (((self.tiles.len() as f64) * frac) as usize).min(self.tiles.len());
-        replicate(partial, full);
+        tiles.extend_from_slice(&self.tiles[..partial]);
         Self {
             tiles,
-            tile_unit,
             points_projected: (self.points_projected as f64 * point_factor) as usize,
             blend_steps: (self.blend_steps as f64 * xf) as u64,
             blended_pixels: (self.blended_pixels as f64 * xf) as u64,
@@ -170,7 +139,6 @@ mod tests {
             blend_steps: 4_000,
             point_tiles_used: Vec::new(),
             point_pixels_dominated: Vec::new(),
-            tile_unit: Vec::new(),
             profile: FrameProfile::default(),
         }
     }
@@ -201,30 +169,6 @@ mod tests {
             24 * 20,
             "clipped tile pixels must tile the image exactly"
         );
-    }
-
-    #[test]
-    fn from_stats_copies_merge_schedule() {
-        let mut s = stats();
-        s.tile_unit = vec![0, 0, 1, 2];
-        let w = AccelWorkload::from_stats(&s, None, 0, 0);
-        assert_eq!(w.tile_unit, vec![0, 0, 1, 2]);
-        // No schedule recorded → no schedule carried.
-        let w = AccelWorkload::from_stats(&stats(), None, 0, 0);
-        assert!(w.tile_unit.is_empty());
-    }
-
-    #[test]
-    fn scaled_offsets_replicated_schedule_ids() {
-        let mut s = stats();
-        s.tile_unit = vec![0, 0, 1, 2];
-        let w = AccelWorkload::from_stats(&s, None, 0, 0);
-        let scaled = w.scaled(1.0, 2.5);
-        assert_eq!(scaled.tiles.len(), 10);
-        assert_eq!(scaled.tile_unit.len(), 10);
-        // Second replica's ids shift by the unit count (3); the partial
-        // third replica keeps the pattern.
-        assert_eq!(scaled.tile_unit, vec![0, 0, 1, 2, 3, 3, 4, 5, 6, 6]);
     }
 
     #[test]

@@ -276,8 +276,7 @@ fn main() {
         fovy: ms_math::deg_to_rad(74.0),
         ..fr_scene.train_cameras[0]
     };
-    // Pulled-back orbit pose: sparse periphery, the occupancy-merging sweet
-    // spot.
+    // Pulled-back orbit pose: sparse periphery.
     let orbit_cam = traj(0).camera_at(
         &Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 12.0), Vec3::zero()),
         1,
@@ -398,10 +397,10 @@ fn main() {
             headon,
         ),
         (
-            "merged/orbit",
+            "sparse/orbit",
             RenderOptions {
                 threads: 0,
-                ..RenderOptions::with_tile_merging()
+                ..RenderOptions::default()
             },
             Camera::look_at(width, height, 60.0, Vec3::new(0.0, 0.0, 16.0), Vec3::zero()),
         ),

@@ -1,8 +1,10 @@
 //! Fig. 9: workload imbalance of the foveated model — (a) ASCII heatmap of
 //! per-tile intersections for `bicycle`, (b) per-trace boxplots over the
 //! Mip-NeRF-360 traces, (c) pre- vs post-merge imbalance of the §4.3
-//! occupancy-driven tile merge (max/mean intersections per raster work
-//! unit, raw tiles vs merged super-tiles).
+//! occupancy-driven tile merge plan (max/mean intersections per work unit,
+//! raw tiles vs the plan's super-tiles). Part (c) is an analysis of the
+//! per-tile counts (`RenderStats::unit_intersections`); the renderer
+//! itself rasterizes tile rows.
 
 use metasapiens::fov::FoveatedRenderer;
 use metasapiens::pipeline::{build_system, BuildConfig, Variant};
@@ -37,12 +39,9 @@ fn unit_ratio(units: &[u32]) -> f64 {
 fn main() {
     let config = ExperimentConfig::from_env();
     println!("== Fig. 9: per-tile intersection imbalance of the FR model ==\n");
-    // One render per trace serves all three parts: merging changes only the
-    // raster work-unit list — pixels, per-tile counts and the imbalance
-    // ratio are bit-identical to the unmerged pipeline (the determinism
-    // suite enforces this), so (a)/(b) read the same numbers an unmerged
-    // render would produce.
-    let merged_renderer = FoveatedRenderer::new(RenderOptions::with_tile_merging());
+    // One render per trace serves all three parts: the merge plan of (c) is
+    // derived from the same per-level tile counts (a)/(b) read.
+    let renderer = FoveatedRenderer::new(RenderOptions::default());
 
     // Fig. 9b traces (Mip-NeRF 360 subset the paper plots).
     let fig9b: Vec<TraceId> = ["flowers", "treehill", "stump", "garden", "bicycle"]
@@ -55,7 +54,7 @@ fn main() {
     for trace in fig9b {
         let loaded = load_trace(trace, &config);
         let system = build_system(&loaded.scene, &BuildConfig::fast_for_tests(Variant::H));
-        let out = merged_renderer.render(&system.fov, &loaded.cameras[0], None);
+        let out = renderer.render(&system.fov, &loaded.cameras[0], None);
         let samples = out.stats.tile_intersections_f32();
         if trace.name == "bicycle" {
             println!(
@@ -77,8 +76,8 @@ fn main() {
 
         // (c) pre vs post merge, on the same per-level work-unit basis: a
         // raw work unit is one (level, tile) pair, a merged one is one
-        // (level, super-tile) pair — each quality level rasterizes under
-        // its own schedule over its own bins.
+        // (level, super-tile) pair — each quality level gets its own plan
+        // over its own tile counts.
         let pre: Vec<u32> = out
             .per_level_stats
             .iter()

@@ -282,11 +282,6 @@ impl FoveatedRenderer {
                 blend_steps,
                 point_tiles_used: Vec::new(),
                 point_pixels_dominated: Vec::new(),
-                // Each level renders under its own merge schedule over its
-                // own bins, so a single per-tile unit map does not exist for
-                // the merged frame — consult `per_level_stats` for the §4.3
-                // work-unit data.
-                tile_unit: Vec::new(),
                 profile,
             },
             per_level_stats,

@@ -1,5 +1,5 @@
 //! Sorting stage: per-tile splat lists ordered front-to-back, plus the
-//! occupancy-driven tile-merge plan built over them.
+//! occupancy-driven tile-merge plan computed over their counts.
 //!
 //! Bins are stored in a flat CSR (compressed sparse row) layout — one
 //! `Vec<u32>` of splat indices plus one `Vec<u32>` of per-tile offsets —
@@ -11,11 +11,11 @@
 //! the offset deltas — the renderer and the simulator share them by
 //! construction.
 //!
-//! [`MergedTileSchedule`] is the Merge stage's output (the paper's §4.3):
-//! a partition of the tile grid into rectangular [`SuperTile`] work units,
-//! built directly over the CSR offsets so low-occupancy tiles coalesce
-//! before they reach the rasterizer's scheduler. `ARCHITECTURE.md` at the
-//! repository root documents the full layout and merge contract.
+//! [`merge_low_occupancy`] is the paper's §4.3 plan: a partition of the
+//! tile grid into rectangular [`SuperTile`] units that coalesces
+//! low-occupancy tiles. It is a pure function of the per-tile counts, used
+//! to report post-merge imbalance; the Raster stage schedules tile rows.
+//! `ARCHITECTURE.md` at the repository root documents the full layout.
 
 use crate::projection::ProjectedSplat;
 use crate::stats::TileGridDims;
@@ -381,11 +381,10 @@ impl TileBins {
 /// One raster work unit: an axis-aligned rectangle of tiles,
 /// `[tx0, tx1) × [ty0, ty1)` in tile coordinates.
 ///
-/// A single tile is the degenerate `1 × 1` rectangle; a band (the PR 3/4
-/// work unit) is `[0, tiles_x) × [ty, ty + 1)`. Rasterizing a super-tile
-/// still composites every pixel against *its own tile's* CSR list — the
-/// rectangle only groups tiles into one scheduling slot, so regrouping can
-/// never change a pixel.
+/// A single tile is the degenerate `1 × 1` rectangle; a tile row (the
+/// Raster stage's work unit) is `[0, tiles_x) × [ty, ty + 1)`. Rasterizing
+/// a unit composites every pixel against *its own tile's* CSR list — the
+/// rectangle only groups tiles into one scheduling slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperTile {
     /// First tile column (inclusive).
@@ -415,212 +414,127 @@ impl SuperTile {
     }
 }
 
-/// Occupancy fraction below which a tile is mergeable when
-/// [`RenderOptions::tile_merging`](crate::RenderOptions) is on: tiles under
-/// half the mean occupancy merge (see
-/// [`MergedTileSchedule::merge_low_occupancy`]).
+/// Occupancy fraction below which a tile is mergeable in the §4.3 plan
+/// [`RenderStats::unit_intersections`](crate::RenderStats::unit_intersections)
+/// reports: tiles under half the mean occupancy merge (see
+/// [`merge_low_occupancy`]).
 pub const MERGE_THRESHOLD: f32 = 0.5;
 
-/// Side cap, in tiles, of a super-tile when
-/// [`RenderOptions::tile_merging`](crate::RenderOptions) is on: units span
-/// at most 4×4 tiles.
+/// Side cap, in tiles, of a super-tile in the §4.3 plan
+/// [`RenderStats::unit_intersections`](crate::RenderStats::unit_intersections)
+/// reports: units span at most 4×4 tiles.
 pub const MERGE_MAX_EXTENT: u32 = 4;
 
-/// The Merge stage's output: an ordered partition of the tile grid into
-/// [`SuperTile`] work units — the list the band-parallel rasterizer pulls
-/// from instead of raw tiles or whole bands.
+/// The occupancy-driven tile-merge plan of the paper's §4.3, over the
+/// per-tile intersection `counts` (row-major, one entry per tile of
+/// `grid`): an ordered partition of the grid into [`SuperTile`] units.
 ///
-/// Invariants (checked by the partition property test):
+/// This is an analysis of a frame's workload, not a raster schedule — the
+/// Raster stage always runs one unit per tile row. A tile is *mergeable*
+/// when its count is below `threshold × mean` occupancy (empty tiles
+/// always are). The scan walks tiles row-major; at each unclaimed mergeable
+/// tile it greedily grows a rectangle — first rightward, then row by row
+/// downward — absorbing only unclaimed mergeable tiles, bounded by
+/// `max_extent` tiles per side *and* by the mean occupancy: growth stops
+/// before the unit's cumulative count would exceed the grid mean. Dense
+/// tiles become singleton units. The cumulative cap gives the balance
+/// guarantee behind the fig09 claim: every multi-tile unit carries at most
+/// `mean` intersections, so the plan's maximum stays the densest tile while
+/// the unit count strictly drops whenever anything merges — max/mean per
+/// work unit can only improve.
 ///
-/// * every tile of the grid belongs to **exactly one** unit, so every
-///   splat-tile intersection lands in exactly one super-tile;
-/// * units are emitted in row-major scan order of their anchor tile, so the
-///   schedule is deterministic for a given `TileBins` regardless of thread
-///   count (the plan is built serially — it is a single O(tiles) scan).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergedTileSchedule {
+/// Invariants (checked by the partition property test): every tile belongs
+/// to **exactly one** unit, and units are emitted in row-major scan order
+/// of their anchor tile, so the plan is a pure function of its inputs.
+///
+/// # Panics
+///
+/// Panics when `max_extent` is 0 or `counts` does not have one entry per
+/// tile.
+pub fn merge_low_occupancy(
     grid: TileGridDims,
-    units: Vec<SuperTile>,
-    merged_tiles: usize,
-}
+    counts: &[u32],
+    threshold: f32,
+    max_extent: u32,
+) -> Vec<SuperTile> {
+    assert!(max_extent >= 1, "max_extent must be >= 1");
+    let (tiles_x, tiles_y) = (grid.tiles_x, grid.tiles_y);
+    let tile_count = grid.tile_count();
+    assert_eq!(counts.len(), tile_count, "tile count mismatch");
+    let count = |tx: u32, ty: u32| counts[ty as usize * tiles_x as usize + tx as usize] as u64;
+    let total: u64 = counts.iter().map(|&c| c as u64).sum();
+    let mean = total as f64 / tile_count.max(1) as f64;
+    let low = threshold as f64 * mean;
+    let mergeable = |tx: u32, ty: u32| {
+        let c = count(tx, ty);
+        c == 0 || (c as f64) < low
+    };
 
-impl MergedTileSchedule {
-    /// The identity schedule used when merging is disabled: one unit per
-    /// tile row (the PR 3/4 "band" work unit), preserving the unmerged
-    /// pipeline's scheduling granularity exactly.
-    pub fn bands(grid: TileGridDims) -> Self {
-        let units = (0..grid.tiles_y)
-            .map(|ty| SuperTile {
-                tx0: 0,
-                ty0: ty,
-                tx1: grid.tiles_x,
-                ty1: ty + 1,
-            })
-            .collect();
-        Self {
-            grid,
-            units,
-            merged_tiles: 0,
-        }
-    }
-
-    /// Build the occupancy-driven merge plan of the paper's §4.3 over the
-    /// CSR offsets.
-    ///
-    /// A tile is *mergeable* when its intersection count is below
-    /// `threshold × mean` occupancy (empty tiles always are). The scan
-    /// walks tiles row-major; at each unclaimed mergeable tile it greedily
-    /// grows a rectangle — first rightward, then row by row downward —
-    /// absorbing only unclaimed mergeable tiles, bounded by `max_extent`
-    /// tiles per side *and* by the mean occupancy: growth stops before the
-    /// unit's cumulative count would exceed the grid mean. Dense tiles
-    /// become singleton units. The cumulative cap gives the balance
-    /// guarantee behind the fig09 claim: every multi-tile unit carries at
-    /// most `mean` intersections, so the schedule's maximum stays the
-    /// densest tile while the unit count strictly drops whenever anything
-    /// merges — max/mean per work unit can only improve.
-    pub fn merge_low_occupancy(bins: &TileBins, threshold: f32, max_extent: u32) -> Self {
-        assert!(max_extent >= 1, "max_extent must be >= 1");
-        let grid = bins.grid();
-        let (tiles_x, tiles_y) = (grid.tiles_x, grid.tiles_y);
-        let tile_count = grid.tile_count();
-        let offsets = bins.offsets();
-        let count = |tx: u32, ty: u32| -> u64 {
-            let i = ty as usize * tiles_x as usize + tx as usize;
-            (offsets[i + 1] - offsets[i]) as u64
-        };
-        let mean = bins.total_intersections() as f64 / tile_count.max(1) as f64;
-        let low = threshold as f64 * mean;
-        let mergeable = |tx: u32, ty: u32| {
-            let c = count(tx, ty);
-            c == 0 || (c as f64) < low
-        };
-
-        let mut taken = vec![false; tile_count];
-        let mut units = Vec::new();
-        let mut merged_tiles = 0usize;
-        for ty in 0..tiles_y {
-            for tx in 0..tiles_x {
-                let anchor = ty as usize * tiles_x as usize + tx as usize;
-                if taken[anchor] {
-                    continue;
-                }
-                if !mergeable(tx, ty) {
-                    taken[anchor] = true;
-                    units.push(SuperTile {
-                        tx0: tx,
-                        ty0: ty,
-                        tx1: tx + 1,
-                        ty1: ty + 1,
-                    });
-                    continue;
-                }
-                // Grow rightward while the row stays mergeable and the
-                // cumulative count stays under the mean.
-                let mut sum = count(tx, ty);
-                let mut w = 1u32;
-                while tx + w < tiles_x && w < max_extent {
-                    let nx = tx + w;
-                    if taken[ty as usize * tiles_x as usize + nx as usize]
-                        || !mergeable(nx, ty)
-                        || (sum + count(nx, ty)) as f64 > mean
-                    {
-                        break;
-                    }
-                    sum += count(nx, ty);
-                    w += 1;
-                }
-                // Grow downward a full row at a time: a row joins only if
-                // every tile under the rectangle is unclaimed and mergeable.
-                let mut h = 1u32;
-                'rows: while ty + h < tiles_y && h < max_extent {
-                    let ny = ty + h;
-                    let mut row_sum = 0u64;
-                    for x in tx..tx + w {
-                        if taken[ny as usize * tiles_x as usize + x as usize] || !mergeable(x, ny) {
-                            break 'rows;
-                        }
-                        row_sum += count(x, ny);
-                    }
-                    if (sum + row_sum) as f64 > mean {
-                        break;
-                    }
-                    sum += row_sum;
-                    h += 1;
-                }
-                for y in ty..ty + h {
-                    for x in tx..tx + w {
-                        taken[y as usize * tiles_x as usize + x as usize] = true;
-                    }
-                }
-                if w * h > 1 {
-                    merged_tiles += (w * h) as usize;
-                }
+    let mut taken = vec![false; tile_count];
+    let mut units = Vec::new();
+    for ty in 0..tiles_y {
+        for tx in 0..tiles_x {
+            let anchor = ty as usize * tiles_x as usize + tx as usize;
+            if taken[anchor] {
+                continue;
+            }
+            if !mergeable(tx, ty) {
+                taken[anchor] = true;
                 units.push(SuperTile {
                     tx0: tx,
                     ty0: ty,
-                    tx1: tx + w,
-                    ty1: ty + h,
+                    tx1: tx + 1,
+                    ty1: ty + 1,
                 });
+                continue;
             }
-        }
-        Self {
-            grid,
-            units,
-            merged_tiles,
-        }
-    }
-
-    /// Tile-grid geometry the schedule partitions.
-    #[inline]
-    pub fn grid(&self) -> TileGridDims {
-        self.grid
-    }
-
-    /// The work units, in deterministic scan order.
-    #[inline]
-    pub fn units(&self) -> &[SuperTile] {
-        &self.units
-    }
-
-    /// Tiles absorbed into multi-tile units (0 for the band schedule, which
-    /// reflects scheduling granularity rather than occupancy merging).
-    #[inline]
-    pub fn merged_tiles(&self) -> usize {
-        self.merged_tiles
-    }
-
-    /// Row-major map from tile index to the id (schedule position) of the
-    /// unit owning it — the `RenderStats::tile_unit` counter the accelerator
-    /// simulator regroups its slots by.
-    pub fn tile_unit_map(&self) -> Vec<u32> {
-        let mut map = vec![u32::MAX; self.grid.tile_count()];
-        for (u, unit) in self.units.iter().enumerate() {
-            let id = u32::try_from(u).expect("work-unit id overflows u32");
-            for (tx, ty) in unit.tiles() {
-                map[ty as usize * self.grid.tiles_x as usize + tx as usize] = id;
+            // Grow rightward while the row stays mergeable and the
+            // cumulative count stays under the mean.
+            let mut sum = count(tx, ty);
+            let mut w = 1u32;
+            while tx + w < tiles_x && w < max_extent {
+                let nx = tx + w;
+                if taken[ty as usize * tiles_x as usize + nx as usize]
+                    || !mergeable(nx, ty)
+                    || (sum + count(nx, ty)) as f64 > mean
+                {
+                    break;
+                }
+                sum += count(nx, ty);
+                w += 1;
             }
+            // Grow downward a full row at a time: a row joins only if
+            // every tile under the rectangle is unclaimed and mergeable.
+            let mut h = 1u32;
+            'rows: while ty + h < tiles_y && h < max_extent {
+                let ny = ty + h;
+                let mut row_sum = 0u64;
+                for x in tx..tx + w {
+                    if taken[ny as usize * tiles_x as usize + x as usize] || !mergeable(x, ny) {
+                        break 'rows;
+                    }
+                    row_sum += count(x, ny);
+                }
+                if (sum + row_sum) as f64 > mean {
+                    break;
+                }
+                sum += row_sum;
+                h += 1;
+            }
+            for y in ty..ty + h {
+                for x in tx..tx + w {
+                    taken[y as usize * tiles_x as usize + x as usize] = true;
+                }
+            }
+            units.push(SuperTile {
+                tx0: tx,
+                ty0: ty,
+                tx1: tx + w,
+                ty1: ty + h,
+            });
         }
-        map
     }
-
-    /// Per-unit intersection counts, summed from the CSR offsets of the
-    /// bins the schedule was built over.
-    pub fn unit_intersections(&self, bins: &TileBins) -> Vec<u32> {
-        let offsets = bins.offsets();
-        let tiles_x = self.grid.tiles_x as usize;
-        self.units
-            .iter()
-            .map(|unit| {
-                unit.tiles()
-                    .map(|(tx, ty)| {
-                        let i = ty as usize * tiles_x + tx as usize;
-                        offsets[i + 1] - offsets[i]
-                    })
-                    .sum()
-            })
-            .collect()
-    }
+    units
 }
 
 #[cfg(test)]
@@ -847,10 +761,28 @@ mod tests {
         counts.iter().copied().max().unwrap() as f64 / mean
     }
 
-    /// Assert `schedule` partitions `g`: every tile in exactly one unit.
-    fn assert_partition(schedule: &MergedTileSchedule, g: TileGridDims) {
+    /// Per-unit intersection counts of a plan over `bins`.
+    fn unit_counts(units: &[SuperTile], bins: &TileBins) -> Vec<u32> {
+        let counts = bins.intersection_counts();
+        let tiles_x = bins.grid().tiles_x;
+        let tile = |(tx, ty): (u32, u32)| counts[(ty * tiles_x + tx) as usize];
+        units.iter().map(|u| u.tiles().map(tile).sum()).collect()
+    }
+
+    /// The plan over `bins`' per-tile counts.
+    fn plan(bins: &TileBins, threshold: f32, max_extent: u32) -> Vec<SuperTile> {
+        merge_low_occupancy(
+            bins.grid(),
+            &bins.intersection_counts(),
+            threshold,
+            max_extent,
+        )
+    }
+
+    /// Assert `units` partition `g`: every tile in exactly one unit.
+    fn assert_partition(units: &[SuperTile], g: TileGridDims) {
         let mut covered = vec![0u32; g.tile_count()];
-        for unit in schedule.units() {
+        for unit in units {
             assert!(unit.tx0 < unit.tx1 && unit.ty0 < unit.ty1, "empty unit");
             assert!(
                 unit.tx1 <= g.tiles_x && unit.ty1 <= g.tiles_y,
@@ -862,22 +794,8 @@ mod tests {
         }
         assert!(
             covered.iter().all(|&c| c == 1),
-            "schedule must cover every tile exactly once"
+            "plan must cover every tile exactly once"
         );
-    }
-
-    #[test]
-    fn band_schedule_is_one_unit_per_row() {
-        let g = grid();
-        let s = MergedTileSchedule::bands(g);
-        assert_eq!(s.units().len(), g.tiles_y as usize);
-        assert_eq!(s.merged_tiles(), 0);
-        assert_partition(&s, g);
-        // Band i owns exactly tile row i.
-        let map = s.tile_unit_map();
-        for (i, &u) in map.iter().enumerate() {
-            assert_eq!(u as usize, i / g.tiles_x as usize);
-        }
     }
 
     #[test]
@@ -894,26 +812,18 @@ mod tests {
             let bins = TileBins::build(&splats, g);
             let threshold = rng.gen_range(0.05..1.5f32);
             let max_extent = rng.gen_range(1u32..6);
-            let s = MergedTileSchedule::merge_low_occupancy(&bins, threshold, max_extent);
-            assert_partition(&s, g);
-            let units = s.unit_intersections(&bins);
-            assert_eq!(units.len(), s.units().len());
+            let units = plan(&bins, threshold, max_extent);
+            assert_partition(&units, g);
+            let counts = unit_counts(&units, &bins);
             assert_eq!(
-                units.iter().map(|&c| c as u64).sum::<u64>(),
+                counts.iter().map(|&c| c as u64).sum::<u64>(),
                 bins.total_intersections(),
                 "round {round}: merged units must conserve intersections"
             );
             // Extent cap respected.
-            for unit in s.units() {
+            for unit in &units {
                 assert!(unit.tx1 - unit.tx0 <= max_extent);
                 assert!(unit.ty1 - unit.ty0 <= max_extent);
-            }
-            // The unit map agrees with the unit list.
-            let map = s.tile_unit_map();
-            for (u, unit) in s.units().iter().enumerate() {
-                for (tx, ty) in unit.tiles() {
-                    assert_eq!(map[(ty * g.tiles_x + tx) as usize] as usize, u);
-                }
             }
         }
     }
@@ -953,24 +863,19 @@ mod tests {
             })
             .collect();
         let bins = TileBins::build(&splats, g);
-        let s = MergedTileSchedule::merge_low_occupancy(&bins, 0.5, 4);
+        let units = plan(&bins, 0.5, 4);
+        let counts = unit_counts(&units, &bins);
         let pre = ratio(&bins.intersection_counts());
-        let post = ratio(&s.unit_intersections(&bins));
-        assert!(
-            s.units().len() < g.tile_count(),
-            "sparse periphery must merge"
-        );
-        assert!(s.merged_tiles() > 0);
+        let post = ratio(&counts);
+        assert!(units.len() < g.tile_count(), "sparse periphery must merge");
+        assert!(units.iter().any(|u| u.tile_count() > 1));
         assert!(
             post < pre,
             "merging must strictly lower imbalance: pre {pre} post {post}"
         );
         // The densest unit is still the densest tile — multi-tile units are
         // capped at the mean occupancy.
-        assert_eq!(
-            s.unit_intersections(&bins).iter().max(),
-            bins.intersection_counts().iter().max()
-        );
+        assert_eq!(counts.iter().max(), bins.intersection_counts().iter().max());
     }
 
     #[test]
@@ -979,20 +884,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5151);
         let splats = random_splats(&mut rng, 800, g);
         let bins = TileBins::build(&splats, g);
-        let a = MergedTileSchedule::merge_low_occupancy(&bins, 0.5, 4);
-        let b = MergedTileSchedule::merge_low_occupancy(&bins, 0.5, 4);
-        assert_eq!(a, b);
+        assert_eq!(plan(&bins, 0.5, 4), plan(&bins, 0.5, 4));
     }
 
     #[test]
     fn empty_frame_merges_into_extent_capped_blocks() {
         let g = grid(); // 8×8 tiles
         let bins = TileBins::build(&[], g);
-        let s = MergedTileSchedule::merge_low_occupancy(&bins, 0.5, 4);
-        assert_partition(&s, g);
+        let units = plan(&bins, 0.5, 4);
+        assert_partition(&units, g);
         // 8×8 empty tiles with a 4-tile cap → four 4×4 super-tiles.
-        assert_eq!(s.units().len(), 4);
-        assert!(s.units().iter().all(|u| u.tile_count() == 16));
+        assert_eq!(units.len(), 4);
+        assert!(units.iter().all(|u| u.tile_count() == 16));
     }
 
     #[test]
@@ -1001,10 +904,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let splats = random_splats(&mut rng, 300, g);
         let bins = TileBins::build(&splats, g);
-        let s = MergedTileSchedule::merge_low_occupancy(&bins, 0.9, 1);
-        assert_eq!(s.units().len(), g.tile_count());
-        assert_eq!(s.merged_tiles(), 0);
-        assert_partition(&s, g);
+        let units = plan(&bins, 0.9, 1);
+        assert_eq!(units.len(), g.tile_count());
+        assert!(units.iter().all(|u| u.tile_count() == 1));
+        assert_partition(&units, g);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! cleared before reuse, so arenas never leak data between frames (or
 //! sessions) and `FrameArena::default()` is always a valid cold start.
 
-use crate::binning::{MergedTileSchedule, TileBins};
+use crate::binning::{SuperTile, TileBins};
 use crate::options::RenderOptions;
 use crate::pipeline::{self, Composited, StageKind, StageSample};
 use crate::projection::{project_model_offset_into, ProjectedSplat};
@@ -62,8 +62,8 @@ pub enum SceneRef<'a> {
     /// shared [`project_model`](crate::project_model) pass) from a
     /// `points`-point model. The frame starts at Bin over a copy of
     /// `splats`, so its profile carries no Project sample. Every splat's
-    /// `point_index` must be below `points`; this is checked when the frame
-    /// begins.
+    /// `point_index` must be below `points`, and its `tiles` must lie on the
+    /// frame's tile grid; both are checked when the frame begins.
     Projected {
         /// The splats, in the order Bin should see them.
         splats: &'a [ProjectedSplat],
@@ -351,20 +351,18 @@ enum State {
     Raster {
         splats: Vec<ProjectedSplat>,
         bins: TileBins,
-        schedule: MergedTileSchedule,
+        units: Vec<SuperTile>,
     },
     /// Raster done.
     Composite {
         splats: Vec<ProjectedSplat>,
         bins: TileBins,
-        schedule: MergedTileSchedule,
         units: Vec<UnitResult>,
     },
     /// Composite done; [`FrameInFlight::finish`] assembles the output.
     Done {
         splats: Vec<ProjectedSplat>,
         bins: TileBins,
-        schedule: MergedTileSchedule,
         composited: Composited,
     },
     /// A stage panicked mid-transition (the state was taken and never put
@@ -430,9 +428,15 @@ impl FrameInFlight {
     /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
     /// addressing, when `mask.len() != width * height`, or when a
     /// pre-projected splat's `point_index` is not below the scene's
-    /// `points`. The mask-size comparison is done in `u64`: at extreme
-    /// dimensions `width * height` overflows `u32`.
-    pub(crate) fn new(scene: SceneRef<'_>, view: View, mut arena: FrameArena) -> Self {
+    /// `points` or its tile rectangle leaves the camera's grid of
+    /// `tile_size`-pixel tiles. The mask-size comparison is done in `u64`:
+    /// at extreme dimensions `width * height` overflows `u32`.
+    pub(crate) fn new(
+        scene: SceneRef<'_>,
+        view: View,
+        mut arena: FrameArena,
+        tile_size: u32,
+    ) -> Self {
         let camera = &view.camera;
         check_camera(camera);
         if let Some(mask) = &view.mask {
@@ -451,6 +455,17 @@ impl FrameInFlight {
                     panic!(
                         "projected splat point_index {} out of range for a {points}-point scene",
                         s.point_index
+                    );
+                }
+                // Bin indexes `ty * tiles_x + tx` unchecked: an x past the
+                // grid would land in the next row's tile.
+                let grid = TileGridDims::for_image(camera.width, camera.height, tile_size);
+                let outside =
+                    |s: &&ProjectedSplat| s.tiles.x1 >= grid.tiles_x || s.tiles.y1 >= grid.tiles_y;
+                if let Some(s) = splats.iter().find(outside) {
+                    panic!(
+                        "projected splat tiles ({}..={}, {}..={}) outside the {}x{} tile grid",
+                        s.tiles.x0, s.tiles.x1, s.tiles.y0, s.tiles.y1, grid.tiles_x, grid.tiles_y
                     );
                 }
                 let mut copy = arena.splats;
@@ -609,41 +624,39 @@ impl FrameInFlight {
                 State::Merge { splats, bins }
             }
             State::Merge { splats, bins } => {
-                let schedule = timed(
+                let units = timed(
                     &mut self.samples,
                     StageKind::Merge,
-                    || pipeline::merge(&bins, options),
-                    |schedule| schedule.units().len() as u64,
+                    || pipeline::merge(bins.grid()),
+                    |units| units.len() as u64,
                 );
                 State::Raster {
                     splats,
                     bins,
-                    schedule,
+                    units,
                 }
             }
             State::Raster {
                 splats,
                 bins,
-                schedule,
+                units,
             } => {
                 let contribs = &mut self.raster_contribs;
                 let units = timed(
                     &mut self.samples,
                     StageKind::Raster,
-                    || pipeline::raster(&splats, &bins, &schedule, options, camera, mask, contribs),
+                    || pipeline::raster(&splats, &bins, &units, options, camera, mask, contribs),
                     |units| units.iter().map(|u| u.blend_steps).sum(),
                 );
                 State::Composite {
                     splats,
                     bins,
-                    schedule,
                     units,
                 }
             }
             State::Composite {
                 splats,
                 bins,
-                schedule,
                 units,
             } => {
                 let composited = timed(
@@ -655,7 +668,6 @@ impl FrameInFlight {
                 State::Done {
                     splats,
                     bins,
-                    schedule,
                     composited,
                 }
             }
@@ -681,7 +693,6 @@ impl FrameInFlight {
         let State::Done {
             mut splats,
             bins,
-            schedule,
             composited,
         } = self.state
         else {
@@ -692,7 +703,6 @@ impl FrameInFlight {
             self.model_len,
             &splats,
             &bins,
-            &schedule,
             composited,
             self.samples,
         );
@@ -821,7 +831,7 @@ mod tests {
     #[test]
     fn arena_reuse_is_bit_identical() {
         let (model, camera) = scene();
-        let renderer = Renderer::new(crate::RenderOptions::with_tile_merging());
+        let renderer = Renderer::default();
         let (first, arena) = renderer.try_render(&model, &camera, FrameArena::default());
         let (second, _) = renderer.try_render(&model, &camera, arena);
         assert_eq!(first.unwrap(), second.unwrap());
@@ -1028,6 +1038,27 @@ mod tests {
         let renderer = Renderer::default();
         let mut splats = crate::project_model(&model, &camera, renderer.options());
         splats[0].point_index = model.len() as u32;
+        let scene = SceneRef::Projected {
+            splats: &splats,
+            points: model.len(),
+        };
+        let _ = renderer.begin_frame(scene, &camera, FrameArena::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat tiles (4..=4, 0..=0) outside the 4x3 tile grid")]
+    fn projected_tiles_checked_at_begin() {
+        // 64×48 at 16 px is a 4×3 grid; tile column 4 would alias tile
+        // (0, 1) in Bin's row-major index.
+        let (model, camera) = scene();
+        let renderer = Renderer::default();
+        let mut splats = crate::project_model(&model, &camera, renderer.options());
+        splats[0].tiles = ms_math::TileRect {
+            x0: 4,
+            y0: 0,
+            x1: 4,
+            y1: 0,
+        };
         let scene = SceneRef::Projected {
             splats: &splats,
             points: model.len(),

@@ -11,10 +11,10 @@
 //!    sort each list front-to-back by depth (or per-pixel for the
 //!    StopThePop-style mode).
 //! 3. **Rasterization** ([`Renderer::render`]): per-pixel alpha compositing
-//!    of Eqn. 1 with transmittance early-stop, scheduled over the
-//!    work-unit list of the §4.3 tile-merge pass ([`MergedTileSchedule`]) —
-//!    adjacent low-occupancy tiles coalesce into super-tiles when
-//!    [`RenderOptions::tile_merging`] is on.
+//!    of Eqn. 1 with transmittance early-stop, one work unit per tile row.
+//!    The §4.3 occupancy merge plan ([`merge_low_occupancy`]) is an
+//!    analysis of the per-tile counts, reported by
+//!    [`RenderStats::unit_intersections`].
 //!
 //! The renderer doubles as the measurement instrument for the paper's
 //! analysis: [`RenderStats`] exposes per-tile intersection counts (the
@@ -49,7 +49,7 @@ mod projection;
 mod raster;
 mod stats;
 
-pub use binning::{MergedTileSchedule, SuperTile, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
+pub use binning::{merge_low_occupancy, SuperTile, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
 pub use frame::{FrameArena, FrameInFlight, SceneRef, View};
 pub use image::Image;
 pub use options::{RenderOptions, SortMode};

@@ -52,16 +52,6 @@ pub struct RenderOptions {
     /// count arrays merge before the prefix sum, and raster work units are
     /// assembled in index order.
     pub threads: usize,
-    /// Occupancy-driven tile merging (the paper's §4.3): tiles whose
-    /// intersection count falls below [`MERGE_THRESHOLD`](crate::MERGE_THRESHOLD)
-    /// × mean tile occupancy are greedily coalesced with adjacent
-    /// low-occupancy tiles into rectangular super-tiles of at most
-    /// [`MERGE_MAX_EXTENT`](crate::MERGE_MAX_EXTENT) tiles per side before
-    /// rasterization, so sparse peripheral tiles stop wasting scheduling
-    /// slots. Off (the default), the raster work units are whole tile rows.
-    /// Merging only regroups scheduling — pixels, winners and every
-    /// per-tile counter are bit-identical to the unmerged render.
-    pub tile_merging: bool,
 }
 
 impl Default for RenderOptions {
@@ -77,7 +67,6 @@ impl Default for RenderOptions {
             sort_mode: SortMode::PerTile,
             track_point_stats: false,
             threads: 1,
-            tile_merging: false,
         }
     }
 }
@@ -88,14 +77,6 @@ impl RenderOptions {
     pub fn with_point_stats() -> Self {
         Self {
             track_point_stats: true,
-            ..Self::default()
-        }
-    }
-
-    /// Preset with occupancy-driven tile merging enabled.
-    pub fn with_tile_merging() -> Self {
-        Self {
-            tile_merging: true,
             ..Self::default()
         }
     }
@@ -121,13 +102,18 @@ impl RenderOptions {
         if !(0.0..=1.0).contains(&self.alpha_max) || self.alpha_max <= self.alpha_min {
             return Err("alpha_max must be in (alpha_min, 1]".into());
         }
-        if self.extent_sigma <= 0.0 {
-            return Err("extent_sigma must be positive".into());
-        }
-        if self.dilation.is_nan() || self.dilation < 0.0 {
+        if !self.extent_sigma.is_finite() || self.extent_sigma <= 0.0 {
             return Err(format!(
-                "dilation {} must be >= 0 (a negative dilation yields non-PSD \
-                 covariances and NaN conics downstream)",
+                "extent_sigma {} must be finite and positive (a NaN or infinite \
+                 radius bins a splat into every tile)",
+                self.extent_sigma
+            ));
+        }
+        if !self.dilation.is_finite() || self.dilation < 0.0 {
+            return Err(format!(
+                "dilation {} must be finite and >= 0 (a negative dilation yields \
+                 non-PSD covariances and NaN conics downstream; an infinite one \
+                 bins a splat into every tile)",
                 self.dilation
             ));
         }
@@ -170,27 +156,30 @@ mod tests {
             ..base
         };
         assert!(o.validate().is_err());
-        let o = RenderOptions {
-            extent_sigma: 0.0,
-            ..RenderOptions::default()
-        };
-        assert!(o.validate().is_err());
+        for bad in [0.0f32, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let o = RenderOptions {
+                extent_sigma: bad,
+                ..RenderOptions::default()
+            };
+            assert!(
+                o.validate().is_err(),
+                "extent_sigma {bad} should be rejected"
+            );
+        }
     }
 
     #[test]
     fn negative_dilation_rejected() {
         // Regression: a negative dilation yields non-PSD screen covariances
         // and NaN conics downstream; validate used to accept it.
-        let o = RenderOptions {
-            dilation: -0.1,
-            ..RenderOptions::default()
-        };
-        assert!(o.validate().is_err());
-        let o = RenderOptions {
-            dilation: f32::NAN,
-            ..RenderOptions::default()
-        };
-        assert!(o.validate().is_err());
+        // Non-finite dilations blow the splat radius up to the whole grid.
+        for bad in [-0.1f32, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let o = RenderOptions {
+                dilation: bad,
+                ..RenderOptions::default()
+            };
+            assert!(o.validate().is_err(), "dilation {bad} should be rejected");
+        }
         // Zero dilation (no low-pass filter) stays legal.
         let o = RenderOptions {
             dilation: 0.0,

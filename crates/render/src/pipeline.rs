@@ -8,9 +8,9 @@
 //! # Stage graph
 //!
 //! Every frame flows through five named stages, mirroring the tile pipeline
-//! of the paper's §2.1 (Projection → Sorting → Rasterization) with the
-//! §4.3 tile-merge pass between sorting and rasterization and an explicit
-//! composite step for work-unit assembly:
+//! of the paper's §2.1 (Projection → Sorting → Rasterization) with a Merge
+//! step that lays out the raster work units between sorting and
+//! rasterization and an explicit composite step for work-unit assembly:
 //!
 //! ```text
 //!   GaussianModel ──▶ [Project] ──▶ Vec<ProjectedSplat>
@@ -19,8 +19,8 @@
 //!                                  [Bin]     counting-sort CSR tile bins
 //!                                     │      (sharded pass 1 + parallel sorts)
 //!                                     ▼
-//!                                  [Merge]   occupancy-driven super-tiles
-//!                                     │      (serial scan over CSR offsets)
+//!                                  [Merge]   raster work units: one per
+//!                                     │      tile row
 //!                                     ▼
 //!                                  [Raster]  per-work-unit compositing
 //!                                     │      (serial or `threads`-way parallel)
@@ -28,19 +28,18 @@
 //!                                  [Composite] unit merge → Image + winners
 //! ```
 //!
-//! The Merge stage partitions the tile grid into rectangular
-//! [`SuperTile`](crate::SuperTile) work units. With
-//! [`RenderOptions::tile_merging`](crate::RenderOptions) off (the default)
-//! it emits the identity band schedule — one unit per tile row. With it on,
-//! adjacent low-occupancy tiles coalesce (bounded by [`MERGE_MAX_EXTENT`]
-//! tiles per side and by the mean tile occupancy per unit), so sparse
-//! peripheral tiles stop consuming scheduling slots of their own.
+//! The Merge stage emits the raster work units: one [`SuperTile`] per tile
+//! row. It stays a stage of its own so every frame profile — and the
+//! benchmark's `render.merge.*` metrics — keeps the five-stage sequence. The paper's §4.3 occupancy-driven merge
+//! plan is not a schedule here: it is a pure function of the per-tile
+//! counts ([`merge_low_occupancy`](crate::merge_low_occupancy)), reported by
+//! [`RenderStats::unit_intersections`](crate::RenderStats::unit_intersections).
 //!
 //! # Parallelism and the determinism contract
 //!
 //! Three of the five stages parallelize across the persistent worker pool
 //! when [`RenderOptions::threads`](crate::RenderOptions) is not `1`
-//! (Merge is a cheap serial scan, Composite a cheap serial merge):
+//! (Merge lists the tile rows, Composite is a cheap serial merge):
 //!
 //! * **Project** shards the model's point range into contiguous chunks;
 //!   chunk outputs concatenate in chunk order, so splat order stays model
@@ -51,20 +50,17 @@
 //!   disjoint per-tile slot ranges (shard-ordered, so segments still fill
 //!   in model order), and the per-tile depth sorts run on disjoint
 //!   segments.
-//! * **Raster** distributes the Merge stage's work units over workers; each
-//!   unit result lands in its own slot and units are assembled in schedule
+//! * **Raster** distributes the Merge stage's tile rows over workers; each
+//!   unit result lands in its own slot and units are assembled in row
 //!   order.
 //!
 //! The contract, enforced by `tests/determinism.rs`: for every thread
 //! count (including auto), a frame's image, winner buffer and
 //! [`FrameProfile`] work counters are **bit-identical** to the
 //! `threads = 1` serial reference, on plain, masked and filtered renders.
-//! Only wall times may differ between runs. Tile merging extends the
-//! contract along a second axis: because a pixel is always composited
-//! against *its own tile's* depth-sorted CSR list — a super-tile only
-//! regroups tiles into one scheduling slot — the merged render's image and
-//! winner buffer are bit-identical to the unmerged render's for every
-//! thread count too. Merging changes scheduling, never pixels.
+//! Only wall times may differ between runs: a pixel is always composited
+//! against *its own tile's* depth-sorted CSR list, so which worker runs
+//! which row cannot change it.
 //!
 //! Inside a work unit, every masked-in pixel runs the one scalar
 //! compositing kernel (`raster.rs`): a front-to-back walk over its own
@@ -81,7 +77,7 @@
 //! |-----------|---------------------------------------------------|
 //! | Project   | splats surviving culling (`points_projected`)     |
 //! | Bin       | tile-ellipse intersections (CSR index length)     |
-//! | Merge     | raster work units emitted (super-tiles or bands)  |
+//! | Merge     | raster work units emitted (one per tile row)      |
 //! | Raster    | compositing steps executed (after early-stop)     |
 //! | Composite | pixels written to the output image                |
 //!
@@ -102,7 +98,7 @@
 //! By construction, a frame's simulated workload and its measured software
 //! workload are the same numbers.
 
-use crate::binning::{MergedTileSchedule, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
+use crate::binning::{SuperTile, TileBins};
 use crate::image::Image;
 use crate::options::RenderOptions;
 use crate::projection::{project_model_offset_into, ProjectedSplat};
@@ -119,8 +115,8 @@ pub enum StageKind {
     Project,
     /// Build depth-sorted CSR tile bins (the paper's Sorting stage).
     Bin,
-    /// Partition the tile grid into raster work units, coalescing adjacent
-    /// low-occupancy tiles into super-tiles (the paper's §4.3 Tile Merging).
+    /// Lay out the raster work units, one per tile row. Kept as a stage so
+    /// every profile carries the same five-stage sequence.
     Merge,
     /// Per-work-unit alpha compositing (the paper's Rasterization stage).
     Raster,
@@ -314,31 +310,32 @@ pub(crate) fn bin(
     TileBins::build_into(splats, grid, &active, threads, recycle)
 }
 
-/// Merge: CSR tile bins → the raster work-unit schedule.
+/// Merge: the tile grid → the raster work units, one [`SuperTile`] per tile
+/// row.
 ///
-/// With merging disabled (the default) this emits the identity band
-/// schedule — one unit per tile row. With merging enabled, adjacent
-/// low-occupancy tiles coalesce into rectangular super-tiles (see
-/// [`MergedTileSchedule::merge_low_occupancy`]). The plan is a single serial
-/// O(tiles) scan over the CSR offsets, so it is deterministic for every
-/// thread count by construction.
-pub(crate) fn merge(bins: &TileBins, options: &RenderOptions) -> MergedTileSchedule {
-    if options.tile_merging {
-        MergedTileSchedule::merge_low_occupancy(bins, MERGE_THRESHOLD, MERGE_MAX_EXTENT)
-    } else {
-        MergedTileSchedule::bands(bins.grid())
-    }
+/// It stays a stage, timed and counted like the others, because frame
+/// profiles and the benchmark's `render.merge.*` metrics read it. The
+/// paper's §4.3 occupancy plan is reported from the per-tile counts instead
+/// (see [`RenderStats::unit_intersections`](crate::RenderStats::unit_intersections)).
+pub(crate) fn merge(grid: TileGridDims) -> Vec<SuperTile> {
+    (0..grid.tiles_y)
+        .map(|ty| SuperTile {
+            tx0: 0,
+            ty0: ty,
+            tx1: grid.tiles_x,
+            ty1: ty + 1,
+        })
+        .collect()
 }
 
-/// Raster: tile bins + merge schedule → per-work-unit pixel rectangles.
+/// Raster: tile bins + work units → per-work-unit pixel rectangles.
 ///
 /// Work units are independent, so they rasterize on `threads` workers
 /// pulling unit indices from a shared counter. Unit results land in
 /// per-unit slots, making the output — and therefore the composited image —
 /// bit-identical for every thread count; one worker runs inline without
-/// spawning. Every pixel composites against its own tile's CSR list
-/// regardless of which unit the tile was scheduled in, so the schedule
-/// shape cannot change a pixel.
+/// spawning. Every pixel composites against its own tile's CSR list, so
+/// which worker runs which unit cannot change a pixel.
 ///
 /// `contribs` is the per-worker pool of per-pixel-sort gather buffers,
 /// recycled through a [`FrameArena`](crate::FrameArena) and grown to one
@@ -347,13 +344,12 @@ pub(crate) fn merge(bins: &TileBins, options: &RenderOptions) -> MergedTileSched
 pub(crate) fn raster(
     splats: &[ProjectedSplat],
     bins: &TileBins,
-    schedule: &MergedTileSchedule,
+    units: &[SuperTile],
     options: &RenderOptions,
     camera: &Camera,
     mask: Option<&[bool]>,
     contribs: &mut Vec<Vec<Contrib>>,
 ) -> Vec<UnitResult> {
-    let units = schedule.units();
     let threads = options.resolved_threads().min(units.len().max(1));
     if threads <= 1 || units.len() <= 1 {
         if contribs.is_empty() {

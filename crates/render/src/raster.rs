@@ -19,8 +19,7 @@
 //! a long list. [`rasterize_unit`] walks a work unit's tiles row by row
 //! and calls it once per masked-in pixel ([`composite_pixel_sorted`] under
 //! [`SortMode::PerPixel`]); a pixel depends only on its own tile's list, so
-//! neither the schedule nor the worker that runs it can change a bit of
-//! the frame.
+//! the worker that runs it cannot change a bit of the frame.
 
 use crate::binning::{SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, SceneRef, View};
@@ -61,9 +60,8 @@ pub struct Renderer {
 }
 
 /// Output of rasterizing one work unit (a [`SuperTile`] rectangle of
-/// tiles) — what the parallel Raster stage distributes and the Composite
-/// stage merges. A band is the degenerate full-row rectangle, so the
-/// unmerged pipeline produces exactly the PR 3/4 band results.
+/// tiles, one tile row) — what the parallel Raster stage distributes and
+/// the Composite stage merges.
 #[derive(Debug)]
 pub(crate) struct UnitResult {
     /// First pixel column of the unit.
@@ -142,8 +140,8 @@ impl Renderer {
     ///
     /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
     /// addressing, when the mask does not have one entry per pixel, or when
-    /// a pre-projected splat's `point_index` is out of range (see
-    /// [`SceneRef::Projected`]).
+    /// a pre-projected splat's `point_index` or tile rectangle is out of
+    /// range (see [`SceneRef::Projected`]).
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame<'a>(
@@ -152,7 +150,7 @@ impl Renderer {
         view: impl Into<View>,
         arena: FrameArena,
     ) -> FrameInFlight {
-        FrameInFlight::new(scene.into(), view.into(), arena)
+        FrameInFlight::new(scene.into(), view.into(), arena, self.options.tile_size)
     }
 
     /// Render `scene` through `view` in one call: [`Renderer::try_render`]
@@ -228,7 +226,6 @@ pub(crate) fn assemble_output(
     model_len: usize,
     splats: &[ProjectedSplat],
     bins: &TileBins,
-    schedule: &crate::binning::MergedTileSchedule,
     composited: Composited,
     samples: Vec<StageSample>,
 ) -> RenderOutput {
@@ -247,16 +244,6 @@ pub(crate) fn assemble_output(
     };
     let tile_intersections = bins.intersection_counts();
     let total_intersections = bins.total_intersections();
-    // The per-tile → work-unit map is recorded only when occupancy
-    // merging actually ran; the identity band schedule reflects
-    // scheduling granularity, not a merge decision, and recording it
-    // would make the accelerator simulator treat whole bands as TMU
-    // output.
-    let tile_unit = if options.tile_merging {
-        schedule.tile_unit_map()
-    } else {
-        Vec::new()
-    };
     let (point_tiles_used, point_pixels_dominated) = if options.track_point_stats {
         // Derived from the CSR bins so masked-out tiles do not count:
         // every CSR index entry is one (tile, splat) intersection.
@@ -286,7 +273,6 @@ pub(crate) fn assemble_output(
             blend_steps,
             point_tiles_used,
             point_pixels_dominated,
-            tile_unit,
             profile,
         },
         winners,
@@ -327,10 +313,10 @@ pub(crate) type Contrib = (f32, f32, ms_math::Vec3, u32);
 /// Rasterize one work unit (a rectangle of tiles, clipped to the image).
 ///
 /// Each pixel composites against **its own tile's** depth-sorted CSR list —
-/// the unit rectangle only decides which pixels this call owns — so two
-/// schedules that partition the grid differently produce bit-identical
-/// pixels, winners and blend-step counts. This is the invariant behind
-/// both determinism axes (thread count and merged-vs-unmerged).
+/// the unit rectangle only decides which pixels this call owns — so which
+/// worker rasterizes which unit cannot change pixels, winners or
+/// blend-step counts. This is the invariant behind the thread-count
+/// determinism axis.
 /// `contribs` is the per-pixel-sort gather buffer; it only carries recycled
 /// capacity, since its contents are overwritten per pixel, so which
 /// worker's buffer arrives cannot change a pixel either.
@@ -838,62 +824,10 @@ mod tests {
             out.stats.points_projected as u64
         );
         assert_eq!(p.items(StageKind::Bin), out.stats.total_intersections);
-        // Merging disabled by default: the schedule is one band per tile
-        // row (64 px / 16 px tiles = 4 bands), and no unit map is recorded.
+        // One raster work unit per tile row (64 px / 16 px tiles = 4 rows).
         assert_eq!(p.items(StageKind::Merge), 4);
-        assert!(out.stats.tile_unit.is_empty());
         assert_eq!(p.items(StageKind::Raster), out.stats.blend_steps);
         assert_eq!(p.items(StageKind::Composite), 64 * 64);
-    }
-
-    #[test]
-    fn merged_render_is_bit_identical_and_records_schedule() {
-        let m = solid_model(&[
-            (
-                Vec3::new(-0.5, 0.0, 0.0),
-                Vec3::splat(0.3),
-                0.9,
-                Vec3::new(1.0, 0.0, 0.0),
-            ),
-            (
-                Vec3::new(0.4, 0.3, 0.5),
-                Vec3::splat(0.2),
-                0.8,
-                Vec3::new(0.0, 1.0, 0.0),
-            ),
-        ]);
-        let camera = cam(96, 96);
-        let plain = Renderer::new(RenderOptions {
-            track_point_stats: true,
-            ..RenderOptions::default()
-        })
-        .render(&m, &camera);
-        let merged = Renderer::new(RenderOptions {
-            track_point_stats: true,
-            ..RenderOptions::with_tile_merging()
-        })
-        .render(&m, &camera);
-        assert_eq!(merged.image, plain.image, "merging must not change pixels");
-        assert_eq!(merged.winners, plain.winners);
-        assert_eq!(merged.stats.blend_steps, plain.stats.blend_steps);
-        assert_eq!(
-            merged.stats.tile_intersections,
-            plain.stats.tile_intersections
-        );
-        // The merged run records the schedule; the unit counters partition
-        // the per-tile counts.
-        assert_eq!(merged.stats.tile_unit.len(), merged.stats.grid.tile_count());
-        assert!(merged.stats.work_unit_count() > 0);
-        assert_eq!(
-            merged
-                .stats
-                .unit_intersections()
-                .iter()
-                .map(|&u| u as u64)
-                .sum::<u64>(),
-            merged.stats.total_intersections
-        );
-        assert!(plain.stats.tile_unit.is_empty());
     }
 
     /// A small scene with overlap, occlusion and off-center splats, so

@@ -1,6 +1,7 @@
 //! Render statistics: the measurement instrument behind the paper's
 //! workload analysis.
 
+use crate::binning::{merge_low_occupancy, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
 use crate::pipeline::FrameProfile;
 use serde::{Deserialize, Serialize};
 
@@ -126,13 +127,6 @@ pub struct RenderStats {
     /// Per-point count of pixels dominated this frame (`Val`); empty unless
     /// `track_point_stats` was set.
     pub point_pixels_dominated: Vec<u32>,
-    /// Row-major map from tile index to the raster work-unit (super-tile)
-    /// that scheduled it, in schedule order — the §4.3 merge plan as data.
-    /// Populated only when occupancy-driven tile merging was enabled
-    /// (`RenderOptions::tile_merging`); empty otherwise, and empty
-    /// in merged foveated stats (each quality level has its own schedule;
-    /// see the per-level stats instead).
-    pub tile_unit: Vec<u32>,
     /// Per-stage wall time and work counters for this frame.
     pub profile: FrameProfile,
 }
@@ -166,40 +160,19 @@ impl RenderStats {
         self.tile_intersections.iter().map(|&x| x as f32).collect()
     }
 
-    /// Number of raster work units in the merged schedule; 0 when no merged
-    /// schedule was recorded (merging disabled).
-    pub fn work_unit_count(&self) -> usize {
-        self.tile_unit
-            .iter()
-            .map(|&u| u as usize + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Per-work-unit intersection counts: `tile_intersections` grouped by
-    /// the merge schedule. Empty when no merged schedule was recorded.
+    /// Per-unit intersection counts of the paper's §4.3 occupancy merge
+    /// plan ([`merge_low_occupancy`] over `tile_intersections` with
+    /// [`MERGE_THRESHOLD`] and [`MERGE_MAX_EXTENT`]), in plan order. An
+    /// analysis of the frame's workload: the renderer rasterizes tile rows
+    /// whatever the plan says.
     pub fn unit_intersections(&self) -> Vec<u32> {
-        let mut units = vec![0u32; self.work_unit_count()];
-        for (&u, &n) in self.tile_unit.iter().zip(&self.tile_intersections) {
-            units[u as usize] += n;
-        }
-        units
-    }
-
-    /// Workload-imbalance ratio over raster *work units* (max/mean unit
-    /// intersections) — the post-merge counterpart of
-    /// [`imbalance_ratio`](Self::imbalance_ratio), which measures raw
-    /// tiles. `None` when no merged schedule was recorded.
-    pub fn unit_imbalance_ratio(&self) -> Option<f32> {
-        let units = self.unit_intersections();
-        if units.is_empty() {
-            return None;
-        }
-        let mean = units.iter().map(|&u| u as u64).sum::<u64>() as f32 / units.len() as f32;
-        if mean <= 0.0 {
-            return Some(1.0);
-        }
-        Some(units.iter().copied().max().unwrap_or(0) as f32 / mean)
+        let counts = &self.tile_intersections;
+        let tiles_x = self.grid.tiles_x as usize;
+        let tile = |(tx, ty): (u32, u32)| counts[ty as usize * tiles_x + tx as usize];
+        merge_low_occupancy(self.grid, counts, MERGE_THRESHOLD, MERGE_MAX_EXTENT)
+            .iter()
+            .map(|unit| unit.tiles().map(tile).sum())
+            .collect()
     }
 }
 
@@ -218,7 +191,6 @@ mod tests {
             blend_steps: 0,
             point_tiles_used: Vec::new(),
             point_pixels_dominated: Vec::new(),
-            tile_unit: Vec::new(),
             profile: FrameProfile::default(),
         }
     }
@@ -241,20 +213,14 @@ mod tests {
 
     #[test]
     fn unit_counters_group_by_schedule() {
-        let mut s = stats(vec![5, 0, 0, 25]);
-        // No schedule recorded: unit accessors are empty/None.
-        assert_eq!(s.work_unit_count(), 0);
-        assert!(s.unit_intersections().is_empty());
-        assert_eq!(s.unit_imbalance_ratio(), None);
-        // Tiles 0–2 merged into unit 0, tile 3 alone in unit 1.
-        s.tile_unit = vec![0, 0, 0, 1];
-        assert_eq!(s.work_unit_count(), 2);
-        assert_eq!(s.unit_intersections(), vec![5, 25]);
-        // Tile ratio: 25 / 7.5; unit ratio: 25 / 15.
-        assert!((s.imbalance_ratio() - 25.0 / 7.5).abs() < 1e-6);
-        let unit_ratio = s.unit_imbalance_ratio().unwrap();
-        assert!((unit_ratio - 25.0 / 15.0).abs() < 1e-6);
-        assert!(unit_ratio < s.imbalance_ratio());
+        // Mean 7.5, so tiles below 3.75 merge: the two empty tiles join one
+        // unit, the two dense ones stay alone.
+        let s = stats(vec![5, 0, 0, 25]);
+        assert_eq!(s.unit_intersections(), vec![5, 0, 25]);
+        // Mean 4: the four sparse tiles fill one 4-wide unit up to the mean.
+        let s = stats(vec![1, 1, 1, 1, 0, 20]);
+        assert_eq!(s.unit_intersections(), vec![4, 0, 20]);
+        assert!(stats(vec![]).unit_intersections().is_empty());
     }
 
     #[test]

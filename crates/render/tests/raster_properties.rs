@@ -3,21 +3,18 @@
 //! widths and tile sizes, stacks of nearly opaque splats that stop pixels
 //! at different depths, and random pixel masks.
 //!
-//! Three invariants must hold bit for bit (pixels, winner buffers and
+//! Two invariants must hold bit for bit (pixels, winner buffers and
 //! blend-step counts):
 //!
 //! * **Threads.** A frame rasterized on 3 workers equals the serial one.
-//! * **Merging.** A frame scheduled over merged super-tiles
-//!   (`RenderOptions::with_tile_merging`) equals the unmerged frame: each
-//!   pixel still composites its own tile's list.
 //! * **Masks.** A masked frame equals the unmasked frame on every
 //!   masked-in pixel, and holds the background and a `u32::MAX` winner on
 //!   every masked-out one. Every foveated level is a masked frame, so the
 //!   foveated renderer depends on this.
 
-use ms_math::{Conic2, Quat, TileRect, Vec2, Vec3};
+use ms_math::{Conic2, TileRect, Vec2, Vec3};
 use ms_render::{Image, ProjectedSplat, RenderOptions, RenderOutput, Renderer, SceneRef, View};
-use ms_scene::{Camera, GaussianModel};
+use ms_scene::Camera;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -171,28 +168,6 @@ fn opaque_stack(
         .collect()
 }
 
-/// A random world-space model of `points` solid Gaussians packed near the
-/// origin, for frames that run the whole pipeline.
-fn random_model(rng: &mut StdRng, points: usize) -> GaussianModel {
-    let mut model = GaussianModel::new(0);
-    for _ in 0..points {
-        let position = Vec3::new(
-            rng.gen_range(-0.8..0.8f32),
-            rng.gen_range(-0.8..0.8f32),
-            rng.gen_range(-0.8..0.8f32),
-        );
-        let scale = Vec3::new(
-            rng.gen_range(0.05..0.4f32),
-            rng.gen_range(0.05..0.4f32),
-            rng.gen_range(0.05..0.4f32),
-        );
-        let opacity = rng.gen_range(0.1..0.98f32);
-        let color = random_color(rng);
-        model.push_solid(position, scale, Quat::identity(), opacity, color);
-    }
-    model
-}
-
 /// A random mask: pixels inside a random disk, each kept with probability
 /// `density`. Tiles outside the disk are wholly masked out, so Bin drops
 /// them; tiles inside keep a random scatter of pixels.
@@ -266,33 +241,6 @@ proptest! {
     }
 
     #[test]
-    fn merged_super_tiles_match_unmerged(
-        seed in 0u64..1u64 << 48,
-        points in 6usize..40,
-        width in 25u32..80,
-        height in 21u32..64,
-        ts_pick in 0usize..5,
-    ) {
-        // A center-heavy model seen from a pulled-back camera: occupancy
-        // merging coalesces the sparse periphery into multi-tile
-        // super-tiles, while each pixel still composites its own tile's
-        // list.
-        let tile_size = TILE_SIZES[ts_pick];
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x0dd0_7117_e57a_6e5d);
-        let model = random_model(&mut rng, points);
-        let view = View::from(&camera(width, height, 10.0));
-        let unmerged_opts = options(tile_size, 1.0 / 255.0, 0.99, 1e-4);
-        let merged_opts = RenderOptions {
-            tile_merging: true,
-            ..unmerged_opts.clone()
-        };
-        let unmerged = render_thread_invariant(&unmerged_opts, &model, view.clone())?;
-        let merged = render_thread_invariant(&merged_opts, &model, view)?;
-        assert_outputs_bit_identical(&merged, &unmerged)?;
-        prop_assert_eq!(&merged.stats.tile_intersections, &unmerged.stats.tile_intersections);
-    }
-
-    #[test]
     fn masked_frame_matches_unmasked_on_masked_in_pixels(
         seed in 0u64..1u64 << 48,
         n in 1usize..100,
@@ -300,7 +248,6 @@ proptest! {
         height in 9u32..64,
         ts_pick in 0usize..5,
         density in 0.05f64..1.0,
-        merged in proptest::bool::ANY,
     ) {
         let tile_size = TILE_SIZES[ts_pick];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
@@ -308,10 +255,7 @@ proptest! {
         let mask = random_mask(&mut rng, width, height, density);
         let scene = SceneRef::Projected { splats: &splats, points: n };
         let cam = camera(width, height, 4.0);
-        let o = RenderOptions {
-            tile_merging: merged,
-            ..options(tile_size, 1.0 / 255.0, 0.99, 1e-4)
-        };
+        let o = options(tile_size, 1.0 / 255.0, 0.99, 1e-4);
         let full = render_thread_invariant(&o, scene, View::from(&cam))?;
         let masked = render_thread_invariant(&o, scene, View::masked(cam, mask.clone()))?;
         for (i, &keep) in mask.iter().enumerate() {

@@ -616,6 +616,9 @@ mod tests {
         cfg.options.tile_size = 0;
         assert!(server.add_session(cfg).is_err());
         let mut cfg = config(4.0);
+        cfg.options.extent_sigma = f32::NAN;
+        assert!(server.add_session(cfg).is_err());
+        let mut cfg = config(4.0);
         cfg.frame_count = 1;
         assert!(server.add_session(cfg).is_err());
         let mut cfg = config(4.0);

@@ -4,22 +4,16 @@
 //! counters — to the same frame rendered with any other worker count,
 //! including auto (`threads = 0`), on plain, masked and filtered renders.
 //!
-//! Occupancy-driven tile merging (`RenderOptions::tile_merging`) adds a
-//! second determinism axis: a *merged* render must be bit-identical in
-//! pixels and winners to the *unmerged* render of the same frame — merging
-//! regroups raster scheduling, never per-pixel work — and the merged
-//! configuration must itself be bit-identical across all thread counts.
-//!
 //! Filtered renders project the whole model, keep the splats whose point
 //! index an admission predicate accepts, and rasterize the survivors as a
 //! `SceneRef::Projected` scene — the shape of the foveated renderer's
 //! per-level frames, which join the suite in
 //! `foveated_render_is_bit_identical_across_threads`.
 //!
-//! Chunked sources and the chunk cache add the remaining axes: a streamed
+//! Chunked sources and the chunk cache add the other two axes: a streamed
 //! frame must equal the in-core frame for every chunk size and cache
-//! budget. Random-scene coverage of the Raster stage (threads, merging and
-//! masks over random splat lists) lives in
+//! budget. Random-scene coverage of the Raster stage (threads and masks
+//! over random splat lists) lives in
 //! `crates/render/tests/raster_properties.rs`.
 
 use metasapiens::render::{
@@ -186,108 +180,13 @@ fn profile_stages_present_regardless_of_threads() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tile merging: the second determinism axis
-// ---------------------------------------------------------------------------
-
 /// A pulled-back view of the kitchen scene: the model shrinks into the
-/// center tiles, leaving the sparse periphery that makes occupancy merging
-/// actually coalesce super-tiles (the head-on test camera fills every tile
-/// far too uniformly for any tile to drop below half the mean).
+/// center tiles, leaving the sparse periphery that makes the occupancy
+/// merge plan actually coalesce super-tiles (the head-on test camera fills
+/// every tile far too uniformly for any tile to drop below half the mean).
 fn foveal_camera() -> Camera {
     use metasapiens::math::Vec3;
     Camera::look_at(160, 120, 60.0, Vec3::new(0.0, 0.0, 16.0), Vec3::zero())
-}
-
-fn merge_opts(threads: usize) -> RenderOptions {
-    RenderOptions {
-        threads,
-        track_point_stats: true,
-        ..RenderOptions::with_tile_merging()
-    }
-}
-
-/// Assert a merged render is the same *frame* as an unmerged render:
-/// pixels, winners, and every schedule-independent workload counter.
-/// (`RenderStats` as a whole legitimately differs: the merged run records
-/// the schedule in `tile_unit` and a different Merge work counter.)
-fn assert_same_frame(merged: &RenderOutput, unmerged: &RenderOutput, label: &str) {
-    assert_eq!(
-        merged.image, unmerged.image,
-        "merged pixels differ ({label})"
-    );
-    assert_eq!(
-        merged.winners, unmerged.winners,
-        "merged winners differ ({label})"
-    );
-    assert_eq!(
-        merged.stats.tile_intersections, unmerged.stats.tile_intersections,
-        "per-tile counts differ ({label})"
-    );
-    assert_eq!(merged.stats.blend_steps, unmerged.stats.blend_steps);
-    assert_eq!(
-        merged.stats.point_pixels_dominated,
-        unmerged.stats.point_pixels_dominated
-    );
-    for kind in [StageKind::Project, StageKind::Bin, StageKind::Raster] {
-        assert_eq!(
-            merged.stats.profile.items(kind),
-            unmerged.stats.profile.items(kind),
-            "{} work counter differs ({label})",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn merged_render_is_bit_identical_to_unmerged_across_threads() {
-    let s = scene();
-    let cam = foveal_camera();
-    let unmerged = Renderer::new(opts(1)).render(&s.model, &cam);
-    let merged_serial = Renderer::new(merge_opts(1)).render(&s.model, &cam);
-    assert_same_frame(&merged_serial, &unmerged, "plain, threads=1");
-    // The merged run actually merged something on this foveal scene.
-    assert!(
-        merged_serial.stats.work_unit_count() < merged_serial.stats.grid.tile_count(),
-        "expected at least one super-tile merge"
-    );
-    for threads in THREAD_COUNTS {
-        let merged = Renderer::new(merge_opts(threads)).render(&s.model, &cam);
-        assert_bit_identical(&merged, &merged_serial, threads);
-        assert_same_frame(&merged, &unmerged, "plain");
-    }
-}
-
-#[test]
-fn merged_masked_render_is_bit_identical_to_unmerged_across_threads() {
-    let s = scene();
-    let cam = foveal_camera();
-    let mask = structured_mask(&cam);
-    let unmerged = Renderer::new(opts(1)).render(&s.model, View::masked(cam, mask.clone()));
-    let merged_serial =
-        Renderer::new(merge_opts(1)).render(&s.model, View::masked(cam, mask.clone()));
-    assert_same_frame(&merged_serial, &unmerged, "masked, threads=1");
-    for threads in THREAD_COUNTS {
-        let merged =
-            Renderer::new(merge_opts(threads)).render(&s.model, View::masked(cam, mask.clone()));
-        assert_bit_identical(&merged, &merged_serial, threads);
-        assert_same_frame(&merged, &unmerged, "masked");
-    }
-}
-
-#[test]
-fn merged_filtered_render_is_bit_identical_to_unmerged_across_threads() {
-    let s = scene();
-    let cam = foveal_camera();
-    let admit = |i: usize| i % 3 != 1;
-    let unmerged = render_admitted(&Renderer::new(opts(1)), &s.model, &cam, admit);
-    let merged_serial = render_admitted(&Renderer::new(merge_opts(1)), &s.model, &cam, admit);
-    assert_same_frame(&merged_serial, &unmerged, "filtered, threads=1");
-    for threads in THREAD_COUNTS {
-        let merged = render_admitted(&Renderer::new(merge_opts(threads)), &s.model, &cam, admit);
-        assert_bit_identical(&merged, &merged_serial, threads);
-        assert_same_frame(&merged, &unmerged, "filtered");
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +231,7 @@ fn foveated_render_is_bit_identical_across_threads() {
 }
 
 // ---------------------------------------------------------------------------
-// Out-of-core chunking: the third determinism axis
+// Out-of-core chunking: the second determinism axis
 // ---------------------------------------------------------------------------
 //
 // With LOD off, a chunked render must be bit-identical — pixels, winners,
@@ -370,17 +269,20 @@ fn chunked_render_is_bit_identical_to_in_core_across_threads() {
 
 #[test]
 fn chunked_render_matches_in_core_under_merging() {
-    // The chunk axis crossed with tile merging: a merged chunked frame
-    // equals the merged in-core frame.
+    // The chunk axis on a sparse frame whose §4.3 merge plan coalesces
+    // tiles: the chunked frame equals the in-core frame, plan included.
     let s = scene();
     let cam = foveal_camera();
     let chunk_splats = chunk_sizes(s.model.len())[0];
     let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
-    let renderer = Renderer::new(merge_opts(3));
+    let renderer = Renderer::new(opts(3));
     let in_core = renderer.render(&s.model, &cam);
     let chunked = renderer.render(SceneRef::Chunked(&source), &cam);
     assert_bit_identical(&chunked, &in_core, 3);
     assert_eq!(chunked.stats.profile, in_core.stats.profile);
+    let plan = in_core.stats.unit_intersections();
+    assert!(plan.len() < in_core.stats.grid.tile_count());
+    assert_eq!(chunked.stats.unit_intersections(), plan);
 }
 
 #[test]
@@ -459,7 +361,7 @@ fn chunked_scratch_peak_is_bounded_by_chunk_not_model() {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk cache: the fourth determinism axis
+// Chunk cache: the third determinism axis
 // ---------------------------------------------------------------------------
 //
 // The cross-frame chunk cache must change *where* chunk bytes come from,
@@ -542,18 +444,17 @@ fn cached_chunked_frames_reuse_decodes_across_frames() {
 
 #[test]
 fn merging_reduces_work_units_and_imbalance() {
-    // The §4.3 claim at the renderer level: fewer, better-balanced work
-    // units on a foveal (center-heavy) frame, with identical pixels.
+    // The §4.3 claim over a rendered frame's counts: the occupancy plan has
+    // fewer, better-balanced work units than raw tiles on a foveal
+    // (center-heavy) frame.
     let s = scene();
     let cam = foveal_camera();
-    let merged = Renderer::new(merge_opts(1)).render(&s.model, &cam);
-    let units = merged.stats.work_unit_count();
-    assert!(units > 0 && units < merged.stats.grid.tile_count());
-    let post = merged
-        .stats
-        .unit_imbalance_ratio()
-        .expect("merged run records a schedule");
-    let pre = merged.stats.imbalance_ratio();
+    let out = Renderer::new(opts(1)).render(&s.model, &cam);
+    let units = out.stats.unit_intersections();
+    assert!(!units.is_empty() && units.len() < out.stats.grid.tile_count());
+    let mean = units.iter().map(|&u| u as f32).sum::<f32>() / units.len() as f32;
+    let post = *units.iter().max().unwrap() as f32 / mean;
+    let pre = out.stats.imbalance_ratio();
     assert!(
         post < pre,
         "per-unit imbalance {post} must undercut per-tile {pre}"

@@ -2,8 +2,8 @@
 //! stream must be **bit-identical** — pixels, winner buffers, stats and
 //! `FrameProfile` work counters — to a solo `Renderer` walking the same
 //! trajectory, no matter how many other sessions are in flight, how many
-//! pool workers exist, and whether tile merging is on. Pipelining changes
-//! *when* a frame's stages execute, never their inputs.
+//! pool workers exist, and whether the scene is in core or chunked.
+//! Pipelining changes *when* a frame's stages execute, never their inputs.
 //!
 //! Also property-tests the trajectory sampler the server admits frames
 //! from: endpoint clamping, loop closure, per-index/batch agreement and
@@ -63,24 +63,19 @@ fn trajectory(slot: usize) -> Trajectory {
     )
 }
 
-fn options(threads: usize, merged: bool) -> RenderOptions {
-    let base = if merged {
-        RenderOptions::with_tile_merging()
-    } else {
-        RenderOptions::default()
-    };
+fn options(threads: usize) -> RenderOptions {
     RenderOptions {
         threads,
         track_point_stats: true,
-        ..base
+        ..RenderOptions::default()
     }
 }
 
 /// Solo reference: a plain serial `Renderer` walking trajectory `slot`.
-fn solo_frames(slot: usize, merged: bool) -> Vec<RenderOutput> {
+fn solo_frames(slot: usize) -> Vec<RenderOutput> {
     let model = model();
     let proto = prototype();
-    let renderer = Renderer::new(options(1, merged));
+    let renderer = Renderer::new(options(1));
     trajectory(slot)
         .cameras(&proto, FRAMES)
         .iter()
@@ -99,11 +94,8 @@ fn assert_served_matches_solo(
     scene: &str,
     sessions: usize,
     threads: usize,
-    merged: bool,
 ) {
-    let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS.min(sessions))
-        .map(|slot| solo_frames(slot, merged))
-        .collect();
+    let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS.min(sessions)).map(solo_frames).collect();
 
     let proto = prototype();
     let ids: Vec<_> = (0..sessions)
@@ -113,7 +105,7 @@ fn assert_served_matches_solo(
                     trajectory: trajectory(i),
                     prototype: proto,
                     frame_count: FRAMES,
-                    options: options(threads, merged),
+                    options: options(threads),
                     // Vary the pipelining window across sessions to
                     // exercise different interleavings.
                     in_flight: 1 + i % 3,
@@ -134,7 +126,7 @@ fn assert_served_matches_solo(
             assert_eq!(
                 frame.output, expect[k],
                 "{scene} session {i} frame {k} differs from in-core solo \
-                 (sessions={sessions} threads={threads} merged={merged})"
+                 (sessions={sessions} threads={threads})"
             );
         }
     }
@@ -181,17 +173,7 @@ fn server_unmerged_matches_solo() {
     for sessions in SESSION_COUNTS {
         for threads in THREAD_COUNTS {
             let server = FrameServer::new(model());
-            assert_served_matches_solo(server, "in-core", sessions, threads, false);
-        }
-    }
-}
-
-#[test]
-fn server_merged_matches_solo() {
-    for sessions in SESSION_COUNTS {
-        for threads in THREAD_COUNTS {
-            let server = FrameServer::new(model());
-            assert_served_matches_solo(server, "in-core", sessions, threads, true);
+            assert_served_matches_solo(server, "in-core", sessions, threads);
         }
     }
 }
@@ -200,14 +182,14 @@ fn server_merged_matches_solo() {
 fn sessions_added_and_removed_mid_run_stay_deterministic() {
     // A session that joins late or a neighbor that leaves mid-flight must
     // not perturb anyone else's frames.
-    let refs: Vec<Vec<RenderOutput>> = (0..3).map(|slot| solo_frames(slot, false)).collect();
+    let refs: Vec<Vec<RenderOutput>> = (0..3).map(solo_frames).collect();
     let mut server = FrameServer::new(model());
     let proto = prototype();
     let mk = |slot: usize| SessionConfig {
         trajectory: trajectory(slot),
         prototype: proto,
         frame_count: FRAMES,
-        options: options(3, false),
+        options: options(3),
         in_flight: 2,
         ring_capacity: FRAMES,
     };
@@ -239,7 +221,7 @@ fn backpressure_bounds_undrained_frames() {
             trajectory: trajectory(0),
             prototype: prototype(),
             frame_count: 6,
-            options: options(2, false),
+            options: options(2),
             in_flight: 2,
             ring_capacity: 2,
         })
@@ -283,7 +265,7 @@ fn chunked_server_sessions_match_in_core_solo() {
         for threads in [2, 8] {
             let server = FrameServer::new_chunked(source.clone());
             let scene = format!("chunked ({chunk_splats}-splat chunks)");
-            assert_served_matches_solo(server, &scene, 16, threads, true);
+            assert_served_matches_solo(server, &scene, 16, threads);
         }
     }
 
@@ -297,7 +279,7 @@ fn chunked_server_sessions_match_in_core_solo() {
             SceneHandle::Chunked(source.clone()),
             Arc::clone(&cache),
         );
-        assert_served_matches_solo(server, "two-chunk cache", 16, threads, true);
+        assert_served_matches_solo(server, "two-chunk cache", 16, threads);
         assert_cache_reloaded(&cache, &*source);
     }
 }
@@ -314,9 +296,7 @@ fn chunked_server_sessions_match_in_core_solo() {
 fn cached_chunked_server_shares_decodes_across_sessions() {
     let model = model();
     let proto = prototype();
-    let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS)
-        .map(|slot| solo_frames(slot, false))
-        .collect();
+    let refs: Vec<Vec<RenderOutput>> = (0..DISTINCT_TRAJS).map(solo_frames).collect();
 
     let source: Arc<dyn SceneSource + Send + Sync> =
         Arc::new(InCoreSource::new((*model).clone(), 347));
@@ -332,7 +312,7 @@ fn cached_chunked_server_shares_decodes_across_sessions() {
                     trajectory: trajectory(i),
                     prototype: proto,
                     frame_count: FRAMES,
-                    options: options(3, false),
+                    options: options(3),
                     in_flight: 1 + i % 3,
                     ring_capacity: FRAMES,
                 })
@@ -380,7 +360,7 @@ fn chunked_file_source_served_matches_in_core_solo() {
         .expect("valid container");
     assert!(source.chunk_count() >= 2);
     let server = FrameServer::new_chunked(Arc::new(source));
-    assert_served_matches_solo(server, "file-served", 4, 3, false);
+    assert_served_matches_solo(server, "file-served", 4, 3);
 
     // Again through a cache of two chunks, smaller than the scene.
     let encoded = encode_model_chunked(&model, EVICTION_CHUNK_SPLATS);
@@ -389,7 +369,7 @@ fn chunked_file_source_served_matches_in_core_solo() {
     let cache = two_chunk_cache(&model);
     let server =
         FrameServer::new_scene_with_cache(SceneHandle::Chunked(source.clone()), Arc::clone(&cache));
-    assert_served_matches_solo(server, "file-served two-chunk cache", 4, 3, false);
+    assert_served_matches_solo(server, "file-served two-chunk cache", 4, 3);
     assert_cache_reloaded(&cache, &*source);
 }
 
