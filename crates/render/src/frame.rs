@@ -22,16 +22,26 @@
 //!
 //! [`FrameArena`] holds the large per-frame allocations (the
 //! projected-splat vector, the CSR offset/index buffers, and the raster
-//! workers' per-pixel-sort gather buffers). A finished frame returns its
-//! arena from [`FrameInFlight::finish`]; handing it to the next
+//! workers' per-pixel-sort gather buffers). The frame owns one arena and
+//! one [`FrameProfile`](crate::FrameProfile) from `begin_frame` until
+//! [`FrameInFlight::finish`] (or [`FrameInFlight::into_failure`]); each
+//! stage reads and writes them in place and records its sample, byte peak
+//! or cache traffic where it measures it, so the pipeline states carry
+//! only what their stage produced. Handing the returned arena to the next
 //! [`begin_frame`](crate::Renderer::begin_frame) turns the steady-state
 //! per-frame cost into buffer reuse instead of allocation. Buffers are
 //! cleared before reuse, so arenas never leak data between frames (or
 //! sessions) and `FrameArena::default()` is always a valid cold start.
+//!
+//! A chunked frame streams its Project through one chunk buffer: each
+//! streaming step loads one chunk through the renderer's
+//! [`ChunkCache`] and projects it before the next step loads the
+//! next, so the frame's scene residency is the cache budget plus one
+//! chunk.
 
 use crate::binning::{SuperTile, TileBins};
 use crate::options::RenderOptions;
-use crate::pipeline::{self, Composited, StageKind, StageSample};
+use crate::pipeline::{self, Composited, FrameProfile, StageKind, StageSample};
 use crate::projection::{project_model_offset_into, ProjectedSplat};
 use crate::raster::{check_camera, Contrib, RenderOutput, Renderer, UnitResult};
 use crate::stats::TileGridDims;
@@ -54,8 +64,8 @@ pub enum SceneRef<'a> {
     /// The whole model resident in one `Vec`-of-arrays.
     InCore(&'a GaussianModel),
     /// A chunked source with a bounded resident budget; the frame streams
-    /// its Project one chunk at a time (current chunk plus one prefetch
-    /// resident), then bins the frame's splats like an in-core frame.
+    /// its Project one chunk at a time through a single chunk buffer, then
+    /// bins the frame's splats like an in-core frame.
     Chunked(&'a (dyn SceneSource + Sync)),
     /// Screen-space splats projected ahead of time (for example by
     /// the foveated renderer, which derives every quality level from one
@@ -161,6 +171,16 @@ pub struct FrameArena {
     pub(crate) raster: Vec<Vec<Contrib>>,
 }
 
+impl FrameArena {
+    /// Drop every buffer's contents, keeping its capacity.
+    fn clear(&mut self) {
+        self.splats.clear();
+        self.offsets.clear();
+        self.indices.clear();
+        self.raster.iter_mut().for_each(Vec::clear);
+    }
+}
+
 /// Unwrap the chunked source a streaming frame step was begun with,
 /// mirroring the in-core arm's scene-kind and size checks.
 fn expect_chunked<'a>(scene: SceneRef<'a>, model_len: usize) -> &'a (dyn SceneSource + Sync) {
@@ -175,193 +195,45 @@ fn expect_chunked<'a>(scene: SceneRef<'a>, model_len: usize) -> &'a (dyn SceneSo
     source
 }
 
-/// The streaming Project of a chunked frame: the double-buffered
-/// chunk-decode storage, the frame's growing visible-splat vector, and the
-/// per-frame cache/residency accounting.
-///
-/// # Double buffering
-///
-/// While the frame projects chunk `k` out of `chunk`, the *next* chunk
-/// `k + 1` decodes on the worker pool into `next_chunk` — a one-deep
-/// prefetch, so at most two chunk buffers are ever resident: the streamed
-/// path's footprint is bounded by the renderer's
-/// [`ChunkCache`](ms_scene::ChunkCache) budget plus `2 × chunk_bytes`. Chunks are
-/// still *consumed* strictly in index order — the prefetch only moves the
-/// decode earlier in time, never reorders it — and a prefetched load's
-/// error is held in `prefetched` until its chunk would have been consumed,
-/// so a failing source surfaces the same error at the same chunk index as
-/// the unprefetched path.
-struct ChunkStream {
-    /// Chunk buffer currently being projected (the resident-budget unit).
-    chunk: GaussianModel,
-    /// Prefetch target: chunk `next + 1` decodes into this buffer while
-    /// `chunk` is projected; the buffers swap when it is consumed.
-    next_chunk: GaussianModel,
-    /// Outcome of the in-flight prefetch, if one was issued: the cache
-    /// access for chunk `next` now sitting in `next_chunk`, or the load
-    /// error to surface when that chunk is consumed.
-    prefetched: Option<Result<ms_scene::CacheAccess, SourceError>>,
-    /// The frame's visible-splat vector: every chunk's projection appended
-    /// in chunk order, so it equals the in-core projection of the
-    /// concatenated model.
-    splats: Vec<ProjectedSplat>,
-    /// Recycled CSR `(offsets, indices)` storage, handed to Bin.
-    recycle: (Vec<u32>, Vec<u32>),
-    /// Next chunk index to stream.
-    next: usize,
-    /// Accumulated wall time attributed to the Project sample.
-    project_wall: Duration,
-    /// Running peaks for the frame-profile memory counters. The chunk peak
-    /// counts the largest *single* buffer, matching the pre-prefetch
-    /// meaning; the two-buffer residency is the documented budget, not a
-    /// measured counter.
-    chunk_bytes_peak: u64,
-    projected_bytes_peak: u64,
-    /// Cache traffic this frame generated (lands in the frame profile).
-    cache: CacheStats,
-}
-
-impl ChunkStream {
-    fn new(arena: FrameArena) -> Self {
-        let mut splats = arena.splats;
-        splats.clear();
-        ChunkStream {
-            chunk: GaussianModel::new(0),
-            next_chunk: GaussianModel::new(0),
-            prefetched: None,
-            splats,
-            recycle: (arena.offsets, arena.indices),
-            next: 0,
-            project_wall: Duration::ZERO,
-            chunk_bytes_peak: 0,
-            projected_bytes_peak: 0,
-            cache: CacheStats::default(),
-        }
-    }
-
-    /// Stream chunk `self.next`: obtain it (from the prefetch buffer or a
-    /// fresh cache load) and project it onto the end of the visible-splat
-    /// vector with its global point-index base — so projected
-    /// `point_index` values match the concatenated in-core model's. The
-    /// prefetch of the following chunk runs on the worker pool meanwhile,
-    /// overlapping its decode with the projection.
-    fn step(
-        &mut self,
-        cache: &ChunkCache,
-        source: &(dyn SceneSource + Sync),
-        camera: &Camera,
-        options: &RenderOptions,
-    ) -> Result<(), SourceError> {
-        let start = Instant::now();
-        let index = self.next;
-        let access = match self.prefetched.take() {
-            Some(result) => {
-                std::mem::swap(&mut self.chunk, &mut self.next_chunk);
-                result?
-            }
-            None => cache.load_into(source, index, 0, &mut self.chunk)?,
-        };
-        if access.hit {
-            self.cache.hits += 1;
-        } else {
-            self.cache.misses += 1;
-        }
-        self.cache.evictions += access.evictions;
-        self.cache.resident_bytes_peak = self.cache.resident_bytes_peak.max(cache.resident_bytes());
-        let base =
-            u32::try_from(source.chunk_base(index)).expect("scene exceeds u32 point indexing");
-        let next_index = index + 1;
-        let before = self.splats.len();
-        if next_index < source.chunk_count() {
-            let chunk = &self.chunk;
-            let next_chunk = &mut self.next_chunk;
-            let prefetched = &mut self.prefetched;
-            let splats = &mut self.splats;
-            rayon::scope(|s| {
-                s.spawn(move |_| {
-                    *prefetched = Some(cache.load_into(source, next_index, 0, next_chunk));
-                });
-                project_model_offset_into(chunk, camera, options, base, splats);
-            });
-        } else {
-            project_model_offset_into(&self.chunk, camera, options, base, &mut self.splats);
-        }
-        self.project_wall += start.elapsed();
-        self.chunk_bytes_peak = self.chunk_bytes_peak.max(self.chunk.storage_bytes() as u64);
-        let projected = self.splats.len() - before;
-        self.projected_bytes_peak = self
-            .projected_bytes_peak
-            .max((projected * std::mem::size_of::<ProjectedSplat>()) as u64);
-        self.next = next_index;
-        Ok(())
-    }
-
-    /// Recover the arena-owned buffers from a failed frame (cleared, with
-    /// capacity retained) so the fault costs no steady-state allocations.
-    /// The raster gather buffers live on `FrameInFlight` and rejoin in
-    /// [`FrameInFlight::into_failure`].
-    fn into_arena(self) -> FrameArena {
-        let ChunkStream {
-            mut splats,
-            recycle: (offsets, indices),
-            ..
-        } = self;
-        splats.clear();
-        FrameArena {
-            splats,
-            offsets,
-            indices,
-            raster: Vec::new(),
-        }
-    }
-}
-
 /// Where a [`FrameInFlight`] is in the Project → Bin → Merge → Raster →
-/// Composite pipeline, carrying the intermediates produced so far.
+/// Composite pipeline, carrying what the stages so far produced. The
+/// frame's buffers stay in its [`FrameArena`] and its counters in its
+/// [`FrameProfile`], whatever the state.
 enum State {
-    /// Nothing ran yet; holds the recycled arena.
-    Project { arena: FrameArena },
+    /// Nothing ran yet (in-core scenes).
+    Project,
     /// Streaming Project over a chunked source: each
-    /// [`run_stage`](FrameInFlight::run_stage) call obtains one chunk
-    /// (prefetch buffer, chunk cache, or source decode) and projects it
-    /// with its global point-index base onto the end of the frame's splat
-    /// vector — then drops the chunk. At most two chunk buffers (current +
-    /// prefetch) are ever resident. After the last chunk the frame moves to
-    /// [`State::Bin`] and runs on exactly like an in-core frame.
-    Stream(Box<ChunkStream>),
+    /// [`run_stage`](FrameInFlight::run_stage) call loads chunk `next`
+    /// (from the chunk cache or the source) into `chunk`, the frame's one
+    /// chunk buffer, and projects it with its global point-index base onto
+    /// the end of the frame's splat vector. After the last chunk the frame
+    /// moves to [`State::Bin`] and runs on exactly like an in-core frame.
+    Stream {
+        chunk: GaussianModel,
+        next: usize,
+        /// Load and projection time summed over the chunks so far.
+        wall: Duration,
+    },
     /// A chunk load failed. The frame is abandoned — no output exists —
-    /// but its recycled buffers were recovered into `arena` so the fault
-    /// does not cost the owner its allocation steady state
-    /// ([`FrameInFlight::into_failure`] hands both back).
-    Failed {
-        error: SourceError,
-        arena: FrameArena,
-    },
+    /// and [`FrameInFlight::into_failure`] hands back the error with the
+    /// frame's arena.
+    Failed { error: SourceError },
     /// Project done.
-    Bin {
-        splats: Vec<ProjectedSplat>,
-        recycle: (Vec<u32>, Vec<u32>),
-    },
-    /// Bin done.
-    Merge {
-        splats: Vec<ProjectedSplat>,
-        bins: TileBins,
-    },
+    Bin,
+    /// Bin done; the arena's CSR buffers now live in `bins`.
+    Merge { bins: TileBins },
     /// Merge done.
     Raster {
-        splats: Vec<ProjectedSplat>,
         bins: TileBins,
         units: Vec<SuperTile>,
     },
     /// Raster done.
     Composite {
-        splats: Vec<ProjectedSplat>,
         bins: TileBins,
         units: Vec<UnitResult>,
     },
     /// Composite done; [`FrameInFlight::finish`] assembles the output.
     Done {
-        splats: Vec<ProjectedSplat>,
         bins: TileBins,
         composited: Composited,
     },
@@ -387,20 +259,15 @@ pub struct FrameInFlight {
     /// begins).
     view: View,
     model_len: usize,
-    /// One sample per executed stage, in execution order.
-    samples: Vec<StageSample>,
+    /// The frame's buffers, from `begin_frame` until `finish` or
+    /// `into_failure` hands them back. Project appends to `splats`; Bin
+    /// moves the CSR buffers into its [`TileBins`] and `finish` moves them
+    /// back.
+    arena: FrameArena,
+    /// Stage samples, byte peaks and cache traffic, each recorded where it
+    /// is measured.
+    profile: FrameProfile,
     state: State,
-    /// Raster gather buffers, taken out of the incoming arena so the
-    /// Raster stage can borrow them mutably alongside the pipeline state;
-    /// they rejoin the arena in [`finish`](Self::finish).
-    raster_contribs: Vec<Vec<Contrib>>,
-    /// `(chunk_bytes_peak, projected_bytes_peak)` measured by the streamed
-    /// Project; `None` on the in-core path, whose peaks are
-    /// derived from the final splat vector when the output is assembled.
-    peaks: Option<(u64, u64)>,
-    /// Chunk-cache traffic measured by the streamed Project; zeros on the
-    /// in-core path, which never touches the cache.
-    cache_stats: CacheStats,
 }
 
 impl std::fmt::Debug for FrameInFlight {
@@ -425,12 +292,13 @@ impl FrameInFlight {
     ///
     /// # Panics
     ///
-    /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, when `mask.len() != width * height`, or when a
-    /// pre-projected splat's `point_index` is not below the scene's
-    /// `points` or its tile rectangle leaves the camera's grid of
-    /// `tile_size`-pixel tiles. The mask-size comparison is done in `u64`:
-    /// at extreme dimensions `width * height` overflows `u32`.
+    /// Panics with [`check_camera`]'s message when the camera has a
+    /// zero-pixel image or exceeds `u32` pixel addressing, when
+    /// `mask.len() != width * height`, or when a pre-projected splat's
+    /// `point_index` is not below the scene's `points` or its tile
+    /// rectangle leaves the camera's grid of `tile_size`-pixel tiles. The
+    /// mask-size comparison is done in `u64`: at extreme dimensions
+    /// `width * height` overflows `u32`.
     pub(crate) fn new(
         scene: SceneRef<'_>,
         view: View,
@@ -438,7 +306,9 @@ impl FrameInFlight {
         tile_size: u32,
     ) -> Self {
         let camera = &view.camera;
-        check_camera(camera);
+        if let Err(message) = check_camera(camera) {
+            panic!("{message}");
+        }
         if let Some(mask) = &view.mask {
             assert_eq!(
                 mask.len() as u64,
@@ -446,10 +316,14 @@ impl FrameInFlight {
                 "pixel mask size mismatch"
             );
         }
-        let raster_contribs = std::mem::take(&mut arena.raster);
+        let mut profile = FrameProfile::default();
         let state = match scene {
-            SceneRef::InCore(_) => State::Project { arena },
-            SceneRef::Chunked(_) => State::Stream(Box::new(ChunkStream::new(arena))),
+            SceneRef::InCore(_) => State::Project,
+            SceneRef::Chunked(_) => State::Stream {
+                chunk: GaussianModel::new(0),
+                next: 0,
+                wall: Duration::ZERO,
+            },
             SceneRef::Projected { splats, points } => {
                 if let Some(s) = splats.iter().find(|s| s.point_index as usize >= points) {
                     panic!(
@@ -468,23 +342,17 @@ impl FrameInFlight {
                         s.tiles.x0, s.tiles.x1, s.tiles.y0, s.tiles.y1, grid.tiles_x, grid.tiles_y
                     );
                 }
-                let mut copy = arena.splats;
-                copy.clear();
-                copy.extend_from_slice(splats);
-                State::Bin {
-                    splats: copy,
-                    recycle: (arena.offsets, arena.indices),
-                }
+                arena.splats.extend_from_slice(splats);
+                profile.projected_bytes_peak = std::mem::size_of_val(splats) as u64;
+                State::Bin
             }
         };
         Self {
             view,
             model_len: scene.total_points(),
-            samples: Vec::new(),
+            arena,
+            profile,
             state,
-            raster_contribs,
-            peaks: None,
-            cache_stats: CacheStats::default(),
         }
     }
 
@@ -513,8 +381,8 @@ impl FrameInFlight {
     /// next stage to run.
     pub fn next_stage(&self) -> Option<StageKind> {
         match self.state {
-            State::Project { .. } | State::Stream(_) => Some(StageKind::Project),
-            State::Bin { .. } => Some(StageKind::Bin),
+            State::Project | State::Stream { .. } => Some(StageKind::Project),
+            State::Bin => Some(StageKind::Bin),
             State::Merge { .. } => Some(StageKind::Merge),
             State::Raster { .. } => Some(StageKind::Raster),
             State::Composite { .. } => Some(StageKind::Composite),
@@ -541,8 +409,7 @@ impl FrameInFlight {
     /// takes one streaming call to reach Bin).
     ///
     /// A chunk-load failure does **not** panic: the frame transitions to
-    /// the failed state (recovering its recycled buffers) and further
-    /// calls are no-ops returning `true`.
+    /// the failed state and further calls are no-ops returning `true`.
     ///
     /// # Panics
     ///
@@ -552,10 +419,8 @@ impl FrameInFlight {
     pub fn run_stage<'a>(&mut self, renderer: &Renderer, scene: impl Into<SceneRef<'a>>) -> bool {
         let scene = scene.into();
         let options = renderer.options();
-        let camera = &self.view.camera;
-        let mask = self.view.mask.as_deref();
         self.state = match std::mem::replace(&mut self.state, State::Poisoned) {
-            State::Project { arena } => {
+            State::Project => {
                 let SceneRef::InCore(model) = scene else {
                     panic!("frame begun on an in-core model driven with a chunked source")
                 };
@@ -564,112 +429,86 @@ impl FrameInFlight {
                     self.model_len,
                     "model changed size since begin_frame"
                 );
-                let splats = timed(
-                    &mut self.samples,
-                    StageKind::Project,
-                    || pipeline::project(model, camera, options, arena.splats),
-                    |splats| splats.len() as u64,
-                );
-                State::Bin {
-                    splats,
-                    recycle: (arena.offsets, arena.indices),
-                }
+                let start = Instant::now();
+                self.project(model, 0, options);
+                self.end_project(start.elapsed());
+                State::Bin
             }
-            State::Stream(mut stream) => {
+            State::Stream {
+                mut chunk,
+                next,
+                mut wall,
+            } => {
                 let source = expect_chunked(scene, self.model_len);
                 let count = source.chunk_count();
-                let step = if stream.next < count {
-                    stream.step(renderer.chunk_cache(), source, camera, options)
+                let start = Instant::now();
+                let step = if next < count {
+                    self.stream_chunk(renderer.chunk_cache(), source, next, &mut chunk, options)
                 } else {
                     Ok(())
                 };
+                wall += start.elapsed();
                 match step {
-                    Err(error) => State::Failed {
-                        error,
-                        arena: stream.into_arena(),
+                    Err(error) => State::Failed { error },
+                    Ok(()) if next + 1 < count => State::Stream {
+                        chunk,
+                        next: next + 1,
+                        wall,
                     },
-                    Ok(()) if stream.next == count => {
-                        let ChunkStream {
-                            splats,
-                            recycle,
-                            project_wall,
-                            chunk_bytes_peak,
-                            projected_bytes_peak,
-                            cache,
-                            ..
-                        } = *stream;
-                        // One aggregate Project sample, so chunked profiles
-                        // carry the in-core sample sequence.
-                        self.samples.push(StageSample {
-                            kind: StageKind::Project,
-                            wall: project_wall,
-                            items: splats.len() as u64,
-                        });
-                        self.peaks = Some((chunk_bytes_peak, projected_bytes_peak));
-                        self.cache_stats = cache;
-                        State::Bin { splats, recycle }
+                    Ok(()) => {
+                        self.end_project(wall);
+                        State::Bin
                     }
-                    Ok(()) => State::Stream(stream),
                 }
             }
-            State::Bin { splats, recycle } => {
+            State::Bin => {
+                let camera = &self.view.camera;
                 let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
                 let threads = options.resolved_threads();
+                let mask = self.view.mask.as_deref();
+                let recycle = (
+                    std::mem::take(&mut self.arena.offsets),
+                    std::mem::take(&mut self.arena.indices),
+                );
+                let splats = &self.arena.splats;
                 let bins = timed(
-                    &mut self.samples,
+                    &mut self.profile.samples,
                     StageKind::Bin,
-                    || pipeline::bin(&splats, grid, mask, threads, recycle),
+                    || pipeline::bin(splats, grid, mask, threads, recycle),
                     TileBins::total_intersections,
                 );
-                State::Merge { splats, bins }
+                State::Merge { bins }
             }
-            State::Merge { splats, bins } => {
+            State::Merge { bins } => {
                 let units = timed(
-                    &mut self.samples,
+                    &mut self.profile.samples,
                     StageKind::Merge,
                     || pipeline::merge(bins.grid()),
                     |units| units.len() as u64,
                 );
-                State::Raster {
-                    splats,
-                    bins,
-                    units,
-                }
+                State::Raster { bins, units }
             }
-            State::Raster {
-                splats,
-                bins,
-                units,
-            } => {
-                let contribs = &mut self.raster_contribs;
+            State::Raster { bins, units } => {
+                let (camera, mask) = (&self.view.camera, self.view.mask.as_deref());
+                let splats = &self.arena.splats;
+                let contribs = &mut self.arena.raster;
                 let units = timed(
-                    &mut self.samples,
+                    &mut self.profile.samples,
                     StageKind::Raster,
-                    || pipeline::raster(&splats, &bins, &units, options, camera, mask, contribs),
+                    || pipeline::raster(splats, &bins, &units, options, camera, mask, contribs),
                     |units| units.iter().map(|u| u.blend_steps).sum(),
                 );
-                State::Composite {
-                    splats,
-                    bins,
-                    units,
-                }
+                State::Composite { bins, units }
             }
-            State::Composite {
-                splats,
-                bins,
-                units,
-            } => {
+            State::Composite { bins, units } => {
+                let camera = &self.view.camera;
                 let composited = timed(
-                    &mut self.samples,
+                    &mut self.profile.samples,
                     StageKind::Composite,
                     || pipeline::composite(units, camera, options),
                     |c| (c.image.width() * c.image.height()) as u64,
                 );
-                State::Done {
-                    splats,
-                    bins,
-                    composited,
-                }
+                State::Done { bins, composited }
             }
             // A failed frame absorbs further pumps as no-ops: a scheduler
             // that queued stage work before observing the failure must be
@@ -681,6 +520,56 @@ impl FrameInFlight {
         self.is_done() || self.is_failed()
     }
 
+    /// Project `model` — the whole in-core model, or one streamed chunk
+    /// whose first point has global index `base` — onto the end of the
+    /// frame's splat vector, raising the projected-bytes peak to what this
+    /// step produced. Chunks append in index order, so the final vector is
+    /// the in-core projection of the concatenated model.
+    fn project(&mut self, model: &GaussianModel, base: u32, options: &RenderOptions) {
+        let splats = &mut self.arena.splats;
+        let before = splats.len();
+        project_model_offset_into(model, &self.view.camera, options, base, splats);
+        let bytes = std::mem::size_of_val(&splats[before..]) as u64;
+        let peak = &mut self.profile.projected_bytes_peak;
+        *peak = (*peak).max(bytes);
+    }
+
+    /// Load chunk `index` into the frame's chunk buffer through the chunk
+    /// cache (which checks its length), record the cache access and the
+    /// chunk's bytes, and project it.
+    fn stream_chunk(
+        &mut self,
+        cache: &ChunkCache,
+        source: &(dyn SceneSource + Sync),
+        index: usize,
+        chunk: &mut GaussianModel,
+        options: &RenderOptions,
+    ) -> Result<(), SourceError> {
+        let access = cache.load_into(source, index, 0, chunk)?;
+        self.profile.cache.accumulate(&CacheStats {
+            hits: u64::from(access.hit),
+            misses: u64::from(!access.hit),
+            evictions: access.evictions,
+            resident_bytes_peak: cache.resident_bytes(),
+        });
+        let peak = &mut self.profile.chunk_bytes_peak;
+        *peak = (*peak).max(chunk.storage_bytes() as u64);
+        let base =
+            u32::try_from(source.chunk_base(index)).expect("scene exceeds u32 point indexing");
+        self.project(chunk, base, options);
+        Ok(())
+    }
+
+    /// Close Project with one sample counting the frame's visible splats,
+    /// so a chunked frame carries the in-core sample sequence.
+    fn end_project(&mut self, wall: Duration) {
+        self.profile.samples.push(StageSample {
+            kind: StageKind::Project,
+            wall,
+            items: self.arena.splats.len() as u64,
+        });
+    }
+
     /// Consume the finished frame: assemble its [`RenderOutput`] (the one
     /// statistics path every frame uses) and return the cleared
     /// [`FrameArena`] for the next frame.
@@ -690,63 +579,38 @@ impl FrameInFlight {
     /// Panics unless [`is_done`](Self::is_done) — drive the frame with
     /// [`run_stage`](Self::run_stage) first.
     pub fn finish(self, renderer: &Renderer) -> (RenderOutput, FrameArena) {
-        let State::Done {
-            mut splats,
-            bins,
-            composited,
-        } = self.state
-        else {
+        let State::Done { bins, composited } = self.state else {
             panic!("finish called before the frame completed");
         };
-        let mut output = crate::raster::assemble_output(
+        let mut arena = self.arena;
+        let output = crate::raster::assemble_output(
             renderer.options(),
             self.model_len,
-            &splats,
+            &arena.splats,
             &bins,
             composited,
-            self.samples,
+            self.profile,
         );
-        // The streamed Project measured its own residency peaks (bounded by
-        // the chunk size); the in-core defaults from
-        // `assemble_output` stand otherwise.
-        if let Some((chunk_peak, projected_peak)) = self.peaks {
-            output.stats.profile.chunk_bytes_peak = chunk_peak;
-            output.stats.profile.projected_bytes_peak = projected_peak;
-        }
-        output.stats.profile.cache = self.cache_stats;
-        splats.clear();
-        let (mut offsets, mut indices) = bins.into_buffers();
-        offsets.clear();
-        indices.clear();
-        let mut raster = self.raster_contribs;
-        raster.iter_mut().for_each(Vec::clear);
-        (
-            output,
-            FrameArena {
-                splats,
-                offsets,
-                indices,
-                raster,
-            },
-        )
+        (arena.offsets, arena.indices) = bins.into_buffers();
+        arena.clear();
+        (output, arena)
     }
 
     /// Consume a failed frame, yielding the chunk-load error and the
-    /// recovered [`FrameArena`] (cleared, capacity retained — including the
-    /// raster gather buffers). The arena is exactly as reusable as one from
-    /// [`finish`](Self::finish): the failure poisons nothing, so the next
-    /// frame begun from it renders bit-identically to a cold start.
+    /// frame's [`FrameArena`] (cleared, capacity retained). The arena is
+    /// exactly as reusable as one from [`finish`](Self::finish): the
+    /// failure poisons nothing, so the next frame begun from it renders
+    /// bit-identically to a cold start.
     ///
     /// # Panics
     ///
     /// Panics unless [`is_failed`](Self::is_failed).
     pub fn into_failure(self) -> (SourceError, FrameArena) {
-        let State::Failed { error, mut arena } = self.state else {
+        let State::Failed { error } = self.state else {
             panic!("into_failure called on a frame that did not fail");
         };
-        let mut raster = self.raster_contribs;
-        raster.iter_mut().for_each(Vec::clear);
-        arena.raster = raster;
+        let mut arena = self.arena;
+        arena.clear();
         (error, arena)
     }
 }
@@ -916,6 +780,67 @@ mod tests {
                 <= (chunk_splats * std::mem::size_of::<ProjectedSplat>()) as u64
         );
         assert!(chunked.projected_bytes_peak < reference.stats.profile.projected_bytes_peak);
+    }
+
+    /// Exact byte peaks and cache traffic for each scene kind: the in-core
+    /// projection is one step over the whole model, a pre-projected frame
+    /// counts the splats it copied, and a budget-0 chunked frame decodes
+    /// every chunk once, peaking at its largest chunk and projection.
+    #[test]
+    fn profile_counters_are_exact_for_every_scene_kind() {
+        let (model, camera) = scene();
+        let splat_bytes = std::mem::size_of::<ProjectedSplat>() as u64;
+        let renderer = Renderer::default();
+
+        let in_core = renderer.render(&model, &camera);
+        let profile = &in_core.stats.profile;
+        assert_eq!(
+            profile.projected_bytes_peak,
+            in_core.stats.points_projected as u64 * splat_bytes
+        );
+        assert_eq!(profile.chunk_bytes_peak, 0);
+        assert_eq!(profile.cache, CacheStats::default());
+
+        let splats = crate::project_model(&model, &camera, renderer.options());
+        let scene = SceneRef::Projected {
+            splats: &splats,
+            points: model.len(),
+        };
+        let profile = renderer.render(scene, &camera).stats.profile;
+        assert_eq!(
+            profile.projected_bytes_peak,
+            splats.len() as u64 * splat_bytes
+        );
+        assert_eq!(profile.chunk_bytes_peak, 0);
+        assert_eq!(profile.cache, CacheStats::default());
+
+        let cache = std::sync::Arc::new(ChunkCache::new(0));
+        let renderer = Renderer::with_chunk_cache(crate::RenderOptions::default(), cache);
+        let source = ms_scene::InCoreSource::new(model.clone(), 7);
+        let (mut projected_peak, mut chunk_peak) = (0, 0);
+        let mut chunk = GaussianModel::new(0);
+        for k in 0..source.chunk_count() {
+            source.load_chunk_into(k, &mut chunk).unwrap();
+            let projected = crate::project_model(&chunk, &camera, renderer.options()).len();
+            projected_peak = projected_peak.max(projected as u64 * splat_bytes);
+            chunk_peak = chunk_peak.max(chunk.storage_bytes() as u64);
+        }
+        let profile = renderer
+            .render(SceneRef::Chunked(&source), &camera)
+            .stats
+            .profile;
+        assert_eq!(profile.projected_bytes_peak, projected_peak);
+        assert_eq!(profile.chunk_bytes_peak, chunk_peak);
+        let misses = source.chunk_count() as u64;
+        assert_eq!(
+            profile.cache,
+            CacheStats {
+                hits: 0,
+                misses,
+                evictions: 0,
+                resident_bytes_peak: 0,
+            }
+        );
     }
 
     #[test]

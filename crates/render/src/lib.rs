@@ -55,5 +55,5 @@ pub use image::Image;
 pub use options::{RenderOptions, SortMode};
 pub use pipeline::{FrameProfile, StageKind, StageSample};
 pub use projection::{project_model, project_model_offset_into, ProjectedSplat};
-pub use raster::{RenderOutput, Renderer};
+pub use raster::{check_camera, RenderOutput, Renderer};
 pub use stats::{RasterWork, RenderStats, TileGridDims};

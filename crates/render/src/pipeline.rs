@@ -66,7 +66,9 @@
 //! compositing kernel (`raster.rs`): a front-to-back walk over its own
 //! tile's list that stops once transmittance falls below `t_min`.
 //!
-//! Each stage is a plain function in this module, called once per frame by
+//! Bin, Merge, Raster and Composite are plain functions in this module,
+//! and Project is [`project_model_offset_into`](crate::project_model_offset_into)
+//! over the whole model or one chunk at a time. Each runs from
 //! [`FrameInFlight::run_stage`](crate::FrameInFlight::run_stage), which
 //! times it and records one [`StageSample`] — wall time plus a
 //! stage-specific work counter — into the [`FrameProfile`] returned inside
@@ -101,10 +103,10 @@
 use crate::binning::{SuperTile, TileBins};
 use crate::image::Image;
 use crate::options::RenderOptions;
-use crate::projection::{project_model_offset_into, ProjectedSplat};
+use crate::projection::ProjectedSplat;
 use crate::raster::{rasterize_unit, Contrib, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
-use ms_scene::{CacheStats, Camera, GaussianModel};
+use ms_scene::{CacheStats, Camera};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -259,22 +261,6 @@ impl FrameProfile {
 // Stage bodies. `FrameInFlight::run_stage` calls each once per frame, timing
 // it and recording its work counter as the frame's `StageSample`.
 // ---------------------------------------------------------------------------
-
-/// Project: model → screen-space splats, into the recycled `out` vector.
-///
-/// Points are sharded over contiguous ranges onto the worker pool when
-/// `options.threads != 1`; shard outputs concatenate in range order, so
-/// splat order stays model order for every thread count.
-pub(crate) fn project(
-    model: &GaussianModel,
-    camera: &Camera,
-    options: &RenderOptions,
-    mut out: Vec<ProjectedSplat>,
-) -> Vec<ProjectedSplat> {
-    out.clear();
-    project_model_offset_into(model, camera, options, 0, &mut out);
-    out
-}
 
 /// Bin: splats → depth-sorted CSR tile bins, optionally restricted to tiles
 /// with at least one active `mask` pixel. `recycle` is CSR `(offsets,

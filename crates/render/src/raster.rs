@@ -24,7 +24,7 @@
 use crate::binning::{SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, SceneRef, View};
 use crate::options::{RenderOptions, SortMode};
-use crate::pipeline::{Composited, FrameProfile, StageSample};
+use crate::pipeline::{Composited, FrameProfile};
 use crate::projection::ProjectedSplat;
 use crate::stats::RenderStats;
 use ms_math::Vec2;
@@ -227,21 +227,13 @@ pub(crate) fn assemble_output(
     splats: &[ProjectedSplat],
     bins: &TileBins,
     composited: Composited,
-    samples: Vec<StageSample>,
+    profile: FrameProfile,
 ) -> RenderOutput {
     let Composited {
         image,
         winners,
         blend_steps,
     } = composited;
-    // In-core residency peaks: no chunk buffer, and the projection scratch
-    // *is* the whole visible-splat vector. The chunked frame path overrides
-    // both with the per-chunk peaks it measured while streaming.
-    let profile = FrameProfile {
-        samples,
-        projected_bytes_peak: std::mem::size_of_val(splats) as u64,
-        ..FrameProfile::default()
-    };
     let tile_intersections = bins.intersection_counts();
     let total_intersections = bins.total_intersections();
     let (point_tiles_used, point_pixels_dominated) = if options.track_point_stats {
@@ -285,25 +277,32 @@ impl Default for Renderer {
     }
 }
 
-/// Reject degenerate cameras at pipeline entry: a zero-width or zero-height
-/// image would reach the composite stage's `pixels / width` row arithmetic
-/// as a divide-by-zero far from the actual mistake. Images beyond `u32`
-/// pixel addressing are rejected too — per-pixel indices (`y * width + x`)
-/// are computed in `u32` throughout the hot path, so admitting a larger
-/// image would wrap silently instead of failing loudly.
-pub(crate) fn check_camera(camera: &Camera) {
-    assert!(
-        camera.width > 0 && camera.height > 0,
-        "degenerate camera: {}x{} image has no pixels",
-        camera.width,
-        camera.height
-    );
-    assert!(
-        camera.width as u64 * camera.height as u64 <= u32::MAX as u64,
-        "camera {}x{} exceeds u32 pixel addressing",
-        camera.width,
-        camera.height
-    );
+/// Check that `camera` can be rendered. A zero-width or zero-height image
+/// would reach the composite stage's `pixels / width` row arithmetic as a
+/// divide-by-zero far from the actual mistake. Images beyond `u32` pixel
+/// addressing are rejected too — per-pixel indices (`y * width + x`) are
+/// computed in `u32` throughout the hot path, so admitting a larger image
+/// would wrap silently instead of failing loudly.
+///
+/// Every frame runs this check when it begins (and panics with the
+/// message); `ms_serve` runs it once at session admission.
+///
+/// # Errors
+///
+/// Returns the reason the camera is rejected.
+pub fn check_camera(camera: &Camera) -> Result<(), String> {
+    let (width, height) = (camera.width, camera.height);
+    if width == 0 || height == 0 {
+        return Err(format!(
+            "degenerate camera: {width}x{height} image has no pixels"
+        ));
+    }
+    if width as u64 * height as u64 > u32::MAX as u64 {
+        return Err(format!(
+            "camera {width}x{height} exceeds u32 pixel addressing"
+        ));
+    }
+    Ok(())
 }
 
 /// One contribution gathered by [`composite_pixel_sorted`]: `(depth,

@@ -134,7 +134,11 @@ pub fn decode_model_into(mut data: &[u8], into: &mut GaussianModel) -> Result<()
     into.opacities.clear();
     into.sh_coeffs.clear();
     let stride = into.sh_stride();
-    let need = n * (12 + 12 + 16 + 4 + stride * 4);
+    // `n` comes from the input: a header claiming more points than any
+    // buffer can hold must not overflow the size check.
+    let need = n
+        .checked_mul(12 + 12 + 16 + 4 + stride * 4)
+        .ok_or(DecodeError::Truncated)?;
     if data.remaining() < need {
         return Err(DecodeError::Truncated);
     }
@@ -1104,6 +1108,29 @@ mod tests {
             Err(DecodeError::Truncated)
         );
         assert_eq!(decode_model(&bytes[..4]), Err(DecodeError::Truncated));
+    }
+
+    /// A point count whose byte size overflows `usize` is a truncated
+    /// buffer, not a panic — bare, and as a container's chunk blob, where a
+    /// panic would take down every session streaming the source.
+    #[test]
+    fn overflowing_point_count_is_truncated() {
+        let huge = (1u64 << 61).to_le_bytes();
+        let mut bare = encode_model(&GaussianModel::new(0)).to_vec();
+        bare[8..16].copy_from_slice(&huge);
+        assert_eq!(decode_model(&bare), Err(DecodeError::Truncated));
+
+        let mut one = GaussianModel::new(0);
+        let v = ms_math::Vec3::splat(0.5);
+        one.push_solid(v, v, ms_math::Quat::identity(), 0.5, v);
+        let mut container = encode_model_chunked(&one, 1).to_vec();
+        let blob = CHUNK_HEADER_BYTES + CHUNK_TABLE_ENTRY_BYTES;
+        container[blob + 8..blob + 16].copy_from_slice(&huge);
+        let source = ChunkedFileSource::from_bytes(container).unwrap();
+        assert_eq!(
+            source.load_chunk(0),
+            Err(SourceError::Decode(DecodeError::Truncated))
+        );
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * **One shared scene.** [`FrameServer`] owns a [`SceneHandle`] — an
 //!   `Arc<GaussianModel>` or an `Arc<dyn SceneSource>` streamed chunk by
 //!   chunk; sessions never copy scene data. Chunked sessions advance one
-//!   chunk of Project per step (at most two chunk buffers resident per
-//!   session with the decode prefetch), then run Bin onwards like in-core
-//!   frames, and their frames are bit-identical to in-core ones.
+//!   chunk of Project per step (one chunk buffer resident per in-flight
+//!   frame, on top of the shared cache's budget), then run Bin onwards
+//!   like in-core frames, and their frames are bit-identical to in-core
+//!   ones.
 //! * **One shared chunk cache.** Every session's renderer shares the
 //!   server's [`ChunkCache`], so sessions streaming the same scene hit
 //!   each other's decodes — with N sessions walking the same chunked
@@ -53,7 +54,9 @@
 
 #![deny(missing_docs)]
 
-use ms_render::{FrameArena, FrameInFlight, RenderOptions, RenderOutput, Renderer, SceneRef};
+use ms_render::{
+    check_camera, FrameArena, FrameInFlight, RenderOptions, RenderOutput, Renderer, SceneRef,
+};
 use ms_scene::trajectory::Trajectory;
 use ms_scene::{
     CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError,
@@ -387,13 +390,14 @@ impl FrameServer {
         }
     }
 
-    /// Admit a session. Validates `config.options` (and the session
-    /// bounds) **here, once** — per-frame rendering only debug-asserts
-    /// the invariant afterwards. Sessions may be added while others are
-    /// mid-flight; the new session joins scheduling at the next
-    /// [`step`](Self::step).
+    /// Admit a session. Validates `config.options`, the prototype camera
+    /// ([`check_camera`]) and the session bounds **here, once** — per-frame
+    /// rendering only debug-asserts the invariant afterwards. Sessions may
+    /// be added while others are mid-flight; the new session joins
+    /// scheduling at the next [`step`](Self::step).
     pub fn add_session(&mut self, config: SessionConfig) -> Result<SessionId, String> {
         config.options.validate()?;
+        check_camera(&config.prototype)?;
         if config.frame_count < 2 {
             return Err(format!(
                 "frame_count must be >= 2 (trajectory sampling needs two endpoints), got {}",
@@ -627,6 +631,21 @@ mod tests {
         let mut cfg = config(4.0);
         cfg.ring_capacity = 0;
         assert!(server.add_session(cfg).is_err());
+        // Degenerate prototypes are refused here, not by a panic in the
+        // next `step()`.
+        let mut cfg = config(4.0);
+        cfg.prototype.width = 0;
+        assert_eq!(
+            server.add_session(cfg).unwrap_err(),
+            "degenerate camera: 0x32 image has no pixels"
+        );
+        let mut cfg = config(4.0);
+        (cfg.prototype.width, cfg.prototype.height) = (70_000, 70_000);
+        assert_eq!(
+            server.add_session(cfg).unwrap_err(),
+            "camera 70000x70000 exceeds u32 pixel addressing"
+        );
+        assert_eq!(server.step(), 0);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Offline stand-in for `rayon`, backed by a persistent worker pool.
 //!
 //! The build image cannot reach crates.io, so this shim implements the
-//! subset of rayon's API the workspace uses — [`scope`], [`Scope::spawn`],
-//! [`join`] and [`current_num_threads`] — on top of a lazily-initialized
+//! subset of rayon's API the workspace uses — [`scope`], [`Scope::spawn`]
+//! and [`current_num_threads`] — on top of a lazily-initialized
 //! global pool of long-lived worker threads. The previous revision spawned
 //! a fresh round of OS threads per `scope` call; for small frames that
 //! per-call spawn cost dominated the parallel stages it was supposed to
 //! speed up. Workers are now created once (on the first parallel region)
-//! and reused by every subsequent `scope`/`join`, so steady-state frames
+//! and reused by every subsequent `scope`, so steady-state frames
 //! pay only a queue push per task.
 //!
 //! Pool size is `RAYON_NUM_THREADS` when set (like upstream rayon), else
@@ -309,24 +309,6 @@ where
     }
 }
 
-/// Run two closures, potentially in parallel, and return both results
-/// (mirrors `rayon::join`). `b` runs on the pool while the calling thread
-/// runs `a`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let mut rb = None;
-    let ra = scope(|s| {
-        s.spawn(|_| rb = Some(b()));
-        a()
-    });
-    (ra, rb.expect("join: second closure did not run"))
-}
-
 /// Number of threads a parallel region will use (mirrors
 /// `rayon::current_num_threads`).
 pub fn current_num_threads() -> usize {
@@ -379,13 +361,6 @@ mod tests {
             }
         });
         assert_eq!(sum.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
     }
 
     #[test]

@@ -57,8 +57,8 @@ fn source(model: &GaussianModel) -> InCoreSource {
 
 /// A permanently scripted [`FailureMode::Error`] fault surfaces as
 /// `SourceError::Decode(DecodeError::Truncated)` no matter where the bad
-/// chunk sits — first, middle or last, covering both the synchronous first
-/// load and the deferred prefetch-error path.
+/// chunk sits — first, middle or last: the frame fails at the streaming
+/// step that loads it.
 #[test]
 fn scripted_error_surfaces_as_source_error() {
     let model = model();
