@@ -13,11 +13,12 @@ use crate::model::{FoveatedModel, LevelParams};
 use crate::render::{FovRenderOutput, FoveatedRenderer};
 use ms_hvs::QualityRegions;
 use ms_math::Vec2;
-use ms_render::{FrameProfile, Image, SceneRef};
+use ms_render::{project_model_offset_into, Image, StageKind, StageSample};
 use ms_scene::{Camera, GaussianModel};
 use ms_train::ce::{compute_ce, CeOptions};
 use ms_train::finetune::{FineTuneConfig, FineTuner};
 use ms_train::prune::prune_lowest;
+use std::time::Instant;
 
 /// Build an SMFR model: strict subsetting of `l1` by **random sampling**
 /// (no CE, no multi-versioning). Level point counts follow
@@ -125,36 +126,34 @@ pub fn build_mmfr(
     MultiModelFr { models, regions }
 }
 
-/// Render an SMFR/our-style [`FoveatedModel`] — identical to
-/// [`FoveatedRenderer::render`]; provided for symmetry with
-/// [`render_mmfr`].
-pub fn render_subsetting(
-    renderer: &FoveatedRenderer,
-    model: &FoveatedModel,
-    camera: &Camera,
-    gaze: Option<Vec2>,
-) -> FovRenderOutput {
-    renderer.render(model, camera, gaze)
-}
-
 /// Render an MMFR model. Projection cost is accounted **per level** — every
-/// independent model must run Projection and Filtering (§4.1, Challenge 1).
+/// independent model must run Projection and Filtering (§4.1, Challenge 1),
+/// all timed as the frame's one Project sample. The levels index the
+/// models' points one after another, so `points_submitted` is their sum
+/// and each level's is its model's length.
 pub fn render_mmfr(
     renderer: &FoveatedRenderer,
     model: &MultiModelFr,
     camera: &Camera,
     gaze: Option<Vec2>,
 ) -> FovRenderOutput {
-    let scenes: Vec<SceneRef<'_>> = model.models.iter().map(SceneRef::from).collect();
-    let points_submitted = model.models.iter().map(GaussianModel::len).sum();
-    renderer.render_levels(
-        &scenes,
-        &model.regions,
-        camera,
-        gaze,
-        FrameProfile::default(),
-        points_submitted,
-    )
+    let start = Instant::now();
+    let mut projected: Vec<Vec<_>> = vec![Vec::new(); model.models.len()];
+    let mut points = 0;
+    for (m, splats) in model.models.iter().zip(&mut projected) {
+        project_model_offset_into(m, camera, renderer.options(), points as u32, splats);
+        points += m.len();
+    }
+    let project = StageSample {
+        kind: StageKind::Project,
+        wall: start.elapsed(),
+        items: projected.iter().map(|splats| splats.len() as u64).sum(),
+    };
+    let mut out = renderer.render_levels(&projected, points, &model.regions, camera, gaze, project);
+    for (stats, m) in out.per_level_stats.iter_mut().zip(&model.models) {
+        stats.points_submitted = m.len();
+    }
+    out
 }
 
 #[cfg(test)]
@@ -257,7 +256,7 @@ mod tests {
         let smfr = build_smfr(&l1, regions, &FRACTIONS, 3);
         let fr = FoveatedRenderer::default();
         let out_mm = render_mmfr(&fr, &mmfr, &cams[0], None);
-        let out_sm = render_subsetting(&fr, &smfr, &cams[0], None);
+        let out_sm = fr.render(&smfr, &cams[0], None);
         assert!(
             out_mm.stats.points_submitted > out_sm.stats.points_submitted,
             "MMFR must project every level's model: {} vs {}",

@@ -16,7 +16,8 @@
 //!   shared across levels).
 //! * [`FoveatedRenderer`] — the augmented pipeline of Fig. 7-E: one shared
 //!   projection of the base model, per-level filtering of its splats,
-//!   region-masked rasterization and boundary blending.
+//!   and one frame that rasterizes each pixel at its region's level and
+//!   blends across region boundaries.
 //! * [`baselines`] — the two FR baselines of §7.4: SMFR (strict subsetting
 //!   by random sampling, no multi-versioning) and MMFR (fully independent
 //!   per-level models, no subsetting).

@@ -5,8 +5,8 @@ use crate::model::FoveatedModel;
 use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
 use ms_math::{rad_to_deg, Vec2};
 use ms_render::{
-    project_model, FrameArena, FrameProfile, Image, ProjectedSplat, RenderOptions, RenderStats,
-    Renderer, SceneRef, StageKind, StageSample, View,
+    project_model, Image, PixelLevels, ProjectedSplat, RenderOptions, RenderStats, Renderer,
+    SceneRef, StageKind, StageSample, TileGridDims, View,
 };
 use ms_scene::Camera;
 use std::time::Instant;
@@ -16,13 +16,14 @@ use std::time::Instant;
 pub struct FovRenderOutput {
     /// The blended foveated image.
     pub image: Image,
-    /// Merged workload statistics across levels: per-tile intersections
-    /// and every stage's samples sum over levels. Project holds only the
+    /// Merged workload statistics of the one frame: per-tile
+    /// intersections and blend steps sum over levels. Project holds only the
     /// projections that ran — one shared pass over the base point set for
     /// subsetting models, one per level for multi-model baselines — so
     /// `profile.items(Project) == points_projected`.
     pub stats: RenderStats,
-    /// Raw per-level statistics.
+    /// Per-level statistics (their profiles are empty: the levels share the
+    /// frame's stages).
     pub per_level_stats: Vec<RenderStats>,
     /// Dominant quality level per tile (row-major) — the accelerator
     /// simulator's input alongside the intersection counts.
@@ -66,7 +67,7 @@ impl FoveatedRenderer {
     /// Projection and Filtering execute once over the base point set
     /// (§4.2): one projection of the base model, from which each level's
     /// splats are filtered. Both are timed as the frame's single Project
-    /// sample; each level then starts its masked frame at Bin.
+    /// sample; the frame then starts at Bin.
     pub fn render(
         &self,
         model: &FoveatedModel,
@@ -75,21 +76,14 @@ impl FoveatedRenderer {
     ) -> FovRenderOutput {
         let start = Instant::now();
         let (shared, levels) = self.project_levels(model, camera);
-        let profile = FrameProfile {
-            samples: vec![StageSample {
-                kind: StageKind::Project,
-                wall: start.elapsed(),
-                items: shared.len() as u64,
-            }],
-            projected_bytes_peak: std::mem::size_of_val(shared.as_slice()) as u64,
-            ..FrameProfile::default()
+        let project = StageSample {
+            kind: StageKind::Project,
+            wall: start.elapsed(),
+            items: shared.len() as u64,
         };
+        drop(shared);
         let points = model.base().len();
-        let scenes: Vec<SceneRef<'_>> = levels
-            .iter()
-            .map(|splats| SceneRef::Projected { splats, points })
-            .collect();
-        self.render_levels(&scenes, model.regions(), camera, gaze, profile, points)
+        self.render_levels(&levels, points, model.regions(), camera, gaze, project)
     }
 
     /// Project the base model once and derive every level's splats from
@@ -155,110 +149,50 @@ impl FoveatedRenderer {
         out
     }
 
-    /// Render one masked frame per quality level, `scenes[l]` being what
-    /// level `l` draws, and blend them. `profile` seeds the merged profile
-    /// (the shared Project sample of a subsetting model) and
-    /// `points_submitted` is the merged point count.
+    /// Render `levels[l]` (splats of a `points`-point model) wherever
+    /// `regions` puts level `l` around the gaze, as one frame, and blend
+    /// across region boundaries. `project` is the Project sample of the
+    /// projections that made `levels`.
     pub(crate) fn render_levels(
         &self,
-        scenes: &[SceneRef<'_>],
+        levels: &[Vec<ProjectedSplat>],
+        points: usize,
         regions: &QualityRegions,
         camera: &Camera,
         gaze: Option<Vec2>,
-        mut profile: FrameProfile,
-        points_submitted: usize,
+        project: StageSample,
     ) -> FovRenderOutput {
         assert_eq!(
-            scenes.len(),
+            levels.len(),
             regions.level_count(),
-            "one scene per quality region required"
+            "one splat set per quality region required"
         );
         let display = DisplayGeometry::new(camera.width, camera.height, rad_to_deg(camera.fovx()));
         let gaze = gaze.unwrap_or_else(|| display.center());
         let ecc = EccentricityMap::new(display, gaze);
-
-        let n_pixels = (camera.width * camera.height) as usize;
-        let levels = regions.level_count();
         // Per-pixel (level, blend weight toward the next level).
-        let mut pixel_level = vec![0u8; n_pixels];
-        let mut pixel_blend = vec![0.0f32; n_pixels];
-        for (i, &e) in ecc.values().iter().enumerate() {
-            let (l, w) = regions.blend_toward_next(e);
-            pixel_level[i] = l as u8;
-            pixel_blend[i] = w;
-        }
-
-        // Per-level pixel masks: a level renders its own region plus the
-        // blend band of the previous region that leads into it. One arena
-        // carries the frame buffers from level to level.
-        let mut arena = FrameArena::default();
-        let mut level_images: Vec<Image> = Vec::with_capacity(levels);
-        let mut per_level_stats: Vec<RenderStats> = Vec::with_capacity(levels);
-        for (l, &scene) in scenes.iter().enumerate() {
-            let mask: Vec<bool> = (0..n_pixels)
-                .map(|i| {
-                    let pl = pixel_level[i] as usize;
-                    pl == l || (l >= 1 && pl == l - 1 && pixel_blend[i] > 0.0)
-                })
-                .collect();
-            let (out, recycled) =
-                self.renderer
-                    .try_render(scene, View::masked(*camera, mask), arena);
-            arena = recycled;
-            let out = out.expect("in-core and pre-projected frames load no chunks");
-            level_images.push(out.image);
-            per_level_stats.push(out.stats);
-        }
-
-        // Blend: pixels in a blend band were rendered by both adjacent
-        // levels; interpolate. Others copy their level's render.
-        let mut image = Image::new(camera.width, camera.height);
-        let mut blended_pixels = 0usize;
-        for y in 0..camera.height {
-            for x in 0..camera.width {
-                let i = (y * camera.width + x) as usize;
-                let l = pixel_level[i] as usize;
-                let w = pixel_blend[i];
-                let c = if w > 0.0 && l + 1 < levels {
-                    blended_pixels += 1;
-                    level_images[l]
-                        .pixel(x, y)
-                        .lerp(level_images[l + 1].pixel(x, y), w)
-                } else {
-                    level_images[l].pixel(x, y)
-                };
-                image.set_pixel(x, y, c);
-            }
-        }
-
-        // Merge stats. Per-level stage profiles fold into one frame profile
-        // (per-stage wall times and work counters sum across levels), so the
-        // merged stats stay the single source the accelerator workload is
-        // derived from.
-        let grid = per_level_stats[0].grid;
-        let mut tile_intersections = vec![0u32; per_level_stats[0].tile_intersections.len()];
-        let mut blend_steps = 0u64;
-        for s in &per_level_stats {
-            for (acc, &v) in tile_intersections.iter_mut().zip(&s.tile_intersections) {
-                *acc += v;
-            }
-            blend_steps += s.blend_steps;
-            profile.absorb(&s.profile);
-        }
-        let total_intersections = tile_intersections.iter().map(|&v| v as u64).sum();
-        let points_projected = profile.items(StageKind::Project) as usize;
+        let (level, blend): (Vec<u8>, Vec<f32>) = (ecc.values().iter())
+            .map(|&e| {
+                let (l, w) = regions.blend_toward_next(e);
+                (l as u8, w)
+            })
+            .unzip();
+        let blended_pixels = (level.iter().zip(&blend))
+            .filter(|&(&l, &w)| w > 0.0 && l as usize + 1 < levels.len())
+            .count();
 
         // Dominant level per tile (majority of pixels).
+        let grid = TileGridDims::for_image(camera.width, camera.height, self.options().tile_size);
         let ts = grid.tile_size;
         let mut tile_level = vec![0u8; grid.tile_count()];
         for ty in 0..grid.tiles_y {
             for tx in 0..grid.tiles_x {
-                let mut counts = vec![0u32; levels];
+                let mut counts = vec![0u32; levels.len()];
                 let x_end = ((tx + 1) * ts).min(camera.width);
                 let y_end = ((ty + 1) * ts).min(camera.height);
                 for y in (ty * ts)..y_end {
                     for x in (tx * ts)..x_end {
-                        counts[pixel_level[(y * camera.width + x) as usize] as usize] += 1;
+                        counts[level[(y * camera.width + x) as usize] as usize] += 1;
                     }
                 }
                 let dominant = counts
@@ -271,20 +205,23 @@ impl FoveatedRenderer {
             }
         }
 
+        let view = View {
+            camera: *camera,
+            levels: Some(PixelLevels { level, blend }),
+        };
+        let levels: Vec<&[ProjectedSplat]> = levels.iter().map(Vec::as_slice).collect();
+        let scene = SceneRef::Projected {
+            levels: &levels,
+            points,
+        };
+        let out = self.renderer.render(scene, view);
+        let mut stats = out.stats;
+        stats.profile.samples.insert(0, project);
+        stats.points_projected = project.items as usize;
         FovRenderOutput {
-            image,
-            stats: RenderStats {
-                grid,
-                tile_intersections,
-                points_projected,
-                points_submitted,
-                total_intersections,
-                blend_steps,
-                point_tiles_used: Vec::new(),
-                point_pixels_dominated: Vec::new(),
-                profile,
-            },
-            per_level_stats,
+            image: out.image,
+            stats,
+            per_level_stats: out.level_stats,
             tile_level,
             blended_pixels,
         }
@@ -503,7 +440,7 @@ mod tests {
                 // Base-index splats rasterize to the level model's pixels.
                 let renderer = Renderer::new(opts.clone());
                 let scene = SceneRef::Projected {
-                    splats: derived,
+                    levels: &[derived],
                     points: fm.base().len(),
                 };
                 let from_shared = renderer.render(scene, camera);

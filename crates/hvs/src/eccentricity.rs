@@ -157,10 +157,12 @@ impl QualityRegions {
     ///
     /// # Panics
     ///
-    /// Panics when boundaries are empty, do not start at 0, or are not
-    /// strictly increasing.
+    /// Panics when boundaries are empty, more than 256 (levels are `u8`
+    /// per pixel and per point), do not start at 0, or are not strictly
+    /// increasing.
     pub fn new(boundaries_deg: Vec<f32>, blend_width_deg: f32) -> Self {
         assert!(!boundaries_deg.is_empty(), "need at least one region");
+        assert!(boundaries_deg.len() <= 256, "at most 256 regions");
         assert_eq!(boundaries_deg[0], 0.0, "first region must start at 0°");
         assert!(
             boundaries_deg.windows(2).all(|w| w[0] < w[1]),
@@ -337,6 +339,15 @@ mod tests {
     #[should_panic]
     fn regions_must_increase() {
         let _ = QualityRegions::new(vec![0.0, 20.0, 15.0], 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 regions")]
+    fn more_than_256_regions_rejected() {
+        // Levels are `u8` per pixel and per point: level 256 would wrap to 0.
+        let boundaries = |n: usize| (0..n).map(|i| i as f32).collect::<Vec<_>>();
+        assert_eq!(QualityRegions::new(boundaries(256), 0.5).level_count(), 256);
+        let _ = QualityRegions::new(boundaries(257), 0.5);
     }
 
     #[test]

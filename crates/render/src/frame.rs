@@ -14,20 +14,22 @@
 //! matter how its stages were interleaved with other frames'.
 //!
 //! It is the only pipeline driver. What a frame renders is a [`SceneRef`]
-//! (an in-core model, a chunked source, or pre-projected splats) seen
-//! through a [`View`] (a camera plus an optional pixel mask); the three
-//! entry points — [`Renderer::begin_frame`], [`Renderer::render`] and
+//! (an in-core model, a chunked source, or pre-projected splats, one slice
+//! per quality level) seen through a [`View`] (a camera plus an optional
+//! per-pixel level map); the three entry points —
+//! [`Renderer::begin_frame`], [`Renderer::render`] and
 //! [`Renderer::try_render`] — all run this machine over that pair, so every
 //! frame measures its stages and assembles its output the same way.
 //!
 //! [`FrameArena`] holds the large per-frame allocations (the
-//! projected-splat vector, the CSR offset/index buffers, and the raster
-//! workers' per-pixel-sort gather buffers). The frame owns one arena and
-//! one [`FrameProfile`](crate::FrameProfile) from `begin_frame` until
-//! [`FrameInFlight::finish`] (or [`FrameInFlight::into_failure`]); each
-//! stage reads and writes them in place and records its sample, byte peak
-//! or cache traffic where it measures it, so the pipeline states carry
-//! only what their stage produced. Handing the returned arena to the next
+//! projected-splat vector, one pair of CSR offset/index buffers per level,
+//! and the raster workers' per-pixel-sort gather buffers). The frame owns
+//! one arena and one [`FrameProfile`](crate::FrameProfile) from
+//! `begin_frame` until [`FrameInFlight::finish`] (or
+//! [`FrameInFlight::into_failure`]); each stage reads and writes them in
+//! place and records its sample, byte peak or cache traffic where it
+//! measures it, so the pipeline states carry only what their stage
+//! produced. Handing the returned arena to the next
 //! [`begin_frame`](crate::Renderer::begin_frame) turns the steady-state
 //! per-frame cost into buffer reuse instead of allocation. Buffers are
 //! cleared before reuse, so arenas never leak data between frames (or
@@ -46,6 +48,7 @@ use crate::projection::{project_model_offset_into, ProjectedSplat};
 use crate::raster::{check_camera, Contrib, RenderOutput, Renderer, UnitResult};
 use crate::stats::TileGridDims;
 use ms_scene::{CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The scene a frame reads its splats from: a fully resident
@@ -67,16 +70,17 @@ pub enum SceneRef<'a> {
     /// its Project one chunk at a time through a single chunk buffer, then
     /// bins the frame's splats like an in-core frame.
     Chunked(&'a (dyn SceneSource + Sync)),
-    /// Screen-space splats projected ahead of time (for example by
-    /// the foveated renderer, which derives every quality level from one
-    /// shared [`project_model`](crate::project_model) pass) from a
-    /// `points`-point model. The frame starts at Bin over a copy of
-    /// `splats`, so its profile carries no Project sample. Every splat's
-    /// `point_index` must be below `points`, and its `tiles` must lie on the
-    /// frame's tile grid; both are checked when the frame begins.
+    /// Screen-space splats projected ahead of time from a `points`-point
+    /// model, one slice per quality level (for example by the foveated
+    /// renderer, which derives every level from one shared
+    /// [`project_model`](crate::project_model) pass). The frame starts at
+    /// Bin over a copy of the slices, so its profile carries no Project
+    /// sample. There must be a level, every splat's `point_index` must be
+    /// below `points` and its `tiles` on the frame's tile grid; all are
+    /// checked when the frame begins.
     Projected {
-        /// The splats, in the order Bin should see them.
-        splats: &'a [ProjectedSplat],
+        /// Each level's splats, in the order Bin should see them.
+        levels: &'a [&'a [ProjectedSplat]],
         /// Point count of the model they were projected from.
         points: usize,
     },
@@ -112,62 +116,62 @@ impl std::fmt::Debug for SceneRef<'_> {
                 .field("points", &source.total_points())
                 .field("chunks", &source.chunk_count())
                 .finish(),
-            SceneRef::Projected { splats, points } => f
+            SceneRef::Projected { levels, points } => f
                 .debug_struct("SceneRef::Projected")
                 .field("points", points)
-                .field("splats", &splats.len())
+                .field("levels", &levels.len())
                 .finish(),
         }
     }
 }
 
-/// What a frame looks at: the camera, plus an optional pixel mask
-/// (row-major, one entry per pixel) restricting the frame to the pixels
-/// where it is `true`. Masked-out pixels keep the background color; Bin
-/// skips tiles with no active pixel entirely — splats are not even
-/// duplicated into them, mirroring the foveation Filtering stage
-/// (Fig. 7-E) — and Raster composites only active pixels.
+/// What a frame looks at: the camera, plus an optional per-pixel level
+/// map saying which of the scene's quality levels each pixel renders.
+/// Without a map every pixel renders level 0.
 ///
-/// `&Camera` converts implicitly (`From`), so unmasked call sites pass the
-/// camera alone.
+/// `&Camera` converts implicitly (`From`), so single-level call sites pass
+/// the camera alone.
 #[derive(Debug, Clone)]
 pub struct View {
     /// The view camera.
     pub camera: Camera,
-    /// Optional pixel mask, `camera.width * camera.height` entries.
-    pub mask: Option<Vec<bool>>,
+    /// Optional per-pixel level map.
+    pub levels: Option<PixelLevels>,
 }
 
-impl View {
-    /// A view restricted to the pixels where `mask` is true.
-    pub fn masked(camera: Camera, mask: Vec<bool>) -> Self {
-        View {
-            camera,
-            mask: Some(mask),
-        }
-    }
+/// A foveated frame's per-pixel quality levels (row-major,
+/// `camera.width * camera.height` entries each). A pixel composites its
+/// level's tile list; with a blend weight `w > 0` below the last level it
+/// also composites level `level + 1`'s list and lerps toward it by `w`.
+/// Bin lists a level on a tile only when some pixel of the tile reads it,
+/// mirroring the foveation Filtering stage (Fig. 7-E).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PixelLevels {
+    /// Each pixel's quality level, below the scene's level count.
+    pub level: Vec<u8>,
+    /// Each pixel's blend weight toward the next level.
+    pub blend: Vec<f32>,
 }
 
 impl From<&Camera> for View {
     fn from(camera: &Camera) -> Self {
         View {
             camera: *camera,
-            mask: None,
+            levels: None,
         }
     }
 }
 
 /// Recyclable scratch storage for one frame: the projected-splat vector,
-/// the CSR `(offsets, indices)` buffers, and the Raster stage's per-worker
-/// per-pixel-sort gather buffers. Returned by [`FrameInFlight::finish`]
-/// with contents cleared (capacity retained) and accepted by
-/// [`Renderer::begin_frame`]; `FrameArena::default()` is a valid cold
-/// start that simply allocates on first use.
+/// one pair of CSR `(offsets, indices)` buffers per level, and the Raster
+/// stage's per-worker per-pixel-sort gather buffers. Returned by
+/// [`FrameInFlight::finish`] with contents cleared (capacity retained) and
+/// accepted by [`Renderer::begin_frame`]; `FrameArena::default()` is a
+/// valid cold start that simply allocates on first use.
 #[derive(Debug, Default)]
 pub struct FrameArena {
     pub(crate) splats: Vec<ProjectedSplat>,
-    pub(crate) offsets: Vec<u32>,
-    pub(crate) indices: Vec<u32>,
+    pub(crate) csr: Vec<(Vec<u32>, Vec<u32>)>,
     pub(crate) raster: Vec<Vec<Contrib>>,
 }
 
@@ -175,8 +179,10 @@ impl FrameArena {
     /// Drop every buffer's contents, keeping its capacity.
     fn clear(&mut self) {
         self.splats.clear();
-        self.offsets.clear();
-        self.indices.clear();
+        for (offsets, indices) in &mut self.csr {
+            offsets.clear();
+            indices.clear();
+        }
         self.raster.iter_mut().for_each(Vec::clear);
     }
 }
@@ -220,21 +226,21 @@ enum State {
     Failed { error: SourceError },
     /// Project done.
     Bin,
-    /// Bin done; the arena's CSR buffers now live in `bins`.
-    Merge { bins: TileBins },
+    /// Bin done; the arena's CSR buffers now live in `bins`, one per level.
+    Merge { bins: Vec<TileBins> },
     /// Merge done.
     Raster {
-        bins: TileBins,
+        bins: Vec<TileBins>,
         units: Vec<SuperTile>,
     },
     /// Raster done.
     Composite {
-        bins: TileBins,
+        bins: Vec<TileBins>,
         units: Vec<UnitResult>,
     },
     /// Composite done; [`FrameInFlight::finish`] assembles the output.
     Done {
-        bins: TileBins,
+        bins: Vec<TileBins>,
         composited: Composited,
     },
     /// A stage panicked mid-transition (the state was taken and never put
@@ -255,10 +261,11 @@ enum State {
 /// view by construction, because `render` runs this exact machine to
 /// completion.
 pub struct FrameInFlight {
-    /// Camera and optional pixel mask (mask size checked when the frame
-    /// begins).
+    /// Camera and optional level map (checked when the frame begins).
     view: View,
     model_len: usize,
+    /// Each level's splats in `arena.splats`; set when Project ends.
+    levels: Vec<Range<usize>>,
     /// The frame's buffers, from `begin_frame` until `finish` or
     /// `into_failure` hands them back. Project appends to `splats`; Bin
     /// moves the CSR buffers into its [`TileBins`] and `finish` moves them
@@ -293,12 +300,12 @@ impl FrameInFlight {
     /// # Panics
     ///
     /// Panics with [`check_camera`]'s message when the camera has a
-    /// zero-pixel image or exceeds `u32` pixel addressing, when
-    /// `mask.len() != width * height`, or when a pre-projected splat's
-    /// `point_index` is not below the scene's `points` or its tile
-    /// rectangle leaves the camera's grid of `tile_size`-pixel tiles. The
-    /// mask-size comparison is done in `u64`: at extreme dimensions
-    /// `width * height` overflows `u32`.
+    /// zero-pixel image or exceeds `u32` pixel addressing; when the level
+    /// map does not have `width * height` entries (compared in `u64`: at
+    /// extreme dimensions the product overflows `u32`) or names a level the
+    /// scene lacks; or when a pre-projected scene has no level, or one of
+    /// its splats has a `point_index` not below the scene's `points` or a
+    /// tile rectangle outside the camera's grid of `tile_size`-pixel tiles.
     pub(crate) fn new(
         scene: SceneRef<'_>,
         view: View,
@@ -309,14 +316,23 @@ impl FrameInFlight {
         if let Err(message) = check_camera(camera) {
             panic!("{message}");
         }
-        if let Some(mask) = &view.mask {
-            assert_eq!(
-                mask.len() as u64,
-                camera.width as u64 * camera.height as u64,
-                "pixel mask size mismatch"
+        let level_count = match scene {
+            SceneRef::Projected { levels, .. } => levels.len(),
+            _ => 1,
+        };
+        assert!(level_count > 0, "projected scene has no level");
+        if let Some(map) = &view.levels {
+            let pixels = camera.width as u64 * camera.height as u64;
+            assert!(
+                map.level.len() as u64 == pixels && map.blend.len() as u64 == pixels,
+                "pixel level map size mismatch"
             );
+            if let Some(l) = map.level.iter().find(|&&l| l as usize >= level_count) {
+                panic!("pixel level {l} out of range for a {level_count}-level scene");
+            }
         }
         let mut profile = FrameProfile::default();
+        let mut ranges = Vec::new();
         let state = match scene {
             SceneRef::InCore(_) => State::Project,
             SceneRef::Chunked(_) => State::Stream {
@@ -324,8 +340,9 @@ impl FrameInFlight {
                 next: 0,
                 wall: Duration::ZERO,
             },
-            SceneRef::Projected { splats, points } => {
-                if let Some(s) = splats.iter().find(|s| s.point_index as usize >= points) {
+            SceneRef::Projected { levels, points } => {
+                let mut splats = levels.iter().flat_map(|level| level.iter());
+                if let Some(s) = splats.clone().find(|s| s.point_index as usize >= points) {
                     panic!(
                         "projected splat point_index {} out of range for a {points}-point scene",
                         s.point_index
@@ -336,20 +353,26 @@ impl FrameInFlight {
                 let grid = TileGridDims::for_image(camera.width, camera.height, tile_size);
                 let outside =
                     |s: &&ProjectedSplat| s.tiles.x1 >= grid.tiles_x || s.tiles.y1 >= grid.tiles_y;
-                if let Some(s) = splats.iter().find(outside) {
+                if let Some(s) = splats.find(outside) {
                     panic!(
                         "projected splat tiles ({}..={}, {}..={}) outside the {}x{} tile grid",
                         s.tiles.x0, s.tiles.x1, s.tiles.y0, s.tiles.y1, grid.tiles_x, grid.tiles_y
                     );
                 }
-                arena.splats.extend_from_slice(splats);
-                profile.projected_bytes_peak = std::mem::size_of_val(splats) as u64;
+                arena.splats.reserve(levels.iter().map(|l| l.len()).sum());
+                for level in levels {
+                    let start = arena.splats.len();
+                    arena.splats.extend_from_slice(level);
+                    ranges.push(start..arena.splats.len());
+                }
+                profile.projected_bytes_peak = std::mem::size_of_val(&arena.splats[..]) as u64;
                 State::Bin
             }
         };
         Self {
             view,
             model_len: scene.total_points(),
+            levels: ranges,
             arena,
             profile,
             state,
@@ -462,20 +485,16 @@ impl FrameInFlight {
                 }
             }
             State::Bin => {
-                let camera = &self.view.camera;
+                let (camera, map) = (&self.view.camera, self.view.levels.as_ref());
                 let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
                 let threads = options.resolved_threads();
-                let mask = self.view.mask.as_deref();
-                let recycle = (
-                    std::mem::take(&mut self.arena.offsets),
-                    std::mem::take(&mut self.arena.indices),
-                );
-                let splats = &self.arena.splats;
+                let FrameArena { splats, csr, .. } = &mut self.arena;
+                let levels = self.levels.iter().map(|range| &splats[range.clone()]);
                 let bins = timed(
                     &mut self.profile.samples,
                     StageKind::Bin,
-                    || pipeline::bin(splats, grid, mask, threads, recycle),
-                    TileBins::total_intersections,
+                    || pipeline::bin(levels, grid, map, threads, csr),
+                    |bins| bins.iter().map(TileBins::total_intersections).sum(),
                 );
                 State::Merge { bins }
             }
@@ -483,20 +502,23 @@ impl FrameInFlight {
                 let units = timed(
                     &mut self.profile.samples,
                     StageKind::Merge,
-                    || pipeline::merge(bins.grid()),
+                    || pipeline::merge(bins[0].grid()),
                     |units| units.len() as u64,
                 );
                 State::Raster { bins, units }
             }
             State::Raster { bins, units } => {
-                let (camera, mask) = (&self.view.camera, self.view.mask.as_deref());
-                let splats = &self.arena.splats;
-                let contribs = &mut self.arena.raster;
+                let (camera, map) = (&self.view.camera, self.view.levels.as_ref());
+                let FrameArena { splats, raster, .. } = &mut self.arena;
+                let levels: Vec<_> = (self.levels.iter())
+                    .map(|range| &splats[range.clone()])
+                    .zip(&bins)
+                    .collect();
                 let units = timed(
                     &mut self.profile.samples,
                     StageKind::Raster,
-                    || pipeline::raster(splats, &bins, &units, options, camera, mask, contribs),
-                    |units| units.iter().map(|u| u.blend_steps).sum(),
+                    || pipeline::raster(&levels, &units, options, camera, map, raster),
+                    |units| units.iter().flat_map(|u| &u.blend_steps).sum(),
                 );
                 State::Composite { bins, units }
             }
@@ -561,8 +583,10 @@ impl FrameInFlight {
     }
 
     /// Close Project with one sample counting the frame's visible splats,
-    /// so a chunked frame carries the in-core sample sequence.
+    /// so a chunked frame carries the in-core sample sequence, and make
+    /// them the frame's one level.
     fn end_project(&mut self, wall: Duration) {
+        self.levels.push(0..self.arena.splats.len());
         self.profile.samples.push(StageSample {
             kind: StageKind::Project,
             wall,
@@ -583,15 +607,19 @@ impl FrameInFlight {
             panic!("finish called before the frame completed");
         };
         let mut arena = self.arena;
+        let levels: Vec<_> = (self.levels.into_iter())
+            .map(|range| &arena.splats[range])
+            .collect();
         let output = crate::raster::assemble_output(
             renderer.options(),
             self.model_len,
-            &arena.splats,
+            &levels,
             &bins,
             composited,
             self.profile,
+            self.view.levels.is_some(),
         );
-        (arena.offsets, arena.indices) = bins.into_buffers();
+        arena.csr = bins.into_iter().map(TileBins::into_buffers).collect();
         arena.clear();
         (output, arena)
     }
@@ -687,8 +715,7 @@ mod tests {
         assert_eq!(output, reference);
         // The recycled arena comes back cleared but with capacity.
         assert!(arena.splats.is_empty());
-        assert!(arena.offsets.is_empty());
-        assert!(arena.indices.is_empty());
+        assert!(arena.csr.iter().all(|(o, i)| o.is_empty() && i.is_empty()));
         assert!(arena.splats.capacity() > 0);
     }
 
@@ -803,7 +830,7 @@ mod tests {
 
         let splats = crate::project_model(&model, &camera, renderer.options());
         let scene = SceneRef::Projected {
-            splats: &splats,
+            levels: &[&splats],
             points: model.len(),
         };
         let profile = renderer.render(scene, &camera).stats.profile;
@@ -863,74 +890,87 @@ mod tests {
         assert_eq!(out, reference);
     }
 
-    /// Left-half pixel mask: the right tile columns have no active pixel,
-    /// so the masked Bin drops their intersections.
-    fn left_half(camera: &Camera) -> Vec<bool> {
-        (0..camera.width * camera.height)
-            .map(|i| i % camera.width < camera.width / 2)
-            .collect()
-    }
-
-    fn run_to_end(
-        renderer: &Renderer,
-        model: &GaussianModel,
-        mut frame: FrameInFlight,
-    ) -> (RenderOutput, FrameArena) {
-        while !frame.run_stage(renderer, model) {}
-        frame.finish(renderer)
+    /// The scene's splats as two levels — all of them, and every other one
+    /// — and a view that renders level 0 on the left half and level 1 on
+    /// the right, blending the four columns left of the boundary halfway.
+    /// Level 0 is then listed on the left tile columns only.
+    fn two_levels(model: &GaussianModel, camera: &Camera) -> ([Vec<ProjectedSplat>; 2], View) {
+        let all = crate::project_model(model, camera, &crate::RenderOptions::default());
+        let thinned = all.iter().step_by(2).copied().collect();
+        let half = camera.width / 2;
+        let (level, blend) = (0..camera.width * camera.height)
+            .map(|i| match i % camera.width {
+                x if x >= half => (1, 0.0),
+                x if x + 4 >= half => (0, 0.5),
+                _ => (0, 0.0),
+            })
+            .unzip();
+        let levels = Some(PixelLevels { level, blend });
+        (
+            [all, thinned],
+            View {
+                camera: *camera,
+                levels,
+            },
+        )
     }
 
     #[test]
-    fn masked_frame_pumped_stage_by_stage_matches_masked_render() {
+    fn foveated_frame_pumped_stage_by_stage_matches_render() {
         let (model, camera) = scene();
         let renderer = Renderer::new(crate::RenderOptions::with_point_stats());
-        let view = View::masked(camera, left_half(&camera));
-        let reference = renderer.render(&model, view.clone());
-        let mut frame = renderer.begin_frame(&model, view, FrameArena::default());
+        let ([all, thinned], view) = two_levels(&model, &camera);
+        let scene = SceneRef::Projected {
+            levels: &[&all, &thinned],
+            points: model.len(),
+        };
+        let reference = renderer.render(scene, view.clone());
+        let mut frame = renderer.begin_frame(scene, view, FrameArena::default());
         for kind in [
-            StageKind::Project,
             StageKind::Bin,
             StageKind::Merge,
             StageKind::Raster,
             StageKind::Composite,
         ] {
             assert_eq!(frame.next_stage(), Some(kind));
-            frame.run_stage(&renderer, &model);
+            frame.run_stage(&renderer, scene);
         }
         let (output, _) = frame.finish(&renderer);
         assert_eq!(output, reference);
-        let kinds_items = |o: &RenderOutput| -> Vec<(StageKind, u64)> {
-            let samples = &o.stats.profile.samples;
-            samples.iter().map(|s| (s.kind, s.items)).collect()
-        };
-        assert_eq!(kinds_items(&output), kinds_items(&reference));
-        // The mask really restricted the frame.
+        let levels = &output.level_stats;
+        assert_eq!(
+            levels[0].total_intersections + levels[1].total_intersections,
+            output.stats.total_intersections
+        );
+        // The map really restricted level 0 to the tiles that read it.
         let full = renderer.render(&model, &camera);
-        assert!(output.stats.total_intersections < full.stats.total_intersections);
+        assert!(levels[0].total_intersections < full.stats.total_intersections);
     }
 
     #[test]
-    fn arena_recycled_across_masked_and_unmasked_frames_is_bit_identical() {
+    fn arena_recycled_across_foveated_and_plain_frames_is_bit_identical() {
         let (model, camera) = scene();
         let renderer = Renderer::new(crate::RenderOptions {
             threads: 3,
             ..crate::RenderOptions::with_point_stats()
         });
-        let mask = left_half(&camera);
-        let cold_masked = renderer.render(&model, View::masked(camera, mask.clone()));
+        let ([all, thinned], view) = two_levels(&model, &camera);
+        let foveated = SceneRef::Projected {
+            levels: &[&all, &thinned],
+            points: model.len(),
+        };
+        let cold_foveated = renderer.render(foveated, view.clone());
         let cold_plain = renderer.render(&model, &camera);
         let mut arena = FrameArena::default();
-        for masked in [true, false, true] {
-            let view = View {
-                camera,
-                mask: masked.then(|| mask.clone()),
-            };
-            let frame = renderer.begin_frame(&model, view, arena);
+        for leveled in [true, false, true] {
             let out;
-            (out, arena) = run_to_end(&renderer, &model, frame);
-            let cold = if masked { &cold_masked } else { &cold_plain };
-            assert_eq!(&out, cold, "masked={masked}");
-            assert_eq!(out.stats.profile.raster, cold.stats.profile.raster);
+            (out, arena) = if leveled {
+                renderer.try_render(foveated, view.clone(), arena)
+            } else {
+                renderer.try_render(&model, &camera, arena)
+            };
+            let cold = if leveled { &cold_foveated } else { &cold_plain };
+            assert_eq!(&out.unwrap(), cold, "leveled={leveled}");
         }
     }
 
@@ -964,7 +1004,7 @@ mod tests {
         let mut splats = crate::project_model(&model, &camera, renderer.options());
         splats[0].point_index = model.len() as u32;
         let scene = SceneRef::Projected {
-            splats: &splats,
+            levels: &[&[], &splats],
             points: model.len(),
         };
         let _ = renderer.begin_frame(scene, &camera, FrameArena::default());
@@ -985,7 +1025,7 @@ mod tests {
             y1: 0,
         };
         let scene = SceneRef::Projected {
-            splats: &splats,
+            levels: &[&splats],
             points: model.len(),
         };
         let _ = renderer.begin_frame(scene, &camera, FrameArena::default());

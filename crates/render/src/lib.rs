@@ -50,7 +50,7 @@ mod raster;
 mod stats;
 
 pub use binning::{merge_low_occupancy, SuperTile, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
-pub use frame::{FrameArena, FrameInFlight, SceneRef, View};
+pub use frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
 pub use image::Image;
 pub use options::{RenderOptions, SortMode};
 pub use pipeline::{FrameProfile, StageKind, StageSample};

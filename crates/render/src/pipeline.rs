@@ -57,14 +57,17 @@
 //! The contract, enforced by `tests/determinism.rs`: for every thread
 //! count (including auto), a frame's image, winner buffer and
 //! [`FrameProfile`] work counters are **bit-identical** to the
-//! `threads = 1` serial reference, on plain, masked and filtered renders.
+//! `threads = 1` serial reference, on plain, filtered and foveated renders.
 //! Only wall times may differ between runs: a pixel is always composited
 //! against *its own tile's* depth-sorted CSR list, so which worker runs
 //! which row cannot change it.
 //!
-//! Inside a work unit, every masked-in pixel runs the one scalar
-//! compositing kernel (`raster.rs`): a front-to-back walk over its own
-//! tile's list that stops once transmittance falls below `t_min`.
+//! Inside a work unit, every pixel runs the one scalar compositing kernel
+//! (`raster.rs`) over its quality level's tile list — a front-to-back walk
+//! that stops once transmittance falls below `t_min` — and a blend-band
+//! pixel also over the next level's, lerping the two. Bin builds one
+//! [`TileBins`] per level; a frame whose [`View`](crate::View) has no
+//! [`PixelLevels`] map has one level.
 //!
 //! Bin, Merge, Raster and Composite are plain functions in this module,
 //! and Project is [`project_model_offset_into`](crate::project_model_offset_into)
@@ -78,7 +81,7 @@
 //! | Stage     | work counter                                      |
 //! |-----------|---------------------------------------------------|
 //! | Project   | splats surviving culling (`points_projected`)     |
-//! | Bin       | tile-ellipse intersections (CSR index length)     |
+//! | Bin       | tile-ellipse intersections (CSR index lengths)    |
 //! | Merge     | raster work units emitted (one per tile row)      |
 //! | Raster    | compositing steps executed (after early-stop)     |
 //! | Composite | pixels written to the output image                |
@@ -101,6 +104,7 @@
 //! workload are the same numbers.
 
 use crate::binning::{SuperTile, TileBins};
+use crate::frame::PixelLevels;
 use crate::image::Image;
 use crate::options::RenderOptions;
 use crate::projection::ProjectedSplat;
@@ -228,33 +232,6 @@ impl FrameProfile {
     pub fn total_wall(&self) -> Duration {
         self.samples.iter().map(|s| s.wall).sum()
     }
-
-    /// Fold `other`'s samples into `self` (used by the foveated renderer to
-    /// aggregate per-level passes into one frame profile).
-    ///
-    /// Merging is **by kind, first occurrence wins the slot**: each of
-    /// `other`'s samples adds its wall time and work counter to the first
-    /// existing sample of the same [`StageKind`]; kinds `self` has not seen
-    /// yet are appended in `other`'s order. Absorbing therefore preserves
-    /// `self`'s stage ordering (and execution order overall when both
-    /// profiles ran the standard Project → Bin → Merge → Raster → Composite
-    /// graph), but collapses repeated samples of one kind into a single
-    /// aggregate — `samples` is no longer one entry per execution after a
-    /// merge.
-    pub fn absorb(&mut self, other: &FrameProfile) {
-        for s in &other.samples {
-            match self.samples.iter_mut().find(|m| m.kind == s.kind) {
-                Some(m) => {
-                    m.wall += s.wall;
-                    m.items += s.items;
-                }
-                None => self.samples.push(*s),
-            }
-        }
-        self.chunk_bytes_peak = self.chunk_bytes_peak.max(other.chunk_bytes_peak);
-        self.projected_bytes_peak = self.projected_bytes_peak.max(other.projected_bytes_peak);
-        self.cache.accumulate(&other.cache);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -262,38 +239,41 @@ impl FrameProfile {
 // it and recording its work counter as the frame's `StageSample`.
 // ---------------------------------------------------------------------------
 
-/// Bin: splats → depth-sorted CSR tile bins, optionally restricted to tiles
-/// with at least one active `mask` pixel. `recycle` is CSR `(offsets,
-/// indices)` storage from a [`FrameArena`](crate::FrameArena); it is
-/// rebuilt from scratch, so only its capacity matters.
+/// Bin: each level's splats → its depth-sorted CSR tile bins, listing the
+/// level only on tiles where some pixel of `map` renders it or blends
+/// toward it (without a map, level 0 on every tile). `recycle` holds CSR
+/// `(offsets, indices)` storage from a [`FrameArena`](crate::FrameArena);
+/// it is rebuilt from scratch, so only its capacity matters.
 ///
 /// The CSR counting pass and the per-tile depth sorts run on `threads`
 /// workers (per-worker count arrays merge before the prefix sum; sort
 /// segments are disjoint), so the bins are bit-identical for every thread
 /// count.
-pub(crate) fn bin(
-    splats: &[ProjectedSplat],
+pub(crate) fn bin<'a>(
+    levels: impl ExactSizeIterator<Item = &'a [ProjectedSplat]>,
     grid: TileGridDims,
-    mask: Option<&[bool]>,
+    map: Option<&PixelLevels>,
     threads: usize,
-    recycle: (Vec<u32>, Vec<u32>),
-) -> TileBins {
-    let active = match mask {
-        None => vec![true; grid.tile_count()],
-        Some(mask) => (0..grid.tiles_y)
-            .flat_map(|ty| (0..grid.tiles_x).map(move |tx| (tx, ty)))
-            .map(|(tx, ty)| {
-                let x0 = (tx * grid.tile_size) as usize;
-                let x1 = ((tx + 1) * grid.tile_size).min(grid.width) as usize;
-                let y1 = ((ty + 1) * grid.tile_size).min(grid.height);
-                (ty * grid.tile_size..y1).any(|y| {
-                    let row = &mask[(y * grid.width) as usize..][..x1];
-                    row[x0..].contains(&true)
-                })
-            })
-            .collect(),
-    };
-    TileBins::build_into(splats, grid, &active, threads, recycle)
+    recycle: &mut Vec<(Vec<u32>, Vec<u32>)>,
+) -> Vec<TileBins> {
+    let mut active = vec![vec![false; grid.tile_count()]; levels.len()];
+    active[0].fill(map.is_none());
+    let pixels = map.iter().flat_map(|map| map.level.iter().zip(&map.blend));
+    for (i, (&l, &w)) in pixels.enumerate() {
+        let (x, y, l) = (i as u32 % grid.width, i as u32 / grid.width, l as usize);
+        let tile = ((y / grid.tile_size) * grid.tiles_x + x / grid.tile_size) as usize;
+        active[l][tile] = true;
+        if w > 0.0 && l + 1 < active.len() {
+            active[l + 1][tile] = true;
+        }
+    }
+    levels
+        .zip(active)
+        .map(|(splats, active)| {
+            let recycle = recycle.pop().unwrap_or_default();
+            TileBins::build_into(splats, grid, &active, threads, recycle)
+        })
+        .collect()
 }
 
 /// Merge: the tile grid → the raster work units, one [`SuperTile`] per tile
@@ -314,7 +294,8 @@ pub(crate) fn merge(grid: TileGridDims) -> Vec<SuperTile> {
         .collect()
 }
 
-/// Raster: tile bins + work units → per-work-unit pixel rectangles.
+/// Raster: each level's splats and tile bins + work units → per-work-unit
+/// pixel rectangles.
 ///
 /// Work units are independent, so they rasterize on `threads` workers
 /// pulling unit indices from a shared counter. Unit results land in
@@ -328,12 +309,11 @@ pub(crate) fn merge(grid: TileGridDims) -> Vec<SuperTile> {
 /// buffer per worker on demand. Contents are overwritten per pixel, so
 /// which worker gets which buffer cannot change a pixel either.
 pub(crate) fn raster(
-    splats: &[ProjectedSplat],
-    bins: &TileBins,
+    levels: &[(&[ProjectedSplat], &TileBins)],
     units: &[SuperTile],
     options: &RenderOptions,
     camera: &Camera,
-    mask: Option<&[bool]>,
+    map: Option<&PixelLevels>,
     contribs: &mut Vec<Vec<Contrib>>,
 ) -> Vec<UnitResult> {
     let threads = options.resolved_threads().min(units.len().max(1));
@@ -344,7 +324,7 @@ pub(crate) fn raster(
         let contribs = &mut contribs[0];
         return units
             .iter()
-            .map(|unit| rasterize_unit(options, splats, bins, camera, unit, mask, contribs))
+            .map(|unit| rasterize_unit(options, levels, camera, unit, map, contribs))
             .collect();
     }
 
@@ -368,7 +348,7 @@ pub(crate) fn raster(
                 if u >= units.len() {
                     break;
                 }
-                let unit = rasterize_unit(options, splats, bins, camera, &units[u], mask, contribs);
+                let unit = rasterize_unit(options, levels, camera, &units[u], map, contribs);
                 *slots[u].lock().expect("unit slot poisoned") = Some(unit);
             });
         }
@@ -391,8 +371,8 @@ pub(crate) struct Composited {
     /// Winning point index per pixel (`u32::MAX` = none); empty unless
     /// winner tracking (`track_point_stats`) is on.
     pub winners: Vec<u32>,
-    /// Total compositing steps across work units.
-    pub blend_steps: u64,
+    /// Compositing steps across work units, per level.
+    pub blend_steps: Vec<u64>,
 }
 
 /// Composite: ordered work units → final image (+ per-pixel winners when
@@ -410,9 +390,12 @@ pub(crate) fn composite(
     } else {
         Vec::new()
     };
-    let mut blend_steps = 0u64;
+    let mut blend_steps = Vec::new();
     for unit in units {
-        blend_steps += unit.blend_steps;
+        blend_steps.resize(unit.blend_steps.len(), 0);
+        for (sum, steps) in blend_steps.iter_mut().zip(&unit.blend_steps) {
+            *sum += steps;
+        }
         let rows = unit.pixels.len() as u32 / unit.width.max(1);
         for dy in 0..rows {
             let y = unit.y_start + dy;
@@ -465,38 +448,6 @@ mod tests {
             ..FrameProfile::default()
         };
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn absorb_merges_by_kind() {
-        let mut a = FrameProfile {
-            samples: vec![StageSample {
-                kind: StageKind::Raster,
-                wall: Duration::from_micros(10),
-                items: 100,
-            }],
-            ..FrameProfile::default()
-        };
-        let b = FrameProfile {
-            samples: vec![
-                StageSample {
-                    kind: StageKind::Raster,
-                    wall: Duration::from_micros(5),
-                    items: 50,
-                },
-                StageSample {
-                    kind: StageKind::Project,
-                    wall: Duration::from_micros(1),
-                    items: 7,
-                },
-            ],
-            ..FrameProfile::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.items(StageKind::Raster), 150);
-        assert_eq!(a.items(StageKind::Project), 7);
-        assert_eq!(a.wall(StageKind::Raster), Duration::from_micros(15));
-        assert_eq!(a.samples.len(), 2);
     }
 
     #[test]

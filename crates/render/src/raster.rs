@@ -17,12 +17,13 @@
 //! and stopping as soon as transmittance falls under `t_min`. Under heavy
 //! overdraw that early stop ends most pixels after the first few splats of
 //! a long list. [`rasterize_unit`] walks a work unit's tiles row by row
-//! and calls it once per masked-in pixel ([`composite_pixel_sorted`] under
-//! [`SortMode::PerPixel`]); a pixel depends only on its own tile's list, so
-//! the worker that runs it cannot change a bit of the frame.
+//! and calls it once per pixel on the pixel's quality level, and once more
+//! on the next level for a blend-band pixel ([`composite_pixel_sorted`]
+//! under [`SortMode::PerPixel`]); a pixel depends only on its own tile's
+//! lists, so the worker that runs it cannot change a bit of the frame.
 
 use crate::binning::{SuperTile, TileBins};
-use crate::frame::{FrameArena, FrameInFlight, SceneRef, View};
+use crate::frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
 use crate::options::{RenderOptions, SortMode};
 use crate::pipeline::{Composited, FrameProfile};
 use crate::projection::ProjectedSplat;
@@ -43,6 +44,11 @@ pub struct RenderOutput {
     /// determinism tests can compare full winner buffers, not just their
     /// per-point aggregation.
     pub winners: Vec<u32>,
+    /// Per-level statistics of a frame whose view carries a level map:
+    /// grid, tile intersections, splat count, `points_submitted` and blend
+    /// steps of each level. Their profiles are empty, since the levels
+    /// share the frame's stages. Empty for frames without a map.
+    pub level_stats: Vec<RenderStats>,
 }
 
 /// The tile-based splatting renderer.
@@ -74,8 +80,8 @@ pub(crate) struct UnitResult {
     pub pixels: Vec<ms_math::Vec3>,
     /// Winning splat *point index* per pixel (`u32::MAX` = none).
     pub winners: Vec<u32>,
-    /// Compositing steps executed.
-    pub blend_steps: u64,
+    /// Compositing steps executed, per level.
+    pub blend_steps: Vec<u64>,
 }
 
 impl Renderer {
@@ -128,19 +134,20 @@ impl Renderer {
     /// valid cold start.
     ///
     /// `scene` is a plain `&GaussianModel` or any [`SceneRef`]; `view` is a
-    /// plain `&Camera` or a [`View`] carrying a pixel mask. In-core scenes
+    /// plain `&Camera` or a [`View`] carrying a per-pixel level map. In-core scenes
     /// start at the Project stage; pre-projected splats start at Bin;
     /// chunked sources start at the streamed Project, where each
     /// [`run_stage`] call projects one *chunk* into the frame's splat
     /// vector until the frame joins the common pipeline at Bin — so a frame
     /// server interleaves chunked frames exactly like in-core ones, at
-    /// chunk granularity. Masks restrict every kind of scene alike.
+    /// chunk granularity. In-core and chunked scenes have one level.
     ///
     /// # Panics
     ///
     /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, when the mask does not have one entry per pixel, or when
-    /// a pre-projected splat's `point_index` or tile rectangle is out of
+    /// addressing, when the level map does not have one entry per pixel or
+    /// names a level the scene lacks, or when a pre-projected scene has no
+    /// level or a splat whose `point_index` or tile rectangle is out of
     /// range (see [`SceneRef::Projected`]).
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
@@ -220,28 +227,50 @@ impl Renderer {
 
 /// Assemble the final [`RenderOutput`] from the pipeline's stage outputs —
 /// the tail of every [`FrameInFlight`], so all entry points produce their
-/// statistics the same way.
+/// statistics the same way. `levels[l]` is level `l`'s splats and
+/// `bins[l]` its tile bins; the frame's counters sum over levels, and
+/// `foveated` frames (those with a level map) also report each level's.
 pub(crate) fn assemble_output(
     options: &RenderOptions,
     model_len: usize,
-    splats: &[ProjectedSplat],
-    bins: &TileBins,
+    levels: &[&[ProjectedSplat]],
+    bins: &[TileBins],
     composited: Composited,
     profile: FrameProfile,
+    foveated: bool,
 ) -> RenderOutput {
     let Composited {
         image,
         winners,
         blend_steps,
     } = composited;
-    let tile_intersections = bins.intersection_counts();
-    let total_intersections = bins.total_intersections();
+    let level_stats: Vec<RenderStats> = (levels.iter().zip(bins).zip(blend_steps))
+        .map(|((splats, bins), blend_steps)| RenderStats {
+            grid: bins.grid(),
+            tile_intersections: bins.intersection_counts(),
+            points_projected: splats.len(),
+            points_submitted: model_len,
+            total_intersections: bins.total_intersections(),
+            blend_steps,
+            point_tiles_used: Vec::new(),
+            point_pixels_dominated: Vec::new(),
+            profile: FrameProfile::default(),
+        })
+        .collect();
+    let mut tile_intersections = vec![0u32; bins[0].grid().tile_count()];
+    for level in &level_stats {
+        for (sum, count) in tile_intersections.iter_mut().zip(&level.tile_intersections) {
+            *sum += count;
+        }
+    }
     let (point_tiles_used, point_pixels_dominated) = if options.track_point_stats {
-        // Derived from the CSR bins so masked-out tiles do not count:
+        // Derived from the CSR bins so unlisted tiles do not count:
         // every CSR index entry is one (tile, splat) intersection.
         let mut tiles_used = vec![0u32; model_len];
-        for &si in bins.indices() {
-            tiles_used[splats[si as usize].point_index as usize] += 1;
+        for (splats, bins) in levels.iter().zip(bins) {
+            for &si in bins.indices() {
+                tiles_used[splats[si as usize].point_index as usize] += 1;
+            }
         }
         let mut dominated = vec![0u32; model_len];
         for &w in &winners {
@@ -257,17 +286,18 @@ pub(crate) fn assemble_output(
     RenderOutput {
         image,
         stats: RenderStats {
-            grid: bins.grid(),
+            grid: bins[0].grid(),
             tile_intersections,
-            points_projected: splats.len(),
+            points_projected: levels.iter().map(|splats| splats.len()).sum(),
             points_submitted: model_len,
-            total_intersections,
-            blend_steps,
+            total_intersections: level_stats.iter().map(|l| l.total_intersections).sum(),
+            blend_steps: level_stats.iter().map(|l| l.blend_steps).sum(),
             point_tiles_used,
             point_pixels_dominated,
             profile,
         },
         winners,
+        level_stats: if foveated { level_stats } else { Vec::new() },
     }
 }
 
@@ -311,24 +341,24 @@ pub(crate) type Contrib = (f32, f32, ms_math::Vec3, u32);
 
 /// Rasterize one work unit (a rectangle of tiles, clipped to the image).
 ///
-/// Each pixel composites against **its own tile's** depth-sorted CSR list —
-/// the unit rectangle only decides which pixels this call owns — so which
-/// worker rasterizes which unit cannot change pixels, winners or
-/// blend-step counts. This is the invariant behind the thread-count
-/// determinism axis.
+/// Each pixel composites against **its own tile's** depth-sorted CSR list
+/// of its `map` level (level 0 without a map), and of the next level too
+/// when [`PixelLevels`] says it blends — the unit rectangle only decides
+/// which pixels this call owns — so which worker rasterizes which unit
+/// cannot change pixels, winners or blend-step counts. This is the
+/// invariant behind the thread-count determinism axis.
 /// `contribs` is the per-pixel-sort gather buffer; it only carries recycled
 /// capacity, since its contents are overwritten per pixel, so which
 /// worker's buffer arrives cannot change a pixel either.
 pub(crate) fn rasterize_unit(
     options: &RenderOptions,
-    splats: &[ProjectedSplat],
-    bins: &TileBins,
+    levels: &[(&[ProjectedSplat], &TileBins)],
     camera: &Camera,
     unit: &SuperTile,
-    mask: Option<&[bool]>,
+    map: Option<&PixelLevels>,
     contribs: &mut Vec<Contrib>,
 ) -> UnitResult {
-    let grid = bins.grid();
+    let grid = levels[0].1.grid();
     let ts = grid.tile_size;
     // Clip in u64: at extreme dimensions `tx1 * ts` can exceed u32 even
     // though the clipped result fits.
@@ -347,37 +377,42 @@ pub(crate) fn rasterize_unit(
     } else {
         Vec::new()
     };
-    let mut blend_steps = 0u64;
+    let mut blend_steps = vec![0u64; levels.len()];
     for ty in unit.ty0..unit.ty1 {
         for tx in unit.tx0..unit.tx1 {
-            let list = bins.tile(tx, ty);
-            if list.is_empty() {
-                continue;
-            }
             let tx_start = tx * ts;
             let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
             let ty_start = ty * ts;
             let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
             for y in ty_start..ty_end {
                 for x in tx_start..tx_end {
-                    if let Some(mask) = mask {
-                        if !mask[(y * camera.width + x) as usize] {
-                            continue;
-                        }
-                    }
+                    let i = (y * camera.width + x) as usize;
+                    let (l, w) = map.map_or((0, 0.0), |m| (m.level[i] as usize, m.blend[i]));
                     let px = Vec2::new(x as f32 + 0.5, y as f32 + 0.5);
-                    let out_idx = ((y - y_start) * unit_w + (x - x_start)) as usize;
-                    let (color, winner, steps) = match options.sort_mode {
-                        SortMode::PerTile => composite_pixel(options, splats, list, px),
-                        SortMode::PerPixel => {
-                            composite_pixel_sorted(options, splats, list, px, contribs)
+                    let mut shade = |l: usize| {
+                        let (splats, bins) = levels[l];
+                        let list = bins.tile(tx, ty);
+                        if list.is_empty() {
+                            return (options.background, u32::MAX);
                         }
+                        let (color, winner, steps) = match options.sort_mode {
+                            SortMode::PerTile => composite_pixel(options, splats, list, px),
+                            SortMode::PerPixel => {
+                                composite_pixel_sorted(options, splats, list, px, contribs)
+                            }
+                        };
+                        blend_steps[l] += steps;
+                        (color, winner)
                     };
+                    let (mut color, winner) = shade(l);
+                    if w > 0.0 && l + 1 < levels.len() {
+                        color = color.lerp(shade(l + 1).0, w);
+                    }
+                    let out_idx = ((y - y_start) * unit_w + (x - x_start)) as usize;
                     pixels[out_idx] = color;
                     if track {
                         winners[out_idx] = winner;
                     }
-                    blend_steps += steps;
                 }
             }
         }
@@ -725,7 +760,7 @@ mod tests {
         let mut splats = crate::projection::project_model(&m, &camera, r.options());
         splats.retain(|s| s.point_index == 0);
         let scene = SceneRef::Projected {
-            splats: &splats,
+            levels: &[&splats],
             points: m.len(),
         };
         let only_red = r.render(scene, &camera);
@@ -747,6 +782,17 @@ mod tests {
         let _ = Renderer::default().render(&m, &camera);
     }
 
+    /// `camera` with a per-pixel level map of `len` level-`level` pixels.
+    fn leveled(camera: Camera, len: usize, level: u8) -> View {
+        View {
+            camera,
+            levels: Some(PixelLevels {
+                level: vec![level; len],
+                blend: vec![0.0; len],
+            }),
+        }
+    }
+
     #[test]
     #[should_panic(expected = "degenerate camera")]
     fn zero_height_camera_rejected_at_entry() {
@@ -755,15 +801,15 @@ mod tests {
             height: 0,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render(&m, View::masked(camera, Vec::new()));
+        let _ = Renderer::default().render(&m, leveled(camera, 0, 0));
     }
 
     #[test]
     #[should_panic(expected = "exceeds u32 pixel addressing")]
     fn oversized_camera_rejected_at_entry() {
-        // Regression: at 65536×65536 the old mask-size assert computed
-        // width * height in u32, wrapped to 0, and let an empty mask slip
-        // through toward a multi-terabyte render. Such images are now
+        // Regression: at 65536×65536 a per-pixel size check computed in
+        // u32 wraps width * height to 0 and lets an empty map slip
+        // through toward a multi-terabyte render. Such images are
         // rejected outright at entry — per-pixel indices are u32
         // throughout the hot path and would wrap silently.
         let m = GaussianModel::new(0);
@@ -772,14 +818,31 @@ mod tests {
             height: 65536,
             ..cam(64, 64)
         };
-        let _ = Renderer::default().render(&m, View::masked(camera, Vec::new()));
+        let _ = Renderer::default().render(&m, leveled(camera, 0, 0));
     }
 
     #[test]
-    #[should_panic(expected = "pixel mask size mismatch")]
-    fn wrong_sized_mask_rejected() {
+    #[should_panic(expected = "pixel level map size mismatch")]
+    fn wrong_sized_level_map_rejected() {
         let m = GaussianModel::new(0);
-        let _ = Renderer::default().render(&m, View::masked(cam(64, 64), vec![true; 100]));
+        let _ = Renderer::default().render(&m, leveled(cam(64, 64), 100, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel level 1 out of range for a 1-level scene")]
+    fn level_beyond_the_scenes_levels_rejected() {
+        let m = GaussianModel::new(0);
+        let _ = Renderer::default().render(&m, leveled(cam(64, 64), 64 * 64, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "projected scene has no level")]
+    fn projected_scene_without_levels_rejected() {
+        let scene = SceneRef::Projected {
+            levels: &[],
+            points: 0,
+        };
+        let _ = Renderer::default().render(scene, &cam(64, 64));
     }
 
     #[test]
@@ -880,7 +943,7 @@ mod tests {
         let renderer = Renderer::new(RenderOptions::with_point_stats());
         let splats = crate::projection::project_model(&m, &camera, renderer.options());
         let projected = SceneRef::Projected {
-            splats: &splats,
+            levels: &[&splats],
             points: m.len(),
         };
         let non_project = |o: &RenderOutput| -> Vec<(StageKind, u64)> {
@@ -888,8 +951,10 @@ mod tests {
             let samples = samples.filter(|s| s.kind != StageKind::Project);
             samples.map(|s| (s.kind, s.items)).collect()
         };
-        let mask: Vec<bool> = (0..64 * 48).map(|i| i % 64 < 40).collect();
-        for view in [View::from(&camera), View::masked(camera, mask)] {
+        // A one-level map renders like no map, blend weights and all.
+        let mut map = leveled(camera, 64 * 48, 0);
+        map.levels.as_mut().unwrap().blend[100..900].fill(0.5);
+        for view in [View::from(&camera), map] {
             let in_core = renderer.render(&m, view.clone());
             let out = renderer.render(projected, view);
             assert!(out
@@ -902,7 +967,9 @@ mod tests {
             // Starting at Bin changes what the profile records, never what
             // the frame computes.
             assert_eq!(out.image, in_core.image);
+            assert_eq!(out.image, renderer.render(&m, &camera).image);
             assert_eq!(out.winners, in_core.winners);
+            assert_eq!(out.level_stats, in_core.level_stats);
             assert!(!out.winners.is_empty());
             assert_eq!(non_project(&out), non_project(&in_core));
             let mut stats = out.stats.clone();

@@ -1,19 +1,21 @@
 //! Property tests of the Raster stage over random scenes: random
 //! anisotropic conics, splats hanging off every image edge, odd image
 //! widths and tile sizes, stacks of nearly opaque splats that stop pixels
-//! at different depths, and random pixel masks.
+//! at different depths, and random per-pixel level maps.
 //!
 //! Two invariants must hold bit for bit (pixels, winner buffers and
 //! blend-step counts):
 //!
 //! * **Threads.** A frame rasterized on 3 workers equals the serial one.
-//! * **Masks.** A masked frame equals the unmasked frame on every
-//!   masked-in pixel, and holds the background and a `u32::MAX` winner on
-//!   every masked-out one. Every foveated level is a masked frame, so the
-//!   foveated renderer depends on this.
+//! * **Levels.** A two-level foveated frame equals, on every pixel, the
+//!   one-level frame of that pixel's level — or, in the blend band, the
+//!   lerp of the two one-level frames — with the winner of its own level.
+//!   The foveated renderer depends on this.
 
 use ms_math::{Conic2, TileRect, Vec2, Vec3};
-use ms_render::{Image, ProjectedSplat, RenderOptions, RenderOutput, Renderer, SceneRef, View};
+use ms_render::{
+    Image, PixelLevels, ProjectedSplat, RenderOptions, RenderOutput, Renderer, SceneRef, View,
+};
 use ms_scene::Camera;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -61,8 +63,8 @@ fn options(tile_size: u32, alpha_min: f32, alpha_max: f32, t_min: f32) -> Render
         alpha_min,
         alpha_max,
         t_min,
-        // A background no splat mix produces by accident, so masked-out
-        // pixels are recognisable.
+        // A background no splat mix produces by accident, so pixels no
+        // splat reaches are recognisable.
         background: Vec3::new(0.25, 0.5, 0.75),
         track_point_stats: true,
         threads: 1,
@@ -168,20 +170,27 @@ fn opaque_stack(
         .collect()
 }
 
-/// A random mask: pixels inside a random disk, each kept with probability
-/// `density`. Tiles outside the disk are wholly masked out, so Bin drops
-/// them; tiles inside keep a random scatter of pixels.
-fn random_mask(rng: &mut StdRng, width: u32, height: u32, density: f64) -> Vec<bool> {
+/// A random two-level map: level 0 inside a random disk, level 1 outside,
+/// so tiles wholly outside the disk list no level-0 splat. Level-0 pixels
+/// blend toward level 1 with probability `blend`; level-1 pixels get random
+/// weights too, which the last level must ignore.
+fn random_levels(rng: &mut StdRng, width: u32, height: u32, blend: f64) -> PixelLevels {
     let cx = rng.gen_range(0.0..width as f32);
     let cy = rng.gen_range(0.0..height as f32);
     let r = rng.gen_range(4.0..(width.max(height) as f32));
-    (0..width * height)
+    let (level, blend) = (0..width * height)
         .map(|i| {
             let (x, y) = ((i % width) as f32 + 0.5, (i / width) as f32 + 0.5);
-            let inside = (x - cx) * (x - cx) + (y - cy) * (y - cy) <= r * r;
-            inside && rng.gen_bool(density)
+            let outside = (x - cx) * (x - cx) + (y - cy) * (y - cy) > r * r;
+            let w = if outside || rng.gen_bool(blend) {
+                rng.gen_range(0.0..1.0f32)
+            } else {
+                0.0
+            };
+            (u8::from(outside), w)
         })
-        .collect()
+        .unzip();
+    PixelLevels { level, blend }
 }
 
 /// Render `scene` at 1 and 3 workers and require the same frame.
@@ -197,7 +206,7 @@ fn render_thread_invariant<'a>(
     })
     .render(scene, view);
     assert_outputs_bit_identical(&parallel, &serial).map_err(|e| format!("threads 3: {e}"))?;
-    if parallel.stats != serial.stats {
+    if parallel.stats != serial.stats || parallel.level_stats != serial.level_stats {
         return Err("threads 3: stats differ".into());
     }
     Ok(serial)
@@ -219,7 +228,7 @@ proptest! {
         let alpha_max = (alpha_min + alpha_span).min(1.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let splats = random_splats(&mut rng, n, width, height, tile_size);
-        let scene = SceneRef::Projected { splats: &splats, points: n };
+        let scene = SceneRef::Projected { levels: &[&splats], points: n };
         let o = options(tile_size, alpha_min, alpha_max, t_min);
         render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
     }
@@ -235,43 +244,52 @@ proptest! {
         let tile_size = TILE_SIZES[ts_pick];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let splats = opaque_stack(&mut rng, n, width, height, tile_size);
-        let scene = SceneRef::Projected { splats: &splats, points: n };
+        let scene = SceneRef::Projected { levels: &[&splats], points: n };
         let o = options(tile_size, 1.0 / 255.0, 0.99, 0.05);
         render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
     }
 
     #[test]
-    fn masked_frame_matches_unmasked_on_masked_in_pixels(
+    fn foveated_frame_matches_its_levels_one_level_frames(
         seed in 0u64..1u64 << 48,
         n in 1usize..100,
         width in 17u32..80,
         height in 9u32..64,
         ts_pick in 0usize..5,
-        density in 0.05f64..1.0,
+        keep in 0.2f64..1.0,
+        blend in 0.0f64..1.0,
     ) {
         let tile_size = TILE_SIZES[ts_pick];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
         let splats = random_splats(&mut rng, n, width, height, tile_size);
-        let mask = random_mask(&mut rng, width, height, density);
-        let scene = SceneRef::Projected { splats: &splats, points: n };
-        let cam = camera(width, height, 4.0);
+        // Each level keeps a random in-order subset: a splat may be in
+        // both levels or in neither.
+        let mut subset = || -> Vec<_> { splats.iter().filter(|_| rng.gen_bool(keep)).copied().collect() };
+        let (l0, l1) = (subset(), subset());
+        let map = random_levels(&mut rng, width, height, blend);
         let o = options(tile_size, 1.0 / 255.0, 0.99, 1e-4);
-        let full = render_thread_invariant(&o, scene, View::from(&cam))?;
-        let masked = render_thread_invariant(&o, scene, View::masked(cam, mask.clone()))?;
-        for (i, &keep) in mask.iter().enumerate() {
-            let (pixel, winner) = (masked.image.pixels()[i], masked.winners[i]);
-            let expect = if keep {
-                (full.image.pixels()[i], full.winners[i])
-            } else {
-                (o.background, u32::MAX)
-            };
-            if (bits(pixel), winner) != (bits(expect.0), expect.1) {
+        let render = |levels: &[&[ProjectedSplat]], map| {
+            let view = View { camera: camera(width, height, 4.0), levels: map };
+            render_thread_invariant(&o, SceneRef::Projected { levels, points: n }, view)
+        };
+        let one = [render(&[&l0], None)?, render(&[&l1], None)?];
+        let fov = render(&[&l0, &l1], Some(map.clone()))?;
+        for (i, (&l, &w)) in map.level.iter().zip(&map.blend).enumerate() {
+            let own = &one[l as usize];
+            let mut expect = own.image.pixels()[i];
+            if l == 0 && w > 0.0 {
+                expect = expect.lerp(one[1].image.pixels()[i], w);
+            }
+            let (pixel, winner) = (fov.image.pixels()[i], fov.winners[i]);
+            if (bits(pixel), winner) != (bits(expect), own.winners[i]) {
                 return Err(format!(
-                    "pixel {i} (masked in: {keep}): {pixel:?}/{winner} vs {:?}/{}",
-                    expect.0, expect.1
+                    "pixel {i} (level {l}, blend {w}): {pixel:?}/{winner} vs {expect:?}/{}",
+                    own.winners[i]
                 ));
             }
         }
-        prop_assert!(masked.stats.blend_steps <= full.stats.blend_steps);
+        let steps: Vec<u64> = fov.level_stats.iter().map(|s| s.blend_steps).collect();
+        prop_assert_eq!(steps.iter().sum::<u64>(), fov.stats.blend_steps);
+        prop_assert!(steps[0] <= one[0].stats.blend_steps && steps[1] <= one[1].stats.blend_steps);
     }
 }

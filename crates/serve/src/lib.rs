@@ -343,8 +343,8 @@ impl FrameServer {
     }
 
     /// Create a server streaming a shared chunked source: sessions stream
-    /// Project one chunk per scheduling step (at most two chunk buffers
-    /// resident per session), then run Bin onwards like in-core frames and
+    /// Project one chunk per scheduling step (one chunk buffer resident per
+    /// in-flight frame), then run Bin onwards like in-core frames and
     /// interleave exactly like them, sharing one chunk cache across all
     /// sessions.
     pub fn new_chunked(source: Arc<dyn SceneSource + Send + Sync>) -> Self {

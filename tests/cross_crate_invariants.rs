@@ -204,7 +204,7 @@ fn workload_scaling_commutes_with_latency_monotonicity() {
 #[test]
 fn fr_with_identical_levels_matches_plain_render() {
     // If every point participates in every level and the per-level
-    // parameters equal the base parameters, the foveated pipeline — masks,
+    // parameters equal the base parameters, the foveated pipeline — levels,
     // filtering, blending and all — must reproduce the plain render
     // exactly (blending identical images is the identity).
     use metasapiens::fov::{FoveatedModel, FoveatedRenderer, LevelParams};

@@ -2,22 +2,23 @@
 //! a frame rendered with `threads = 1` (the serial reference) must be
 //! *bit-identical* — pixels, winner buffers and `FrameProfile` work
 //! counters — to the same frame rendered with any other worker count,
-//! including auto (`threads = 0`), on plain, masked and filtered renders.
+//! including auto (`threads = 0`), on plain, filtered and foveated renders.
 //!
 //! Filtered renders project the whole model, keep the splats whose point
 //! index an admission predicate accepts, and rasterize the survivors as a
-//! `SceneRef::Projected` scene — the shape of the foveated renderer's
-//! per-level frames, which join the suite in
+//! one-level `SceneRef::Projected` scene. Foveated frames — one
+//! `SceneRef::Projected` level per quality region and a per-pixel level
+//! map, ours and the MMFR baseline's — join the suite in
 //! `foveated_render_is_bit_identical_across_threads`.
 //!
 //! Chunked sources and the chunk cache add the other two axes: a streamed
 //! frame must equal the in-core frame for every chunk size and cache
-//! budget. Random-scene coverage of the Raster stage (threads and masks
-//! over random splat lists) lives in
+//! budget. Random-scene coverage of the Raster stage (threads and
+//! two-level maps over random splat lists) lives in
 //! `crates/render/tests/raster_properties.rs`.
 
 use metasapiens::render::{
-    project_model, RenderOptions, RenderOutput, Renderer, SceneRef, StageKind, View,
+    project_model, RenderOptions, RenderOutput, Renderer, SceneRef, StageKind,
 };
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::{Camera, ChunkCache, GaussianModel, SceneSource};
@@ -48,16 +49,6 @@ fn opts(threads: usize) -> RenderOptions {
     }
 }
 
-/// A mask with structure: left half plus a sparse checkerboard.
-fn structured_mask(cam: &Camera) -> Vec<bool> {
-    (0..(cam.width * cam.height) as usize)
-        .map(|i| {
-            let (x, y) = (i as u32 % cam.width, i as u32 / cam.width);
-            x < cam.width / 2 || (x + y) % 7 == 0
-        })
-        .collect()
-}
-
 /// A filtered render: project, keep only the splats of points `admit`
 /// accepts, then rasterize the survivors.
 fn render_admitted(
@@ -69,7 +60,7 @@ fn render_admitted(
     let mut splats = project_model(model, cam, renderer.options());
     splats.retain(|s| admit(s.point_index as usize));
     let scene = SceneRef::Projected {
-        splats: &splats,
+        levels: &[&splats],
         points: model.len(),
     };
     renderer.render(scene, cam)
@@ -111,18 +102,6 @@ fn parallel_render_is_bit_identical_to_serial() {
     let serial = Renderer::new(opts(1)).render(&s.model, &cam);
     for threads in THREAD_COUNTS {
         let par = Renderer::new(opts(threads)).render(&s.model, &cam);
-        assert_bit_identical(&par, &serial, threads);
-    }
-}
-
-#[test]
-fn masked_parallel_render_is_bit_identical_to_serial() {
-    let s = scene();
-    let cam = camera(&s);
-    let mask = structured_mask(&cam);
-    let serial = Renderer::new(opts(1)).render(&s.model, View::masked(cam, mask.clone()));
-    for threads in THREAD_COUNTS {
-        let par = Renderer::new(opts(threads)).render(&s.model, View::masked(cam, mask.clone()));
         assert_bit_identical(&par, &serial, threads);
     }
 }
@@ -190,15 +169,18 @@ fn foveal_camera() -> Camera {
 }
 
 // ---------------------------------------------------------------------------
-// Foveated frames: one shared projection of the base model, then one masked
-// `SceneRef::Projected` frame per quality level, blended. Every level must
-// be as thread-invariant as a plain frame.
+// Foveated frames: one frame over one `SceneRef::Projected` level per
+// quality region — derived from one shared projection of the base model
+// (ours) or projected from independent models (MMFR) — with a per-pixel
+// level map. The frame must be as thread-invariant as a plain frame.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn foveated_render_is_bit_identical_across_threads() {
+    use metasapiens::fov::baselines::{build_mmfr, render_mmfr};
     use metasapiens::fov::{build_foveated, FoveatedRenderer, FrBuildConfig};
     use metasapiens::math::{deg_to_rad, Vec2};
+    use metasapiens::train::ce::CeOptions;
     let s = scene();
     // A wide VR-like FOV, so the periphery has levels to relax.
     let cam = Camera {
@@ -210,23 +192,27 @@ fn foveated_render_is_bit_identical_across_threads() {
         finetune: None,
         ..FrBuildConfig::default()
     };
-    let fm = build_foveated(&s.model, &[cam], &[reference], &config);
+    let fm = build_foveated(&s.model, &[cam], std::slice::from_ref(&reference), &config);
+    let mm = build_mmfr(
+        &s.model,
+        &[cam],
+        &[reference],
+        config.regions.clone(),
+        &config.level_fractions,
+        None,
+        &CeOptions::default(),
+    );
     let gaze = Some(Vec2::new(40.0, 60.0));
-    let render = |threads| FoveatedRenderer::new(opts(threads)).render(&fm, &cam, gaze);
-    let serial = render(1);
-    assert_eq!(serial.per_level_stats.len(), 4);
-    for threads in THREAD_COUNTS {
-        let par = render(threads);
-        assert_eq!(
-            par.image, serial.image,
-            "pixels differ at threads={threads}"
-        );
-        assert_eq!(par.stats, serial.stats, "stats differ at threads={threads}");
-        assert_eq!(
-            par.per_level_stats, serial.per_level_stats,
-            "per-level stats differ at threads={threads}"
-        );
-        assert_eq!(par, serial, "output differs at threads={threads}");
+    let ours = |threads| FoveatedRenderer::new(opts(threads)).render(&fm, &cam, gaze);
+    let mmfr = |threads| render_mmfr(&FoveatedRenderer::new(opts(threads)), &mm, &cam, gaze);
+    for (name, render) in [("ours", &ours as &dyn Fn(usize) -> _), ("mmfr", &mmfr)] {
+        let serial = render(1);
+        assert_eq!(serial.per_level_stats.len(), 4);
+        for threads in THREAD_COUNTS {
+            // Pixels, merged and per-level stats, tile levels, blend count.
+            let par = render(threads);
+            assert_eq!(par, serial, "{name}: output differs at threads={threads}");
+        }
     }
 }
 
@@ -283,25 +269,6 @@ fn chunked_render_matches_in_core_under_merging() {
     let plan = in_core.stats.unit_intersections();
     assert!(plan.len() < in_core.stats.grid.tile_count());
     assert_eq!(chunked.stats.unit_intersections(), plan);
-}
-
-#[test]
-fn masked_chunked_render_matches_masked_in_core() {
-    // A chunked frame bins its streamed splats with the in-core Bin, so a
-    // pixel mask restricts it exactly like an in-core frame.
-    let s = scene();
-    let cam = camera(&s);
-    let mask = structured_mask(&cam);
-    for threads in [1, 3] {
-        let renderer = Renderer::new(opts(threads));
-        let in_core = renderer.render(&s.model, View::masked(cam, mask.clone()));
-        for chunk_splats in chunk_sizes(s.model.len()) {
-            let source = metasapiens::scene::InCoreSource::new(s.model.clone(), chunk_splats);
-            let view = View::masked(cam, mask.clone());
-            let chunked = renderer.render(SceneRef::Chunked(&source), view);
-            assert_bit_identical(&chunked, &in_core, threads);
-        }
-    }
 }
 
 #[test]
