@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of three of the paper's design choices:
 //!
 //! 1. **CE aggregation**: max over poses (paper's choice) vs mean.
 //! 2. **TMU threshold β** sweep (accelerator balance knob).

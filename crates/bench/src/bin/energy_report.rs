@@ -7,7 +7,7 @@ use metasapiens::fov::FoveatedRenderer;
 use metasapiens::gpu::GpuCostModel;
 use metasapiens::pipeline::{build_system, BuildConfig, Variant};
 use metasapiens::render::RenderOptions;
-use ms_bench::{load_trace, print_table, ExperimentConfig};
+use ms_bench::{env_or, load_trace, print_table, ExperimentConfig};
 
 fn main() {
     let config = ExperimentConfig::from_env();
@@ -21,10 +21,7 @@ fn main() {
         AccelConfig::metasapiens_tm(),
         AccelConfig::metasapiens_tm_ip(),
     ];
-    let cap = std::env::var("MS_ENERGY_TRACES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+    let cap = env_or("MS_ENERGY_TRACES", 4usize);
 
     let mut ratios = vec![Vec::new(); configs.len()];
     let mut rows = Vec::new();

@@ -3,7 +3,7 @@
 
 use metasapiens::baselines::{build_baseline, BaselineKind};
 use metasapiens::gpu::{FrameWorkload, GpuCostModel};
-use metasapiens::render::{Renderer, SortMode};
+use metasapiens::render::Renderer;
 use ms_bench::{boxplot_row, load_trace, print_table, ExperimentConfig};
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
             let loaded = load_trace(trace, &config);
             let baseline = build_baseline(kind, &loaded.scene, &loaded.cameras);
             let renderer = Renderer::new(baseline.render_options.clone());
-            let per_pixel = baseline.render_options.sort_mode == SortMode::PerPixel;
+            let per_pixel = kind.sorts_per_pixel();
             let mut latency = 0.0;
             for cam in &loaded.cameras {
                 let out = renderer.render(&baseline.model, cam);

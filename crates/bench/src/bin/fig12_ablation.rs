@@ -7,7 +7,7 @@ use metasapiens::pipeline::{build_system, BuildConfig, Variant};
 use metasapiens::render::RenderOptions;
 use metasapiens::train::finetune::{fine_tune, FineTuneConfig};
 use metasapiens::train::scale_decay::ScaleDecayOptions;
-use ms_bench::{load_trace, print_table, ExperimentConfig};
+use ms_bench::{env_or, load_trace, print_table, ExperimentConfig};
 
 fn main() {
     let config = ExperimentConfig::from_env();
@@ -18,10 +18,7 @@ fn main() {
     let mut psnr = [0.0f64; 4];
     let traces = config.traces();
     // The full ablation is expensive; cap the corpus by default.
-    let cap = std::env::var("MS_ABLATION_TRACES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+    let cap = env_or("MS_ABLATION_TRACES", 4usize);
     let used: Vec<_> = traces.into_iter().take(cap).collect();
 
     for trace in &used {

@@ -3,10 +3,10 @@
 //! the corpus.
 
 use metasapiens::baselines::{build_baseline, BaselineKind};
-use metasapiens::eval::{evaluate_foveated, evaluate_model};
+use metasapiens::eval::{evaluate_baseline, evaluate_foveated};
 use metasapiens::pipeline::{build_system, BuildConfig, Variant};
 use metasapiens::render::RenderOptions;
-use ms_bench::{load_trace, print_table, ExperimentConfig};
+use ms_bench::{env_or, load_trace, print_table, ExperimentConfig};
 
 #[derive(Default, Clone, Copy)]
 struct Acc {
@@ -42,10 +42,7 @@ fn main() {
     let config = ExperimentConfig::from_env();
     let scale = config.scale_factors();
     println!("== Fig. 13: FPS vs PSNR/SSIM/LPIPS (averaged over corpus) ==\n");
-    let cap = std::env::var("MS_TRADEOFF_TRACES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+    let cap = env_or("MS_TRADEOFF_TRACES", 4usize);
     let traces: Vec<_> = config.traces().into_iter().take(cap).collect();
 
     let mut baseline_acc = vec![Acc::default(); BaselineKind::ALL.len()];
@@ -57,7 +54,7 @@ fn main() {
         let refs = &loaded.references;
         for (i, kind) in BaselineKind::ALL.iter().enumerate() {
             let b = build_baseline(*kind, &loaded.scene, cams);
-            let m = evaluate_model(&b.model, &b.render_options, cams, refs, scale);
+            let m = evaluate_baseline(&b, cams, refs, scale);
             baseline_acc[i].add(&m);
         }
         for (i, v) in Variant::ALL.iter().enumerate() {

@@ -9,7 +9,7 @@ use metasapiens::hvs::{DisplayGeometry, EccentricityMap, Hvsq, HvsqOptions, Qual
 use metasapiens::pipeline::{build_system, BuildConfig, Variant};
 use metasapiens::render::RenderOptions;
 use metasapiens::train::ce::CeOptions;
-use ms_bench::{load_trace, print_table, ExperimentConfig};
+use ms_bench::{env_or, load_trace, print_table, ExperimentConfig};
 
 #[derive(Default, Clone)]
 struct Acc {
@@ -23,10 +23,7 @@ fn main() {
     let config = ExperimentConfig::from_env();
     let scale = config.scale_factors();
     println!("== Tbl. 1: FR methods (averaged over corpus) ==\n");
-    let cap = std::env::var("MS_TBL1_TRACES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+    let cap = env_or("MS_TBL1_TRACES", 4usize);
     let traces: Vec<_> = config.traces().into_iter().take(cap).collect();
 
     let fr = FoveatedRenderer::new(RenderOptions::default());

@@ -4,16 +4,13 @@
 use metasapiens::eval::{evaluate_foveated, evaluate_model};
 use metasapiens::pipeline::{build_system, BuildConfig, Variant};
 use metasapiens::render::RenderOptions;
-use ms_bench::{load_trace, print_table, ExperimentConfig};
+use ms_bench::{env_or, load_trace, print_table, ExperimentConfig};
 
 fn main() {
     let config = ExperimentConfig::from_env();
     let scale = config.scale_factors();
     println!("== §6: MetaSapiens variants (averaged over corpus) ==\n");
-    let cap = std::env::var("MS_VARIANTS_TRACES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+    let cap = env_or("MS_VARIANTS_TRACES", 4usize);
     let traces: Vec<_> = config.traces().into_iter().take(cap).collect();
 
     let mut rows = Vec::new();

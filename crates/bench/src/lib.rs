@@ -1,9 +1,9 @@
 //! Shared experiment harness for the figure/table binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper's evaluation (see DESIGN.md's experiment index). They share the
-//! corpus loader, workload scaling, table printing and the simulated
-//! user-study observer defined here.
+//! paper's evaluation (listed under "Reproducing the paper's figures" in
+//! the README). They share the corpus loader, workload scaling, table
+//! printing and the simulated user-study observer defined here.
 //!
 //! Experiments run on reduced-scale scenes so the whole suite completes on
 //! a laptop; the `MS_SCALE`, `MS_W`, `MS_H`, `MS_CAMS` and `MS_TRACES`
@@ -18,6 +18,27 @@ use metasapiens::render::{Image, RenderOptions, Renderer};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::synth::Scene;
 use metasapiens::scene::Camera;
+use std::str::FromStr;
+
+/// Environment variable `key` parsed as a `T`, or `default` when unset.
+///
+/// # Panics
+///
+/// Panics naming the variable and its raw value when it is set but does
+/// not parse, so a typo such as `MS_W=96px` stops the run instead of
+/// silently falling back to the default.
+pub fn env_or<T: FromStr>(key: &str, default: T) -> T {
+    let raw = std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+    parse_env(key, raw.as_deref(), default)
+}
+
+/// [`env_or`]'s parser over an already-read raw value.
+fn parse_env<T: FromStr>(key: &str, raw: Option<&str>, default: T) -> T {
+    raw.map_or(default, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{key}={v:?} is not a valid {}", std::any::type_name::<T>()))
+    })
+}
 
 /// Configuration shared by the experiment binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,20 +61,19 @@ pub struct ExperimentConfig {
 impl ExperimentConfig {
     /// Defaults tuned so each binary finishes in roughly a minute; all
     /// knobs can be overridden via environment variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a variable is set to a value that does not parse (see
+    /// [`env_or`]).
     pub fn from_env() -> Self {
-        let get = |k: &str, d: f32| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse::<f32>().ok())
-                .unwrap_or(d)
-        };
         Self {
-            scene_scale: get("MS_SCALE", 0.008),
-            width: get("MS_W", 192.0) as u32,
-            height: get("MS_H", 144.0) as u32,
-            fovy_deg: get("MS_FOVY", 74.0),
-            cameras_per_trace: get("MS_CAMS", 2.0) as usize,
-            trace_cap: get("MS_TRACES", 13.0) as usize,
+            scene_scale: env_or("MS_SCALE", 0.008),
+            width: env_or("MS_W", 192),
+            height: env_or("MS_H", 144),
+            fovy_deg: env_or("MS_FOVY", 74.0),
+            cameras_per_trace: env_or("MS_CAMS", 2),
+            trace_cap: env_or("MS_TRACES", 13),
         }
     }
 
@@ -192,6 +212,19 @@ mod tests {
     fn trace_cap_limits_corpus() {
         let cfg = tiny();
         assert_eq!(cfg.traces().len(), 2);
+    }
+
+    #[test]
+    fn env_values_parse_or_default() {
+        assert_eq!(parse_env::<u32>("MS_W", None, 192), 192);
+        assert_eq!(parse_env::<u32>("MS_W", Some("96"), 192), 96);
+        assert_eq!(parse_env::<f32>("MS_SCALE", Some("0.004"), 0.008), 0.004);
+    }
+
+    #[test]
+    #[should_panic(expected = "MS_W=\"96px\" is not a valid u32")]
+    fn env_typo_names_the_variable() {
+        parse_env::<u32>("MS_W", Some("96px"), 192);
     }
 
     #[test]

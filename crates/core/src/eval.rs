@@ -2,10 +2,11 @@
 //! harness: quality metrics against reference renders, workload capture,
 //! and full-scale FPS estimation.
 
+use ms_baselines::BaselineModel;
 use ms_fov::{FovRenderOutput, FoveatedModel, FoveatedRenderer};
 use ms_gpu::{FrameWorkload, GpuCostModel};
 use ms_hvs::{lpips_proxy, psnr, ssim};
-use ms_render::{Image, RenderOptions, Renderer, SortMode};
+use ms_render::{Image, RenderOptions, Renderer};
 use ms_scene::{Camera, GaussianModel};
 use serde::{Deserialize, Serialize};
 
@@ -91,11 +92,39 @@ pub fn evaluate_model(
     references: &[Image],
     scale: ScaleFactors,
 ) -> ModelMetrics {
+    evaluate(model, options, false, cameras, references, scale)
+}
+
+/// Evaluate a baseline like [`evaluate_model`], charging the modelled GPU
+/// for a per-pixel re-sort when the baseline's kind does one
+/// ([`BaselineKind::sorts_per_pixel`](ms_baselines::BaselineKind::sorts_per_pixel)).
+///
+/// # Panics
+///
+/// Panics when `cameras` and `references` differ in length or are empty.
+pub fn evaluate_baseline(
+    baseline: &BaselineModel,
+    cameras: &[Camera],
+    references: &[Image],
+    scale: ScaleFactors,
+) -> ModelMetrics {
+    let (model, options) = (&baseline.model, &baseline.render_options);
+    let per_pixel_sort = baseline.kind.sorts_per_pixel();
+    evaluate(model, options, per_pixel_sort, cameras, references, scale)
+}
+
+fn evaluate(
+    model: &GaussianModel,
+    options: &RenderOptions,
+    per_pixel_sort: bool,
+    cameras: &[Camera],
+    references: &[Image],
+    scale: ScaleFactors,
+) -> ModelMetrics {
     assert_eq!(cameras.len(), references.len());
     assert!(!cameras.is_empty());
     let renderer = Renderer::new(options.clone());
     let gpu = GpuCostModel::xavier();
-    let per_pixel_sort = options.sort_mode == SortMode::PerPixel;
 
     let mut psnr_acc = 0.0f64;
     let mut ssim_acc = 0.0f64;
@@ -284,5 +313,46 @@ mod tests {
             ScaleFactors::for_experiment(0.003, 64, 48),
         );
         assert!(scaled.fps < small.fps);
+    }
+    #[test]
+    fn stopthepop_is_charged_for_its_per_pixel_sort() {
+        // StopThePop and Mini-Splatting-D render the same dense model with
+        // the same options, so only the modelled re-sort tells them apart.
+        use ms_baselines::{build_baseline, BaselineKind};
+        let scene = TraceId::by_name("room")
+            .unwrap()
+            .build_scene_with_scale(0.003);
+        let cams: Vec<Camera> = scene
+            .train_cameras
+            .iter()
+            .take(2)
+            .map(|c| Camera {
+                width: 64,
+                height: 48,
+                ..*c
+            })
+            .collect();
+        let stp = build_baseline(BaselineKind::StopThePop, &scene, &cams);
+        let msd = build_baseline(BaselineKind::MiniSplattingD, &scene, &cams);
+        let refs: Vec<Image> = cams
+            .iter()
+            .map(|c| Renderer::default().render(&scene.model, c).image)
+            .collect();
+        for cam in &cams {
+            let a = Renderer::new(stp.render_options.clone()).render(&stp.model, cam);
+            let b = Renderer::new(msd.render_options.clone()).render(&msd.model, cam);
+            assert_eq!(a.image, b.image);
+        }
+        let scale = ScaleFactors::identity();
+        let m_stp = evaluate_baseline(&stp, &cams, &refs, scale);
+        let m_msd = evaluate_baseline(&msd, &cams, &refs, scale);
+        assert_eq!(m_stp.psnr_db, m_msd.psnr_db);
+        assert_eq!(m_stp.intersections, m_msd.intersections);
+        assert!(
+            m_stp.fps < m_msd.fps,
+            "StopThePop {} FPS vs Mini-Splatting-D {}",
+            m_stp.fps,
+            m_msd.fps
+        );
     }
 }

@@ -22,10 +22,10 @@
 //! frame measures its stages and assembles its output the same way.
 //!
 //! [`FrameArena`] holds the large per-frame allocations (the
-//! projected-splat vector, one pair of CSR offset/index buffers per level,
-//! and the raster workers' per-pixel-sort gather buffers). The frame owns
-//! one arena and one [`FrameProfile`](crate::FrameProfile) from
-//! `begin_frame` until [`FrameInFlight::finish`] (or
+//! projected-splat vector and one pair of CSR offset/index buffers per
+//! level). The frame owns one arena and one
+//! [`FrameProfile`](crate::FrameProfile) from `begin_frame` until
+//! [`FrameInFlight::finish`] (or
 //! [`FrameInFlight::into_failure`]); each stage reads and writes them in
 //! place and records its sample, byte peak or cache traffic where it
 //! measures it, so the pipeline states carry only what their stage
@@ -45,7 +45,7 @@ use crate::binning::{SuperTile, TileBins};
 use crate::options::RenderOptions;
 use crate::pipeline::{self, Composited, FrameProfile, StageKind, StageSample};
 use crate::projection::{project_model_offset_into, ProjectedSplat};
-use crate::raster::{check_camera, Contrib, RenderOutput, Renderer, UnitResult};
+use crate::raster::{check_camera, RenderOutput, Renderer, UnitResult};
 use crate::stats::TileGridDims;
 use ms_scene::{CacheStats, Camera, ChunkCache, GaussianModel, SceneSource, SourceError};
 use std::ops::Range;
@@ -162,9 +162,8 @@ impl From<&Camera> for View {
     }
 }
 
-/// Recyclable scratch storage for one frame: the projected-splat vector,
-/// one pair of CSR `(offsets, indices)` buffers per level, and the Raster
-/// stage's per-worker per-pixel-sort gather buffers. Returned by
+/// Recyclable scratch storage for one frame: the projected-splat vector
+/// and one pair of CSR `(offsets, indices)` buffers per level. Returned by
 /// [`FrameInFlight::finish`] with contents cleared (capacity retained) and
 /// accepted by [`Renderer::begin_frame`]; `FrameArena::default()` is a
 /// valid cold start that simply allocates on first use.
@@ -172,7 +171,6 @@ impl From<&Camera> for View {
 pub struct FrameArena {
     pub(crate) splats: Vec<ProjectedSplat>,
     pub(crate) csr: Vec<(Vec<u32>, Vec<u32>)>,
-    pub(crate) raster: Vec<Vec<Contrib>>,
 }
 
 impl FrameArena {
@@ -183,7 +181,6 @@ impl FrameArena {
             offsets.clear();
             indices.clear();
         }
-        self.raster.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -509,7 +506,7 @@ impl FrameInFlight {
             }
             State::Raster { bins, units } => {
                 let (camera, map) = (&self.view.camera, self.view.levels.as_ref());
-                let FrameArena { splats, raster, .. } = &mut self.arena;
+                let splats = &self.arena.splats;
                 let levels: Vec<_> = (self.levels.iter())
                     .map(|range| &splats[range.clone()])
                     .zip(&bins)
@@ -517,7 +514,7 @@ impl FrameInFlight {
                 let units = timed(
                     &mut self.profile.samples,
                     StageKind::Raster,
-                    || pipeline::raster(&levels, &units, options, camera, map, raster),
+                    || pipeline::raster(&levels, &units, options, camera, map),
                     |units| units.iter().flat_map(|u| &u.blend_steps).sum(),
                 );
                 State::Composite { bins, units }

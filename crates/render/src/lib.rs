@@ -8,8 +8,7 @@
 //!    2-D screen-space covariance, evaluate SH color for the view, and bound
 //!    the splat's extent to a tile rectangle.
 //! 2. **Sorting** ([`TileBins`]): duplicate splats into per-tile lists and
-//!    sort each list front-to-back by depth (or per-pixel for the
-//!    StopThePop-style mode).
+//!    sort each list front-to-back by depth.
 //! 3. **Rasterization** ([`Renderer::render`]): per-pixel alpha compositing
 //!    of Eqn. 1 with transmittance early-stop, one work unit per tile row.
 //!    The §4.3 occupancy merge plan ([`merge_low_occupancy`]) is an
@@ -52,7 +51,7 @@ mod stats;
 pub use binning::{merge_low_occupancy, SuperTile, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
 pub use frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
 pub use image::Image;
-pub use options::{RenderOptions, SortMode};
+pub use options::RenderOptions;
 pub use pipeline::{FrameProfile, StageKind, StageSample};
 pub use projection::{project_model, project_model_offset_into, ProjectedSplat};
 pub use raster::{check_camera, RenderOutput, Renderer};

@@ -3,21 +3,6 @@
 use ms_math::Vec3;
 use serde::{Deserialize, Serialize};
 
-/// How splats are ordered before compositing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SortMode {
-    /// 3DGS convention: one front-to-back sort per tile by splat center
-    /// depth. Fast, but can "pop" when the per-tile order disagrees with the
-    /// true per-pixel order.
-    #[default]
-    PerTile,
-    /// StopThePop-style view-consistent ordering: contributions are gathered
-    /// per pixel and re-sorted by per-pixel depth before compositing.
-    /// More work per pixel (the paper's StopThePop baseline is slower than
-    /// 3DGS) but eliminates popping.
-    PerPixel,
-}
-
 /// Options controlling a render pass.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RenderOptions {
@@ -39,8 +24,6 @@ pub struct RenderOptions {
     pub extent_sigma: f32,
     /// Screen-space covariance dilation in px² (3DGS low-pass filter).
     pub dilation: f32,
-    /// Sorting strategy.
-    pub sort_mode: SortMode,
     /// Record per-point dominance counts (`Val` of Eqn. 3) and per-point
     /// tile-usage counts (`Comp`). Costs one extra image-sized buffer.
     pub track_point_stats: bool,
@@ -64,7 +47,6 @@ impl Default for RenderOptions {
             alpha_max: 0.99,
             extent_sigma: 3.0,
             dilation: 0.3,
-            sort_mode: SortMode::PerTile,
             track_point_stats: false,
             threads: 1,
         }

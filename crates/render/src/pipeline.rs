@@ -108,7 +108,7 @@ use crate::frame::PixelLevels;
 use crate::image::Image;
 use crate::options::RenderOptions;
 use crate::projection::ProjectedSplat;
-use crate::raster::{rasterize_unit, Contrib, UnitResult};
+use crate::raster::{rasterize_unit, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
 use ms_scene::{CacheStats, Camera};
 use serde::{Deserialize, Serialize};
@@ -303,44 +303,30 @@ pub(crate) fn merge(grid: TileGridDims) -> Vec<SuperTile> {
 /// bit-identical for every thread count; one worker runs inline without
 /// spawning. Every pixel composites against its own tile's CSR list, so
 /// which worker runs which unit cannot change a pixel.
-///
-/// `contribs` is the per-worker pool of per-pixel-sort gather buffers,
-/// recycled through a [`FrameArena`](crate::FrameArena) and grown to one
-/// buffer per worker on demand. Contents are overwritten per pixel, so
-/// which worker gets which buffer cannot change a pixel either.
 pub(crate) fn raster(
     levels: &[(&[ProjectedSplat], &TileBins)],
     units: &[SuperTile],
     options: &RenderOptions,
     camera: &Camera,
     map: Option<&PixelLevels>,
-    contribs: &mut Vec<Vec<Contrib>>,
 ) -> Vec<UnitResult> {
     let threads = options.resolved_threads().min(units.len().max(1));
     if threads <= 1 || units.len() <= 1 {
-        if contribs.is_empty() {
-            contribs.push(Vec::new());
-        }
-        let contribs = &mut contribs[0];
         return units
             .iter()
-            .map(|unit| rasterize_unit(options, levels, camera, unit, map, contribs))
+            .map(|unit| rasterize_unit(options, levels, camera, unit, map))
             .collect();
     }
 
     // Workers pop unit indices from a shared counter; each unit result
     // lands in its own slot, so assembly order — and the composited image —
-    // is independent of scheduling. Each worker owns one gather buffer from
-    // the recycled pool for its whole run.
-    if contribs.len() < threads {
-        contribs.resize_with(threads, Vec::new);
-    }
+    // is independent of scheduling.
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<Option<UnitResult>>> = (0..units.len())
         .map(|_| std::sync::Mutex::new(None))
         .collect();
     rayon::scope(|s| {
-        for contribs in contribs.iter_mut().take(threads) {
+        for _ in 0..threads {
             let next = &next;
             let slots = &slots;
             s.spawn(move |_| loop {
@@ -348,7 +334,7 @@ pub(crate) fn raster(
                 if u >= units.len() {
                     break;
                 }
-                let unit = rasterize_unit(options, levels, camera, &units[u], map, contribs);
+                let unit = rasterize_unit(options, levels, camera, &units[u], map);
                 *slots[u].lock().expect("unit slot poisoned") = Some(unit);
             });
         }

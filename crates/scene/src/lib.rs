@@ -12,8 +12,8 @@
 //!   densify sparse dataset poses into smooth 90 FPS traces, as the paper
 //!   does in §6 ("approximately 1,440 poses … a 16-second video at 90 FPS").
 //! * [`synth`] — the procedural scene generator that substitutes for the
-//!   Mip-NeRF 360 / Tanks&Temples / DeepBlending datasets (see DESIGN.md for
-//!   the substitution argument).
+//!   Mip-NeRF 360 / Tanks&Temples / DeepBlending datasets (see [`synth`]
+//!   for the substitution argument).
 //! * [`dataset`] — the 13 named traces in 3 datasets mirroring the paper's
 //!   evaluation corpus, each with deterministic generation parameters.
 //!

@@ -1,8 +1,8 @@
 //! Procedural Gaussian-scene generator.
 //!
-//! Substitutes for the photogrammetry datasets the paper evaluates on (see
-//! DESIGN.md). A generated scene reproduces the *geometric statistics* that
-//! drive every MetaSapiens mechanism:
+//! Substitutes for the photogrammetry datasets the paper evaluates on. A
+//! generated scene reproduces the *geometric statistics* that drive every
+//! MetaSapiens mechanism:
 //!
 //! * a **ground disk** of small-to-medium surface splats,
 //! * several **object clusters** of dense, small, high-opacity splats

@@ -110,8 +110,6 @@ pub fn backward_mse(
                         let w = t_before * alpha;
                         // Color gradient → SH DC. eval_color clamps at zero:
                         // channels sitting exactly at 0 pass no gradient.
-                        let dcdc = ms_math::sh::MAX_COEFFS; // silence unused warning paths
-                        let _ = dcdc;
                         const SH_C0: f32 = 0.282_094_79;
                         if s.color.x > 0.0 {
                             d_dc[pi][0] += dl_dc.x * w * SH_C0;
