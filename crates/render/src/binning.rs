@@ -101,12 +101,29 @@ fn scatter_shards(
     });
 }
 
+/// Order-preserving map of a depth onto `u32`: `depth_key(a) <
+/// depth_key(b)` exactly when `a.total_cmp(&b)` is `Less`, −0.0 before
+/// +0.0 and NaNs at the ends by sign included. Negative floats have every
+/// bit flipped (larger magnitude sorts first); the rest get the sign bit
+/// set, which lifts them above every negative key.
+#[inline]
+fn depth_key(depth: f32) -> u32 {
+    let bits = depth.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
+    }
+}
+
 /// Per-tile splat index lists, depth-sorted front-to-back, in a flat CSR
 /// layout.
 ///
 /// Indices refer into the `Vec<ProjectedSplat>` the bins were built from.
 /// Tile `(tx, ty)`'s list is `indices[offsets[i]..offsets[i+1]]` with
-/// `i = ty * tiles_x + tx`.
+/// `i = ty * tiles_x + tx`. Each list is ordered by depth under
+/// `f32::total_cmp`, equal depths by ascending splat index — the order a
+/// stable depth sort of the model-order scatter gives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileBins {
     grid: TileGridDims,
@@ -206,11 +223,13 @@ impl TileBins {
         }
         scatter_shards(splats, grid.tiles_x, active, shards, parts, &mut indices);
 
-        // Depth-sort each tile segment front-to-back. `sort_by` is stable,
-        // so equal depths keep submission order, matching the previous
-        // layout's behavior exactly. Segments are disjoint, so the sorts
-        // parallelize over contiguous tile ranges (balanced by segment
-        // mass) without changing any segment's result.
+        // Depth-sort each tile segment front-to-back on packed
+        // `depth_key << 32 | index` keys. The scatter filled each segment
+        // in ascending index, so breaking depth ties by index is exactly
+        // the stable depth sort's order, and keys are unique, so the
+        // unstable sort has one result. Segments are disjoint, so the
+        // sorts parallelize over contiguous tile ranges (balanced by
+        // segment mass) without changing any segment's result.
         Self::sort_segments(splats, &offsets, &mut indices, tile_count, shards);
 
         Self {
@@ -230,22 +249,33 @@ impl TileBins {
         tile_count: usize,
         shards: usize,
     ) {
-        // `total_cmp` is a genuine total order — the old `partial_cmp(..)
-        // .unwrap_or(Equal)` comparator was not (NaN compared Equal to
-        // everything, which violates sort_by's transitivity contract), and
-        // it orders identically for the non-NaN depths projection emits.
-        // The sort stays stable, so equal depths keep submission order.
-        let by_depth = |&a: &u32, &b: &u32| {
-            splats[a as usize]
-                .depth
-                .total_cmp(&splats[b as usize].depth)
+        // Sort `tiles`' segments of `slice` (which starts at the first
+        // one's offset) through `keys`, one worker's scratch reused across
+        // its segments. A key carries its index in the low half, so the
+        // sorted keys write the sorted list straight back; the sort reads
+        // one `u64` per comparison instead of two splats.
+        let sort_tiles = |tiles: std::ops::Range<usize>, slice: &mut [u32], keys: &mut Vec<u64>| {
+            let base = offsets[tiles.start];
+            for t in tiles {
+                let seg =
+                    &mut slice[(offsets[t] - base) as usize..(offsets[t + 1] - base) as usize];
+                if seg.len() < 2 {
+                    continue;
+                }
+                keys.clear();
+                keys.extend(
+                    seg.iter()
+                        .map(|&i| (depth_key(splats[i as usize].depth) as u64) << 32 | i as u64),
+                );
+                keys.sort_unstable();
+                for (slot, &key) in seg.iter_mut().zip(keys.iter()) {
+                    *slot = key as u32;
+                }
+            }
         };
 
         if shards <= 1 || indices.is_empty() {
-            for i in 0..tile_count {
-                let seg = &mut indices[offsets[i] as usize..offsets[i + 1] as usize];
-                seg.sort_by(by_depth);
-            }
+            sort_tiles(0..tile_count, indices, &mut Vec::new());
             return;
         }
 
@@ -274,16 +304,10 @@ impl TileBins {
             tasks.push((s, e, head));
             rest = tail;
         }
+        let sort_tiles = &sort_tiles;
         rayon::scope(|sc| {
             for (s, e, slice) in tasks {
-                sc.spawn(move |_| {
-                    let base = offsets[s];
-                    for t in s..e {
-                        let seg = &mut slice
-                            [(offsets[t] - base) as usize..(offsets[t + 1] - base) as usize];
-                        seg.sort_by(by_depth);
-                    }
-                });
+                sc.spawn(move |_| sort_tiles(s..e, slice, &mut Vec::new()));
             }
         });
     }
@@ -637,8 +661,26 @@ mod tests {
             .collect()
     }
 
+    /// Depths spread over `0.1..50.0`: ties essentially never occur.
+    fn spread_depth(rng: &mut StdRng) -> f32 {
+        rng.gen_range(0.1..50.0f32)
+    }
+
+    /// Depths from a handful of values, ±0.0 and both NaN signs among
+    /// them: most of a tile's list ties with other entries, so the result
+    /// depends on how the sort breaks ties.
+    fn tied_depth(rng: &mut StdRng) -> f32 {
+        const DEPTHS: [f32; 8] = [-0.0, 0.0, 1.0, 2.5, 7.0, f32::INFINITY, f32::NAN, -f32::NAN];
+        DEPTHS[rng.gen_range(0..DEPTHS.len())]
+    }
+
     /// Random splat sets for the CSR-vs-naive equivalence property.
-    fn random_splats(rng: &mut StdRng, n: usize, g: TileGridDims) -> Vec<ProjectedSplat> {
+    fn random_splats(
+        rng: &mut StdRng,
+        n: usize,
+        g: TileGridDims,
+        depth: fn(&mut StdRng) -> f32,
+    ) -> Vec<ProjectedSplat> {
         use ms_math::{Conic2, TileRect, Vec2};
         (0..n)
             .filter_map(|i| {
@@ -660,8 +702,7 @@ mod tests {
                         b: 0.0,
                         c: 1.0,
                     },
-                    depth: rng.gen_range(0.1..50.0f32),
-                    radius,
+                    depth: depth(rng),
                     color: ms_math::Vec3::splat(0.5),
                     opacity: 0.9,
                     tiles,
@@ -674,9 +715,14 @@ mod tests {
     fn csr_equals_naive_on_random_splat_sets() {
         let g = grid();
         let mut rng = StdRng::seed_from_u64(2024);
-        for round in 0..50 {
+        for round in 0..100 {
             let n = rng.gen_range(0usize..400);
-            let splats = random_splats(&mut rng, n, g);
+            let depth = if round % 2 == 0 {
+                spread_depth
+            } else {
+                tied_depth
+            };
+            let splats = random_splats(&mut rng, n, g, depth);
             // Unfiltered and checkerboard-filtered builds must both match.
             for parity in [None, Some(0u32), Some(1u32)] {
                 let active = activity(g, |tx, ty| match parity {
@@ -712,20 +758,59 @@ mod tests {
         // Enough splats to shard (above MIN_SPLATS_PER_SHARD per worker).
         let g = grid();
         let mut rng = StdRng::seed_from_u64(77);
-        let splats = random_splats(&mut rng, 5000, g);
-        let serial = TileBins::build(&splats, g);
         let all = activity(g, |_, _| true);
-        for threads in [2usize, 3, 8, rayon::current_num_threads()] {
-            let par = TileBins::build_into(&splats, g, &all, threads, Default::default());
-            assert_eq!(par, serial, "CSR bins differ at threads={threads}");
+        for depth in [spread_depth, tied_depth] {
+            let splats = random_splats(&mut rng, 5000, g, depth);
+            let serial = TileBins::build(&splats, g);
+            let naive = TileBins::build_naive(&splats, g, &all);
+            assert!(serial.iter_tiles().eq(naive.iter().map(Vec::as_slice)));
+            for threads in [2usize, 3, 8, rayon::current_num_threads()] {
+                let par = TileBins::build_into(&splats, g, &all, threads, Default::default());
+                assert_eq!(par, serial, "CSR bins differ at threads={threads}");
+            }
         }
+    }
+
+    #[test]
+    fn depth_key_orders_like_total_cmp() {
+        let mut depths = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 2.0,
+            1.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        depths.extend((0..2000).map(|_| f32::from_bits(rng.gen_range(0..=u32::MAX))));
+        for &a in &depths {
+            for &b in &depths[..40] {
+                assert_eq!(
+                    depth_key(a).cmp(&depth_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} ({:#x}) vs {b:?} ({:#x})",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+        let mut by_key = depths.clone();
+        by_key.sort_by_key(|&d| depth_key(d));
+        depths.sort_by(f32::total_cmp);
+        let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&depths));
     }
 
     #[test]
     fn threaded_filtered_build_is_bit_identical_to_serial() {
         let g = grid();
         let mut rng = StdRng::seed_from_u64(78);
-        let splats = random_splats(&mut rng, 4000, g);
+        let splats = random_splats(&mut rng, 4000, g, spread_depth);
         let active = activity(g, |tx, ty| (tx + ty) % 2 == 0);
         let serial = TileBins::build_into(&splats, g, &active, 1, Default::default());
         for threads in [2usize, 3, 8, rayon::current_num_threads()] {
@@ -808,7 +893,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4242);
         for round in 0..40 {
             let n = rng.gen_range(0usize..600);
-            let splats = random_splats(&mut rng, n, g);
+            let splats = random_splats(&mut rng, n, g, spread_depth);
             let bins = TileBins::build(&splats, g);
             let threshold = rng.gen_range(0.05..1.5f32);
             let max_extent = rng.gen_range(1u32..6);
@@ -855,7 +940,6 @@ mod tests {
                         c: 1.0,
                     },
                     depth: 1.0,
-                    radius: 2.0,
                     color: ms_math::Vec3::splat(0.5),
                     opacity: 0.9,
                     tiles,
@@ -882,7 +966,7 @@ mod tests {
     fn merge_plan_is_deterministic() {
         let g = grid();
         let mut rng = StdRng::seed_from_u64(5151);
-        let splats = random_splats(&mut rng, 800, g);
+        let splats = random_splats(&mut rng, 800, g, spread_depth);
         let bins = TileBins::build(&splats, g);
         assert_eq!(plan(&bins, 0.5, 4), plan(&bins, 0.5, 4));
     }
@@ -902,7 +986,7 @@ mod tests {
     fn extent_one_never_merges() {
         let g = grid();
         let mut rng = StdRng::seed_from_u64(31);
-        let splats = random_splats(&mut rng, 300, g);
+        let splats = random_splats(&mut rng, 300, g, spread_depth);
         let bins = TileBins::build(&splats, g);
         let units = plan(&bins, 0.9, 1);
         assert_eq!(units.len(), g.tile_count());

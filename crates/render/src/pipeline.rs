@@ -302,7 +302,9 @@ pub(crate) fn merge(grid: TileGridDims) -> Vec<SuperTile> {
 /// per-unit slots, making the output — and therefore the composited image —
 /// bit-identical for every thread count; one worker runs inline without
 /// spawning. Every pixel composites against its own tile's CSR list, so
-/// which worker runs which unit cannot change a pixel.
+/// which worker runs which unit cannot change a pixel. Each worker (and
+/// the inline path) owns one tile-gather buffer per level for its whole
+/// run.
 pub(crate) fn raster(
     levels: &[(&[ProjectedSplat], &TileBins)],
     units: &[SuperTile],
@@ -311,10 +313,12 @@ pub(crate) fn raster(
     map: Option<&PixelLevels>,
 ) -> Vec<UnitResult> {
     let threads = options.resolved_threads().min(units.len().max(1));
+    let gather_buffers = || vec![Vec::new(); levels.len()];
     if threads <= 1 || units.len() <= 1 {
+        let mut gather = gather_buffers();
         return units
             .iter()
-            .map(|unit| rasterize_unit(options, levels, camera, unit, map))
+            .map(|unit| rasterize_unit(options, levels, camera, unit, map, &mut gather))
             .collect();
     }
 
@@ -329,12 +333,13 @@ pub(crate) fn raster(
         for _ in 0..threads {
             let next = &next;
             let slots = &slots;
+            let mut gather = gather_buffers();
             s.spawn(move |_| loop {
                 let u = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if u >= units.len() {
                     break;
                 }
-                let unit = rasterize_unit(options, levels, camera, &units[u], map);
+                let unit = rasterize_unit(options, levels, camera, &units[u], map, &mut gather);
                 *slots[u].lock().expect("unit slot poisoned") = Some(unit);
             });
         }

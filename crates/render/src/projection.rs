@@ -22,8 +22,6 @@ pub struct ProjectedSplat {
     pub conic: Conic2,
     /// View-space depth (positive, in front of the camera).
     pub depth: f32,
-    /// Bounding radius in pixels (extent_sigma standard deviations).
-    pub radius: f32,
     /// View-evaluated RGB color.
     pub color: Vec3,
     /// Opacity in `[0, 1]`.
@@ -190,7 +188,6 @@ fn project_range(
             center,
             conic,
             depth,
-            radius,
             color,
             opacity,
             tiles,
@@ -301,12 +298,16 @@ mod tests {
         };
         let splats = project_model(&m, &camera, &opts);
         let expected_sigma_px = camera.focal_y() * sigma_world / depth;
-        let radius = splats[0].radius;
+        // Undilated, the conic is the inverse pixel covariance: a = 1/σ_px².
+        let sigma_px = splats[0].conic.a.sqrt().recip();
         assert!(
-            (radius - 3.0 * expected_sigma_px).abs() <= 1.5,
-            "radius {radius} vs expected {}",
-            3.0 * expected_sigma_px
+            (sigma_px - expected_sigma_px).abs() <= 0.01 * expected_sigma_px,
+            "σ {sigma_px} px vs expected {expected_sigma_px}"
         );
+        // The tiles are those of the `extent_sigma` = 3 bounding circle.
+        let expected_tiles =
+            TileRect::from_circle(splats[0].center, (3.0 * expected_sigma_px).ceil(), 16, 8, 8);
+        assert_eq!(Some(splats[0].tiles), expected_tiles);
     }
 
     #[test]
@@ -346,7 +347,9 @@ mod tests {
         );
         let splats = project_model(&m, &cam(), &RenderOptions::default());
         assert_eq!(splats.len(), 2);
-        assert!(splats[1].radius > splats[0].radius);
+        // Bigger on screen: a wider Gaussian, so a smaller inverse variance.
+        assert!(splats[1].conic.a < splats[0].conic.a);
+        assert!(splats[1].tile_count() >= splats[0].tile_count());
         assert!(splats[1].depth < splats[0].depth);
     }
 

@@ -13,14 +13,15 @@
 //! # Compositing kernel
 //!
 //! Every pixel runs [`composite_pixel`]: one front-to-back walk over its
-//! tile's depth-sorted CSR list, skipping contributions below `alpha_min`
+//! tile's depth-sorted list, skipping contributions below `alpha_min`
 //! and stopping as soon as transmittance falls under `t_min`. Under heavy
 //! overdraw that early stop ends most pixels after the first few splats of
-//! a long list. [`rasterize_unit`] walks a work unit's tiles row by row
-//! and calls it once per pixel on the pixel's quality level, and once more
-//! on the next level for a blend-band pixel; a pixel depends only on its
-//! own tile's lists, so the worker that runs it cannot change a bit of the
-//! frame.
+//! a long list. [`rasterize_unit`] gathers each tile's CSR list into
+//! contiguous [`RasterSplat`] records once, then walks the tile row by row
+//! and calls the kernel once per pixel on the pixel's quality level, and
+//! once more on the next level for a blend-band pixel; a pixel depends only
+//! on its own tile's lists, so the worker that runs it cannot change a bit
+//! of the frame.
 
 use crate::binning::{SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
@@ -28,7 +29,7 @@ use crate::options::RenderOptions;
 use crate::pipeline::{Composited, FrameProfile};
 use crate::projection::ProjectedSplat;
 use crate::stats::RenderStats;
-use ms_math::Vec2;
+use ms_math::{Conic2, Vec2, Vec3};
 use ms_scene::{Camera, ChunkCache, SourceError};
 use std::sync::Arc;
 
@@ -77,7 +78,7 @@ pub(crate) struct UnitResult {
     /// Pixel width of the unit, clipped to the image.
     pub width: u32,
     /// Pixels (row-major within the unit, `width` per row).
-    pub pixels: Vec<ms_math::Vec3>,
+    pub pixels: Vec<Vec3>,
     /// Winning splat *point index* per pixel (`u32::MAX` = none).
     pub winners: Vec<u32>,
     /// Compositing steps executed, per level.
@@ -335,6 +336,32 @@ pub fn check_camera(camera: &Camera) -> Result<(), String> {
     Ok(())
 }
 
+/// The 40 bytes of a [`ProjectedSplat`] the compositing kernel reads.
+/// [`rasterize_unit`] gathers a tile's list into a contiguous run of these
+/// once, so the pixel loop streams them instead of following CSR indices
+/// across the frame's whole splat vector once per pixel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RasterSplat {
+    center: Vec2,
+    conic: Conic2,
+    opacity: f32,
+    color: Vec3,
+    point_index: u32,
+}
+
+impl From<&ProjectedSplat> for RasterSplat {
+    #[inline]
+    fn from(s: &ProjectedSplat) -> Self {
+        Self {
+            center: s.center,
+            conic: s.conic,
+            opacity: s.opacity,
+            color: s.color,
+            point_index: s.point_index,
+        }
+    }
+}
+
 /// Rasterize one work unit (a rectangle of tiles, clipped to the image).
 ///
 /// Each pixel composites against **its own tile's** depth-sorted CSR list
@@ -343,12 +370,17 @@ pub fn check_camera(camera: &Camera) -> Result<(), String> {
 /// which pixels this call owns — so which worker rasterizes which unit
 /// cannot change pixels, winners or blend-step counts. This is the
 /// invariant behind the thread-count determinism axis.
+///
+/// Per tile, each level's list is first gathered into `gather[l]` (one
+/// buffer per level, owned by the calling worker for its whole run and
+/// cleared here, so nothing is allocated per tile).
 pub(crate) fn rasterize_unit(
     options: &RenderOptions,
     levels: &[(&[ProjectedSplat], &TileBins)],
     camera: &Camera,
     unit: &SuperTile,
     map: Option<&PixelLevels>,
+    gather: &mut [Vec<RasterSplat>],
 ) -> UnitResult {
     let grid = levels[0].1.grid();
     let ts = grid.tile_size;
@@ -376,18 +408,25 @@ pub(crate) fn rasterize_unit(
             let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
             let ty_start = ty * ts;
             let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
+            for (&(splats, bins), records) in levels.iter().zip(gather.iter_mut()) {
+                records.clear();
+                records.extend(
+                    bins.tile(tx, ty)
+                        .iter()
+                        .map(|&si| RasterSplat::from(&splats[si as usize])),
+                );
+            }
             for y in ty_start..ty_end {
                 for x in tx_start..tx_end {
                     let i = (y * camera.width + x) as usize;
                     let (l, w) = map.map_or((0, 0.0), |m| (m.level[i] as usize, m.blend[i]));
                     let px = Vec2::new(x as f32 + 0.5, y as f32 + 0.5);
                     let mut shade = |l: usize| {
-                        let (splats, bins) = levels[l];
-                        let list = bins.tile(tx, ty);
+                        let list = &gather[l];
                         if list.is_empty() {
                             return (options.background, u32::MAX);
                         }
-                        let (color, winner, steps) = composite_pixel(options, splats, list, px);
+                        let (color, winner, steps) = composite_pixel(options, list, px);
                         blend_steps[l] += steps;
                         (color, winner)
                     };
@@ -414,16 +453,12 @@ pub(crate) fn rasterize_unit(
     }
 }
 
-/// Composite one pixel front-to-back over a depth-sorted splat list.
-/// Returns (color, dominating point index or MAX, blend steps).
+/// Composite one pixel front-to-back over its tile's gathered,
+/// depth-sorted splat records. Returns (color, dominating point index or
+/// MAX, blend steps).
 #[inline]
-fn composite_pixel(
-    o: &RenderOptions,
-    splats: &[ProjectedSplat],
-    list: &[u32],
-    px: Vec2,
-) -> (ms_math::Vec3, u32, u64) {
-    let mut color = ms_math::Vec3::zero();
+fn composite_pixel(o: &RenderOptions, list: &[RasterSplat], px: Vec2) -> (Vec3, u32, u64) {
+    let mut color = Vec3::zero();
     let mut t = 1.0f32;
     let mut best_w = 0.0f32;
     let mut best = u32::MAX;
@@ -433,8 +468,7 @@ fn composite_pixel(
     // own keeps the rejected splats' `exp` calls clear of the accumulators;
     // one loop with a `continue` compiled to stack round trips around every
     // call, a 5-15% slower Raster stage.
-    let admitted = list.iter().filter_map(|&si| {
-        let s = &splats[si as usize];
+    let admitted = list.iter().filter_map(|s| {
         let alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(o.alpha_max);
         (alpha >= o.alpha_min).then_some((s, alpha))
     });
@@ -472,6 +506,14 @@ mod tests {
             m.push_solid(pos, scale, Quat::identity(), opacity, rgb);
         }
         m
+    }
+
+    #[test]
+    fn hot_loop_records_keep_their_size() {
+        // Bin reads `ProjectedSplat`s and Raster streams gathered records:
+        // a field added to either grows what the hot loops load.
+        assert_eq!(std::mem::size_of::<ProjectedSplat>(), 60);
+        assert_eq!(std::mem::size_of::<RasterSplat>(), 40);
     }
 
     #[test]

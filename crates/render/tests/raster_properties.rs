@@ -123,7 +123,6 @@ fn random_splats(
                 center: Vec2::new(cx, cy),
                 conic,
                 depth: rng.gen_range(0.1..60.0f32),
-                radius,
                 color: random_color(rng),
                 opacity: rng.gen_range(0.02..0.99f32),
                 tiles,
@@ -161,7 +160,6 @@ fn opaque_stack(
                     c: inv,
                 },
                 depth: rng.gen_range(0.1..20.0f32),
-                radius,
                 color: random_color(rng),
                 opacity: rng.gen_range(0.90..0.99f32),
                 tiles,
