@@ -29,12 +29,12 @@ fn bench_projection(c: &mut Criterion) {
     });
 }
 
-fn bench_binning_and_sort(c: &mut Criterion) {
+fn bench_binning(c: &mut Criterion) {
     let (scene, cam) = setup();
     let opts = RenderOptions::default();
     let splats = project_model(&scene.model, &cam, &opts);
     let grid = TileGridDims::for_image(cam.width, cam.height, 16);
-    c.bench_function("binning_sort", |b| {
+    c.bench_function("binning", |b| {
         b.iter(|| TileBins::build(&splats, grid));
     });
 }
@@ -105,7 +105,7 @@ fn configured() -> Criterion {
 criterion_group! {
     name = kernels;
     config = configured();
-    targets = bench_projection, bench_binning_and_sort, bench_rasterization,
+    targets = bench_projection, bench_binning, bench_rasterization,
               bench_rasterization_parallel, bench_hvsq, bench_accel_sim
 }
 criterion_main!(kernels);

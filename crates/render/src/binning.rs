@@ -1,15 +1,17 @@
-//! Sorting stage: per-tile splat lists ordered front-to-back, plus the
-//! occupancy-driven tile-merge plan computed over their counts.
+//! Binning stage: per-tile splat lists, plus the occupancy-driven
+//! tile-merge plan computed over their counts.
 //!
 //! Bins are stored in a flat CSR (compressed sparse row) layout — one
 //! `Vec<u32>` of splat indices plus one `Vec<u32>` of per-tile offsets —
 //! built counting-sort style in two passes over the splats. Compared to the
 //! previous `Vec<Vec<u32>>` layout this is one allocation instead of one
-//! per tile, and tile lists are contiguous in memory in exactly the order
-//! the rasterizer consumes them. The per-tile intersection counts that
-//! drive the paper's workload analysis (and the accelerator simulator) are
-//! the offset deltas — the renderer and the simulator share them by
-//! construction.
+//! per tile, and tile lists are contiguous in memory. Bin does not sort:
+//! each list stays in ascending splat index, and whoever needs depth order
+//! builds it from the same packed keys ([`depth_keys`]) — the Raster stage
+//! only as deep as its pixels read, [`TileBins::depth_order`] in full.
+//! The per-tile intersection counts that drive the paper's workload
+//! analysis (and the accelerator simulator) are the offset deltas — the
+//! renderer and the simulator share them by construction.
 //!
 //! [`merge_low_occupancy`] is the paper's §4.3 plan: a partition of the
 //! tile grid into rectangular [`SuperTile`] units that coalesces
@@ -20,8 +22,8 @@
 use crate::projection::ProjectedSplat;
 use crate::stats::TileGridDims;
 
-/// Below this splat count per worker the CSR build (counting pass 1, the
-/// pass-2 scatter and the sorts) runs serially even when more workers are
+/// Below this splat count per worker the CSR build (counting pass 1 and
+/// the pass-2 scatter) runs serially even when more workers are
 /// requested — the per-task overhead would exceed the work itself.
 /// Sharding never changes the output, only the wall time.
 const MIN_SPLATS_PER_SHARD: usize = 512;
@@ -116,21 +118,37 @@ fn depth_key(depth: f32) -> u32 {
     }
 }
 
-/// Per-tile splat index lists, depth-sorted front-to-back, in a flat CSR
-/// layout.
+/// Fill `keys` with one packed `depth_key(depth) << 32 | index` key per
+/// entry of the tile list `seg` (indices into `splats`).
+///
+/// Ascending keys are the tile's front-to-back order: depth under
+/// `f32::total_cmp`, equal depths by ascending splat index — the order a
+/// stable depth sort of the ascending-index list gives. Keys are unique,
+/// so every sort or selection over them has one result, and a key's low
+/// half is its splat index.
+pub(crate) fn depth_keys(splats: &[ProjectedSplat], seg: &[u32], keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.extend(
+        seg.iter()
+            .map(|&i| (depth_key(splats[i as usize].depth) as u64) << 32 | i as u64),
+    );
+}
+
+/// Per-tile splat index lists in a flat CSR layout.
 ///
 /// Indices refer into the `Vec<ProjectedSplat>` the bins were built from.
 /// Tile `(tx, ty)`'s list is `indices[offsets[i]..offsets[i+1]]` with
-/// `i = ty * tiles_x + tx`. Each list is ordered by depth under
-/// `f32::total_cmp`, equal depths by ascending splat index — the order a
-/// stable depth sort of the model-order scatter gives.
+/// `i = ty * tiles_x + tx`. Each list is in ascending splat index — the
+/// scatter order — not in depth order; [`TileBins::depth_order`] gives a
+/// tile's front-to-back order, and the Raster stage orders each list only
+/// as deep as its pixels read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileBins {
     grid: TileGridDims,
     /// Row-major per-tile start offsets into `indices`; `tile_count() + 1`
     /// entries, with `offsets[tile_count()] == indices.len()`.
     offsets: Vec<u32>,
-    /// Concatenated per-tile splat index lists, each depth-sorted.
+    /// Concatenated per-tile splat index lists, each in ascending index.
     indices: Vec<u32>,
 }
 
@@ -142,22 +160,21 @@ impl TileBins {
         Self::build_into(splats, grid, &active, 1, (Vec::new(), Vec::new()))
     }
 
-    /// Duplicate each splat into every tile its bounding rectangle overlaps
-    /// and sort each tile's list front-to-back by depth.
+    /// Duplicate each splat into every tile its bounding rectangle
+    /// overlaps, each tile's list in ascending splat index.
     ///
     /// Only tiles with `active[tile]` set (row-major, one entry per tile)
     /// receive splats; duplications into inactive tiles are skipped
     /// entirely — this is the foveation Filtering stage: a quality level
     /// only pays for the tiles inside its region (plus blend bands).
     ///
-    /// Counting pass 1, the pass-2 scatter and the per-tile depth sort run
-    /// on `threads` workers; `0` and `1` both run serially, so callers pass
+    /// Counting pass 1 and the pass-2 scatter run on `threads` workers; `0`
+    /// and `1` both run serially, so callers pass
     /// [`RenderOptions::resolved_threads`](crate::RenderOptions::resolved_threads).
     /// The result is bit-identical for every thread count: per-worker count
-    /// arrays merge before the prefix sum, the scatter gives each worker
-    /// cursor bases into disjoint per-tile slot ranges ordered by shard
-    /// index (so the segments still fill in splat order), and sort segments
-    /// are disjoint.
+    /// arrays merge before the prefix sum, and the scatter gives each
+    /// worker cursor bases into disjoint per-tile slot ranges ordered by
+    /// shard index, so the segments still fill in splat order.
     ///
     /// The CSR is built into the recycled `(offsets, indices)` storage
     /// (from [`TileBins::into_buffers`], via a
@@ -223,15 +240,6 @@ impl TileBins {
         }
         scatter_shards(splats, grid.tiles_x, active, shards, parts, &mut indices);
 
-        // Depth-sort each tile segment front-to-back on packed
-        // `depth_key << 32 | index` keys. The scatter filled each segment
-        // in ascending index, so breaking depth ties by index is exactly
-        // the stable depth sort's order, and keys are unique, so the
-        // unstable sort has one result. Segments are disjoint, so the
-        // sorts parallelize over contiguous tile ranges (balanced by
-        // segment mass) without changing any segment's result.
-        Self::sort_segments(splats, &offsets, &mut indices, tile_count, shards);
-
         Self {
             grid,
             offsets,
@@ -239,83 +247,14 @@ impl TileBins {
         }
     }
 
-    /// Depth-sort every tile segment of `indices`, splitting the tiles into
-    /// up to `shards` contiguous ranges of roughly equal intersection mass
-    /// and sorting ranges on the worker pool.
-    fn sort_segments(
-        splats: &[ProjectedSplat],
-        offsets: &[u32],
-        indices: &mut [u32],
-        tile_count: usize,
-        shards: usize,
-    ) {
-        // Sort `tiles`' segments of `slice` (which starts at the first
-        // one's offset) through `keys`, one worker's scratch reused across
-        // its segments. A key carries its index in the low half, so the
-        // sorted keys write the sorted list straight back; the sort reads
-        // one `u64` per comparison instead of two splats.
-        let sort_tiles = |tiles: std::ops::Range<usize>, slice: &mut [u32], keys: &mut Vec<u64>| {
-            let base = offsets[tiles.start];
-            for t in tiles {
-                let seg =
-                    &mut slice[(offsets[t] - base) as usize..(offsets[t + 1] - base) as usize];
-                if seg.len() < 2 {
-                    continue;
-                }
-                keys.clear();
-                keys.extend(
-                    seg.iter()
-                        .map(|&i| (depth_key(splats[i as usize].depth) as u64) << 32 | i as u64),
-                );
-                keys.sort_unstable();
-                for (slot, &key) in seg.iter_mut().zip(keys.iter()) {
-                    *slot = key as u32;
-                }
-            }
-        };
-
-        if shards <= 1 || indices.is_empty() {
-            sort_tiles(0..tile_count, indices, &mut Vec::new());
-            return;
-        }
-
-        // Contiguous tile ranges balanced by total segment length.
-        let target = indices.len().div_ceil(shards).max(1);
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(shards);
-        let (mut start, mut acc) = (0usize, 0usize);
-        for t in 0..tile_count {
-            acc += (offsets[t + 1] - offsets[t]) as usize;
-            if acc >= target {
-                ranges.push((start, t + 1));
-                start = t + 1;
-                acc = 0;
-            }
-        }
-        if start < tile_count {
-            ranges.push((start, tile_count));
-        }
-
-        // Carve `indices` into one disjoint slice per range.
-        let mut tasks: Vec<(usize, usize, &mut [u32])> = Vec::with_capacity(ranges.len());
-        let mut rest = indices;
-        for &(s, e) in &ranges {
-            let len = (offsets[e] - offsets[s]) as usize;
-            let (head, tail) = rest.split_at_mut(len);
-            tasks.push((s, e, head));
-            rest = tail;
-        }
-        let sort_tiles = &sort_tiles;
-        rayon::scope(|sc| {
-            for (s, e, slice) in tasks {
-                sc.spawn(move |_| sort_tiles(s..e, slice, &mut Vec::new()));
-            }
-        });
-    }
-
-    /// Reference implementation with the old nested `Vec<Vec<u32>>` layout.
+    /// Reference implementation with the old nested `Vec<Vec<u32>>` layout,
+    /// each list depth-sorted front-to-back with a stable sort under
+    /// `f32::total_cmp`.
     ///
-    /// Kept as the baseline for the CSR equivalence property test and the
-    /// `binning` benchmark; not used on the render path.
+    /// Kept as the reference order for the equivalence tests (of
+    /// [`TileBins::depth_order`] and of the Raster stage's on-demand order)
+    /// and as the baseline of the `binning` benchmark; not used on the
+    /// render path.
     pub fn build_naive(
         splats: &[ProjectedSplat],
         grid: TileGridDims,
@@ -346,7 +285,7 @@ impl TileBins {
         self.grid
     }
 
-    /// Depth-sorted splat indices for tile `(tx, ty)`.
+    /// Splat indices listed on tile `(tx, ty)`, in ascending index.
     ///
     /// # Panics
     ///
@@ -361,14 +300,30 @@ impl TileBins {
         &self.indices[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Iterate all tile segments in row-major order — the sequential access
-    /// pattern of the rasterizer's band loop, without the per-tile index
-    /// arithmetic and bounds checks of repeated [`TileBins::tile`] calls.
+    /// Iterate all tile segments in row-major order, each in ascending
+    /// index, without the per-tile index arithmetic and bounds checks of
+    /// repeated [`TileBins::tile`] calls.
     #[inline]
     pub fn iter_tiles(&self) -> impl Iterator<Item = &[u32]> + '_ {
         self.offsets
             .windows(2)
             .map(move |w| &self.indices[w[0] as usize..w[1] as usize])
+    }
+
+    /// Tile `(tx, ty)`'s splat indices in front-to-back order: its list
+    /// sorted on packed `depth_key << 32 | index` keys, so by depth under
+    /// `f32::total_cmp` with equal depths by ascending index. `splats` must be the slice the
+    /// bins were built from. This is the order the Raster stage composites
+    /// in; it orders only the prefix its pixels read.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tile coordinate is out of the grid.
+    pub fn depth_order(&self, splats: &[ProjectedSplat], tx: u32, ty: u32) -> Vec<u32> {
+        let mut keys = Vec::new();
+        depth_keys(splats, self.tile(tx, ty), &mut keys);
+        keys.sort_unstable();
+        keys.into_iter().map(|key| key as u32).collect()
     }
 
     /// CSR per-tile offsets (row-major, `tile_count() + 1` entries).
@@ -377,8 +332,8 @@ impl TileBins {
         &self.offsets
     }
 
-    /// Concatenated depth-sorted splat indices — every entry is one
-    /// tile-ellipse intersection.
+    /// Concatenated per-tile splat indices, each tile's in ascending index
+    /// — every entry is one tile-ellipse intersection.
     #[inline]
     pub fn indices(&self) -> &[u32] {
         &self.indices
@@ -596,18 +551,50 @@ mod tests {
         (m, cam)
     }
 
+    /// Assert every tile of `csr` lists its splats in ascending index and
+    /// that [`TileBins::depth_order`] equals `naive`'s stable depth sort.
+    fn assert_matches_naive(
+        csr: &TileBins,
+        naive: &[Vec<u32>],
+        splats: &[ProjectedSplat],
+        what: &str,
+    ) {
+        let g = csr.grid();
+        for ty in 0..g.tiles_y {
+            for tx in 0..g.tiles_x {
+                let seg = csr.tile(tx, ty);
+                assert!(
+                    seg.windows(2).all(|w| w[0] < w[1]),
+                    "{what}: tile ({tx},{ty}) not in ascending index"
+                );
+                assert_eq!(
+                    csr.depth_order(splats, tx, ty),
+                    naive[(ty * g.tiles_x + tx) as usize],
+                    "{what}: tile ({tx},{ty}) depth order"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn bins_are_depth_sorted() {
+    fn segments_ascend_by_index_and_depth_order_matches_naive() {
         let (m, cam) = scene();
         let splats = project_model(&m, &cam, &RenderOptions::default());
         let bins = TileBins::build(&splats, grid());
+        // The far (red) splat is listed first, the near (green) one is
+        // composited first.
         let center = bins.tile(4, 4);
-        assert!(center.len() >= 2);
-        for w in center.windows(2) {
-            assert!(splats[w[0] as usize].depth <= splats[w[1] as usize].depth);
-        }
-        // The near (green) splat must come first.
-        assert_eq!(splats[center[0] as usize].point_index, 1);
+        assert_eq!(center.len(), 2);
+        assert_eq!(splats[center[0] as usize].point_index, 0);
+        let order = bins.depth_order(&splats, 4, 4);
+        assert_eq!(splats[order[0] as usize].point_index, 1);
+        let naive = TileBins::build_naive(&splats, grid(), &[true; 64]);
+        assert_matches_naive(&bins, &naive, &splats, "scene");
+        // Tie-heavy depths (±0.0, ±inf, ±NaN, repeats) break ties by index.
+        let mut rng = StdRng::seed_from_u64(5);
+        let splats = random_splats(&mut rng, 600, grid(), tied_depth);
+        let naive = TileBins::build_naive(&splats, grid(), &[true; 64]);
+        assert_matches_naive(&TileBins::build(&splats, grid()), &naive, &splats, "ties");
     }
 
     #[test]
@@ -731,16 +718,8 @@ mod tests {
                 });
                 let csr = TileBins::build_into(&splats, g, &active, 1, Default::default());
                 let naive = TileBins::build_naive(&splats, g, &active);
-                for ty in 0..g.tiles_y {
-                    for tx in 0..g.tiles_x {
-                        let i = (ty * g.tiles_x + tx) as usize;
-                        assert_eq!(
-                            csr.tile(tx, ty),
-                            naive[i].as_slice(),
-                            "round {round} parity {parity:?} tile ({tx},{ty})"
-                        );
-                    }
-                }
+                let what = format!("round {round} parity {parity:?}");
+                assert_matches_naive(&csr, &naive, &splats, &what);
                 let counts = csr.intersection_counts();
                 for (i, bin) in naive.iter().enumerate() {
                     assert_eq!(counts[i] as usize, bin.len());
@@ -763,7 +742,7 @@ mod tests {
             let splats = random_splats(&mut rng, 5000, g, depth);
             let serial = TileBins::build(&splats, g);
             let naive = TileBins::build_naive(&splats, g, &all);
-            assert!(serial.iter_tiles().eq(naive.iter().map(Vec::as_slice)));
+            assert_matches_naive(&serial, &naive, &splats, "serial");
             for threads in [2usize, 3, 8, rayon::current_num_threads()] {
                 let par = TileBins::build_into(&splats, g, &all, threads, Default::default());
                 assert_eq!(par, serial, "CSR bins differ at threads={threads}");

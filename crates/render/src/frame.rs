@@ -76,8 +76,8 @@ pub enum SceneRef<'a> {
     /// [`project_model`](crate::project_model) pass). The frame starts at
     /// Bin over a copy of the slices, so its profile carries no Project
     /// sample. There must be a level, every splat's `point_index` must be
-    /// below `points` and its `tiles` on the frame's tile grid; all are
-    /// checked when the frame begins.
+    /// below `points`, its `depth` finite and its `tiles` on the frame's
+    /// tile grid; all are checked when the frame begins.
     Projected {
         /// Each level's splats, in the order Bin should see them.
         levels: &'a [&'a [ProjectedSplat]],
@@ -301,8 +301,9 @@ impl FrameInFlight {
     /// map does not have `width * height` entries (compared in `u64`: at
     /// extreme dimensions the product overflows `u32`) or names a level the
     /// scene lacks; or when a pre-projected scene has no level, or one of
-    /// its splats has a `point_index` not below the scene's `points` or a
-    /// tile rectangle outside the camera's grid of `tile_size`-pixel tiles.
+    /// its splats has a `point_index` not below the scene's `points`, a
+    /// depth that is not finite, or a tile rectangle outside the camera's
+    /// grid of `tile_size`-pixel tiles.
     pub(crate) fn new(
         scene: SceneRef<'_>,
         view: View,
@@ -344,6 +345,11 @@ impl FrameInFlight {
                         "projected splat point_index {} out of range for a {points}-point scene",
                         s.point_index
                     );
+                }
+                // A NaN depth would composite in front of (−NaN) or behind
+                // (+NaN) every finite one instead of failing.
+                if let Some(s) = splats.clone().find(|s| !s.depth.is_finite()) {
+                    panic!("projected splat depth {} is not finite", s.depth);
                 }
                 // Bin indexes `ty * tiles_x + tx` unchecked: an x past the
                 // grid would land in the next row's tile.
@@ -517,6 +523,11 @@ impl FrameInFlight {
                     || pipeline::raster(&levels, &units, options, camera, map),
                     |units| units.iter().flat_map(|u| &u.blend_steps).sum(),
                 );
+                let work = &mut self.profile.raster;
+                for unit in &units {
+                    work.splats_staged += unit.work.splats_staged;
+                    work.splats_culled += unit.work.splats_culled;
+                }
                 State::Composite { bins, units }
             }
             State::Composite { bins, units } => {
@@ -1002,6 +1013,20 @@ mod tests {
         splats[0].point_index = model.len() as u32;
         let scene = SceneRef::Projected {
             levels: &[&[], &splats],
+            points: model.len(),
+        };
+        let _ = renderer.begin_frame(scene, &camera, FrameArena::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat depth NaN is not finite")]
+    fn projected_depth_checked_at_begin() {
+        let (model, camera) = scene();
+        let renderer = Renderer::default();
+        let mut splats = crate::project_model(&model, &camera, renderer.options());
+        splats[3].depth = -f32::NAN;
+        let scene = SceneRef::Projected {
+            levels: &[&splats, &[]],
             points: model.len(),
         };
         let _ = renderer.begin_frame(scene, &camera, FrameArena::default());

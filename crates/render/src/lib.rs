@@ -7,8 +7,10 @@
 //!    view space, project its 3-D covariance through the EWA Jacobian to a
 //!    2-D screen-space covariance, evaluate SH color for the view, and bound
 //!    the splat's extent to a tile rectangle.
-//! 2. **Sorting** ([`TileBins`]): duplicate splats into per-tile lists and
-//!    sort each list front-to-back by depth.
+//! 2. **Sorting** ([`TileBins`]): duplicate splats into per-tile lists,
+//!    left in splat-index order. Rasterization puts each list in
+//!    front-to-back depth order only as deep as the tile's pixels read it,
+//!    in blocks, so the entries behind the early stop are never sorted.
 //! 3. **Rasterization** ([`Renderer::render`]): per-pixel alpha compositing
 //!    of Eqn. 1 with transmittance early-stop, one work unit per tile row.
 //!    The §4.3 occupancy merge plan ([`merge_low_occupancy`]) is an

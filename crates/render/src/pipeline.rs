@@ -16,13 +16,14 @@
 //!   GaussianModel ──▶ [Project] ──▶ Vec<ProjectedSplat>
 //!                                     │      (sharded over point ranges)
 //!                                     ▼
-//!                                  [Bin]     counting-sort CSR tile bins
-//!                                     │      (sharded pass 1 + parallel sorts)
+//!                                  [Bin]     counting-sort CSR tile bins,
+//!                                     │      lists in index order (sharded)
 //!                                     ▼
 //!                                  [Merge]   raster work units: one per
 //!                                     │      tile row
 //!                                     ▼
-//!                                  [Raster]  per-work-unit compositing
+//!                                  [Raster]  per-work-unit ordering (as deep
+//!                                     │      as pixels read) and compositing
 //!                                     │      (serial or `threads`-way parallel)
 //!                                     ▼
 //!                                  [Composite] unit merge → Image + winners
@@ -48,19 +49,21 @@
 //!   merges the per-worker count arrays before the prefix sum; the pass-2
 //!   scatter re-walks the same ranges with per-worker cursor bases into
 //!   disjoint per-tile slot ranges (shard-ordered, so segments still fill
-//!   in model order), and the per-tile depth sorts run on disjoint
-//!   segments.
+//!   in ascending splat index). Bin does not sort.
 //! * **Raster** distributes the Merge stage's tile rows over workers; each
 //!   unit result lands in its own slot and units are assembled in row
-//!   order.
+//!   order. A worker puts each tile list in depth order only as deep as
+//!   the tile's pixels read it, in blocks selected from packed
+//!   `depth_key << 32 | index` keys; the keys are unique, so every ordered
+//!   prefix is exactly the start of the full depth sort.
 //!
 //! The contract, enforced by `tests/determinism.rs`: for every thread
 //! count (including auto), a frame's image, winner buffer and
 //! [`FrameProfile`] work counters are **bit-identical** to the
 //! `threads = 1` serial reference, on plain, filtered and foveated renders.
 //! Only wall times may differ between runs: a pixel is always composited
-//! against *its own tile's* depth-sorted CSR list, so which worker runs
-//! which row cannot change it.
+//! against *its own tile's* CSR list in front-to-back order, so which
+//! worker runs which row cannot change it.
 //!
 //! Inside a work unit, every pixel runs the one scalar compositing kernel
 //! (`raster.rs`) over its quality level's tile list — a front-to-back walk
@@ -86,6 +89,10 @@
 //! | Raster    | compositing steps executed (after early-stop)     |
 //! | Composite | pixels written to the output image                |
 //!
+//! Raster also counts, in [`FrameProfile::raster`], the list entries it
+//! ordered and gathered and the entries it never had to order; the two sum
+//! to Bin's counter.
+//!
 //! # How `AccelWorkload` is derived from `RenderStats`
 //!
 //! The accelerator simulator (`ms-accel`) consumes exactly what the
@@ -108,7 +115,7 @@ use crate::frame::PixelLevels;
 use crate::image::Image;
 use crate::options::RenderOptions;
 use crate::projection::ProjectedSplat;
-use crate::raster::{rasterize_unit, UnitResult};
+use crate::raster::{rasterize_unit, TileOrder, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
 use ms_scene::{CacheStats, Camera};
 use serde::{Deserialize, Serialize};
@@ -119,7 +126,10 @@ use std::time::Duration;
 pub enum StageKind {
     /// Cull + project Gaussians to screen-space splats.
     Project,
-    /// Build depth-sorted CSR tile bins (the paper's Sorting stage).
+    /// Build the CSR tile bins: count and scatter each splat into the tiles
+    /// it overlaps, lists in ascending splat index. This is the
+    /// duplication half of the paper's Sorting stage; Raster orders each
+    /// list only as deep as its pixels read.
     Bin,
     /// Lay out the raster work units, one per tile row. Kept as a stage so
     /// every profile carries the same five-stage sequence.
@@ -164,7 +174,9 @@ pub struct StageSample {
 pub struct FrameProfile {
     /// Samples in execution order.
     pub samples: Vec<StageSample>,
-    /// Raster staging counters; always zero (see [`RasterWork`]).
+    /// What Raster ordered: list entries ordered and gathered, and entries
+    /// it never had to order (see [`RasterWork`]). Excluded from profile
+    /// equality.
     pub raster: RasterWork,
     /// Peak bytes of source-model data resident at once: the largest
     /// chunk's [`storage_bytes`](ms_scene::GaussianModel::storage_bytes) on
@@ -239,16 +251,16 @@ impl FrameProfile {
 // it and recording its work counter as the frame's `StageSample`.
 // ---------------------------------------------------------------------------
 
-/// Bin: each level's splats → its depth-sorted CSR tile bins, listing the
+/// Bin: each level's splats → its CSR tile bins, listing the
 /// level only on tiles where some pixel of `map` renders it or blends
 /// toward it (without a map, level 0 on every tile). `recycle` holds CSR
 /// `(offsets, indices)` storage from a [`FrameArena`](crate::FrameArena);
 /// it is rebuilt from scratch, so only its capacity matters.
 ///
-/// The CSR counting pass and the per-tile depth sorts run on `threads`
-/// workers (per-worker count arrays merge before the prefix sum; sort
-/// segments are disjoint), so the bins are bit-identical for every thread
-/// count.
+/// The CSR counting pass and the scatter run on `threads` workers
+/// (per-worker count arrays merge before the prefix sum; the scatter
+/// writes disjoint, shard-ordered slot ranges), so the bins are
+/// bit-identical for every thread count.
 pub(crate) fn bin<'a>(
     levels: impl ExactSizeIterator<Item = &'a [ProjectedSplat]>,
     grid: TileGridDims,
@@ -303,8 +315,8 @@ pub(crate) fn merge(grid: TileGridDims) -> Vec<SuperTile> {
 /// bit-identical for every thread count; one worker runs inline without
 /// spawning. Every pixel composites against its own tile's CSR list, so
 /// which worker runs which unit cannot change a pixel. Each worker (and
-/// the inline path) owns one tile-gather buffer per level for its whole
-/// run.
+/// the inline path) owns one [`TileOrder`] per level for its whole run:
+/// the key and record scratch of one tile's list.
 pub(crate) fn raster(
     levels: &[(&[ProjectedSplat], &TileBins)],
     units: &[SuperTile],
@@ -313,12 +325,16 @@ pub(crate) fn raster(
     map: Option<&PixelLevels>,
 ) -> Vec<UnitResult> {
     let threads = options.resolved_threads().min(units.len().max(1));
-    let gather_buffers = || vec![Vec::new(); levels.len()];
+    let tile_orders = || -> Vec<TileOrder> {
+        (levels.iter())
+            .map(|&(splats, _)| TileOrder::new(splats))
+            .collect()
+    };
     if threads <= 1 || units.len() <= 1 {
-        let mut gather = gather_buffers();
+        let mut lists = tile_orders();
         return units
             .iter()
-            .map(|unit| rasterize_unit(options, levels, camera, unit, map, &mut gather))
+            .map(|unit| rasterize_unit(options, levels, camera, unit, map, &mut lists))
             .collect();
     }
 
@@ -333,13 +349,13 @@ pub(crate) fn raster(
         for _ in 0..threads {
             let next = &next;
             let slots = &slots;
-            let mut gather = gather_buffers();
+            let mut lists = tile_orders();
             s.spawn(move |_| loop {
                 let u = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if u >= units.len() {
                     break;
                 }
-                let unit = rasterize_unit(options, levels, camera, &units[u], map, &mut gather);
+                let unit = rasterize_unit(options, levels, camera, &units[u], map, &mut lists);
                 *slots[u].lock().expect("unit slot poisoned") = Some(unit);
             });
         }

@@ -13,22 +13,26 @@
 //! # Compositing kernel
 //!
 //! Every pixel runs [`composite_pixel`]: one front-to-back walk over its
-//! tile's depth-sorted list, skipping contributions below `alpha_min`
-//! and stopping as soon as transmittance falls under `t_min`. Under heavy
-//! overdraw that early stop ends most pixels after the first few splats of
-//! a long list. [`rasterize_unit`] gathers each tile's CSR list into
-//! contiguous [`RasterSplat`] records once, then walks the tile row by row
-//! and calls the kernel once per pixel on the pixel's quality level, and
-//! once more on the next level for a blend-band pixel; a pixel depends only
-//! on its own tile's lists, so the worker that runs it cannot change a bit
-//! of the frame.
+//! tile's list, skipping contributions below `alpha_min` and stopping as
+//! soon as transmittance falls under `t_min`. Under heavy overdraw that
+//! early stop ends most pixels after the first few splats of a long list,
+//! so Bin leaves the lists unsorted and a [`TileOrder`] orders each one
+//! only as deep as the tile's pixels read it: the first block of
+//! [`FIRST_BLOCK`] entries is selected, sorted and gathered into
+//! contiguous [`RasterSplat`] records when a pixel first reads the list,
+//! and a pixel that walks past the gathered records takes the next,
+//! doubled, block. [`rasterize_unit`] walks the tile row by row and calls
+//! the kernel once per pixel on the pixel's quality level, and once more on
+//! the next level for a blend-band pixel; a pixel depends only on its own
+//! tile's lists, so the worker that runs it cannot change a bit of the
+//! frame.
 
-use crate::binning::{SuperTile, TileBins};
+use crate::binning::{depth_keys, SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
 use crate::options::RenderOptions;
 use crate::pipeline::{Composited, FrameProfile};
 use crate::projection::ProjectedSplat;
-use crate::stats::RenderStats;
+use crate::stats::{RasterWork, RenderStats};
 use ms_math::{Conic2, Vec2, Vec3};
 use ms_scene::{Camera, ChunkCache, SourceError};
 use std::sync::Arc;
@@ -83,6 +87,8 @@ pub(crate) struct UnitResult {
     pub winners: Vec<u32>,
     /// Compositing steps executed, per level.
     pub blend_steps: Vec<u64>,
+    /// List entries ordered and gathered, and entries never ordered.
+    pub work: RasterWork,
 }
 
 impl Renderer {
@@ -149,7 +155,7 @@ impl Renderer {
     /// addressing, when the level map does not have one entry per pixel or
     /// names a level the scene lacks, or when a pre-projected scene has no
     /// level or a splat whose `point_index` or tile rectangle is out of
-    /// range (see [`SceneRef::Projected`]).
+    /// range or whose depth is not finite (see [`SceneRef::Projected`]).
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame<'a>(
@@ -337,9 +343,9 @@ pub fn check_camera(camera: &Camera) -> Result<(), String> {
 }
 
 /// The 40 bytes of a [`ProjectedSplat`] the compositing kernel reads.
-/// [`rasterize_unit`] gathers a tile's list into a contiguous run of these
-/// once, so the pixel loop streams them instead of following CSR indices
-/// across the frame's whole splat vector once per pixel.
+/// [`TileOrder`] gathers a tile's ordered list prefix into a contiguous run
+/// of these once, so the pixel loop streams them instead of following CSR
+/// indices across the frame's whole splat vector once per pixel.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RasterSplat {
     center: Vec2,
@@ -362,25 +368,105 @@ impl From<&ProjectedSplat> for RasterSplat {
     }
 }
 
+/// Entries [`TileOrder`] orders and gathers the first time a pixel reads a
+/// list; each later block doubles.
+const FIRST_BLOCK: usize = 512;
+
+/// Alphas [`composite_pixel`] evaluates in a loop of their own before
+/// blending them.
+const ALPHA_GROUP: usize = 8;
+
+/// One level's tile list, put in front-to-back order only as deep as the
+/// tile's pixels read it.
+///
+/// Bin leaves each list in ascending splat index. The first time a pixel
+/// reads the list, its packed depth keys are built; whenever a pixel's walk
+/// reaches the end of the records gathered so far, [`TileOrder::grow`]
+/// selects the next block of smallest keys from the unordered remainder,
+/// sorts it and gathers it. Keys are unique, so every ordered prefix is
+/// exactly the start of the full sort and pixels cannot tell the
+/// difference. A Raster worker owns one per level for its whole run and
+/// resets it per tile, so nothing is allocated per tile.
+pub(crate) struct TileOrder<'a> {
+    /// The level's splats.
+    splats: &'a [ProjectedSplat],
+    /// The current tile's list, in ascending index.
+    seg: &'a [u32],
+    /// Packed depth keys of `seg`, built on the first read;
+    /// `keys[..records.len()]` are the smallest, in order.
+    keys: Vec<u64>,
+    /// The records of `keys[..records.len()]`, front to back.
+    records: Vec<RasterSplat>,
+    /// Size of the next block to order; 0 until the keys are built.
+    block: usize,
+}
+
+impl<'a> TileOrder<'a> {
+    pub(crate) fn new(splats: &'a [ProjectedSplat]) -> Self {
+        Self {
+            splats,
+            seg: &[],
+            keys: Vec::new(),
+            records: Vec::new(),
+            block: 0,
+        }
+    }
+
+    /// Start on a new tile list `seg`, keeping the buffers' capacity.
+    fn reset(&mut self, seg: &'a [u32]) {
+        self.seg = seg;
+        self.keys.clear();
+        self.records.clear();
+        self.block = 0;
+    }
+
+    /// Order and gather the next block of the list; `false` when every
+    /// entry is already gathered.
+    fn grow(&mut self) -> bool {
+        if self.block == 0 {
+            depth_keys(self.splats, self.seg, &mut self.keys);
+            self.block = FIRST_BLOCK;
+        }
+        let rest = &mut self.keys[self.records.len()..];
+        if rest.is_empty() {
+            return false;
+        }
+        let take = self.block.min(rest.len());
+        if take < rest.len() {
+            rest.select_nth_unstable(take);
+        }
+        let next = &mut rest[..take];
+        next.sort_unstable();
+        let splats = self.splats;
+        self.records.extend(
+            next.iter()
+                .map(|&key| RasterSplat::from(&splats[key as u32 as usize])),
+        );
+        self.block *= 2;
+        true
+    }
+}
+
 /// Rasterize one work unit (a rectangle of tiles, clipped to the image).
 ///
-/// Each pixel composites against **its own tile's** depth-sorted CSR list
-/// of its `map` level (level 0 without a map), and of the next level too
+/// Each pixel composites against **its own tile's** CSR list, front to
+/// back, of its `map` level (level 0 without a map), and of the next level too
 /// when [`PixelLevels`] says it blends — the unit rectangle only decides
 /// which pixels this call owns — so which worker rasterizes which unit
 /// cannot change pixels, winners or blend-step counts. This is the
 /// invariant behind the thread-count determinism axis.
 ///
-/// Per tile, each level's list is first gathered into `gather[l]` (one
-/// buffer per level, owned by the calling worker for its whole run and
-/// cleared here, so nothing is allocated per tile).
-pub(crate) fn rasterize_unit(
+/// Per tile, `lists[l]` (one [`TileOrder`] per level, owned by the calling
+/// worker) is reset to level `l`'s list and orders it as deep as the
+/// tile's pixels read, pixel by pixel in a fixed order, so the counts in
+/// the returned [`RasterWork`] do not depend on the worker either.
+pub(crate) fn rasterize_unit<'a>(
     options: &RenderOptions,
-    levels: &[(&[ProjectedSplat], &TileBins)],
+    levels: &[(&[ProjectedSplat], &'a TileBins)],
     camera: &Camera,
     unit: &SuperTile,
     map: Option<&PixelLevels>,
-    gather: &mut [Vec<RasterSplat>],
+    lists: &mut [TileOrder<'a>],
 ) -> UnitResult {
     let grid = levels[0].1.grid();
     let ts = grid.tile_size;
@@ -402,19 +488,15 @@ pub(crate) fn rasterize_unit(
         Vec::new()
     };
     let mut blend_steps = vec![0u64; levels.len()];
+    let mut work = RasterWork::default();
     for ty in unit.ty0..unit.ty1 {
         for tx in unit.tx0..unit.tx1 {
             let tx_start = tx * ts;
             let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
             let ty_start = ty * ts;
             let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
-            for (&(splats, bins), records) in levels.iter().zip(gather.iter_mut()) {
-                records.clear();
-                records.extend(
-                    bins.tile(tx, ty)
-                        .iter()
-                        .map(|&si| RasterSplat::from(&splats[si as usize])),
-                );
+            for (&(_, bins), list) in levels.iter().zip(lists.iter_mut()) {
+                list.reset(bins.tile(tx, ty));
             }
             for y in ty_start..ty_end {
                 for x in tx_start..tx_end {
@@ -422,8 +504,8 @@ pub(crate) fn rasterize_unit(
                     let (l, w) = map.map_or((0, 0.0), |m| (m.level[i] as usize, m.blend[i]));
                     let px = Vec2::new(x as f32 + 0.5, y as f32 + 0.5);
                     let mut shade = |l: usize| {
-                        let list = &gather[l];
-                        if list.is_empty() {
+                        let list = &mut lists[l];
+                        if list.seg.is_empty() {
                             return (options.background, u32::MAX);
                         }
                         let (color, winner, steps) = composite_pixel(options, list, px);
@@ -441,6 +523,11 @@ pub(crate) fn rasterize_unit(
                     }
                 }
             }
+            for list in lists.iter() {
+                let staged = list.records.len() as u64;
+                work.splats_staged += staged;
+                work.splats_culled += list.seg.len() as u64 - staged;
+            }
         }
     }
     UnitResult {
@@ -450,40 +537,50 @@ pub(crate) fn rasterize_unit(
         pixels,
         winners,
         blend_steps,
+        work,
     }
 }
 
-/// Composite one pixel front-to-back over its tile's gathered,
-/// depth-sorted splat records. Returns (color, dominating point index or
-/// MAX, blend steps).
+/// Composite one pixel front-to-back over its tile's list, walking the
+/// gathered records and growing the ordered prefix whenever the walk
+/// reaches its end. Returns (color, dominating point index or MAX, blend
+/// steps).
 #[inline]
-fn composite_pixel(o: &RenderOptions, list: &[RasterSplat], px: Vec2) -> (Vec3, u32, u64) {
+fn composite_pixel(o: &RenderOptions, list: &mut TileOrder<'_>, px: Vec2) -> (Vec3, u32, u64) {
     let mut color = Vec3::zero();
     let mut t = 1.0f32;
     let mut best_w = 0.0f32;
     let mut best = u32::MAX;
     let mut steps = 0u64;
-    // `min` never returns NaN here (`alpha_max` is finite), so `>=` admits
-    // exactly what a `< alpha_min` skip would. Filtering in a loop of its
-    // own keeps the rejected splats' `exp` calls clear of the accumulators;
-    // one loop with a `continue` compiled to stack round trips around every
-    // call, a 5-15% slower Raster stage.
-    let admitted = list.iter().filter_map(|s| {
-        let alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(o.alpha_max);
-        (alpha >= o.alpha_min).then_some((s, alpha))
-    });
-    for (s, alpha) in admitted {
-        steps += 1;
-        let w = t * alpha;
-        color += s.color * w;
-        if w > best_w {
-            best_w = w;
-            best = s.point_index;
+    let mut read = 0;
+    'walk: while read < list.records.len() || list.grow() {
+        for group in list.records[read..].chunks(ALPHA_GROUP) {
+            // Each group's alphas come first, in a loop of their own, so the
+            // `exp` calls run with none of the accumulators live; the serial
+            // blend below then touches no libm call.
+            let mut alphas = [0.0f32; ALPHA_GROUP];
+            for (alpha, s) in alphas.iter_mut().zip(group) {
+                *alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(o.alpha_max);
+            }
+            // `min` never returns NaN here (`alpha_max` is finite), so `>=`
+            // admits exactly what a `< alpha_min` skip would.
+            for (s, &alpha) in group.iter().zip(&alphas) {
+                if alpha >= o.alpha_min {
+                    steps += 1;
+                    let w = t * alpha;
+                    color += s.color * w;
+                    if w > best_w {
+                        best_w = w;
+                        best = s.point_index;
+                    }
+                    t *= 1.0 - alpha;
+                    if t < o.t_min {
+                        break 'walk;
+                    }
+                }
+            }
         }
-        t *= 1.0 - alpha;
-        if t < o.t_min {
-            break;
-        }
+        read = list.records.len();
     }
     color += o.background * t;
     (color, best, steps)
@@ -514,6 +611,65 @@ mod tests {
         // a field added to either grows what the hot loops load.
         assert_eq!(std::mem::size_of::<ProjectedSplat>(), 60);
         assert_eq!(std::mem::size_of::<RasterSplat>(), 40);
+    }
+
+    #[test]
+    fn growing_the_order_block_by_block_equals_one_full_sort() {
+        // Tie-heavy depths: ±0.0, ±inf, ±NaN and repeats, so the order
+        // rests on the index tie-break.
+        const DEPTHS: [f32; 9] = [
+            -0.0,
+            0.0,
+            1.0,
+            2.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            7.0,
+        ];
+        let splats: Vec<ProjectedSplat> = (0..10_000u32)
+            .map(|i| ProjectedSplat {
+                point_index: i,
+                center: Vec2::zero(),
+                conic: Conic2 {
+                    a: 1.0,
+                    b: 0.0,
+                    c: 1.0,
+                },
+                depth: DEPTHS[(i as usize * 7 + i as usize / 13) % DEPTHS.len()],
+                color: Vec3::zero(),
+                opacity: 0.5,
+                tiles: ms_math::TileRect {
+                    x0: 0,
+                    y0: 0,
+                    x1: 0,
+                    y1: 0,
+                },
+            })
+            .collect();
+        // Every other splat, so list positions and indices differ.
+        let seg: Vec<u32> = (0..10_000).step_by(2).collect();
+        for len in [0usize, 1, 511, 512, 513, 5000] {
+            let list = &seg[..len];
+            let mut full = Vec::new();
+            depth_keys(&splats, list, &mut full);
+            full.sort_unstable();
+            let mut order = TileOrder::new(&splats);
+            order.reset(list);
+            let mut gathered = Vec::new();
+            let mut block = FIRST_BLOCK;
+            while order.grow() {
+                let expect = (gathered.len() + block).min(len);
+                assert_eq!(order.records.len(), expect, "len {len}: block size");
+                gathered = order.records.iter().map(|r| r.point_index).collect();
+                let prefix: Vec<u32> = full[..expect].iter().map(|&k| k as u32).collect();
+                assert_eq!(gathered, prefix, "len {len}: ordered prefix");
+                block *= 2;
+            }
+            assert_eq!(gathered.len(), len, "len {len}: whole list gathered");
+            assert_eq!(order.keys, full, "len {len}: keys end fully sorted");
+        }
     }
 
     #[test]

@@ -76,23 +76,27 @@ impl TileGridDims {
     }
 }
 
-/// Raster staging counters, carried in
-/// [`FrameProfile::raster`](crate::FrameProfile) and **always zero**.
+/// What the Raster stage ordered, carried in
+/// [`FrameProfile::raster`](crate::FrameProfile) and summed over tiles and
+/// quality levels.
 ///
-/// The Raster stage composites each pixel straight from its tile's CSR
-/// list and stages nothing, so there is nothing left to count here. The
-/// record stays only because the `framebench` benchmark harness still reads
-/// these four fields for its `render.raster.{splats_staged, cull_frac,
-/// row_iter_ratio}` metrics; it goes once that harness stops reading them.
+/// Bin leaves each tile list in splat-index order; Raster puts a list in
+/// depth order only as deep as the tile's pixels read it, in blocks.
+/// `splats_staged` counts the list entries Raster ordered and gathered into
+/// compositing records, `splats_culled` the entries it never had to order,
+/// so the two sum to the frame's tile-ellipse intersections. Like the work
+/// counters they depend only on the frame, not on the thread count.
+/// `row_iterations` and `row_iteration_bound` are always 0; the
+/// `framebench` benchmark harness still reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RasterWork {
-    /// Splats staged per tile; always 0.
+    /// List entries Raster ordered and gathered.
     pub splats_staged: u64,
-    /// Splats culled per tile; always 0.
+    /// List entries Raster never had to order.
     pub splats_culled: u64,
-    /// Row iterations executed; always 0.
+    /// Always 0.
     pub row_iterations: u64,
-    /// Row-iteration bound; always 0.
+    /// Always 0.
     pub row_iteration_bound: u64,
 }
 

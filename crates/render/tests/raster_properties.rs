@@ -3,10 +3,14 @@
 //! widths and tile sizes, stacks of nearly opaque splats that stop pixels
 //! at different depths, and random per-pixel level maps.
 //!
-//! Two invariants must hold bit for bit (pixels, winner buffers and
+//! Three invariants must hold bit for bit (pixels, winner buffers and
 //! blend-step counts):
 //!
 //! * **Threads.** A frame rasterized on 3 workers equals the serial one.
+//! * **Order.** Both equal a plain front-to-back walk over
+//!   `TileBins::build_naive`'s stably depth-sorted lists, on tie-heavy
+//!   depths and on a tile deep enough that Raster orders its list in
+//!   several blocks. Thread invariance alone cannot catch a wrong order.
 //! * **Levels.** A two-level foveated frame equals, on every pixel, the
 //!   one-level frame of that pixel's level — or, in the blend band, the
 //!   lerp of the two one-level frames — with the winner of its own level.
@@ -14,7 +18,8 @@
 
 use ms_math::{Conic2, TileRect, Vec2, Vec3};
 use ms_render::{
-    Image, PixelLevels, ProjectedSplat, RenderOptions, RenderOutput, Renderer, SceneRef, View,
+    Image, PixelLevels, ProjectedSplat, RenderOptions, RenderOutput, Renderer, SceneRef, TileBins,
+    TileGridDims, View,
 };
 use ms_scene::Camera;
 use proptest::prelude::*;
@@ -168,6 +173,100 @@ fn opaque_stack(
         .collect()
 }
 
+/// Depths that tie: signed zeros and a few repeated values. Admission
+/// rejects non-finite depths, so ±inf and NaN stay out of rendered frames.
+const TIED_DEPTHS: [f32; 5] = [-0.0, 0.0, 0.5, 3.0, 9.0];
+
+/// `n` faint, wide splats on one random tile, point indices from `first`:
+/// alphas just above the 1/255 `alpha_min` near their centres and below it
+/// further out, so some of the tile's pixels stop late in the list and
+/// others never reach `t_min` and walk all of it.
+fn faint_tile(
+    rng: &mut StdRng,
+    n: usize,
+    first: usize,
+    width: u32,
+    height: u32,
+    tile_size: u32,
+) -> Vec<ProjectedSplat> {
+    let tx = rng.gen_range(0..width.div_ceil(tile_size));
+    let ty = rng.gen_range(0..height.div_ceil(tile_size));
+    let (x0, y0) = ((tx * tile_size) as f32, (ty * tile_size) as f32);
+    let x1 = ((tx + 1) * tile_size).min(width) as f32;
+    let y1 = ((ty + 1) * tile_size).min(height) as f32;
+    (0..n)
+        .map(|i| {
+            let inv = 1.0 / rng.gen_range(9.0..64.0f32);
+            ProjectedSplat {
+                point_index: (first + i) as u32,
+                center: Vec2::new(rng.gen_range(x0..x1), rng.gen_range(y0..y1)),
+                conic: Conic2 {
+                    a: inv,
+                    b: 0.0,
+                    c: inv,
+                },
+                depth: TIED_DEPTHS[rng.gen_range(0..TIED_DEPTHS.len())],
+                color: random_color(rng),
+                opacity: rng.gen_range(0.004..0.006f32),
+                tiles: TileRect {
+                    x0: tx,
+                    y0: ty,
+                    x1: tx,
+                    y1: ty,
+                },
+            }
+        })
+        .collect()
+}
+
+/// The reference compositor: every pixel walks its tile's list from
+/// `TileBins::build_naive` (a stable depth sort) front to back with the
+/// kernel's arithmetic, skipping alphas below `alpha_min` and stopping
+/// under `t_min`. Returns pixels, winners and blend steps.
+fn reference_frame(
+    o: &RenderOptions,
+    splats: &[ProjectedSplat],
+    width: u32,
+    height: u32,
+) -> (Vec<Vec3>, Vec<u32>, u64) {
+    let grid = TileGridDims::for_image(width, height, o.tile_size);
+    let bins = TileBins::build_naive(splats, grid, &vec![true; grid.tile_count()]);
+    let (mut pixels, mut winners, mut steps) = (Vec::new(), Vec::new(), 0u64);
+    for y in 0..height {
+        for x in 0..width {
+            let list = &bins[((y / o.tile_size) * grid.tiles_x + x / o.tile_size) as usize];
+            if list.is_empty() {
+                pixels.push(o.background);
+                winners.push(u32::MAX);
+                continue;
+            }
+            let px = Vec2::new(x as f32 + 0.5, y as f32 + 0.5);
+            let (mut color, mut t, mut best_w, mut best) = (Vec3::zero(), 1.0f32, 0.0f32, u32::MAX);
+            for &si in list {
+                let s = &splats[si as usize];
+                let alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(o.alpha_max);
+                if alpha < o.alpha_min {
+                    continue;
+                }
+                steps += 1;
+                let w = t * alpha;
+                color += s.color * w;
+                if w > best_w {
+                    best_w = w;
+                    best = s.point_index;
+                }
+                t *= 1.0 - alpha;
+                if t < o.t_min {
+                    break;
+                }
+            }
+            pixels.push(color + o.background * t);
+            winners.push(best);
+        }
+    }
+    (pixels, winners, steps)
+}
+
 /// A random two-level map: level 0 inside a random disk, level 1 outside,
 /// so tiles wholly outside the disk list no level-0 splat. Level-0 pixels
 /// blend toward level 1 with probability `blend`; level-1 pixels get random
@@ -245,6 +344,40 @@ proptest! {
         let scene = SceneRef::Projected { levels: &[&splats], points: n };
         let o = options(tile_size, 1.0 / 255.0, 0.99, 0.05);
         render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
+    }
+
+    #[test]
+    fn frames_match_a_reference_compositor_over_sorted_lists(
+        seed in 0u64..1u64 << 48,
+        n in 1usize..100,
+        faint in 1600usize..2400,
+        width in 17u32..72,
+        height in 9u32..56,
+        ts_pick in 0usize..5,
+        t_min in 1e-6f32..1e-3,
+    ) {
+        let tile_size = TILE_SIZES[ts_pick];
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
+        let mut splats = random_splats(&mut rng, n, width, height, tile_size);
+        for s in &mut splats {
+            if rng.gen_bool(0.5) {
+                s.depth = TIED_DEPTHS[rng.gen_range(0..TIED_DEPTHS.len())];
+            }
+        }
+        splats.extend(faint_tile(&mut rng, faint, n, width, height, tile_size));
+        let o = options(tile_size, 1.0 / 255.0, 0.99, t_min);
+        let scene = SceneRef::Projected { levels: &[&splats], points: n + faint };
+        let out = render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
+        let (pixels, winners, steps) = reference_frame(&o, &splats, width, height);
+        for (i, (got, want)) in out.image.pixels().iter().zip(&pixels).enumerate() {
+            if (bits(*got), out.winners[i]) != (bits(*want), winners[i]) {
+                return Err(format!(
+                    "pixel {i}: {got:?}/{} vs reference {want:?}/{}",
+                    out.winners[i], winners[i]
+                ));
+            }
+        }
+        prop_assert_eq!(out.stats.blend_steps, steps);
     }
 
     #[test]

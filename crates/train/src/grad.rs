@@ -69,7 +69,7 @@ pub fn backward_mse(
 
     for ty in 0..grid.tiles_y {
         for tx in 0..grid.tiles_x {
-            let list = bins.tile(tx, ty);
+            let list = bins.depth_order(&splats, tx, ty);
             let x_end = ((tx + 1) * options.tile_size).min(camera.width);
             let y_end = ((ty + 1) * options.tile_size).min(camera.height);
             for y in (ty * options.tile_size)..y_end {
@@ -79,7 +79,7 @@ pub fn backward_mse(
                     contribs.clear();
                     let mut t = 1.0f32;
                     let mut color = ms_math::Vec3::zero();
-                    for &si in list {
+                    for &si in &list {
                         let s = &splats[si as usize];
                         let g = s.conic.gaussian_weight(px - s.center);
                         let raw_alpha = s.opacity * g;

@@ -93,6 +93,12 @@ fn assert_bit_identical(par: &RenderOutput, serial: &RenderOutput, threads: usiz
             kind.name()
         );
     }
+    // Profile equality skips the Raster ordering counters; a tile's pixels
+    // decide how deep its list is ordered, whichever worker runs them.
+    assert_eq!(
+        par.stats.profile.raster, serial.stats.profile.raster,
+        "raster ordering counters differ at threads={threads}"
+    );
 }
 
 #[test]
@@ -100,6 +106,14 @@ fn parallel_render_is_bit_identical_to_serial() {
     let s = scene();
     let cam = camera(&s);
     let serial = Renderer::new(opts(1)).render(&s.model, &cam);
+    // Every list entry is either ordered and gathered by Raster or never
+    // ordered at all.
+    let work = serial.stats.profile.raster;
+    assert!(work.splats_staged > 0);
+    assert_eq!(
+        work.splats_staged + work.splats_culled,
+        serial.stats.total_intersections
+    );
     for threads in THREAD_COUNTS {
         let par = Renderer::new(opts(threads)).render(&s.model, &cam);
         assert_bit_identical(&par, &serial, threads);
@@ -212,6 +226,10 @@ fn foveated_render_is_bit_identical_across_threads() {
             // Pixels, merged and per-level stats, tile levels, blend count.
             let par = render(threads);
             assert_eq!(par, serial, "{name}: output differs at threads={threads}");
+            assert_eq!(
+                par.stats.profile.raster, serial.stats.profile.raster,
+                "{name}: raster ordering counters differ at threads={threads}"
+            );
         }
     }
 }
