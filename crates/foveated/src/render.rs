@@ -1,9 +1,9 @@
 //! The foveated rendering pipeline (Fig. 7-E): Projection → Filtering →
 //! Sorting → Rasterization → Blending.
 
-use crate::model::FoveatedModel;
+use crate::model::{FoveatedModel, LevelParams};
 use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
-use ms_math::{rad_to_deg, Vec2};
+use ms_math::{rad_to_deg, sh, Vec2};
 use ms_render::{
     project_model, Image, PixelLevels, ProjectedSplat, RenderOptions, RenderStats, Renderer,
     SceneRef, StageKind, StageSample, TileGridDims, View,
@@ -100,53 +100,59 @@ impl FoveatedRenderer {
             ..self.options().clone()
         };
         let shared = project_model(model.base(), camera, &uncut);
-        let levels = (0..model.level_count())
-            .map(|l| self.derive_level(model, &shared, l, camera))
-            .collect();
+        let levels = self.derive_levels(model, &shared, camera);
         (shared, levels)
     }
 
-    /// Level `l`'s splats, filtered out of the shared projection in base
-    /// order: each splat whose point the level admits (`quality_bound >=
-    /// l`), at the level's opacity — culled below `alpha_min` — and the
-    /// colour its DC gives. Geometry is shared, so every other field is
-    /// copied. The result equals projecting [`FoveatedModel::level_model`],
-    /// except that `point_index` stays the base index.
-    fn derive_level(
+    /// Every level's splats, filtered out of the shared projection in one
+    /// pass over it, each level in base order. Level `l` keeps each splat
+    /// whose point it admits (`quality_bound >= l`), at the level's opacity
+    /// — culled below `alpha_min` — and the colour its DC gives. Geometry is
+    /// shared, so every other field is copied, and so is the SH basis: it
+    /// depends only on the view direction, so a point that some level
+    /// `l >= 1` keeps evaluates it once for all of them. Level `l`'s result
+    /// equals projecting [`FoveatedModel::level_model`], except that
+    /// `point_index` stays the base index.
+    fn derive_levels(
         &self,
         model: &FoveatedModel,
         shared: &[ProjectedSplat],
-        l: usize,
         camera: &Camera,
-    ) -> Vec<ProjectedSplat> {
-        let options = self.options();
+    ) -> Vec<Vec<ProjectedSplat>> {
+        let alpha_min = self.options().alpha_min;
         let base = model.base();
         let bounds = model.quality_bounds();
-        let params = (l >= 1).then(|| model.level_params(l));
-        let mut coeffs = Vec::with_capacity(base.sh_stride());
-        let mut out = Vec::new();
+        let params: Vec<&LevelParams> = (1..model.level_count())
+            .map(|l| model.level_params(l))
+            .collect();
+        let mut levels = vec![Vec::new(); model.level_count()];
+        let mut basis = [0.0f32; sh::MAX_COEFFS];
         for s in shared {
+            if s.opacity >= alpha_min {
+                levels[0].push(*s);
+            }
             let p = s.point_index as usize;
-            if (bounds[p] as usize) < l {
-                continue;
+            let mut basis_ready = false;
+            // `params[i]` is level `i + 1`, admitted while `i < bound`.
+            for (i, params) in params.iter().enumerate().take(bounds[p] as usize) {
+                let opacity = params.opacity[p];
+                if opacity < alpha_min {
+                    continue;
+                }
+                if !basis_ready {
+                    let view_dir = base.positions[p] - camera.eye;
+                    sh::eval_basis(base.sh_degree, view_dir.normalized(), &mut basis);
+                    basis_ready = true;
+                }
+                let color = sh::color_from_basis(base.sh_degree, &basis, params.dc[p], base.sh(p));
+                levels[i + 1].push(ProjectedSplat {
+                    opacity,
+                    color,
+                    ..*s
+                });
             }
-            let mut splat = *s;
-            if let Some(params) = params {
-                splat.opacity = params.opacity[p];
-            }
-            if splat.opacity < options.alpha_min {
-                continue;
-            }
-            if let Some(params) = params {
-                coeffs.clear();
-                coeffs.extend_from_slice(base.sh(p));
-                coeffs[..3].copy_from_slice(&params.dc[p]);
-                let view_dir = base.positions[p] - camera.eye;
-                splat.color = ms_math::sh::eval_color(base.sh_degree, view_dir, &coeffs);
-            }
-            out.push(splat);
         }
-        out
+        levels
     }
 
     /// Render `levels[l]` (splats of a `points`-point model) wherever
@@ -232,7 +238,6 @@ impl FoveatedRenderer {
 mod tests {
     use super::*;
     use crate::build::{build_foveated, FrBuildConfig};
-    use crate::model::LevelParams;
     use ms_scene::dataset::TraceId;
 
     /// Render options with 8-px tiles: at test resolutions the default

@@ -3,49 +3,6 @@
 use crate::{Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
-/// 2-D axis-aligned bounding box (inclusive min, exclusive max by convention
-/// of the callers that rasterize it).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Aabb2 {
-    /// Minimum corner.
-    pub min: Vec2,
-    /// Maximum corner.
-    pub max: Vec2,
-}
-
-impl Aabb2 {
-    /// Construct from corners (no ordering check; see [`Aabb2::is_valid`]).
-    pub const fn new(min: Vec2, max: Vec2) -> Self {
-        Self { min, max }
-    }
-
-    /// A box centered at `c` with half-extent `r` in both axes.
-    pub fn from_center_radius(c: Vec2, r: f32) -> Self {
-        Self::new(Vec2::new(c.x - r, c.y - r), Vec2::new(c.x + r, c.y + r))
-    }
-
-    /// True when `min <= max` component-wise.
-    pub fn is_valid(&self) -> bool {
-        self.min.x <= self.max.x && self.min.y <= self.max.y
-    }
-
-    /// Box width and height.
-    pub fn size(&self) -> Vec2 {
-        self.max - self.min
-    }
-
-    /// Intersection with another box, or `None` when disjoint.
-    pub fn intersection(&self, other: &Self) -> Option<Self> {
-        let out = Self::new(self.min.max(other.min), self.max.min(other.max));
-        out.is_valid().then_some(out)
-    }
-
-    /// True when `p` lies inside (min-inclusive, max-exclusive).
-    pub fn contains(&self, p: Vec2) -> bool {
-        p.x >= self.min.x && p.x < self.max.x && p.y >= self.min.y && p.y < self.max.y
-    }
-}
-
 /// 3-D axis-aligned bounding box.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Aabb3 {
@@ -57,12 +14,14 @@ pub struct Aabb3 {
 
 impl Aabb3 {
     /// Construct from corners.
+    #[inline]
     pub const fn new(min: Vec3, max: Vec3) -> Self {
         Self { min, max }
     }
 
     /// The smallest box containing every point of the iterator, or `None`
     /// when the iterator is empty.
+    #[inline]
     pub fn from_points<I: IntoIterator<Item = Vec3>>(points: I) -> Option<Self> {
         let mut it = points.into_iter();
         let first = it.next()?;
@@ -75,16 +34,19 @@ impl Aabb3 {
     }
 
     /// Center of the box.
+    #[inline]
     pub fn center(&self) -> Vec3 {
         (self.min + self.max) * 0.5
     }
 
     /// Width/height/depth.
+    #[inline]
     pub fn size(&self) -> Vec3 {
         self.max - self.min
     }
 
     /// Length of the box diagonal; a common scene-scale normalizer.
+    #[inline]
     pub fn diagonal(&self) -> f32 {
         self.size().length()
     }
@@ -113,6 +75,7 @@ impl TileRect {
     /// centered at `center` (both in pixels) on a grid of `tiles_x × tiles_y`
     /// tiles of `tile_size` pixels. Returns `None` when the circle misses the
     /// image entirely.
+    #[inline]
     pub fn from_circle(
         center: Vec2,
         radius: f32,
@@ -140,11 +103,13 @@ impl TileRect {
     }
 
     /// Number of tiles in the rectangle.
+    #[inline]
     pub fn tile_count(&self) -> u32 {
         (self.x1 - self.x0 + 1) * (self.y1 - self.y0 + 1)
     }
 
     /// Iterate over `(tx, ty)` tile coordinates in row-major order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let (x0, x1) = (self.x0, self.x1);
         (self.y0..=self.y1).flat_map(move |ty| (x0..=x1).map(move |tx| (tx, ty)))
@@ -155,22 +120,6 @@ impl TileRect {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn aabb2_intersection_basic() {
-        let a = Aabb2::new(Vec2::new(0.0, 0.0), Vec2::new(4.0, 4.0));
-        let b = Aabb2::new(Vec2::new(2.0, 2.0), Vec2::new(6.0, 6.0));
-        let i = a.intersection(&b).unwrap();
-        assert_eq!(i.min, Vec2::new(2.0, 2.0));
-        assert_eq!(i.max, Vec2::new(4.0, 4.0));
-    }
-
-    #[test]
-    fn aabb2_disjoint_is_none() {
-        let a = Aabb2::new(Vec2::new(0.0, 0.0), Vec2::new(1.0, 1.0));
-        let b = Aabb2::new(Vec2::new(2.0, 2.0), Vec2::new(3.0, 3.0));
-        assert!(a.intersection(&b).is_none());
-    }
 
     #[test]
     fn aabb3_from_points() {

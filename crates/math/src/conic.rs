@@ -47,6 +47,7 @@ impl Cov2 {
     }
 
     /// Eigenvalues, largest first. For a symmetric 2×2 matrix both are real.
+    #[inline]
     pub fn eigenvalues(self) -> (f32, f32) {
         let mid = 0.5 * (self.a + self.c);
         let disc = (0.25 * (self.a - self.c).powi(2) + self.b * self.b)
@@ -57,6 +58,7 @@ impl Cov2 {
 
     /// Radius (in pixels) that covers `k` standard deviations of the larger
     /// principal axis. 3DGS uses `k = 3`.
+    #[inline]
     pub fn bounding_radius(self, k: f32) -> f32 {
         let (l1, _) = self.eigenvalues();
         k * l1.max(0.0).sqrt()
@@ -64,6 +66,7 @@ impl Cov2 {
 
     /// Invert to conic form. Returns `None` for (near-)degenerate footprints,
     /// which the projection stage culls.
+    #[inline]
     pub fn to_conic(self) -> Option<Conic2> {
         let det = self.determinant();
         if det <= 1e-12 {

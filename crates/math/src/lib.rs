@@ -26,6 +26,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(clippy::missing_inline_in_public_items)]
 
 mod aabb;
 mod conic;
@@ -35,7 +36,7 @@ pub mod sh;
 pub mod stats;
 mod vec;
 
-pub use aabb::{Aabb2, Aabb3, TileRect};
+pub use aabb::{Aabb3, TileRect};
 pub use conic::{Conic2, Cov2};
 pub use mat::{Mat3, Mat4};
 pub use quat::Quat;

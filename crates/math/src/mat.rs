@@ -14,6 +14,7 @@ pub struct Mat3 {
 }
 
 impl Default for Mat3 {
+    #[inline]
     fn default() -> Self {
         Self::identity()
     }
@@ -21,6 +22,7 @@ impl Default for Mat3 {
 
 impl Mat3 {
     /// Identity matrix.
+    #[inline]
     pub const fn identity() -> Self {
         Self {
             m: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
@@ -28,16 +30,19 @@ impl Mat3 {
     }
 
     /// Matrix of all zeros.
+    #[inline]
     pub const fn zero() -> Self {
         Self { m: [[0.0; 3]; 3] }
     }
 
     /// Build from rows.
+    #[inline]
     pub const fn from_rows(r0: [f32; 3], r1: [f32; 3], r2: [f32; 3]) -> Self {
         Self { m: [r0, r1, r2] }
     }
 
     /// Diagonal matrix.
+    #[inline]
     pub const fn from_diagonal(d: Vec3) -> Self {
         Self {
             m: [[d.x, 0.0, 0.0], [0.0, d.y, 0.0], [0.0, 0.0, d.z]],
@@ -45,6 +50,7 @@ impl Mat3 {
     }
 
     /// Transposed copy.
+    #[inline]
     pub fn transposed(&self) -> Self {
         let m = &self.m;
         Self::from_rows(
@@ -55,6 +61,7 @@ impl Mat3 {
     }
 
     /// Determinant.
+    #[inline]
     pub fn determinant(&self) -> f32 {
         let m = &self.m;
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -63,6 +70,7 @@ impl Mat3 {
     }
 
     /// Inverse, or `None` when the matrix is singular.
+    #[inline]
     pub fn inverse(&self) -> Option<Self> {
         let det = self.determinant();
         if det.abs() < 1e-12 {
@@ -93,18 +101,15 @@ impl Mat3 {
     }
 
     /// Row `i` as a vector.
+    #[inline]
     pub fn row(&self, i: usize) -> Vec3 {
         Vec3::new(self.m[i][0], self.m[i][1], self.m[i][2])
     }
 
     /// Column `j` as a vector.
+    #[inline]
     pub fn col(&self, j: usize) -> Vec3 {
         Vec3::new(self.m[0][j], self.m[1][j], self.m[2][j])
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.m.iter().flatten().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Conjugate a symmetric matrix: `self * s * selfᵀ`.
@@ -112,6 +117,7 @@ impl Mat3 {
     /// This is the covariance transform used when rotating a Gaussian
     /// (`Σ' = R Σ Rᵀ`) and when projecting 3-D covariance with the EWA
     /// Jacobian (`Σ₂ = J W Σ Wᵀ Jᵀ`).
+    #[inline]
     pub fn conjugate_symmetric(&self, s: &Mat3) -> Mat3 {
         *self * *s * self.transposed()
     }
@@ -119,6 +125,7 @@ impl Mat3 {
 
 impl Mul for Mat3 {
     type Output = Self;
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         let mut out = Mat3::zero();
         for i in 0..3 {
@@ -136,6 +143,7 @@ impl Mul for Mat3 {
 
 impl Mul<Vec3> for Mat3 {
     type Output = Vec3;
+    #[inline]
     fn mul(self, v: Vec3) -> Vec3 {
         Vec3::new(self.row(0).dot(v), self.row(1).dot(v), self.row(2).dot(v))
     }
@@ -143,6 +151,7 @@ impl Mul<Vec3> for Mat3 {
 
 impl Mul<f32> for Mat3 {
     type Output = Self;
+    #[inline]
     fn mul(self, s: f32) -> Self {
         let mut out = self;
         for row in &mut out.m {
@@ -156,6 +165,7 @@ impl Mul<f32> for Mat3 {
 
 impl Add for Mat3 {
     type Output = Self;
+    #[inline]
     fn add(self, rhs: Self) -> Self {
         let mut out = self;
         for i in 0..3 {
@@ -169,6 +179,7 @@ impl Add for Mat3 {
 
 impl Sub for Mat3 {
     type Output = Self;
+    #[inline]
     fn sub(self, rhs: Self) -> Self {
         let mut out = self;
         for i in 0..3 {
@@ -188,6 +199,7 @@ pub struct Mat4 {
 }
 
 impl Default for Mat4 {
+    #[inline]
     fn default() -> Self {
         Self::identity()
     }
@@ -195,6 +207,7 @@ impl Default for Mat4 {
 
 impl Mat4 {
     /// Identity matrix.
+    #[inline]
     pub const fn identity() -> Self {
         Self {
             m: [
@@ -207,23 +220,15 @@ impl Mat4 {
     }
 
     /// Build from rows.
+    #[inline]
     pub const fn from_rows(r0: [f32; 4], r1: [f32; 4], r2: [f32; 4], r3: [f32; 4]) -> Self {
         Self {
             m: [r0, r1, r2, r3],
         }
     }
 
-    /// Translation matrix.
-    pub fn from_translation(t: Vec3) -> Self {
-        Self::from_rows(
-            [1.0, 0.0, 0.0, t.x],
-            [0.0, 1.0, 0.0, t.y],
-            [0.0, 0.0, 1.0, t.z],
-            [0.0, 0.0, 0.0, 1.0],
-        )
-    }
-
     /// Embed a 3×3 rotation in the upper-left block.
+    #[inline]
     pub fn from_mat3(r: Mat3) -> Self {
         let m = r.m;
         Self::from_rows(
@@ -237,6 +242,7 @@ impl Mat4 {
     /// Right-handed look-at view matrix. The camera at `eye` looks toward
     /// `target`; the view space has +X right, +Y up, and the camera looking
     /// down **−Z**.
+    #[inline]
     pub fn look_at(eye: Vec3, target: Vec3, up: Vec3) -> Self {
         let f = (target - eye).normalized(); // forward
         let s = f.cross(up).normalized(); // right
@@ -258,6 +264,7 @@ impl Mat4 {
     ///
     /// Panics if `fovy`, `aspect` or the near/far planes are non-positive, or
     /// if `near >= far`.
+    #[inline]
     pub fn perspective(fovy: f32, aspect: f32, near: f32, far: f32) -> Self {
         assert!(fovy > 0.0 && aspect > 0.0, "fovy/aspect must be positive");
         assert!(near > 0.0 && far > near, "require 0 < near < far");
@@ -276,6 +283,7 @@ impl Mat4 {
     }
 
     /// Transposed copy.
+    #[inline]
     pub fn transposed(&self) -> Self {
         let mut out = Mat4::identity();
         for i in 0..4 {
@@ -287,6 +295,7 @@ impl Mat4 {
     }
 
     /// Upper-left 3×3 block.
+    #[inline]
     pub fn upper_left3(&self) -> Mat3 {
         Mat3::from_rows(
             [self.m[0][0], self.m[0][1], self.m[0][2]],
@@ -296,16 +305,13 @@ impl Mat4 {
     }
 
     /// Transform a point (w = 1), returning the homogeneous result.
+    #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec4 {
         *self * p.extend(1.0)
     }
 
-    /// Transform a direction (w = 0) using only the linear part.
-    pub fn transform_vector(&self, v: Vec3) -> Vec3 {
-        self.upper_left3() * v
-    }
-
     /// Rigid-transform inverse (valid for rotation+translation matrices).
+    #[inline]
     pub fn rigid_inverse(&self) -> Self {
         let r = self.upper_left3().transposed();
         let t = Vec3::new(self.m[0][3], self.m[1][3], self.m[2][3]);
@@ -320,6 +326,7 @@ impl Mat4 {
 
 impl Mul for Mat4 {
     type Output = Self;
+    #[inline]
     fn mul(self, rhs: Self) -> Self {
         let mut out = Mat4 { m: [[0.0; 4]; 4] };
         for i in 0..4 {
@@ -337,6 +344,7 @@ impl Mul for Mat4 {
 
 impl Mul<Vec4> for Mat4 {
     type Output = Vec4;
+    #[inline]
     fn mul(self, v: Vec4) -> Vec4 {
         let r = |i: usize| {
             self.m[i][0] * v.x + self.m[i][1] * v.y + self.m[i][2] * v.z + self.m[i][3] * v.w

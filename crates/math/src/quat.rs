@@ -22,6 +22,7 @@ pub struct Quat {
 }
 
 impl Default for Quat {
+    #[inline]
     fn default() -> Self {
         Self::identity()
     }
@@ -46,6 +47,7 @@ impl Quat {
     }
 
     /// Rotation of `angle` radians about (normalized) `axis`.
+    #[inline]
     pub fn from_axis_angle(axis: Vec3, angle: f32) -> Self {
         let axis = axis.normalized();
         let (s, c) = (angle * 0.5).sin_cos();
@@ -65,6 +67,7 @@ impl Quat {
     }
 
     /// Normalized copy. Returns identity for a (near-)zero quaternion.
+    #[inline]
     pub fn normalized(self) -> Self {
         let n = self.norm();
         if n <= f32::EPSILON {
@@ -74,12 +77,6 @@ impl Quat {
         }
     }
 
-    /// Conjugate (inverse for unit quaternions).
-    #[inline]
-    pub fn conjugate(self) -> Self {
-        Self::new(self.w, -self.x, -self.y, -self.z)
-    }
-
     /// Quaternion dot product.
     #[inline]
     pub fn dot(self, rhs: Self) -> f32 {
@@ -87,6 +84,7 @@ impl Quat {
     }
 
     /// Rotate a vector by this (unit) quaternion.
+    #[inline]
     pub fn rotate(self, v: Vec3) -> Vec3 {
         // v' = q v q*; expanded to avoid constructing intermediates.
         let u = Vec3::new(self.x, self.y, self.z);
@@ -96,6 +94,7 @@ impl Quat {
 
     /// Convert to a rotation matrix. The quaternion is normalized first, so
     /// raw (trainable, unnormalized) quaternion parameters are accepted.
+    #[inline]
     pub fn to_mat3(self) -> Mat3 {
         let q = self.normalized();
         let (w, x, y, z) = (q.w, q.x, q.y, q.z);
@@ -122,6 +121,7 @@ impl Quat {
     ///
     /// Takes the shorter arc and falls back to normalized lerp when the
     /// endpoints are nearly parallel.
+    #[inline]
     pub fn slerp(self, rhs: Self, t: f32) -> Self {
         let a = self.normalized();
         let mut b = rhs.normalized();
@@ -156,6 +156,7 @@ impl Quat {
 
 impl Mul for Quat {
     type Output = Self;
+    #[inline]
     fn mul(self, r: Self) -> Self {
         Self::new(
             self.w * r.w - self.x * r.x - self.y * r.y - self.z * r.z,

@@ -10,6 +10,7 @@
 use crate::Vec3;
 
 /// Number of SH coefficients for a given degree (`(deg+1)²`).
+#[inline]
 pub const fn coeff_count(degree: usize) -> usize {
     (degree + 1) * (degree + 1)
 }
@@ -48,6 +49,7 @@ const SH_C3: [f32; 7] = [
 ///
 /// Panics if `degree > MAX_DEGREE` or `out` is shorter than
 /// `coeff_count(degree)`.
+#[inline]
 pub fn eval_basis(degree: usize, d: Vec3, out: &mut [f32]) {
     assert!(degree <= MAX_DEGREE, "SH degree {degree} > {MAX_DEGREE}");
     let n = coeff_count(degree);
@@ -99,7 +101,26 @@ pub fn eval_basis(degree: usize, d: Vec3, out: &mut [f32]) {
 ///
 /// Panics if `coeffs.len() < 3 * coeff_count(degree)` or the degree exceeds
 /// [`MAX_DEGREE`].
+#[inline]
 pub fn eval_color(degree: usize, view_dir: Vec3, coeffs: &[f32]) -> Vec3 {
+    let mut basis = [0.0f32; MAX_COEFFS];
+    eval_basis(degree, view_dir.normalized(), &mut basis);
+    color_from_basis(degree, &basis, [coeffs[0], coeffs[1], coeffs[2]], coeffs)
+}
+
+/// The color of [`eval_color`] from a `basis` that [`eval_basis`] already
+/// filled, with `dc` standing in for the first coefficient triplet
+/// (`coeffs[..3]` is not read). A foveated level that multi-versions only
+/// the DC term evaluates the basis once per point and calls this per level;
+/// the sum runs in [`eval_color`]'s order, so the result is bit-identical
+/// to [`eval_color`] on the DC-substituted coefficients.
+///
+/// # Panics
+///
+/// Panics if `coeffs.len() < 3 * coeff_count(degree)` or `basis` is shorter
+/// than `coeff_count(degree)`.
+#[inline]
+pub fn color_from_basis(degree: usize, basis: &[f32], dc: [f32; 3], coeffs: &[f32]) -> Vec3 {
     let n = coeff_count(degree);
     assert!(
         coeffs.len() >= 3 * n,
@@ -107,11 +128,11 @@ pub fn eval_color(degree: usize, view_dir: Vec3, coeffs: &[f32]) -> Vec3 {
         3 * n,
         coeffs.len()
     );
-    let d = view_dir.normalized();
-    let mut basis = [0.0f32; MAX_COEFFS];
-    eval_basis(degree, d, &mut basis);
     let mut c = Vec3::zero();
-    for (i, &b) in basis.iter().take(n).enumerate() {
+    c.x += basis[0] * dc[0];
+    c.y += basis[0] * dc[1];
+    c.z += basis[0] * dc[2];
+    for (i, &b) in basis[..n].iter().enumerate().skip(1) {
         c.x += b * coeffs[3 * i];
         c.y += b * coeffs[3 * i + 1];
         c.z += b * coeffs[3 * i + 2];
@@ -121,12 +142,14 @@ pub fn eval_color(degree: usize, view_dir: Vec3, coeffs: &[f32]) -> Vec3 {
 
 /// Convert a linear RGB color in `[0, 1]` to the DC coefficient triplet that
 /// reproduces it under [`eval_color`] with all higher-order terms zero.
+#[inline]
 pub fn rgb_to_dc(rgb: Vec3) -> [f32; 3] {
     let v = (rgb - Vec3::splat(0.5)) / SH_C0;
     [v.x, v.y, v.z]
 }
 
 /// Inverse of [`rgb_to_dc`]: the color produced by a DC-only expansion.
+#[inline]
 pub fn dc_to_rgb(dc: [f32; 3]) -> Vec3 {
     Vec3::new(dc[0], dc[1], dc[2]) * SH_C0 + Vec3::splat(0.5)
 }
@@ -250,6 +273,30 @@ mod tests {
             prop_assume!(d.length() > 1e-3);
             let c = eval_color(3, d, &coeffs);
             prop_assert!(c.x >= 0.0 && c.y >= 0.0 && c.z >= 0.0);
+        }
+
+        /// A level's color from a shared basis is the color of its
+        /// DC-substituted coefficients, bit for bit, at every degree and for
+        /// a zero-length view direction (whose basis has no direction).
+        #[test]
+        fn color_from_basis_is_eval_color_with_dc_substituted(
+            degree in 0usize..4,
+            dx in -1.0f32..1.0, dy in -1.0f32..1.0, dz in -1.0f32..1.0,
+            zero_dir in proptest::bool::ANY,
+            dc in proptest::array::uniform3(-2.0f32..2.0),
+            coeffs in proptest::collection::vec(-2.0f32..2.0, 48),
+        ) {
+            let view_dir = if zero_dir { Vec3::zero() } else { Vec3::new(dx, dy, dz) };
+            let mut basis = [0.0f32; MAX_COEFFS];
+            eval_basis(degree, view_dir.normalized(), &mut basis);
+            let shared = color_from_basis(degree, &basis, dc, &coeffs);
+            let mut substituted = coeffs.clone();
+            substituted[..3].copy_from_slice(&dc);
+            let direct = eval_color(degree, view_dir, &substituted);
+            prop_assert_eq!(
+                [shared.x.to_bits(), shared.y.to_bits(), shared.z.to_bits()],
+                [direct.x.to_bits(), direct.y.to_bits(), direct.z.to_bits()]
+            );
         }
     }
 }

@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean; 0 for an empty slice.
+#[inline]
 pub fn mean(xs: &[f32]) -> f32 {
     if xs.is_empty() {
         return 0.0;
@@ -16,6 +17,7 @@ pub fn mean(xs: &[f32]) -> f32 {
 }
 
 /// Population standard deviation; 0 for slices shorter than 2.
+#[inline]
 pub fn std_dev(xs: &[f32]) -> f32 {
     if xs.len() < 2 {
         return 0.0;
@@ -26,6 +28,7 @@ pub fn std_dev(xs: &[f32]) -> f32 {
 
 /// Geometric mean of positive values; 0 when any value is non-positive or the
 /// slice is empty. Used for the paper's "geomean speedup" numbers (§7.3).
+#[inline]
 pub fn geomean(xs: &[f32]) -> f32 {
     if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
         return 0.0;
@@ -34,6 +37,7 @@ pub fn geomean(xs: &[f32]) -> f32 {
 }
 
 /// Linear-interpolated percentile (`p ∈ [0, 100]`); 0 for an empty slice.
+#[inline]
 pub fn percentile(xs: &[f32], p: f32) -> f32 {
     if xs.is_empty() {
         return 0.0;
@@ -76,6 +80,7 @@ pub struct BoxplotSummary {
 
 impl BoxplotSummary {
     /// Summarize a sample. Returns `None` for an empty slice.
+    #[inline]
     pub fn from_samples(xs: &[f32]) -> Option<Self> {
         if xs.is_empty() {
             return None;
@@ -118,6 +123,7 @@ impl BoxplotSummary {
     }
 
     /// Observations outside the whisker fences.
+    #[inline]
     pub fn outliers(xs: &[f32]) -> Vec<f32> {
         match Self::from_samples(xs) {
             None => Vec::new(),
@@ -135,6 +141,7 @@ impl BoxplotSummary {
 ///
 /// Returns the probability of observing a count at least as extreme as
 /// `successes` out of `trials` under the null hypothesis of no preference.
+#[inline]
 pub fn binomial_test_two_sided(successes: u64, trials: u64) -> f64 {
     if trials == 0 {
         return 1.0;
@@ -158,6 +165,7 @@ pub fn binomial_test_two_sided(successes: u64, trials: u64) -> f64 {
 
 /// One-sided binomial test: probability of at least `successes` successes in
 /// `trials` fair-coin flips. Used for the "users prefer ours" direction.
+#[inline]
 pub fn binomial_test_at_least(successes: u64, trials: u64) -> f64 {
     if trials == 0 {
         return 1.0;

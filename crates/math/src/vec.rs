@@ -63,12 +63,6 @@ macro_rules! impl_vec_common {
                 }
             }
 
-            /// Component-wise product.
-            #[inline]
-            pub fn hadamard(self, rhs: Self) -> Self {
-                Self { $($f: self.$f * rhs.$f),+ }
-            }
-
             /// Component-wise minimum.
             #[inline]
             pub fn min(self, rhs: Self) -> Self {
@@ -92,14 +86,6 @@ macro_rules! impl_vec_common {
             pub fn max_component(self) -> f32 {
                 let mut m = f32::NEG_INFINITY;
                 $( m = m.max(self.$f); )+
-                m
-            }
-
-            /// Smallest component.
-            #[inline]
-            pub fn min_component(self) -> f32 {
-                let mut m = f32::INFINITY;
-                $( m = m.min(self.$f); )+
                 m
             }
 
@@ -327,54 +313,63 @@ impl Vec4 {
 }
 
 impl From<[f32; 2]> for Vec2 {
+    #[inline]
     fn from(a: [f32; 2]) -> Self {
         Self::new(a[0], a[1])
     }
 }
 
 impl From<[f32; 3]> for Vec3 {
+    #[inline]
     fn from(a: [f32; 3]) -> Self {
         Self::new(a[0], a[1], a[2])
     }
 }
 
 impl From<[f32; 4]> for Vec4 {
+    #[inline]
     fn from(a: [f32; 4]) -> Self {
         Self::new(a[0], a[1], a[2], a[3])
     }
 }
 
 impl From<Vec2> for [f32; 2] {
+    #[inline]
     fn from(v: Vec2) -> Self {
         [v.x, v.y]
     }
 }
 
 impl From<Vec3> for [f32; 3] {
+    #[inline]
     fn from(v: Vec3) -> Self {
         [v.x, v.y, v.z]
     }
 }
 
 impl From<Vec4> for [f32; 4] {
+    #[inline]
     fn from(v: Vec4) -> Self {
         [v.x, v.y, v.z, v.w]
     }
 }
 
 impl fmt::Display for Vec2 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.x, self.y)
     }
 }
 
 impl fmt::Display for Vec3 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {}, {})", self.x, self.y, self.z)
     }
 }
 
 impl fmt::Display for Vec4 {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {}, {}, {})", self.x, self.y, self.z, self.w)
     }

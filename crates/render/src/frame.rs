@@ -76,8 +76,9 @@ pub enum SceneRef<'a> {
     /// [`project_model`](crate::project_model) pass). The frame starts at
     /// Bin over a copy of the slices, so its profile carries no Project
     /// sample. There must be a level, every splat's `point_index` must be
-    /// below `points`, its `depth` finite and its `tiles` on the frame's
-    /// tile grid; all are checked when the frame begins.
+    /// below `points`, its `depth`, `conic` and `opacity` finite and its
+    /// `tiles` on the frame's tile grid; all are checked when the frame
+    /// begins.
     Projected {
         /// Each level's splats, in the order Bin should see them.
         levels: &'a [&'a [ProjectedSplat]],
@@ -287,6 +288,42 @@ impl std::fmt::Debug for FrameInFlight {
     }
 }
 
+/// Panic unless `s` is a splat a frame over a `points`-point scene on
+/// `grid` can bin and composite: the admission check of
+/// [`SceneRef::Projected`], one splat at a time so a frame scans its splats
+/// once.
+fn check_projected(s: &ProjectedSplat, points: usize, grid: TileGridDims) {
+    if s.point_index as usize >= points {
+        panic!(
+            "projected splat point_index {} out of range for a {points}-point scene",
+            s.point_index
+        );
+    }
+    // A NaN depth would composite in front of (−NaN) or behind (+NaN) every
+    // finite one instead of failing. A non-finite conic entry or opacity can
+    // make a pixel's alpha NaN, which Raster's `min(alpha_max)` turns into
+    // `alpha_max`: a near-opaque splat, composited without a word.
+    if !s.depth.is_finite() {
+        panic!("projected splat depth {} is not finite", s.depth);
+    }
+    for (name, v) in [("a", s.conic.a), ("b", s.conic.b), ("c", s.conic.c)] {
+        if !v.is_finite() {
+            panic!("projected splat conic.{name} {v} is not finite");
+        }
+    }
+    if !s.opacity.is_finite() {
+        panic!("projected splat opacity {} is not finite", s.opacity);
+    }
+    // Bin indexes `ty * tiles_x + tx` unchecked: an x past the grid would
+    // land in the next row's tile.
+    if s.tiles.x1 >= grid.tiles_x || s.tiles.y1 >= grid.tiles_y {
+        panic!(
+            "projected splat tiles ({}..={}, {}..={}) outside the {}x{} tile grid",
+            s.tiles.x0, s.tiles.x1, s.tiles.y0, s.tiles.y1, grid.tiles_x, grid.tiles_y
+        );
+    }
+}
+
 impl FrameInFlight {
     /// Start a frame over `scene` seen through `view`: at the Project stage
     /// (in-core scenes), at the streamed Project (chunked sources) or at
@@ -302,8 +339,8 @@ impl FrameInFlight {
     /// extreme dimensions the product overflows `u32`) or names a level the
     /// scene lacks; or when a pre-projected scene has no level, or one of
     /// its splats has a `point_index` not below the scene's `points`, a
-    /// depth that is not finite, or a tile rectangle outside the camera's
-    /// grid of `tile_size`-pixel tiles.
+    /// depth, conic entry or opacity that is not finite, or a tile
+    /// rectangle outside the camera's grid of `tile_size`-pixel tiles.
     pub(crate) fn new(
         scene: SceneRef<'_>,
         view: View,
@@ -339,28 +376,9 @@ impl FrameInFlight {
                 wall: Duration::ZERO,
             },
             SceneRef::Projected { levels, points } => {
-                let mut splats = levels.iter().flat_map(|level| level.iter());
-                if let Some(s) = splats.clone().find(|s| s.point_index as usize >= points) {
-                    panic!(
-                        "projected splat point_index {} out of range for a {points}-point scene",
-                        s.point_index
-                    );
-                }
-                // A NaN depth would composite in front of (−NaN) or behind
-                // (+NaN) every finite one instead of failing.
-                if let Some(s) = splats.clone().find(|s| !s.depth.is_finite()) {
-                    panic!("projected splat depth {} is not finite", s.depth);
-                }
-                // Bin indexes `ty * tiles_x + tx` unchecked: an x past the
-                // grid would land in the next row's tile.
                 let grid = TileGridDims::for_image(camera.width, camera.height, tile_size);
-                let outside =
-                    |s: &&ProjectedSplat| s.tiles.x1 >= grid.tiles_x || s.tiles.y1 >= grid.tiles_y;
-                if let Some(s) = splats.find(outside) {
-                    panic!(
-                        "projected splat tiles ({}..={}, {}..={}) outside the {}x{} tile grid",
-                        s.tiles.x0, s.tiles.x1, s.tiles.y0, s.tiles.y1, grid.tiles_x, grid.tiles_y
-                    );
+                for s in levels.iter().flat_map(|level| level.iter()) {
+                    check_projected(s, points, grid);
                 }
                 arena.splats.reserve(levels.iter().map(|l| l.len()).sum());
                 for level in levels {
@@ -1030,6 +1048,44 @@ mod tests {
             points: model.len(),
         };
         let _ = renderer.begin_frame(scene, &camera, FrameArena::default());
+    }
+
+    /// Begin a frame over the projected test scene, on the second of two
+    /// levels, after `edit` spoils one of its splats.
+    fn begin_with_spoiled_splat(edit: impl FnOnce(&mut ProjectedSplat)) {
+        let (model, camera) = scene();
+        let renderer = Renderer::default();
+        let mut splats = crate::project_model(&model, &camera, renderer.options());
+        edit(&mut splats[2]);
+        let scene = SceneRef::Projected {
+            levels: &[&[], &splats],
+            points: model.len(),
+        };
+        let _ = renderer.begin_frame(scene, &camera, FrameArena::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat conic.a NaN is not finite")]
+    fn projected_conic_a_checked_at_begin() {
+        begin_with_spoiled_splat(|s| s.conic.a = f32::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat conic.b inf is not finite")]
+    fn projected_conic_b_checked_at_begin() {
+        begin_with_spoiled_splat(|s| s.conic.b = f32::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat conic.c -inf is not finite")]
+    fn projected_conic_c_checked_at_begin() {
+        begin_with_spoiled_splat(|s| s.conic.c = f32::NEG_INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "projected splat opacity NaN is not finite")]
+    fn projected_opacity_checked_at_begin() {
+        begin_with_spoiled_splat(|s| s.opacity = f32::NAN);
     }
 
     #[test]

@@ -98,11 +98,14 @@ pub fn project_model(
 
 /// Per-frame quantities shared by every point's projection. Computed once
 /// per frame, so the serial and sharded paths run the exact same per-point
-/// arithmetic — the basis of the bit-identical determinism guarantee.
+/// arithmetic — the basis of the bit-identical determinism guarantee — and
+/// no splat pays for the camera's `tan` calls.
 struct FrameContext {
     view: Mat4,
     view_rot: Mat3,
     focal: Vec2,
+    /// Half the image size in pixels: the principal point.
+    half_size: Vec2,
     tan_half_fov: Vec2,
     tiles_x: u32,
     tiles_y: u32,
@@ -116,11 +119,27 @@ impl FrameContext {
             view_rot: view.upper_left3(),
             view,
             focal: Vec2::new(camera.focal_x(), camera.focal_y()),
+            half_size: Vec2::new(camera.width as f32 * 0.5, camera.height as f32 * 0.5),
             tan_half_fov: Vec2::new((camera.fovx() * 0.5).tan(), (camera.fovy * 0.5).tan()),
             tiles_x: camera.width.div_ceil(options.tile_size),
             tiles_y: camera.height.div_ceil(options.tile_size),
             sh_degree: model.sh_degree,
         }
+    }
+
+    /// Pixel position of view-space point `v`: [`Camera::view_to_pixel`]'s
+    /// expression, with the focal lengths and principal point read from the
+    /// context instead of recomputed from the field of view.
+    #[inline]
+    fn view_to_pixel(&self, v: Vec3) -> Option<Vec2> {
+        if v.z >= -1e-6 {
+            return None;
+        }
+        let depth = -v.z;
+        let x = self.focal.x * v.x / depth + self.half_size.x;
+        // +y down in image space, +y up in view space.
+        let y = -self.focal.y * v.y / depth + self.half_size.y;
+        Some(Vec2::new(x, y))
     }
 }
 
@@ -157,7 +176,7 @@ fn project_range(
         {
             continue;
         }
-        let Some(center) = camera.view_to_pixel(view_pos) else {
+        let Some(center) = ctx.view_to_pixel(view_pos) else {
             continue;
         };
         let cov2 = project_covariance(
@@ -246,6 +265,7 @@ pub fn project_model_offset_into(
 mod tests {
     use super::*;
     use ms_math::Quat;
+    use proptest::prelude::*;
 
     fn single_point_model(pos: Vec3, scale: Vec3, opacity: f32) -> GaussianModel {
         let mut m = GaussianModel::new(0);
@@ -410,5 +430,28 @@ mod tests {
         let ts = project_model(&small, &cam(), &opts)[0].tile_count();
         let tl = project_model(&large, &cam(), &opts)[0].tile_count();
         assert!(tl > ts, "large splat should hit more tiles ({tl} vs {ts})");
+    }
+
+    proptest! {
+        /// The context's pixel mapping is the camera's, bit for bit, for
+        /// points in front of the camera at odd and even image sizes and
+        /// across fields of view.
+        #[test]
+        fn context_pixel_mapping_is_the_cameras(
+            width in 1u32..2049, height in 1u32..2049, fovy_deg in 5.0f32..170.0,
+            u in -2.0f32..2.0, v in -2.0f32..2.0, depth in 1e-5f32..500.0,
+        ) {
+            let camera =
+                Camera::look_at(width, height, fovy_deg, Vec3::new(0.3, -1.0, 4.0), Vec3::zero());
+            let ctx = FrameContext::new(&GaussianModel::new(0), &camera, &RenderOptions::default());
+            let p = Vec3::new(u * depth, v * depth, -depth);
+            let bits = |c: Option<Vec2>| c.map(|c| (c.x.to_bits(), c.y.to_bits()));
+            let expected = camera.view_to_pixel(p);
+            prop_assert!(expected.is_some());
+            prop_assert_eq!(bits(ctx.view_to_pixel(p)), bits(expected));
+            let behind = Vec3::new(p.x, p.y, depth);
+            prop_assert!(ctx.view_to_pixel(behind).is_none());
+            prop_assert!(camera.view_to_pixel(behind).is_none());
+        }
     }
 }

@@ -155,7 +155,8 @@ impl Renderer {
     /// addressing, when the level map does not have one entry per pixel or
     /// names a level the scene lacks, or when a pre-projected scene has no
     /// level or a splat whose `point_index` or tile rectangle is out of
-    /// range or whose depth is not finite (see [`SceneRef::Projected`]).
+    /// range or whose depth, conic or opacity is not finite (see
+    /// [`SceneRef::Projected`]). Those splat checks run in one scan.
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame<'a>(

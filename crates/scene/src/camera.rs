@@ -1,6 +1,6 @@
 //! Pinhole camera with the conventions the splatting renderer expects.
 
-use ms_math::{deg_to_rad, Mat3, Mat4, Vec2, Vec3};
+use ms_math::{deg_to_rad, Mat4, Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
 /// A pinhole camera.
@@ -80,11 +80,6 @@ impl Camera {
     /// World → view transform.
     pub fn view_matrix(&self) -> Mat4 {
         Mat4::look_at(self.eye, self.target, self.up)
-    }
-
-    /// View-space rotation part of the view matrix (world → view directions).
-    pub fn view_rotation(&self) -> Mat3 {
-        self.view_matrix().upper_left3()
     }
 
     /// Transform a world point to view space.

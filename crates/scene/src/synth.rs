@@ -71,15 +71,6 @@ impl Default for SceneSpec {
 }
 
 impl SceneSpec {
-    /// Fraction of redundant near-surface duplicate points.
-    pub fn duplicate_fraction(&self) -> f32 {
-        (1.0 - self.cluster_fraction
-            - self.ground_fraction
-            - self.background_fraction
-            - self.floater_fraction)
-            .max(0.0)
-    }
-
     /// Validate fractions sum to at most 1 and counts are sane.
     pub fn validate(&self) -> Result<(), String> {
         let s = self.cluster_fraction
