@@ -39,7 +39,7 @@ impl AccelWorkload {
     /// offset deltas carried in `stats.tile_intersections`, per-tile pixel
     /// counts come from the tile grid clipped to the image
     /// (`TileGridDims::tile_pixel_count`, so edge tiles are not padded to
-    /// `tile_size²`), projection work is the Project stage's counter and
+    /// `TILE_SIZE²`), projection work is the Project stage's counter and
     /// compositing work the Raster stage's. The simulator and the software
     /// renderer therefore agree on the frame workload by construction.
     ///
@@ -127,11 +127,11 @@ impl AccelWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ms_render::{FrameProfile, TileGridDims};
+    use ms_render::{FrameProfile, TileGridDims, TILE_SIZE};
 
     fn stats() -> RenderStats {
         RenderStats {
-            grid: TileGridDims::for_image(32, 32, 16),
+            grid: TileGridDims::for_image(2 * TILE_SIZE, 2 * TILE_SIZE),
             tile_intersections: vec![10, 0, 500, 3],
             points_projected: 100,
             points_submitted: 120,
@@ -149,7 +149,7 @@ mod tests {
         assert_eq!(w.tile_count(), 4);
         assert_eq!(w.total_intersections(), 513);
         assert_eq!(w.tiles[2].intersections, 500);
-        assert_eq!(w.tiles[0].pixels, 256);
+        assert_eq!(w.tiles[0].pixels, TILE_SIZE * TILE_SIZE);
         assert_eq!(w.blended_pixels, 12);
         assert_eq!(w.model_bytes, 999);
     }
@@ -157,11 +157,13 @@ mod tests {
     #[test]
     fn edge_tiles_use_clipped_pixel_counts() {
         let mut s = stats();
-        s.grid = TileGridDims::for_image(24, 20, 16); // 2×2 grid, clipped edges
+        // 2×2 grid, clipped edges: the last column is 8 px wide, the last
+        // row 4 px tall.
+        s.grid = TileGridDims::for_image(TILE_SIZE + 8, TILE_SIZE + 4);
         let w = AccelWorkload::from_stats(&s, None, 0, 0);
-        assert_eq!(w.tiles[0].pixels, 16 * 16);
-        assert_eq!(w.tiles[1].pixels, 8 * 16);
-        assert_eq!(w.tiles[2].pixels, 16 * 4);
+        assert_eq!(w.tiles[0].pixels, TILE_SIZE * TILE_SIZE);
+        assert_eq!(w.tiles[1].pixels, 8 * TILE_SIZE);
+        assert_eq!(w.tiles[2].pixels, TILE_SIZE * 4);
         assert_eq!(w.tiles[3].pixels, 8 * 4);
         let total: u64 = w.tiles.iter().map(|t| t.pixels as u64).sum();
         assert_eq!(

@@ -32,7 +32,7 @@ fn setup() -> Setup {
     };
     let opts = RenderOptions::default();
     let splats = project_model(&scene.model, &cam, &opts);
-    let grid = TileGridDims::for_image(cam.width, cam.height, opts.tile_size);
+    let grid = TileGridDims::for_image(cam.width, cam.height);
     Setup { splats, grid }
 }
 

@@ -33,7 +33,7 @@ fn bench_binning(c: &mut Criterion) {
     let (scene, cam) = setup();
     let opts = RenderOptions::default();
     let splats = project_model(&scene.model, &cam, &opts);
-    let grid = TileGridDims::for_image(cam.width, cam.height, 16);
+    let grid = TileGridDims::for_image(cam.width, cam.height);
     c.bench_function("binning", |b| {
         b.iter(|| TileBins::build(&splats, grid));
     });

@@ -41,15 +41,6 @@ impl Variant {
         }
     }
 
-    /// The PSNR retention target of the L1 model (fraction of dense PSNR).
-    pub fn psnr_retention(self) -> f32 {
-        match self {
-            Variant::H => 0.99,
-            Variant::M => 0.98,
-            Variant::L => 0.97,
-        }
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -237,7 +228,6 @@ mod tests {
     fn variants_order_by_aggressiveness() {
         assert!(Variant::H.l1_fraction() > Variant::M.l1_fraction());
         assert!(Variant::M.l1_fraction() > Variant::L.l1_fraction());
-        assert!(Variant::H.psnr_retention() > Variant::L.psnr_retention());
         assert_eq!(Variant::H.to_string(), "MetaSapiens-H");
     }
 

@@ -6,7 +6,7 @@ use ms_hvs::{DisplayGeometry, EccentricityMap, QualityRegions};
 use ms_math::{rad_to_deg, sh, Vec2};
 use ms_render::{
     project_model, Image, PixelLevels, ProjectedSplat, RenderOptions, RenderStats, Renderer,
-    SceneRef, StageKind, StageSample, TileGridDims, View,
+    SceneRef, StageKind, StageSample, TileGridDims, View, TILE_SIZE,
 };
 use ms_scene::Camera;
 use std::time::Instant;
@@ -188,16 +188,15 @@ impl FoveatedRenderer {
             .count();
 
         // Dominant level per tile (majority of pixels).
-        let grid = TileGridDims::for_image(camera.width, camera.height, self.options().tile_size);
-        let ts = grid.tile_size;
+        let grid = TileGridDims::for_image(camera.width, camera.height);
         let mut tile_level = vec![0u8; grid.tile_count()];
         for ty in 0..grid.tiles_y {
             for tx in 0..grid.tiles_x {
                 let mut counts = vec![0u32; levels.len()];
-                let x_end = ((tx + 1) * ts).min(camera.width);
-                let y_end = ((ty + 1) * ts).min(camera.height);
-                for y in (ty * ts)..y_end {
-                    for x in (tx * ts)..x_end {
+                let x_end = ((tx + 1) * TILE_SIZE).min(camera.width);
+                let y_end = ((ty + 1) * TILE_SIZE).min(camera.height);
+                for y in (ty * TILE_SIZE)..y_end {
+                    for x in (tx * TILE_SIZE)..x_end {
                         counts[level[(y * camera.width + x) as usize] as usize] += 1;
                     }
                 }
@@ -239,19 +238,23 @@ mod tests {
     use super::*;
     use crate::build::{build_foveated, FrBuildConfig};
     use ms_scene::dataset::TraceId;
+    use std::sync::OnceLock;
 
-    /// Render options with 8-px tiles: at test resolutions the default
-    /// 16-px tiles are so coarse that nearly every tile straddles a region
-    /// boundary, which double-counts cross-level work the real (high-res)
-    /// configuration doesn't pay.
-    fn fr_opts() -> RenderOptions {
-        RenderOptions {
-            tile_size: 8,
-            ..RenderOptions::default()
-        }
+    /// The test image size: at smaller images the 16-px tiles are so
+    /// coarse that nearly every tile straddles a region boundary, which
+    /// double-counts cross-level work the real (high-res) configuration
+    /// doesn't pay.
+    const W: u32 = 256;
+    const H: u32 = 192;
+
+    /// The foveated model and its two cameras, built once and shared by
+    /// every test: the build, not the renders, dominates their run time.
+    fn setup() -> &'static (FoveatedModel, Vec<Camera>) {
+        static SETUP: OnceLock<(FoveatedModel, Vec<Camera>)> = OnceLock::new();
+        SETUP.get_or_init(build)
     }
 
-    fn setup() -> (FoveatedModel, Vec<Camera>, Vec<Image>) {
+    fn build() -> (FoveatedModel, Vec<Camera>) {
         let scene = TraceId::by_name("room")
             .unwrap()
             .build_scene_with_scale(0.006);
@@ -263,13 +266,13 @@ mod tests {
             // Wide VR-like FOV (fovx ≈ 88°): with a narrow camera most of
             // the image is foveal and FR has nothing to relax.
             .map(|c| Camera {
-                width: 128,
-                height: 96,
+                width: W,
+                height: H,
                 fovy: ms_math::deg_to_rad(74.0),
                 ..*c
             })
             .collect();
-        let renderer = Renderer::new(fr_opts());
+        let renderer = Renderer::default();
         let references: Vec<Image> = cameras
             .iter()
             .map(|c| renderer.render(&scene.model, c).image)
@@ -279,23 +282,23 @@ mod tests {
             ..FrBuildConfig::default()
         };
         let fr = build_foveated(&scene.model, &cameras, &references, &config);
-        (fr, cameras, references)
+        (fr, cameras)
     }
 
     #[test]
     fn foveated_render_produces_full_image() {
-        let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        assert_eq!(out.image.width(), 128);
+        let (fr, cameras) = setup();
+        let out = FoveatedRenderer::default().render(fr, &cameras[0], None);
+        assert_eq!(out.image.width(), W);
         assert_eq!(out.per_level_stats.len(), 4);
         assert_eq!(out.tile_level.len(), out.stats.grid.tile_count());
     }
 
     #[test]
     fn foveated_render_cheaper_than_dense() {
-        let (fr, cameras, _) = setup();
-        let fov = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        let dense = Renderer::new(fr_opts()).render(fr.base(), &cameras[0]);
+        let (fr, cameras) = setup();
+        let fov = FoveatedRenderer::default().render(fr, &cameras[0], None);
+        let dense = Renderer::default().render(fr.base(), &cameras[0]);
         assert!(
             fov.stats.total_intersections < dense.stats.total_intersections,
             "FR intersections {} should undercut dense {}",
@@ -306,19 +309,19 @@ mod tests {
 
     #[test]
     fn foveal_region_matches_l1_render() {
-        let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        let dense = Renderer::new(fr_opts()).render(&fr.level_model(0), &cameras[0]);
+        let (fr, cameras) = setup();
+        let out = FoveatedRenderer::default().render(fr, &cameras[0], None);
+        let dense = Renderer::default().render(&fr.level_model(0), &cameras[0]);
         // Center pixel is deep inside R1 (no blending): exact L1 color.
-        let c = out.image.pixel(64, 48);
-        let d = dense.image.pixel(64, 48);
+        let c = out.image.pixel(W / 2, H / 2);
+        let d = dense.image.pixel(W / 2, H / 2);
         assert!((c - d).length() < 1e-6, "foveal pixel differs: {c} vs {d}");
     }
 
     #[test]
     fn workload_concentrates_at_gaze() {
-        let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
+        let (fr, cameras) = setup();
+        let out = FoveatedRenderer::default().render(fr, &cameras[0], None);
         let grid = out.stats.grid;
         // Compare the center tile against the corner tile.
         let center_idx = ((grid.tiles_y / 2) * grid.tiles_x + grid.tiles_x / 2) as usize;
@@ -333,9 +336,9 @@ mod tests {
 
     #[test]
     fn gaze_shift_moves_high_quality_region() {
-        let (fr, cameras, _) = setup();
-        let r = FoveatedRenderer::new(fr_opts());
-        let left = r.render(&fr, &cameras[0], Some(Vec2::new(12.0, 48.0)));
+        let (fr, cameras) = setup();
+        let r = FoveatedRenderer::default();
+        let left = r.render(fr, &cameras[0], Some(Vec2::new(24.0, H as f32 / 2.0)));
         // Tile level at the left edge should be 0 when gazing left.
         let grid = left.stats.grid;
         let left_tile = (grid.tiles_y / 2 * grid.tiles_x) as usize;
@@ -347,9 +350,9 @@ mod tests {
 
     #[test]
     fn blending_touches_boundary_pixels_only() {
-        let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
-        let n = (128 * 96) as usize;
+        let (fr, cameras) = setup();
+        let out = FoveatedRenderer::default().render(fr, &cameras[0], None);
+        let n = (W * H) as usize;
         assert!(out.blended_pixels > 0, "some pixels must blend");
         assert!(
             out.blended_pixels < n / 2,
@@ -359,8 +362,8 @@ mod tests {
 
     #[test]
     fn merged_projection_counts_base_once() {
-        let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
+        let (fr, cameras) = setup();
+        let out = FoveatedRenderer::default().render(fr, &cameras[0], None);
         assert_eq!(out.stats.points_submitted, fr.base().len());
         // Per-level projected sums exceed the shared count (subsetting wins).
         let sum: usize = out.per_level_stats.iter().map(|s| s.points_projected).sum();
@@ -370,8 +373,8 @@ mod tests {
     #[test]
     fn merged_profile_counters_match_merged_stats() {
         use ms_render::StageKind;
-        let (fr, cameras, _) = setup();
-        let out = FoveatedRenderer::new(fr_opts()).render(&fr, &cameras[0], None);
+        let (fr, cameras) = setup();
+        let out = FoveatedRenderer::default().render(fr, &cameras[0], None);
         let p = &out.stats.profile;
         // The merged profile must agree with the merged headline stats —
         // the "renderer and simulator agree by construction" invariant.
@@ -388,8 +391,8 @@ mod tests {
     /// `alpha_min` while its level-1 opacity is above it.
     fn overridden(fr: &FoveatedModel, camera: &Camera) -> (FoveatedModel, u32) {
         let mut base = fr.base().clone();
-        let lifted = project_model(&base, camera, &fr_opts())[0].point_index;
-        let alpha_min = fr_opts().alpha_min;
+        let lifted = project_model(&base, camera, &RenderOptions::default())[0].point_index;
+        let alpha_min = RenderOptions::default().alpha_min;
         base.opacities[lifted as usize] = alpha_min * 0.5;
         let mut bounds = fr.quality_bounds().to_vec();
         bounds[lifted as usize] = 1;
@@ -416,13 +419,13 @@ mod tests {
 
     #[test]
     fn derived_splats_equal_each_projected_level() {
-        let (fr, cameras, _) = setup();
+        let (fr, cameras) = setup();
         let camera = &cameras[0];
-        let (fm, lifted) = overridden(&fr, camera);
+        let (fm, lifted) = overridden(fr, camera);
         for threads in [1usize, 3] {
             let opts = RenderOptions {
                 threads,
-                ..fr_opts()
+                ..RenderOptions::default()
             };
             let (_, levels) = FoveatedRenderer::new(opts.clone()).project_levels(&fm, camera);
             for (l, derived) in levels.iter().enumerate() {

@@ -62,7 +62,7 @@ impl FrameWorkload {
     /// Extract the workload from render statistics. Every term is what the
     /// renderer's staged pipeline measured; `pixels` is the exact image
     /// area (`TileGridDims::pixel_count`), not the tile grid padded to
-    /// `tile_size²`.
+    /// `TILE_SIZE²`.
     pub fn from_stats(stats: &RenderStats, per_pixel_sort: bool) -> Self {
         Self {
             points_submitted: stats.points_submitted,

@@ -196,14 +196,6 @@ impl QualityRegions {
         level
     }
 
-    /// Per-pixel level map.
-    pub fn level_map(&self, ecc: &EccentricityMap) -> Vec<u8> {
-        ecc.values()
-            .iter()
-            .map(|&e| self.level_of(e) as u8)
-            .collect()
-    }
-
     /// Fraction of pixels in each level.
     pub fn level_fractions(&self, ecc: &EccentricityMap) -> Vec<f32> {
         let mut counts = vec![0usize; self.level_count()];
@@ -227,20 +219,6 @@ impl QualityRegions {
         let next_boundary = self.boundaries_deg[level + 1];
         let w = smoothstep(next_boundary - self.blend_width_deg, next_boundary, ecc_deg);
         (level, w)
-    }
-
-    /// Fraction of pixels inside any blend band (rendered twice).
-    pub fn blended_fraction(&self, ecc: &EccentricityMap) -> f32 {
-        let n = ecc.values().len() as f32;
-        let blended = ecc
-            .values()
-            .iter()
-            .filter(|&&e| {
-                let (_, w) = self.blend_toward_next(e);
-                w > 0.0 && w < 1.0
-            })
-            .count();
-        blended as f32 / n
     }
 }
 
@@ -314,7 +292,12 @@ mod tests {
         let ecc = EccentricityMap::centered(display());
         let mut r = QualityRegions::paper_default();
         r.blend_width_deg = 6.0;
-        let f = r.blended_fraction(&ecc);
+        let e = ecc.values();
+        let blended = e
+            .iter()
+            .filter(|&&e| r.blend_toward_next(e).1 > 0.0)
+            .count();
+        let f = blended as f32 / e.len() as f32;
         assert!(f > 0.05 && f < 0.5, "blended fraction {f}");
     }
 
@@ -323,10 +306,10 @@ mod tests {
         let d = display();
         let ecc = EccentricityMap::new(d, Vec2::new(60.0, 120.0));
         let r = QualityRegions::paper_default();
-        let map = r.level_map(&ecc);
+        let level = |x: usize, y: usize| r.level_of(ecc.values()[y * 320 + x]);
         // Pixel near gaze is level 0; far corner is level 3.
-        assert_eq!(map[(120 * 320 + 60) as usize], 0);
-        assert_eq!(map[(239 * 320 + 319) as usize], 3);
+        assert_eq!(level(60, 120), 0);
+        assert_eq!(level(319, 239), 3);
     }
 
     #[test]

@@ -227,18 +227,6 @@ impl Mat4 {
         }
     }
 
-    /// Embed a 3×3 rotation in the upper-left block.
-    #[inline]
-    pub fn from_mat3(r: Mat3) -> Self {
-        let m = r.m;
-        Self::from_rows(
-            [m[0][0], m[0][1], m[0][2], 0.0],
-            [m[1][0], m[1][1], m[1][2], 0.0],
-            [m[2][0], m[2][1], m[2][2], 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        )
-    }
-
     /// Right-handed look-at view matrix. The camera at `eye` looks toward
     /// `target`; the view space has +X right, +Y up, and the camera looking
     /// down **−Z**.
@@ -308,19 +296,6 @@ impl Mat4 {
     #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec4 {
         *self * p.extend(1.0)
-    }
-
-    /// Rigid-transform inverse (valid for rotation+translation matrices).
-    #[inline]
-    pub fn rigid_inverse(&self) -> Self {
-        let r = self.upper_left3().transposed();
-        let t = Vec3::new(self.m[0][3], self.m[1][3], self.m[2][3]);
-        let new_t = -(r * t);
-        let mut out = Self::from_mat3(r);
-        out.m[0][3] = new_t.x;
-        out.m[1][3] = new_t.y;
-        out.m[2][3] = new_t.z;
-        out
     }
 }
 
@@ -416,21 +391,6 @@ mod tests {
     #[should_panic]
     fn perspective_rejects_bad_planes() {
         let _ = Mat4::perspective(1.0, 1.0, 10.0, 1.0);
-    }
-
-    #[test]
-    fn rigid_inverse_undoes_look_at() {
-        let view = Mat4::look_at(
-            Vec3::new(1.0, 2.0, 3.0),
-            Vec3::new(0.0, 0.5, -1.0),
-            Vec3::new(0.0, 1.0, 0.0),
-        );
-        let inv = view.rigid_inverse();
-        let p = Vec3::new(0.3, -0.7, 2.0);
-        let back = inv
-            .transform_point(view.transform_point(p).project())
-            .project();
-        assert!(back.distance(p) < 1e-4);
     }
 
     #[test]

@@ -121,19 +121,6 @@ impl BoxplotSummary {
             count: xs.len(),
         })
     }
-
-    /// Observations outside the whisker fences.
-    #[inline]
-    pub fn outliers(xs: &[f32]) -> Vec<f32> {
-        match Self::from_samples(xs) {
-            None => Vec::new(),
-            Some(s) => xs
-                .iter()
-                .copied()
-                .filter(|&x| x < s.whisker_lo || x > s.whisker_hi)
-                .collect(),
-        }
-    }
 }
 
 /// Two-sided binomial test against `p = 0.5`, the significance test the user
@@ -229,7 +216,6 @@ mod tests {
         xs.push(100.0);
         let s = BoxplotSummary::from_samples(&xs).unwrap();
         assert!(s.whisker_hi < 100.0);
-        assert_eq!(BoxplotSummary::outliers(&xs), vec![100.0]);
     }
 
     #[test]

@@ -244,12 +244,6 @@ impl Vec2 {
         Self { x, y }
     }
 
-    /// Perpendicular (rotated 90° counter-clockwise).
-    #[inline]
-    pub fn perp(self) -> Self {
-        Self::new(-self.y, self.x)
-    }
-
     /// 2-D cross product (z of the 3-D cross of the embedded vectors).
     #[inline]
     pub fn cross(self, rhs: Self) -> f32 {
@@ -409,12 +403,6 @@ mod tests {
         let mut w = v;
         w[1] = 9.0;
         assert_eq!(w.y, 9.0);
-    }
-
-    #[test]
-    fn perp_rotates_ccw() {
-        let v = Vec2::new(1.0, 0.0);
-        assert_eq!(v.perp(), Vec2::new(0.0, 1.0));
     }
 
     fn finite_f32() -> impl Strategy<Value = f32> {

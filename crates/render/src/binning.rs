@@ -519,7 +519,7 @@ pub fn merge_low_occupancy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::RenderOptions;
+    use crate::options::{RenderOptions, TILE_SIZE};
     use crate::projection::project_model;
     use ms_math::{Quat, Vec3};
     use ms_scene::{Camera, GaussianModel};
@@ -527,7 +527,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn grid() -> TileGridDims {
-        TileGridDims::for_image(128, 128, 16)
+        TileGridDims::for_image(128, 128)
     }
 
     fn scene() -> (GaussianModel, Camera) {
@@ -677,7 +677,7 @@ mod tests {
                 let tiles = TileRect::from_circle(
                     Vec2::new(cx, cy),
                     radius,
-                    g.tile_size,
+                    TILE_SIZE,
                     g.tiles_x,
                     g.tiles_y,
                 )?;
@@ -903,13 +903,8 @@ mod tests {
                 use ms_math::{Conic2, TileRect, Vec2};
                 let cx = 64.0 + rng.gen_range(-12.0..12.0f32);
                 let cy = 64.0 + rng.gen_range(-12.0..12.0f32);
-                let tiles = TileRect::from_circle(
-                    Vec2::new(cx, cy),
-                    2.0,
-                    g.tile_size,
-                    g.tiles_x,
-                    g.tiles_y,
-                )?;
+                let tiles =
+                    TileRect::from_circle(Vec2::new(cx, cy), 2.0, TILE_SIZE, g.tiles_x, g.tiles_y)?;
                 Some(ProjectedSplat {
                     point_index: i as u32,
                     center: Vec2::new(cx, cy),

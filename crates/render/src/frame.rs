@@ -150,7 +150,7 @@ pub struct View {
 pub struct PixelLevels {
     /// Each pixel's quality level, below the scene's level count.
     pub level: Vec<u8>,
-    /// Each pixel's blend weight toward the next level.
+    /// Each pixel's blend weight toward the next level, in `[0, 1]`.
     pub blend: Vec<f32>,
 }
 
@@ -301,8 +301,8 @@ fn check_projected(s: &ProjectedSplat, points: usize, grid: TileGridDims) {
     }
     // A NaN depth would composite in front of (−NaN) or behind (+NaN) every
     // finite one instead of failing. A non-finite conic entry or opacity can
-    // make a pixel's alpha NaN, which Raster's `min(alpha_max)` turns into
-    // `alpha_max`: a near-opaque splat, composited without a word.
+    // make a pixel's alpha NaN, which Raster's `min(ALPHA_MAX)` turns into
+    // `ALPHA_MAX`: a near-opaque splat, composited without a word.
     if !s.depth.is_finite() {
         panic!("projected splat depth {} is not finite", s.depth);
     }
@@ -336,17 +336,13 @@ impl FrameInFlight {
     /// Panics with [`check_camera`]'s message when the camera has a
     /// zero-pixel image or exceeds `u32` pixel addressing; when the level
     /// map does not have `width * height` entries (compared in `u64`: at
-    /// extreme dimensions the product overflows `u32`) or names a level the
-    /// scene lacks; or when a pre-projected scene has no level, or one of
-    /// its splats has a `point_index` not below the scene's `points`, a
-    /// depth, conic entry or opacity that is not finite, or a tile
-    /// rectangle outside the camera's grid of `tile_size`-pixel tiles.
-    pub(crate) fn new(
-        scene: SceneRef<'_>,
-        view: View,
-        mut arena: FrameArena,
-        tile_size: u32,
-    ) -> Self {
+    /// extreme dimensions the product overflows `u32`), names a level the
+    /// scene lacks or has a blend weight that is NaN or outside `[0, 1]`;
+    /// or when a pre-projected scene has no level, or one of its splats has
+    /// a `point_index` not below the scene's `points`, a depth, conic entry
+    /// or opacity that is not finite, or a tile rectangle outside the
+    /// camera's grid of [`TILE_SIZE`](crate::TILE_SIZE) tiles.
+    pub(crate) fn new(scene: SceneRef<'_>, view: View, mut arena: FrameArena) -> Self {
         let camera = &view.camera;
         if let Err(message) = check_camera(camera) {
             panic!("{message}");
@@ -362,8 +358,15 @@ impl FrameInFlight {
                 map.level.len() as u64 == pixels && map.blend.len() as u64 == pixels,
                 "pixel level map size mismatch"
             );
-            if let Some(l) = map.level.iter().find(|&&l| l as usize >= level_count) {
-                panic!("pixel level {l} out of range for a {level_count}-level scene");
+            // A NaN weight would read as 0 and a weight above 1 would
+            // extrapolate the lerp past both levels' colours.
+            for (&l, &w) in map.level.iter().zip(&map.blend) {
+                if l as usize >= level_count {
+                    panic!("pixel level {l} out of range for a {level_count}-level scene");
+                }
+                if !(0.0..=1.0).contains(&w) {
+                    panic!("pixel blend weight {w} outside [0, 1]");
+                }
             }
         }
         let mut profile = FrameProfile::default();
@@ -376,7 +379,7 @@ impl FrameInFlight {
                 wall: Duration::ZERO,
             },
             SceneRef::Projected { levels, points } => {
-                let grid = TileGridDims::for_image(camera.width, camera.height, tile_size);
+                let grid = TileGridDims::for_image(camera.width, camera.height);
                 for s in levels.iter().flat_map(|level| level.iter()) {
                     check_projected(s, points, grid);
                 }
@@ -507,7 +510,7 @@ impl FrameInFlight {
             }
             State::Bin => {
                 let (camera, map) = (&self.view.camera, self.view.levels.as_ref());
-                let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
+                let grid = TileGridDims::for_image(camera.width, camera.height);
                 let threads = options.resolved_threads();
                 let FrameArena { splats, csr, .. } = &mut self.arena;
                 let levels = self.levels.iter().map(|range| &splats[range.clone()]);
@@ -900,14 +903,9 @@ mod tests {
     fn empty_model_renders_clear_frame_in_core_and_chunked() {
         let model = GaussianModel::new(0);
         let camera = Camera::look_at(32, 24, 60.0, Vec3::new(0.0, 0.0, 3.0), Vec3::zero());
-        let renderer = Renderer::new(crate::RenderOptions {
-            background: Vec3::new(0.1, 0.2, 0.3),
-            ..crate::RenderOptions::default()
-        });
+        let renderer = Renderer::default();
         let reference = renderer.render(&model, &camera);
-        for px in 0..32u32 {
-            assert_eq!(reference.image.pixel(px, 11), Vec3::new(0.1, 0.2, 0.3));
-        }
+        assert!(reference.image.pixels().iter().all(|&p| p == Vec3::zero()));
         // An empty model is a 0-chunk source; the streamed Project must
         // degenerate cleanly instead of indexing a first chunk.
         let source = ms_scene::InCoreSource::new(model, 4096);

@@ -140,22 +140,6 @@ impl Image {
         }
         out
     }
-
-    /// Linear blend of two images: `self * (1-t) + other * t` with a
-    /// per-pixel weight map. Used for foveation boundary blending.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch between images or the weight map.
-    pub fn blend_with(&self, other: &Self, weights: &[f32]) -> Self {
-        assert_eq!((self.width, self.height), (other.width, other.height));
-        assert_eq!(weights.len(), self.data.len(), "weight map size mismatch");
-        let mut out = self.clone();
-        for ((p, o), &w) in out.data.iter_mut().zip(&other.data).zip(weights) {
-            *p = p.lerp(*o, w);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -210,15 +194,6 @@ mod tests {
         let ppm = img.to_ppm();
         assert!(ppm.starts_with(b"P6\n5 4\n255\n"));
         assert_eq!(ppm.len(), 11 + 5 * 4 * 3);
-    }
-
-    #[test]
-    fn blend_with_weights() {
-        let a = Image::filled(2, 1, Vec3::zero());
-        let b = Image::filled(2, 1, Vec3::one());
-        let out = a.blend_with(&b, &[0.0, 0.5]);
-        assert_eq!(out.pixel(0, 0), Vec3::zero());
-        assert_eq!(out.pixel(1, 0), Vec3::splat(0.5));
     }
 
     #[test]

@@ -17,6 +17,12 @@
 //!    analysis of the per-tile counts, reported by
 //!    [`RenderStats::unit_intersections`].
 //!
+//! The 3DGS constants are fixed, not options: [`TILE_SIZE`]-pixel tiles, a
+//! [`EXTENT_SIGMA`] splat extent, an alpha clamp at [`ALPHA_MAX`], an early
+//! stop below transmittance [`T_MIN`], and a black background.
+//! [`RenderOptions`] holds what callers vary: `alpha_min`, `dilation`,
+//! point statistics and the worker count.
+//!
 //! The renderer doubles as the measurement instrument for the paper's
 //! analysis: [`RenderStats`] exposes per-tile intersection counts (the
 //! workload-imbalance data of Fig. 9), per-point tile usage (`Comp`/`U` in
@@ -53,7 +59,7 @@ mod stats;
 pub use binning::{merge_low_occupancy, SuperTile, TileBins, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
 pub use frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
 pub use image::Image;
-pub use options::RenderOptions;
+pub use options::{RenderOptions, ALPHA_MAX, EXTENT_SIGMA, TILE_SIZE, T_MIN};
 pub use pipeline::{FrameProfile, StageKind, StageSample};
 pub use projection::{project_model, project_model_offset_into, ProjectedSplat};
 pub use raster::{check_camera, RenderOutput, Renderer};

@@ -1,27 +1,33 @@
-//! Renderer configuration.
+//! Renderer configuration and the fixed 3DGS constants.
 
-use ms_math::Vec3;
 use serde::{Deserialize, Serialize};
 
-/// Options controlling a render pass.
+/// Square tile size in pixels: the 16×16 tiles of 3DGS, of the paper's
+/// workload heatmaps and of the accelerator's one-sub-tile-per-row IP
+/// model.
+pub const TILE_SIZE: u32 = 16;
+
+/// Transmittance early-stop threshold: once accumulated transmittance
+/// falls below this the pixel is finished.
+pub const T_MIN: f32 = 1e-4;
+
+/// Upper clamp for a single splat's alpha (0.99 in 3DGS, so a fully opaque
+/// splat never zeroes the gradient path).
+pub const ALPHA_MAX: f32 = 0.99;
+
+/// Gaussian extent in standard deviations (3σ): the radius of the circle
+/// whose tiles a splat is binned into.
+pub const EXTENT_SIGMA: f32 = 3.0;
+
+/// Options controlling a render pass: the settings callers vary. Frames
+/// composite over black; tile size, early stop, alpha clamp and splat
+/// extent are the constants [`TILE_SIZE`], [`T_MIN`], [`ALPHA_MAX`] and
+/// [`EXTENT_SIGMA`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RenderOptions {
-    /// Square tile size in pixels (paper uses 16×16 for its workload
-    /// heatmaps; 3DGS uses 16).
-    pub tile_size: u32,
-    /// Background color composited behind the splats.
-    pub background: Vec3,
     /// Minimum per-splat alpha; contributions below this are skipped
     /// (1/255, the 3DGS convention).
     pub alpha_min: f32,
-    /// Transmittance early-stop threshold: once accumulated transmittance
-    /// falls below this the pixel is finished.
-    pub t_min: f32,
-    /// Upper clamp for a single splat's alpha (0.99 in 3DGS, avoids a fully
-    /// opaque splat zeroing the gradient path).
-    pub alpha_max: f32,
-    /// Gaussian extent multiplier in standard deviations (3σ).
-    pub extent_sigma: f32,
     /// Screen-space covariance dilation in px² (3DGS low-pass filter).
     pub dilation: f32,
     /// Record per-point dominance counts (`Val` of Eqn. 3) and per-point
@@ -40,12 +46,7 @@ pub struct RenderOptions {
 impl Default for RenderOptions {
     fn default() -> Self {
         Self {
-            tile_size: 16,
-            background: Vec3::zero(),
             alpha_min: 1.0 / 255.0,
-            t_min: 1e-4,
-            alpha_max: 0.99,
-            extent_sigma: 3.0,
             dilation: 0.3,
             track_point_stats: false,
             threads: 1,
@@ -75,20 +76,11 @@ impl RenderOptions {
 
     /// Validate option ranges.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tile_size == 0 {
-            return Err("tile_size must be > 0".into());
-        }
-        if !(0.0..1.0).contains(&self.alpha_min) {
-            return Err(format!("alpha_min {} out of [0,1)", self.alpha_min));
-        }
-        if !(0.0..=1.0).contains(&self.alpha_max) || self.alpha_max <= self.alpha_min {
-            return Err("alpha_max must be in (alpha_min, 1]".into());
-        }
-        if !self.extent_sigma.is_finite() || self.extent_sigma <= 0.0 {
+        if !(0.0..ALPHA_MAX).contains(&self.alpha_min) {
             return Err(format!(
-                "extent_sigma {} must be finite and positive (a NaN or infinite \
-                 radius bins a splat into every tile)",
-                self.extent_sigma
+                "alpha_min {} out of [0, {ALPHA_MAX}) (at or above the alpha \
+                 clamp no splat would ever composite)",
+                self.alpha_min
             ));
         }
         if !self.dilation.is_finite() || self.dilation < 0.0 {
@@ -97,13 +89,6 @@ impl RenderOptions {
                  non-PSD covariances and NaN conics downstream; an infinite one \
                  bins a splat into every tile)",
                 self.dilation
-            ));
-        }
-        if self.t_min.is_nan() || self.t_min <= 0.0 {
-            return Err(format!(
-                "t_min {} must be > 0 (a non-positive early-stop threshold \
-                 never terminates compositing)",
-                self.t_min
             ));
         }
         Ok(())
@@ -122,32 +107,21 @@ mod tests {
 
     #[test]
     fn bad_options_rejected() {
-        let o = RenderOptions {
-            tile_size: 0,
-            ..RenderOptions::default()
-        };
-        assert!(o.validate().is_err());
-        let o = RenderOptions {
-            alpha_min: 1.5,
-            ..RenderOptions::default()
-        };
-        assert!(o.validate().is_err());
-        let base = RenderOptions::default();
-        let o = RenderOptions {
-            alpha_max: base.alpha_min / 2.0,
-            ..base
-        };
-        assert!(o.validate().is_err());
-        for bad in [0.0f32, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        // At or above the alpha clamp, no splat could pass the skip test.
+        for bad in [-0.1f32, ALPHA_MAX, 1.5, f32::NAN] {
             let o = RenderOptions {
-                extent_sigma: bad,
+                alpha_min: bad,
                 ..RenderOptions::default()
             };
-            assert!(
-                o.validate().is_err(),
-                "extent_sigma {bad} should be rejected"
-            );
+            assert!(o.validate().is_err(), "alpha_min {bad} should be rejected");
         }
+        // Zero (no skip at all) stays legal: the foveated uncut projection
+        // uses it.
+        let o = RenderOptions {
+            alpha_min: 0.0,
+            ..RenderOptions::default()
+        };
+        assert!(o.validate().is_ok());
     }
 
     #[test]
@@ -165,24 +139,6 @@ mod tests {
         // Zero dilation (no low-pass filter) stays legal.
         let o = RenderOptions {
             dilation: 0.0,
-            ..RenderOptions::default()
-        };
-        assert!(o.validate().is_ok());
-    }
-
-    #[test]
-    fn non_positive_t_min_rejected() {
-        // Regression: validate used to accept t_min <= 0, which disables
-        // the transmittance early stop entirely.
-        for bad in [0.0f32, -1e-4, f32::NAN] {
-            let o = RenderOptions {
-                t_min: bad,
-                ..RenderOptions::default()
-            };
-            assert!(o.validate().is_err(), "t_min {bad} should be rejected");
-        }
-        let o = RenderOptions {
-            t_min: 1e-6,
             ..RenderOptions::default()
         };
         assert!(o.validate().is_ok());

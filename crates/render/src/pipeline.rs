@@ -67,10 +67,10 @@
 //!
 //! Inside a work unit, every pixel runs the one scalar compositing kernel
 //! (`raster.rs`) over its quality level's tile list — a front-to-back walk
-//! that stops once transmittance falls below `t_min` — and a blend-band
-//! pixel also over the next level's, lerping the two. Bin builds one
-//! [`TileBins`] per level; a frame whose [`View`](crate::View) has no
-//! [`PixelLevels`] map has one level.
+//! that stops once transmittance falls below [`T_MIN`](crate::T_MIN) —
+//! and a blend-band pixel also over the next level's, lerping the two. Bin
+//! builds one [`TileBins`] per level; a frame whose [`View`](crate::View)
+//! has no [`PixelLevels`] map has one level.
 //!
 //! Bin, Merge, Raster and Composite are plain functions in this module,
 //! and Project is [`project_model_offset_into`](crate::project_model_offset_into)
@@ -103,7 +103,7 @@
 //!   in `RenderStats::tile_intersections`;
 //! * per-tile pixel counts come from the tile grid clipped to the image
 //!   ([`TileGridDims::tile_pixel_count`](crate::TileGridDims)), so edge
-//!   tiles are not padded to `tile_size²`;
+//!   tiles are not padded to `TILE_SIZE²`;
 //! * projection work is the Project stage's counter; compositing work is
 //!   the Raster stage's counter.
 //!
@@ -113,7 +113,7 @@
 use crate::binning::{SuperTile, TileBins};
 use crate::frame::PixelLevels;
 use crate::image::Image;
-use crate::options::RenderOptions;
+use crate::options::{RenderOptions, TILE_SIZE};
 use crate::projection::ProjectedSplat;
 use crate::raster::{rasterize_unit, TileOrder, UnitResult};
 use crate::stats::{RasterWork, TileGridDims};
@@ -273,7 +273,7 @@ pub(crate) fn bin<'a>(
     let pixels = map.iter().flat_map(|map| map.level.iter().zip(&map.blend));
     for (i, (&l, &w)) in pixels.enumerate() {
         let (x, y, l) = (i as u32 % grid.width, i as u32 / grid.width, l as usize);
-        let tile = ((y / grid.tile_size) * grid.tiles_x + x / grid.tile_size) as usize;
+        let tile = ((y / TILE_SIZE) * grid.tiles_x + x / TILE_SIZE) as usize;
         active[l][tile] = true;
         if w > 0.0 && l + 1 < active.len() {
             active[l + 1][tile] = true;
@@ -383,15 +383,14 @@ pub(crate) struct Composited {
 }
 
 /// Composite: ordered work units → final image (+ per-pixel winners when
-/// `options.track_point_stats` is on). Pixels no unit covers keep
-/// `options.background`.
+/// `options.track_point_stats` is on). Pixels no unit covers stay black.
 pub(crate) fn composite(
     units: Vec<UnitResult>,
     camera: &Camera,
     options: &RenderOptions,
 ) -> Composited {
     let track_winners = options.track_point_stats;
-    let mut image = Image::filled(camera.width, camera.height, options.background);
+    let mut image = Image::new(camera.width, camera.height);
     let mut winners: Vec<u32> = if track_winners {
         vec![u32::MAX; (camera.width * camera.height) as usize]
     } else {

@@ -6,7 +6,7 @@
 //! rotation and `J` the projection Jacobian at the point's view-space
 //! position.
 
-use crate::options::RenderOptions;
+use crate::options::{RenderOptions, EXTENT_SIGMA, TILE_SIZE};
 use ms_math::{Conic2, Cov2, Mat3, Mat4, TileRect, Vec2, Vec3};
 use ms_scene::{Camera, GaussianModel};
 use serde::{Deserialize, Serialize};
@@ -113,7 +113,7 @@ struct FrameContext {
 }
 
 impl FrameContext {
-    fn new(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> Self {
+    fn new(model: &GaussianModel, camera: &Camera) -> Self {
         let view = camera.view_matrix();
         Self {
             view_rot: view.upper_left3(),
@@ -121,8 +121,8 @@ impl FrameContext {
             focal: Vec2::new(camera.focal_x(), camera.focal_y()),
             half_size: Vec2::new(camera.width as f32 * 0.5, camera.height as f32 * 0.5),
             tan_half_fov: Vec2::new((camera.fovx() * 0.5).tan(), (camera.fovy * 0.5).tan()),
-            tiles_x: camera.width.div_ceil(options.tile_size),
-            tiles_y: camera.height.div_ceil(options.tile_size),
+            tiles_x: camera.width.div_ceil(TILE_SIZE),
+            tiles_y: camera.height.div_ceil(TILE_SIZE),
             sh_degree: model.sh_degree,
         }
     }
@@ -191,12 +191,12 @@ fn project_range(
         let Some(conic) = cov2.to_conic() else {
             continue;
         };
-        let radius = cov2.bounding_radius(options.extent_sigma).ceil();
+        let radius = cov2.bounding_radius(EXTENT_SIGMA).ceil();
         if radius < 0.5 {
             continue;
         }
         let Some(tiles) =
-            TileRect::from_circle(center, radius, options.tile_size, ctx.tiles_x, ctx.tiles_y)
+            TileRect::from_circle(center, radius, TILE_SIZE, ctx.tiles_x, ctx.tiles_y)
         else {
             continue;
         };
@@ -236,7 +236,7 @@ pub fn project_model_offset_into(
     base: u32,
     out: &mut Vec<ProjectedSplat>,
 ) {
-    let ctx = FrameContext::new(model, camera, options);
+    let ctx = FrameContext::new(model, camera);
     let n = model.len();
     let shards = options
         .resolved_threads()
@@ -324,7 +324,7 @@ mod tests {
             (sigma_px - expected_sigma_px).abs() <= 0.01 * expected_sigma_px,
             "σ {sigma_px} px vs expected {expected_sigma_px}"
         );
-        // The tiles are those of the `extent_sigma` = 3 bounding circle.
+        // The tiles are those of the `EXTENT_SIGMA` = 3 bounding circle.
         let expected_tiles =
             TileRect::from_circle(splats[0].center, (3.0 * expected_sigma_px).ceil(), 16, 8, 8);
         assert_eq!(Some(splats[0].tiles), expected_tiles);
@@ -443,7 +443,7 @@ mod tests {
         ) {
             let camera =
                 Camera::look_at(width, height, fovy_deg, Vec3::new(0.3, -1.0, 4.0), Vec3::zero());
-            let ctx = FrameContext::new(&GaussianModel::new(0), &camera, &RenderOptions::default());
+            let ctx = FrameContext::new(&GaussianModel::new(0), &camera);
             let p = Vec3::new(u * depth, v * depth, -depth);
             let bits = |c: Option<Vec2>| c.map(|c| (c.x.to_bits(), c.y.to_bits()));
             let expected = camera.view_to_pixel(p);

@@ -13,23 +13,23 @@
 //! # Compositing kernel
 //!
 //! Every pixel runs [`composite_pixel`]: one front-to-back walk over its
-//! tile's list, skipping contributions below `alpha_min` and stopping as
-//! soon as transmittance falls under `t_min`. Under heavy overdraw that
-//! early stop ends most pixels after the first few splats of a long list,
-//! so Bin leaves the lists unsorted and a [`TileOrder`] orders each one
-//! only as deep as the tile's pixels read it: the first block of
-//! [`FIRST_BLOCK`] entries is selected, sorted and gathered into
-//! contiguous [`RasterSplat`] records when a pixel first reads the list,
-//! and a pixel that walks past the gathered records takes the next,
-//! doubled, block. [`rasterize_unit`] walks the tile row by row and calls
-//! the kernel once per pixel on the pixel's quality level, and once more on
-//! the next level for a blend-band pixel; a pixel depends only on its own
-//! tile's lists, so the worker that runs it cannot change a bit of the
-//! frame.
+//! tile's list, clamping each alpha at [`ALPHA_MAX`], skipping
+//! contributions below `alpha_min` and stopping as soon as transmittance
+//! falls under [`T_MIN`]. Under heavy overdraw that early stop ends most
+//! pixels after the first few splats of a long list, so Bin leaves the
+//! lists unsorted and a [`TileOrder`] orders each one only as deep as the
+//! tile's pixels read it: the first block of [`FIRST_BLOCK`] entries is
+//! selected, sorted and gathered into contiguous [`RasterSplat`] records
+//! when a pixel first reads the list, and a pixel that walks past the
+//! gathered records takes the next, doubled, block. [`rasterize_unit`]
+//! walks the tile row by row and calls the kernel once per pixel on the
+//! pixel's quality level, and once more on the next level for a blend-band
+//! pixel; a pixel depends only on its own tile's lists, so the worker that
+//! runs it cannot change a bit of the frame.
 
 use crate::binning::{depth_keys, SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
-use crate::options::RenderOptions;
+use crate::options::{RenderOptions, ALPHA_MAX, TILE_SIZE, T_MIN};
 use crate::pipeline::{Composited, FrameProfile};
 use crate::projection::ProjectedSplat;
 use crate::stats::{RasterWork, RenderStats};
@@ -152,11 +152,12 @@ impl Renderer {
     /// # Panics
     ///
     /// Panics when the camera has a zero-pixel image or exceeds `u32` pixel
-    /// addressing, when the level map does not have one entry per pixel or
-    /// names a level the scene lacks, or when a pre-projected scene has no
-    /// level or a splat whose `point_index` or tile rectangle is out of
-    /// range or whose depth, conic or opacity is not finite (see
-    /// [`SceneRef::Projected`]). Those splat checks run in one scan.
+    /// addressing, when the level map does not have one entry per pixel,
+    /// names a level the scene lacks or has a blend weight that is NaN or
+    /// outside `[0, 1]`, or when a pre-projected scene has no level or a
+    /// splat whose `point_index` or tile rectangle is out of range or whose
+    /// depth, conic or opacity is not finite (see [`SceneRef::Projected`]).
+    /// The level-map checks run in one scan, and so do the splat checks.
     ///
     /// [`run_stage`]: FrameInFlight::run_stage
     pub fn begin_frame<'a>(
@@ -165,7 +166,7 @@ impl Renderer {
         view: impl Into<View>,
         arena: FrameArena,
     ) -> FrameInFlight {
-        FrameInFlight::new(scene.into(), view.into(), arena, self.options.tile_size)
+        FrameInFlight::new(scene.into(), view.into(), arena)
     }
 
     /// Render `scene` through `view` in one call: [`Renderer::try_render`]
@@ -469,16 +470,14 @@ pub(crate) fn rasterize_unit<'a>(
     map: Option<&PixelLevels>,
     lists: &mut [TileOrder<'a>],
 ) -> UnitResult {
-    let grid = levels[0].1.grid();
-    let ts = grid.tile_size;
-    // Clip in u64: at extreme dimensions `tx1 * ts` can exceed u32 even
+    // Clip in u64: at extreme dimensions `tx1 * TILE_SIZE` can exceed u32 even
     // though the clipped result fits.
-    let x_start = unit.tx0 * ts;
-    let y_start = unit.ty0 * ts;
-    let x_end = (unit.tx1 as u64 * ts as u64).min(camera.width as u64) as u32;
-    let y_end = (unit.ty1 as u64 * ts as u64).min(camera.height as u64) as u32;
+    let x_start = unit.tx0 * TILE_SIZE;
+    let y_start = unit.ty0 * TILE_SIZE;
+    let x_end = (unit.tx1 as u64 * TILE_SIZE as u64).min(camera.width as u64) as u32;
+    let y_end = (unit.ty1 as u64 * TILE_SIZE as u64).min(camera.height as u64) as u32;
     let (unit_w, unit_h) = (x_end - x_start, y_end - y_start);
-    let mut pixels = vec![options.background; (unit_w * unit_h) as usize];
+    let mut pixels = vec![Vec3::zero(); (unit_w * unit_h) as usize];
     let track = options.track_point_stats;
     // The winner buffer is only consumed by the Composite merge when point
     // statistics are on; without them it used to be a dead image-sized
@@ -492,10 +491,10 @@ pub(crate) fn rasterize_unit<'a>(
     let mut work = RasterWork::default();
     for ty in unit.ty0..unit.ty1 {
         for tx in unit.tx0..unit.tx1 {
-            let tx_start = tx * ts;
-            let tx_end = (tx_start as u64 + ts as u64).min(camera.width as u64) as u32;
-            let ty_start = ty * ts;
-            let ty_end = (ty_start as u64 + ts as u64).min(camera.height as u64) as u32;
+            let tx_start = tx * TILE_SIZE;
+            let tx_end = (tx_start as u64 + TILE_SIZE as u64).min(camera.width as u64) as u32;
+            let ty_start = ty * TILE_SIZE;
+            let ty_end = (ty_start as u64 + TILE_SIZE as u64).min(camera.height as u64) as u32;
             for (&(_, bins), list) in levels.iter().zip(lists.iter_mut()) {
                 list.reset(bins.tile(tx, ty));
             }
@@ -507,9 +506,9 @@ pub(crate) fn rasterize_unit<'a>(
                     let mut shade = |l: usize| {
                         let list = &mut lists[l];
                         if list.seg.is_empty() {
-                            return (options.background, u32::MAX);
+                            return (Vec3::zero(), u32::MAX);
                         }
-                        let (color, winner, steps) = composite_pixel(options, list, px);
+                        let (color, winner, steps) = composite_pixel(options.alpha_min, list, px);
                         blend_steps[l] += steps;
                         (color, winner)
                     };
@@ -547,7 +546,7 @@ pub(crate) fn rasterize_unit<'a>(
 /// reaches its end. Returns (color, dominating point index or MAX, blend
 /// steps).
 #[inline]
-fn composite_pixel(o: &RenderOptions, list: &mut TileOrder<'_>, px: Vec2) -> (Vec3, u32, u64) {
+fn composite_pixel(alpha_min: f32, list: &mut TileOrder<'_>, px: Vec2) -> (Vec3, u32, u64) {
     let mut color = Vec3::zero();
     let mut t = 1.0f32;
     let mut best_w = 0.0f32;
@@ -561,12 +560,12 @@ fn composite_pixel(o: &RenderOptions, list: &mut TileOrder<'_>, px: Vec2) -> (Ve
             // blend below then touches no libm call.
             let mut alphas = [0.0f32; ALPHA_GROUP];
             for (alpha, s) in alphas.iter_mut().zip(group) {
-                *alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(o.alpha_max);
+                *alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(ALPHA_MAX);
             }
-            // `min` never returns NaN here (`alpha_max` is finite), so `>=`
+            // `min` never returns NaN here (`ALPHA_MAX` is finite), so `>=`
             // admits exactly what a `< alpha_min` skip would.
             for (s, &alpha) in group.iter().zip(&alphas) {
-                if alpha >= o.alpha_min {
+                if alpha >= alpha_min {
                     steps += 1;
                     let w = t * alpha;
                     color += s.color * w;
@@ -575,7 +574,7 @@ fn composite_pixel(o: &RenderOptions, list: &mut TileOrder<'_>, px: Vec2) -> (Ve
                         best = s.point_index;
                     }
                     t *= 1.0 - alpha;
-                    if t < o.t_min {
+                    if t < T_MIN {
                         break 'walk;
                     }
                 }
@@ -583,7 +582,6 @@ fn composite_pixel(o: &RenderOptions, list: &mut TileOrder<'_>, px: Vec2) -> (Ve
         }
         read = list.records.len();
     }
-    color += o.background * t;
     (color, best, steps)
 }
 
@@ -675,13 +673,10 @@ mod tests {
 
     #[test]
     fn empty_model_renders_background() {
+        // Frames composite over black.
         let m = GaussianModel::new(0);
-        let opts = RenderOptions {
-            background: Vec3::new(0.1, 0.2, 0.3),
-            ..RenderOptions::default()
-        };
-        let out = Renderer::new(opts).render(&m, &cam(64, 64));
-        assert_eq!(out.image.pixel(10, 10), Vec3::new(0.1, 0.2, 0.3));
+        let out = Renderer::default().render(&m, &cam(64, 64));
+        assert!(out.image.pixels().iter().all(|&p| p == Vec3::zero()));
         assert_eq!(out.stats.total_intersections, 0);
     }
 
@@ -950,6 +945,27 @@ mod tests {
         let _ = Renderer::default().render(&m, leveled(cam(64, 64), 64 * 64, 1));
     }
 
+    /// A one-level map over a 64×64 camera whose last pixel has weight `w`.
+    fn blended_last_pixel(w: f32) -> View {
+        let mut view = leveled(cam(64, 64), 64 * 64, 0);
+        *view.levels.as_mut().unwrap().blend.last_mut().unwrap() = w;
+        view
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel blend weight NaN outside [0, 1]")]
+    fn nan_blend_weight_rejected() {
+        // Raster's `w > 0.0` test used to read a NaN weight as 0.
+        let _ = Renderer::default().render(&GaussianModel::new(0), blended_last_pixel(f32::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel blend weight 1.5 outside [0, 1]")]
+    fn blend_weight_above_one_rejected() {
+        // The lerp would extrapolate past both levels' colours.
+        let _ = Renderer::default().render(&GaussianModel::new(0), blended_last_pixel(1.5));
+    }
+
     #[test]
     #[should_panic(expected = "projected scene has no level")]
     fn projected_scene_without_levels_rejected() {
@@ -975,7 +991,7 @@ mod tests {
         let m = solid_model(&[(Vec3::zero(), Vec3::splat(0.5), 1.0, Vec3::one())]);
         let out = Renderer::default().render(&m, &cam(64, 64));
         let c = out.image.pixel(32, 32);
-        // alpha capped at 0.99 → some background leaks through.
+        // alpha capped at 0.99 → 1% of the black background shows through.
         assert!(c.x <= 0.9901);
     }
 

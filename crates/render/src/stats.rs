@@ -2,15 +2,16 @@
 //! workload analysis.
 
 use crate::binning::{merge_low_occupancy, MERGE_MAX_EXTENT, MERGE_THRESHOLD};
+use crate::options::TILE_SIZE;
 use crate::pipeline::FrameProfile;
 use serde::{Deserialize, Serialize};
 
 /// Tile-grid dimensions of a render pass, including the exact image extent
-/// the grid covers.
+/// the grid covers. Tiles are [`TILE_SIZE`] pixels square.
 ///
 /// Carrying `width`/`height` lets every per-tile consumer — the composite
 /// stage, the GPU cost model, the accelerator simulator — use the *clipped*
-/// pixel count of edge tiles instead of padding to `tile_size²`, so the
+/// pixel count of edge tiles instead of padding to `TILE_SIZE²`, so the
 /// renderer and the models agree on pixel work by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TileGridDims {
@@ -18,22 +19,18 @@ pub struct TileGridDims {
     pub tiles_x: u32,
     /// Tiles per column.
     pub tiles_y: u32,
-    /// Tile size in pixels.
-    pub tile_size: u32,
-    /// Image width in pixels (`<= tiles_x * tile_size`).
+    /// Image width in pixels (`<= tiles_x * TILE_SIZE`).
     pub width: u32,
-    /// Image height in pixels (`<= tiles_y * tile_size`).
+    /// Image height in pixels (`<= tiles_y * TILE_SIZE`).
     pub height: u32,
 }
 
 impl TileGridDims {
-    /// The grid covering a `width × height` image with square tiles.
-    pub fn for_image(width: u32, height: u32, tile_size: u32) -> Self {
-        assert!(tile_size > 0, "tile_size must be positive");
+    /// The grid of [`TILE_SIZE`] tiles covering a `width × height` image.
+    pub fn for_image(width: u32, height: u32) -> Self {
         Self {
-            tiles_x: width.div_ceil(tile_size),
-            tiles_y: height.div_ceil(tile_size),
-            tile_size,
+            tiles_x: width.div_ceil(TILE_SIZE),
+            tiles_y: height.div_ceil(TILE_SIZE),
             width,
             height,
         }
@@ -59,8 +56,8 @@ impl TileGridDims {
     /// Panics when the tile coordinate is out of the grid.
     pub fn tile_pixel_count(&self, tx: u32, ty: u32) -> u32 {
         assert!(tx < self.tiles_x && ty < self.tiles_y, "tile out of grid");
-        let w = ((tx + 1) * self.tile_size).min(self.width) - tx * self.tile_size;
-        let h = ((ty + 1) * self.tile_size).min(self.height) - ty * self.tile_size;
+        let w = ((tx + 1) * TILE_SIZE).min(self.width) - tx * TILE_SIZE;
+        let h = ((ty + 1) * TILE_SIZE).min(self.height) - ty * TILE_SIZE;
         w * h
     }
 
@@ -187,7 +184,7 @@ mod tests {
     fn stats(tiles: Vec<u32>) -> RenderStats {
         let total = tiles.iter().map(|&t| t as u64).sum();
         RenderStats {
-            grid: TileGridDims::for_image(tiles.len() as u32 * 16, 16, 16),
+            grid: TileGridDims::for_image(tiles.len() as u32 * 16, 16),
             total_intersections: total,
             tile_intersections: tiles,
             points_projected: 0,
@@ -229,7 +226,7 @@ mod tests {
 
     #[test]
     fn grid_tile_count() {
-        let g = TileGridDims::for_image(64, 48, 16);
+        let g = TileGridDims::for_image(64, 48);
         assert_eq!((g.tiles_x, g.tiles_y), (4, 3));
         assert_eq!(g.tile_count(), 12);
         assert_eq!(g.pixel_count(), 64 * 48);
@@ -239,7 +236,7 @@ mod tests {
     fn edge_tiles_are_clipped() {
         // 100×70 with 16-px tiles: last column is 4 px wide, last row 6 px
         // tall.
-        let g = TileGridDims::for_image(100, 70, 16);
+        let g = TileGridDims::for_image(100, 70);
         assert_eq!((g.tiles_x, g.tiles_y), (7, 5));
         assert_eq!(g.tile_pixel_count(0, 0), 256);
         assert_eq!(g.tile_pixel_count(6, 0), 4 * 16);
@@ -260,7 +257,7 @@ mod tests {
         // Regression: `tiles_x * tiles_y` used to multiply in u32 and wrap.
         // 2^26 × 2^26 image with 16-px tiles → 2^22 × 2^22 tiles = 2^44,
         // far beyond u32::MAX.
-        let g = TileGridDims::for_image(1 << 26, 1 << 26, 16);
+        let g = TileGridDims::for_image(1 << 26, 1 << 26);
         assert_eq!((g.tiles_x, g.tiles_y), (1 << 22, 1 << 22));
         assert_eq!(g.tile_count(), 1usize << 44);
         assert_eq!(g.pixel_count(), 1u64 << 52);
@@ -272,7 +269,7 @@ mod tests {
 
     #[test]
     fn tile_coords_roundtrip() {
-        let g = TileGridDims::for_image(100, 70, 16);
+        let g = TileGridDims::for_image(100, 70);
         for i in 0..g.tile_count() {
             let (tx, ty) = g.tile_coords(i);
             assert_eq!((ty * g.tiles_x + tx) as usize, i);

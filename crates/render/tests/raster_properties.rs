@@ -1,7 +1,8 @@
 //! Property tests of the Raster stage over random scenes: random
 //! anisotropic conics, splats hanging off every image edge, odd image
-//! widths and tile sizes, stacks of nearly opaque splats that stop pixels
-//! at different depths, and random per-pixel level maps.
+//! widths and heights that leave ragged edge tiles, stacks of nearly opaque
+//! splats that stop pixels at different depths, and random per-pixel level
+//! maps.
 //!
 //! Three invariants must hold bit for bit (pixels, winner buffers and
 //! blend-step counts):
@@ -19,16 +20,12 @@
 use ms_math::{Conic2, TileRect, Vec2, Vec3};
 use ms_render::{
     Image, PixelLevels, ProjectedSplat, RenderOptions, RenderOutput, Renderer, SceneRef, TileBins,
-    TileGridDims, View,
+    TileGridDims, View, ALPHA_MAX, TILE_SIZE, T_MIN,
 };
 use ms_scene::Camera;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Tile sizes to draw from: odd sizes put the last row and column of edge
-/// tiles in the middle of a splat's footprint.
-const TILE_SIZES: [u32; 5] = [5, 7, 8, 16, 17];
 
 /// Bit-level image comparison: `-0.0` vs `0.0` or NaN payload differences
 /// must fail, not pass, so `PartialEq` on `f32` is not strict enough.
@@ -62,15 +59,9 @@ fn assert_outputs_bit_identical(a: &RenderOutput, b: &RenderOutput) -> Result<()
     Ok(())
 }
 
-fn options(tile_size: u32, alpha_min: f32, alpha_max: f32, t_min: f32) -> RenderOptions {
+fn options(alpha_min: f32) -> RenderOptions {
     RenderOptions {
-        tile_size,
         alpha_min,
-        alpha_max,
-        t_min,
-        // A background no splat mix produces by accident, so pixels no
-        // splat reaches are recognisable.
-        background: Vec3::new(0.25, 0.5, 0.75),
         track_point_stats: true,
         threads: 1,
         ..RenderOptions::default()
@@ -98,22 +89,16 @@ fn random_color(rng: &mut StdRng) -> Vec3 {
 /// Random pre-projected splats over a `width × height` image: anisotropic
 /// positive-definite conics at random orientations, opacities from faint
 /// to nearly opaque, and centers up to 20 px off every image edge.
-fn random_splats(
-    rng: &mut StdRng,
-    n: usize,
-    width: u32,
-    height: u32,
-    tile_size: u32,
-) -> Vec<ProjectedSplat> {
-    let tiles_x = width.div_ceil(tile_size);
-    let tiles_y = height.div_ceil(tile_size);
+fn random_splats(rng: &mut StdRng, n: usize, width: u32, height: u32) -> Vec<ProjectedSplat> {
+    let tiles_x = width.div_ceil(TILE_SIZE);
+    let tiles_y = height.div_ceil(TILE_SIZE);
     (0..n)
         .filter_map(|i| {
             let cx = rng.gen_range(-20.0..width as f32 + 20.0);
             let cy = rng.gen_range(-20.0..height as f32 + 20.0);
             let radius = rng.gen_range(1.0..50.0f32);
             let tiles =
-                TileRect::from_circle(Vec2::new(cx, cy), radius, tile_size, tiles_x, tiles_y)?;
+                TileRect::from_circle(Vec2::new(cx, cy), radius, TILE_SIZE, tiles_x, tiles_y)?;
             let (sx, sy) = (rng.gen_range(0.6..12.0f32), rng.gen_range(0.6..12.0f32));
             let theta = rng.gen_range(0.0..std::f32::consts::PI);
             let (s, c) = theta.sin_cos();
@@ -136,25 +121,19 @@ fn random_splats(
         .collect()
 }
 
-/// Stacks of small, nearly opaque splats: transmittance crosses `t_min`
+/// Stacks of small, nearly opaque splats: transmittance crosses `T_MIN`
 /// after a handful of admissions, at a different list position for
 /// neighbouring pixels, so the early stop fires at varied depths.
-fn opaque_stack(
-    rng: &mut StdRng,
-    n: usize,
-    width: u32,
-    height: u32,
-    tile_size: u32,
-) -> Vec<ProjectedSplat> {
-    let tiles_x = width.div_ceil(tile_size);
-    let tiles_y = height.div_ceil(tile_size);
+fn opaque_stack(rng: &mut StdRng, n: usize, width: u32, height: u32) -> Vec<ProjectedSplat> {
+    let tiles_x = width.div_ceil(TILE_SIZE);
+    let tiles_y = height.div_ceil(TILE_SIZE);
     (0..n)
         .filter_map(|i| {
             let cx = rng.gen_range(0.0..width as f32);
             let cy = rng.gen_range(0.0..height as f32);
             let radius = rng.gen_range(2.0..9.0f32);
             let tiles =
-                TileRect::from_circle(Vec2::new(cx, cy), radius, tile_size, tiles_x, tiles_y)?;
+                TileRect::from_circle(Vec2::new(cx, cy), radius, TILE_SIZE, tiles_x, tiles_y)?;
             let inv = 1.0 / rng.gen_range(1.0..9.0f32);
             Some(ProjectedSplat {
                 point_index: i as u32,
@@ -180,20 +159,19 @@ const TIED_DEPTHS: [f32; 5] = [-0.0, 0.0, 0.5, 3.0, 9.0];
 /// `n` faint, wide splats on one random tile, point indices from `first`:
 /// alphas just above the 1/255 `alpha_min` near their centres and below it
 /// further out, so some of the tile's pixels stop late in the list and
-/// others never reach `t_min` and walk all of it.
+/// others never reach `T_MIN` and walk all of it.
 fn faint_tile(
     rng: &mut StdRng,
     n: usize,
     first: usize,
     width: u32,
     height: u32,
-    tile_size: u32,
 ) -> Vec<ProjectedSplat> {
-    let tx = rng.gen_range(0..width.div_ceil(tile_size));
-    let ty = rng.gen_range(0..height.div_ceil(tile_size));
-    let (x0, y0) = ((tx * tile_size) as f32, (ty * tile_size) as f32);
-    let x1 = ((tx + 1) * tile_size).min(width) as f32;
-    let y1 = ((ty + 1) * tile_size).min(height) as f32;
+    let tx = rng.gen_range(0..width.div_ceil(TILE_SIZE));
+    let ty = rng.gen_range(0..height.div_ceil(TILE_SIZE));
+    let (x0, y0) = ((tx * TILE_SIZE) as f32, (ty * TILE_SIZE) as f32);
+    let x1 = ((tx + 1) * TILE_SIZE).min(width) as f32;
+    let y1 = ((ty + 1) * TILE_SIZE).min(height) as f32;
     (0..n)
         .map(|i| {
             let inv = 1.0 / rng.gen_range(9.0..64.0f32);
@@ -222,21 +200,21 @@ fn faint_tile(
 /// The reference compositor: every pixel walks its tile's list from
 /// `TileBins::build_naive` (a stable depth sort) front to back with the
 /// kernel's arithmetic, skipping alphas below `alpha_min` and stopping
-/// under `t_min`. Returns pixels, winners and blend steps.
+/// under `T_MIN`. Returns pixels, winners and blend steps.
 fn reference_frame(
     o: &RenderOptions,
     splats: &[ProjectedSplat],
     width: u32,
     height: u32,
 ) -> (Vec<Vec3>, Vec<u32>, u64) {
-    let grid = TileGridDims::for_image(width, height, o.tile_size);
+    let grid = TileGridDims::for_image(width, height);
     let bins = TileBins::build_naive(splats, grid, &vec![true; grid.tile_count()]);
     let (mut pixels, mut winners, mut steps) = (Vec::new(), Vec::new(), 0u64);
     for y in 0..height {
         for x in 0..width {
-            let list = &bins[((y / o.tile_size) * grid.tiles_x + x / o.tile_size) as usize];
+            let list = &bins[((y / TILE_SIZE) * grid.tiles_x + x / TILE_SIZE) as usize];
             if list.is_empty() {
-                pixels.push(o.background);
+                pixels.push(Vec3::zero());
                 winners.push(u32::MAX);
                 continue;
             }
@@ -244,7 +222,7 @@ fn reference_frame(
             let (mut color, mut t, mut best_w, mut best) = (Vec3::zero(), 1.0f32, 0.0f32, u32::MAX);
             for &si in list {
                 let s = &splats[si as usize];
-                let alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(o.alpha_max);
+                let alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(ALPHA_MAX);
                 if alpha < o.alpha_min {
                     continue;
                 }
@@ -256,11 +234,11 @@ fn reference_frame(
                     best = s.point_index;
                 }
                 t *= 1.0 - alpha;
-                if t < o.t_min {
+                if t < T_MIN {
                     break;
                 }
             }
-            pixels.push(color + o.background * t);
+            pixels.push(color);
             winners.push(best);
         }
     }
@@ -316,17 +294,12 @@ proptest! {
         n in 1usize..120,
         width in 17u32..90,
         height in 9u32..70,
-        ts_pick in 0usize..5,
         alpha_min in 0.0f32..0.08,
-        alpha_span in 0.05f32..0.9,
-        t_min in 1e-5f32..0.3,
     ) {
-        let tile_size = TILE_SIZES[ts_pick];
-        let alpha_max = (alpha_min + alpha_span).min(1.0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let splats = random_splats(&mut rng, n, width, height, tile_size);
+        let splats = random_splats(&mut rng, n, width, height);
         let scene = SceneRef::Projected { levels: &[&splats], points: n };
-        let o = options(tile_size, alpha_min, alpha_max, t_min);
+        let o = options(alpha_min);
         render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
     }
 
@@ -336,13 +309,11 @@ proptest! {
         n in 8usize..64,
         width in 21u32..60,
         height in 13u32..48,
-        ts_pick in 0usize..5,
     ) {
-        let tile_size = TILE_SIZES[ts_pick];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let splats = opaque_stack(&mut rng, n, width, height, tile_size);
+        let splats = opaque_stack(&mut rng, n, width, height);
         let scene = SceneRef::Projected { levels: &[&splats], points: n };
-        let o = options(tile_size, 1.0 / 255.0, 0.99, 0.05);
+        let o = options(1.0 / 255.0);
         render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
     }
 
@@ -353,19 +324,16 @@ proptest! {
         faint in 1600usize..2400,
         width in 17u32..72,
         height in 9u32..56,
-        ts_pick in 0usize..5,
-        t_min in 1e-6f32..1e-3,
     ) {
-        let tile_size = TILE_SIZES[ts_pick];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
-        let mut splats = random_splats(&mut rng, n, width, height, tile_size);
+        let mut splats = random_splats(&mut rng, n, width, height);
         for s in &mut splats {
             if rng.gen_bool(0.5) {
                 s.depth = TIED_DEPTHS[rng.gen_range(0..TIED_DEPTHS.len())];
             }
         }
-        splats.extend(faint_tile(&mut rng, faint, n, width, height, tile_size));
-        let o = options(tile_size, 1.0 / 255.0, 0.99, t_min);
+        splats.extend(faint_tile(&mut rng, faint, n, width, height));
+        let o = options(1.0 / 255.0);
         let scene = SceneRef::Projected { levels: &[&splats], points: n + faint };
         let out = render_thread_invariant(&o, scene, View::from(&camera(width, height, 4.0)))?;
         let (pixels, winners, steps) = reference_frame(&o, &splats, width, height);
@@ -386,19 +354,17 @@ proptest! {
         n in 1usize..100,
         width in 17u32..80,
         height in 9u32..64,
-        ts_pick in 0usize..5,
         keep in 0.2f64..1.0,
         blend in 0.0f64..1.0,
     ) {
-        let tile_size = TILE_SIZES[ts_pick];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
-        let splats = random_splats(&mut rng, n, width, height, tile_size);
+        let splats = random_splats(&mut rng, n, width, height);
         // Each level keeps a random in-order subset: a splat may be in
         // both levels or in neither.
         let mut subset = || -> Vec<_> { splats.iter().filter(|_| rng.gen_bool(keep)).copied().collect() };
         let (l0, l1) = (subset(), subset());
         let map = random_levels(&mut rng, width, height, blend);
-        let o = options(tile_size, 1.0 / 255.0, 0.99, 1e-4);
+        let o = options(1.0 / 255.0);
         let render = |levels: &[&[ProjectedSplat]], map| {
             let view = View { camera: camera(width, height, 4.0), levels: map };
             render_thread_invariant(&o, SceneRef::Projected { levels, points: n }, view)

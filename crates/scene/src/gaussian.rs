@@ -183,14 +183,6 @@ impl GaussianModel {
         out
     }
 
-    /// Keep only the points whose index satisfies `keep`; returns the mapping
-    /// from new index → old index.
-    pub fn retain_by_index<F: FnMut(usize) -> bool>(&mut self, mut keep: F) -> Vec<usize> {
-        let kept: Vec<usize> = (0..self.len()).filter(|&i| keep(i)).collect();
-        *self = self.subset(&kept);
-        kept
-    }
-
     /// Copy the points in `range` into `into`, replacing its contents.
     ///
     /// `into` is reinitialized to this model's SH degree but keeps its
@@ -338,15 +330,6 @@ mod tests {
         assert_eq!(s.point(1).position, m.point(0).position);
         assert_eq!(s.point(2).sh, m.point(1).sh);
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn retain_by_index_returns_mapping() {
-        let mut m = sample_model();
-        let map = m.retain_by_index(|i| i == 1);
-        assert_eq!(map, vec![1]);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.point(0).opacity, 0.5);
     }
 
     #[test]

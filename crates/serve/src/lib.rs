@@ -617,10 +617,10 @@ mod tests {
     fn invalid_options_rejected_at_admission() {
         let mut server = FrameServer::new(test_model());
         let mut cfg = config(4.0);
-        cfg.options.tile_size = 0;
+        cfg.options.alpha_min = 1.0;
         assert!(server.add_session(cfg).is_err());
         let mut cfg = config(4.0);
-        cfg.options.extent_sigma = f32::NAN;
+        cfg.options.dilation = f32::NAN;
         assert!(server.add_session(cfg).is_err());
         let mut cfg = config(4.0);
         cfg.frame_count = 1;

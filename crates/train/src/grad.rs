@@ -7,20 +7,22 @@
 //! front-to-back as
 //!
 //! ```text
-//! C = Σᵢ Tᵢ αᵢ cᵢ + T_end·bg,   Tᵢ = Πⱼ<ᵢ (1 − αⱼ)
+//! C = Σᵢ Tᵢ αᵢ cᵢ,   Tᵢ = Πⱼ<ᵢ (1 − αⱼ)
 //! ```
 //!
 //! the exact derivatives are
 //!
 //! ```text
 //! ∂C/∂cᵢ = Tᵢ αᵢ
-//! ∂C/∂αᵢ = Tᵢ cᵢ − Sᵢ/(1 − αᵢ),   Sᵢ = Σⱼ>ᵢ Tⱼ αⱼ cⱼ + T_end·bg
+//! ∂C/∂αᵢ = Tᵢ cᵢ − Sᵢ/(1 − αᵢ),   Sᵢ = Σⱼ>ᵢ Tⱼ αⱼ cⱼ
 //! ```
 //!
 //! computed with a back-to-front suffix accumulation, exactly mirroring the
-//! forward pass (same culling, same α clamp, same early stop).
+//! forward pass: the same culling, and the renderer's own tile size, α
+//! clamp and early stop ([`TILE_SIZE`], [`ALPHA_MAX`], [`T_MIN`]). Frames
+//! composite over black, so there is no background term.
 
-use ms_render::{project_model, ProjectedSplat, RenderOptions, TileBins};
+use ms_render::{project_model, RenderOptions, TileBins, ALPHA_MAX, TILE_SIZE, T_MIN};
 use ms_render::{Image, TileGridDims};
 use ms_scene::{Camera, GaussianModel};
 
@@ -54,10 +56,10 @@ pub fn backward_mse(
         "reference dimensions must match the camera"
     );
     let splats = project_model(model, camera, options);
-    let grid = TileGridDims::for_image(camera.width, camera.height, options.tile_size);
+    let grid = TileGridDims::for_image(camera.width, camera.height);
     let bins = TileBins::build(&splats, grid);
 
-    let mut image = Image::filled(camera.width, camera.height, options.background);
+    let mut image = Image::new(camera.width, camera.height);
     let mut d_opacity = vec![0.0f32; model.len()];
     let mut d_dc = vec![[0.0f32; 3]; model.len()];
     // dL/dC scale for MSE over all pixels and channels.
@@ -70,10 +72,10 @@ pub fn backward_mse(
     for ty in 0..grid.tiles_y {
         for tx in 0..grid.tiles_x {
             let list = bins.depth_order(&splats, tx, ty);
-            let x_end = ((tx + 1) * options.tile_size).min(camera.width);
-            let y_end = ((ty + 1) * options.tile_size).min(camera.height);
-            for y in (ty * options.tile_size)..y_end {
-                for x in (tx * options.tile_size)..x_end {
+            let x_end = ((tx + 1) * TILE_SIZE).min(camera.width);
+            let y_end = ((ty + 1) * TILE_SIZE).min(camera.height);
+            for y in (ty * TILE_SIZE)..y_end {
+                for x in (tx * TILE_SIZE)..x_end {
                     let px = ms_math::Vec2::new(x as f32 + 0.5, y as f32 + 0.5);
                     // Forward, recording contributions.
                     contribs.clear();
@@ -83,27 +85,26 @@ pub fn backward_mse(
                         let s = &splats[si as usize];
                         let g = s.conic.gaussian_weight(px - s.center);
                         let raw_alpha = s.opacity * g;
-                        let capped = raw_alpha > options.alpha_max;
-                        let alpha = raw_alpha.min(options.alpha_max);
+                        let capped = raw_alpha > ALPHA_MAX;
+                        let alpha = raw_alpha.min(ALPHA_MAX);
                         if alpha < options.alpha_min {
                             continue;
                         }
                         contribs.push((si, alpha, t, capped));
                         color += s.color * (t * alpha);
                         t *= 1.0 - alpha;
-                        if t < options.t_min {
+                        if t < T_MIN {
                             break;
                         }
                     }
-                    color += options.background * t;
                     image.set_pixel(x, y, color);
 
                     let diff = color - reference.pixel(x, y);
                     mse_acc += (diff.x * diff.x + diff.y * diff.y + diff.z * diff.z) as f64;
                     let dl_dc = diff * norm; // ∂L/∂C (per channel)
 
-                    // Backward: suffix S = Σ_{j>i} T_j α_j c_j + T_end·bg.
-                    let mut suffix = options.background * t;
+                    // Backward: suffix S = Σ_{j>i} T_j α_j c_j.
+                    let mut suffix = ms_math::Vec3::zero();
                     for &(si, alpha, t_before, capped) in contribs.iter().rev() {
                         let s = &splats[si as usize];
                         let pi = s.point_index as usize;
@@ -143,18 +144,6 @@ pub fn forward_image(model: &GaussianModel, camera: &Camera, options: &RenderOpt
     ms_render::Renderer::new(options.clone())
         .render(model, camera)
         .image
-}
-
-#[allow(unused_imports)]
-use ms_render::Renderer;
-
-/// Helper shared by tests and the fine-tuner: splat count after projection.
-pub fn visible_splats(
-    model: &GaussianModel,
-    camera: &Camera,
-    options: &RenderOptions,
-) -> Vec<ProjectedSplat> {
-    project_model(model, camera, options)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use metasapiens::fov::FoveatedRenderer;
 use metasapiens::hvs::{DisplayGeometry, EccentricityMap, Hvsq, HvsqOptions};
 use metasapiens::math::Vec3;
 use metasapiens::pipeline::{build_system, BuildConfig, Variant};
-use metasapiens::render::{Image, RenderOptions, Renderer};
+use metasapiens::render::{Image, RenderOptions, Renderer, TILE_SIZE};
 use metasapiens::scene::dataset::TraceId;
 use metasapiens::scene::Camera;
 use std::fs;
@@ -22,16 +22,16 @@ fn save_ppm(dir: &Path, name: &str, image: &Image) {
 }
 
 /// Color-map per-tile intersections into a heatmap image (Fig. 9a style).
-fn heatmap(tile_counts: &[u32], tiles_x: u32, tiles_y: u32, tile_size: u32) -> Image {
+fn heatmap(tile_counts: &[u32], tiles_x: u32, tiles_y: u32) -> Image {
     let max = tile_counts.iter().copied().max().unwrap_or(1).max(1) as f32;
-    let mut img = Image::new(tiles_x * tile_size, tiles_y * tile_size);
+    let mut img = Image::new(tiles_x * TILE_SIZE, tiles_y * TILE_SIZE);
     for ty in 0..tiles_y {
         for tx in 0..tiles_x {
             let v = tile_counts[(ty * tiles_x + tx) as usize] as f32 / max;
             // Blue → red ramp.
             let c = Vec3::new(v, 0.15 * (1.0 - v), 1.0 - v);
-            for y in ty * tile_size..(ty + 1) * tile_size {
-                for x in tx * tile_size..(tx + 1) * tile_size {
+            for y in ty * TILE_SIZE..(ty + 1) * TILE_SIZE {
+                for x in tx * TILE_SIZE..(tx + 1) * TILE_SIZE {
                     img.set_pixel(x, y, c);
                 }
             }
@@ -79,12 +79,7 @@ fn main() {
     save_ppm(
         out_dir,
         "tile_heatmap.ppm",
-        &heatmap(
-            &fov.stats.tile_intersections,
-            g.tiles_x,
-            g.tiles_y,
-            g.tile_size,
-        ),
+        &heatmap(&fov.stats.tile_intersections, g.tiles_x, g.tiles_y),
     );
 
     // Per-region HVSQ of the foveated render against the dense reference.

@@ -257,7 +257,7 @@ fn rendering_a_subset_never_adds_work() {
 #[test]
 fn rendered_pixels_stay_in_gamut() {
     // Input colors are in [0,1] and compositing is a convex combination of
-    // splat colors and the background, so outputs must stay bounded (SH
+    // splat colors and the black background, so outputs must stay bounded (SH
     // view-dependence can push slightly past 1; allow a small margin).
     let s = scene();
     let cams = small_cams(&s, 1);
@@ -300,4 +300,26 @@ fn headline_claim_metasapiens_is_real_time_class() {
         ours.fps,
         dense.fps
     );
+}
+
+#[test]
+fn accelerator_subtiles_are_the_renderers_tile_rows() {
+    // The IP model splits a tile into one sub-tile per tile row, so every
+    // preset, at every resource scale, must agree with the renderer's tile.
+    use metasapiens::accel::AccelConfig;
+    use metasapiens::render::TILE_SIZE;
+
+    let presets = [
+        AccelConfig::metasapiens_base(),
+        AccelConfig::metasapiens_tm(),
+        AccelConfig::metasapiens_tm_ip(),
+        AccelConfig::gscore(),
+    ];
+    for preset in &presets {
+        assert_eq!(preset.subtiles, TILE_SIZE, "{}", preset.name);
+        // Fig. 15's resource scales.
+        for config in [0.5, 1.0, 2.0, 3.0, 4.0].map(|f| preset.scaled(f)) {
+            assert_eq!(config.subtiles, TILE_SIZE, "{}", config.name);
+        }
+    }
 }
