@@ -5,7 +5,7 @@
 //! through the inverse covariance — the [`Conic2`] — and bounds its extent by
 //! a few standard deviations to find the pixel tiles it intersects.
 
-use crate::Vec2;
+use crate::{gaussian_falloff, Vec2};
 use serde::{Deserialize, Serialize};
 
 /// Symmetric 2×2 covariance matrix `[[a, b], [b, c]]`.
@@ -100,16 +100,20 @@ impl Conic2 {
         self.a * d.x * d.x + 2.0 * self.b * d.x * d.y + self.c * d.y * d.y
     }
 
-    /// Gaussian falloff `exp(-½ dᵀ Σ⁻¹ d)` of offset `d`.
+    /// Exponent `-½ dᵀ Σ⁻¹ d` of the Gaussian at offset `d`.
+    #[inline]
+    pub fn gaussian_power(self, d: Vec2) -> f32 {
+        -0.5 * self.mahalanobis_sq(d)
+    }
+
+    /// Gaussian falloff `exp(-½ dᵀ Σ⁻¹ d)` of offset `d`:
+    /// [`gaussian_falloff`] of [`Conic2::gaussian_power`], so `1.0` where
+    /// rounding makes the power positive (`d ≈ 0`). Raster evaluates the
+    /// same two calls a group of splats at a time, so a reference
+    /// compositor built on this method matches it bit for bit.
     #[inline]
     pub fn gaussian_weight(self, d: Vec2) -> f32 {
-        let power = -0.5 * self.mahalanobis_sq(d);
-        if power > 0.0 {
-            // Numerical guard: a positive power means d ≈ 0 with rounding.
-            1.0
-        } else {
-            power.exp()
-        }
+        gaussian_falloff(self.gaussian_power(d))
     }
 }
 

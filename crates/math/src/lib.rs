@@ -11,6 +11,8 @@
 //!   view-dependent Gaussian color, matching the 3DGS convention.
 //! * [`Conic2`] / [`Cov2`] — the 2-D projected covariance machinery used by
 //!   EWA splatting (invert covariance, eigen extents, point-inside tests).
+//! * [`gaussian_falloff`] — a splat's `exp(power)` falloff, libm's `expf`
+//!   bit for bit in branch-free code that vectorizes.
 //! * [`stats`] — summary statistics (mean/std/percentiles/boxplots) used by
 //!   the evaluation harness to reproduce the paper's boxplot figures.
 //!
@@ -30,6 +32,7 @@
 
 mod aabb;
 mod conic;
+mod falloff;
 mod mat;
 mod quat;
 pub mod sh;
@@ -38,6 +41,7 @@ mod vec;
 
 pub use aabb::{Aabb3, TileRect};
 pub use conic::{Conic2, Cov2};
+pub use falloff::gaussian_falloff;
 pub use mat::{Mat3, Mat4};
 pub use quat::Quat;
 pub use vec::{Vec2, Vec3, Vec4};

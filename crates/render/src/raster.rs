@@ -15,17 +15,20 @@
 //! Every pixel runs [`composite_pixel`]: one front-to-back walk over its
 //! tile's list, clamping each alpha at [`ALPHA_MAX`], skipping
 //! contributions below `alpha_min` and stopping as soon as transmittance
-//! falls under [`T_MIN`]. Under heavy overdraw that early stop ends most
-//! pixels after the first few splats of a long list, so Bin leaves the
-//! lists unsorted and a [`TileOrder`] orders each one only as deep as the
-//! tile's pixels read it: the first block of [`FIRST_BLOCK`] entries is
-//! selected, sorted and gathered into contiguous [`RasterSplat`] records
-//! when a pixel first reads the list, and a pixel that walks past the
-//! gathered records takes the next, doubled, block. [`rasterize_unit`]
-//! walks the tile row by row and calls the kernel once per pixel on the
-//! pixel's quality level, and once more on the next level for a blend-band
-//! pixel; a pixel depends only on its own tile's lists, so the worker that
-//! runs it cannot change a bit of the frame.
+//! falls under [`T_MIN`]. It evaluates alphas [`ALPHA_GROUP`] at a time,
+//! with [`gaussian_falloff`] (libm's `expf`, bit for bit, in branch-free
+//! `f64` arithmetic) for the Gaussian, so a group's falloffs compile to
+//! packed SIMD and the walk makes no call. Under heavy overdraw the early
+//! stop ends most pixels after the first few splats of a long list, so Bin
+//! leaves the lists unsorted and a [`TileOrder`] orders each one only as
+//! deep as the tile's pixels read it: the first block of [`FIRST_BLOCK`]
+//! entries is selected, sorted and gathered into contiguous
+//! [`RasterSplat`] records when a pixel first reads the list, and a pixel
+//! that walks past the gathered records takes the next, doubled, block.
+//! [`rasterize_unit`] walks the tile row by row and calls the kernel once
+//! per pixel on the pixel's quality level, and once more on the next level
+//! for a blend-band pixel; a pixel depends only on its own tile's lists,
+//! so the worker that runs it cannot change a bit of the frame.
 
 use crate::binning::{depth_keys, SuperTile, TileBins};
 use crate::frame::{FrameArena, FrameInFlight, PixelLevels, SceneRef, View};
@@ -33,7 +36,7 @@ use crate::options::{RenderOptions, ALPHA_MAX, TILE_SIZE, T_MIN};
 use crate::pipeline::{Composited, FrameProfile};
 use crate::projection::ProjectedSplat;
 use crate::stats::{RasterWork, RenderStats};
-use ms_math::{Conic2, Vec2, Vec3};
+use ms_math::{gaussian_falloff, Conic2, Vec2, Vec3};
 use ms_scene::{Camera, ChunkCache, SourceError};
 use std::sync::Arc;
 
@@ -541,10 +544,38 @@ pub(crate) fn rasterize_unit<'a>(
     }
 }
 
+/// The alphas of up to [`ALPHA_GROUP`] consecutive records at pixel centre
+/// `px`: `(opacity · conic.gaussian_weight(px − center)).min(ALPHA_MAX)`
+/// for each, bit for bit, with the falloffs evaluated 8 lanes at once.
+///
+/// The powers come first, then one straight-line loop of
+/// [`gaussian_falloff`] over all [`ALPHA_GROUP`] lanes, which compiles to
+/// packed SIMD with no libm call; a short tail group runs its unused lanes
+/// on power 0, and the caller reads only `..group.len()`.
+#[inline]
+fn group_alphas(group: &[RasterSplat], px: Vec2) -> [f32; ALPHA_GROUP] {
+    let mut powers = [0.0f32; ALPHA_GROUP];
+    for (power, s) in powers.iter_mut().zip(group) {
+        *power = s.conic.gaussian_power(px - s.center);
+    }
+    let mut alphas = [0.0f32; ALPHA_GROUP];
+    for (alpha, &power) in alphas.iter_mut().zip(&powers) {
+        *alpha = gaussian_falloff(power);
+    }
+    for (alpha, s) in alphas.iter_mut().zip(group) {
+        *alpha = (s.opacity * *alpha).min(ALPHA_MAX);
+    }
+    alphas
+}
+
 /// Composite one pixel front-to-back over its tile's list, walking the
 /// gathered records and growing the ordered prefix whenever the walk
 /// reaches its end. Returns (color, dominating point index or MAX, blend
 /// steps).
+///
+/// The walk takes the records [`ALPHA_GROUP`] at a time: [`group_alphas`]
+/// evaluates a group's alphas with no accumulator live, then the serial
+/// blend runs over them. The loop calls no libm function.
 #[inline]
 fn composite_pixel(alpha_min: f32, list: &mut TileOrder<'_>, px: Vec2) -> (Vec3, u32, u64) {
     let mut color = Vec3::zero();
@@ -555,13 +586,7 @@ fn composite_pixel(alpha_min: f32, list: &mut TileOrder<'_>, px: Vec2) -> (Vec3,
     let mut read = 0;
     'walk: while read < list.records.len() || list.grow() {
         for group in list.records[read..].chunks(ALPHA_GROUP) {
-            // Each group's alphas come first, in a loop of their own, so the
-            // `exp` calls run with none of the accumulators live; the serial
-            // blend below then touches no libm call.
-            let mut alphas = [0.0f32; ALPHA_GROUP];
-            for (alpha, s) in alphas.iter_mut().zip(group) {
-                *alpha = (s.opacity * s.conic.gaussian_weight(px - s.center)).min(ALPHA_MAX);
-            }
+            let alphas = group_alphas(group, px);
             // `min` never returns NaN here (`ALPHA_MAX` is finite), so `>=`
             // admits exactly what a `< alpha_min` skip would.
             for (s, &alpha) in group.iter().zip(&alphas) {
@@ -669,6 +694,54 @@ mod tests {
             assert_eq!(gathered.len(), len, "len {len}: whole list gathered");
             assert_eq!(order.keys, full, "len {len}: keys end fully sorted");
         }
+    }
+
+    #[test]
+    fn group_alphas_equal_scalar_alphas() {
+        // List lengths 1..=19 cover every tail-group size; offsets spread
+        // the alphas across `alpha_min`, with an indefinite conic (power
+        // > 0), a centred splat (α clamp) and a far one (underflow) mixed in.
+        let alpha_min = RenderOptions::default().alpha_min;
+        let px = Vec2::new(8.5, 8.5);
+        let mut seed = 0x9e37_79b9u32;
+        let mut next = move || {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (seed >> 8) as f32 / (1u32 << 24) as f32
+        };
+        let (mut below, mut above) = (0, 0);
+        for len in 1..=19usize {
+            let records: Vec<RasterSplat> = (0..len)
+                .map(|i| {
+                    let (dx, dy) = match i % 7 {
+                        0 => (0.0, 0.0),
+                        6 => (40.0, 0.0),
+                        _ => ((next() - 0.5) * 12.0, (next() - 0.5) * 12.0),
+                    };
+                    let b = if i % 5 == 4 { 2.0 } else { 0.1 };
+                    RasterSplat {
+                        center: px + Vec2::new(dx, dy),
+                        conic: Conic2 { a: 0.4, b, c: 0.3 },
+                        opacity: 0.2 + 0.8 * next(),
+                        color: Vec3::zero(),
+                        point_index: i as u32,
+                    }
+                })
+                .collect();
+            for group in records.chunks(ALPHA_GROUP) {
+                let alphas = group_alphas(group, px);
+                for (s, alpha) in group.iter().zip(alphas) {
+                    let scalar =
+                        (s.opacity * s.conic.gaussian_weight(px - s.center)).min(ALPHA_MAX);
+                    assert_eq!(alpha.to_bits(), scalar.to_bits(), "list {len}, {s:?}");
+                    if alpha < alpha_min {
+                        below += 1;
+                    } else {
+                        above += 1;
+                    }
+                }
+            }
+        }
+        assert!(below > 20 && above > 20, "{below} below, {above} above");
     }
 
     #[test]
